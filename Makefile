@@ -6,7 +6,7 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale perf-smoke profile clean
+.PHONY: test bench bench-scale ledger perf-smoke profile clean
 
 test:
 	$(PY) -m pytest -q
@@ -19,6 +19,12 @@ bench:
 # Trim with e.g. BENCH_SCALE_GRID=2048x256,8192x512.
 bench-scale:
 	$(PY) -m pytest -q benchmarks/bench_scale.py
+
+# The layered performance ledger (BENCHMARK.json): five pinned workloads,
+# end-to-end and per-layer metrics, ~2.5 min.  The parent process sets
+# its children's PYTHONPATH itself.
+ledger:
+	python3 benchmarks/ledger/run.py
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py

@@ -71,27 +71,12 @@ class _KeySlice:
         self.tree = tree
         self.authority: Optional[Authority] = None
         self.scheme: Optional[object] = None
-
-    # -- shared state --------------------------------------------------------
-    @property
-    def env(self) -> Environment:
-        """The shared simulation clock."""
-        return self._owner.env
-
-    @property
-    def transport(self) -> Transport:
-        """The shared transport (one cost ledger for all keys)."""
-        return self._owner.transport
-
-    @property
-    def config(self) -> SimulationConfig:
-        """The run configuration."""
-        return self._owner.config
-
-    @property
-    def ledger(self) -> CostLedger:
-        """The shared cost ledger."""
-        return self._owner.ledger
+        # Shared with every other key of the owner: the clock, the
+        # transport and its cost ledger, and the run configuration.
+        self.env: Environment = owner.env
+        self.transport: Transport = owner.transport
+        self.config: SimulationConfig = owner.config
+        self.ledger: CostLedger = owner.ledger
 
     # -- per-key topology -------------------------------------------------------
     def is_root(self, node: NodeId) -> bool:
@@ -258,7 +243,7 @@ class MultiKeySimulation:
         self._key_selector = shared_zipf(num_keys, key_zipf_theta)
         self._key_order = list(self.slices)
         self._node_selector = ZipfNodeSelector(
-            list(self.ring.node_ids),
+            self.ring.node_ids,
             config.zipf_theta,
             self.streams.get("placement"),
         )
@@ -472,6 +457,12 @@ class MultiKeyScaleSimulation:
             raise ConfigError("scale simulation requires topology='chord'")
         if config.churn is not None and config.churn.enabled:
             raise ConfigError("scale simulation does not support churn")
+        if sweep_interval is not None and sweep_interval <= 0:
+            # A zero period would spin the sweeper without advancing
+            # the clock; a negative one cannot be scheduled at all.
+            raise ConfigError(
+                f"sweep_interval must be positive, got {sweep_interval}"
+            )
         self.config = config
         self.num_keys = num_keys
         self.shard_index = shard_index
@@ -534,7 +525,7 @@ class MultiKeyScaleSimulation:
             self._queries_per_key[key] = 0
 
         self._node_selector = ZipfNodeSelector(
-            list(self.ring.node_ids),
+            self.ring.node_ids,
             config.zipf_theta,
             self._stream("placement"),
         )

@@ -9,7 +9,9 @@ N1 and N6 is not necessarily much longer than that between N1 and N2").
 Each hop:
 
 - is delayed by a latency drawn from the configured distribution (the
-  paper uses Exponential with mean 0.1 s), and
+  paper uses Exponential with mean 0.1 s) — the transport reads the
+  latency stream ahead a block at a time, which yields the very sequence
+  one draw per hop would, and
 - charges 1 hop to the message's :class:`~repro.net.message.Category` in
   the cost ledger — unless the hop is *free* (piggybacked control bits) or
   falls into the measurement warm-up.
@@ -41,6 +43,9 @@ from repro.stats.distributions import Distribution
 
 NodeId = int
 DeliveryHandler = Callable[[NodeId, Message], None]
+
+#: Hop latencies drawn per refill of the transport's look-ahead buffer.
+_LATENCY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,8 @@ class Transport:
         Per-hop latency distribution.
     rng:
         Random stream used to draw latencies (the ``"latency"`` stream).
+        The transport must be its only consumer: draws are buffered
+        ahead of use.
     ledger:
         The :class:`repro.metrics.counters.CostLedger` charged per hop.
     handler:
@@ -128,6 +135,8 @@ class Transport:
         self._injector = injector
         self._dropped = 0
         self._observers: list[TransportObserver] = []
+        # Look-ahead latencies, next one last (``pop()`` takes it).
+        self._delays: list[float] = []
 
     def bind(self, handler: DeliveryHandler) -> None:
         """Set the delivery callback (must happen before the first send)."""
@@ -170,6 +179,17 @@ class Transport:
         for observer in self._observers:
             observer(event)
 
+    def _next_delay(self) -> float:
+        """The next hop latency of the stream (one per scheduled hop)."""
+        delays = self._delays
+        if not delays:
+            delays = self._latency.sample_block(
+                self._rng, _LATENCY_BLOCK
+            ).tolist()
+            delays.reverse()
+            self._delays = delays
+        return delays.pop()
+
     @property
     def dropped(self) -> int:
         """Messages dropped for any reason (churn, loss, blackhole)."""
@@ -207,16 +227,13 @@ class Transport:
         injector = self._injector
         if injector is None and not self._observers:
             # Fast branch: no injector and no observers attached — the
-            # hop is charge + latency draw + delayed delivery, nothing
-            # else.  The RNG draw happens at the same point as in the
-            # instrumented path, so streams stay bit-identical.  defer()
-            # skips the Timeout machinery in batched environments and
-            # degrades to call_later everywhere else.
+            # hop is charge + latency + delayed delivery, nothing else.
+            # The latency is taken at the same point of the sequence as
+            # in the instrumented path, so runs stay bit-identical.
+            # defer() skips the Timeout machinery in batched
+            # environments and degrades to call_later everywhere else.
             self._env.defer(
-                self._latency.sample(self._rng),
-                self._deliver,
-                destination,
-                message,
+                self._next_delay(), self._deliver, destination, message
             )
             return
         if self._observers or injector is not None:
@@ -262,7 +279,7 @@ class Transport:
                     destination,
                     message,
                 )
-        delay = self._latency.sample(self._rng)
+        delay = self._next_delay()
         if injector is not None:
             delay += injector.extra_delay()
         self._env.call_later(delay, self._deliver, destination, message)

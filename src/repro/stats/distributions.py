@@ -13,6 +13,12 @@ The paper (Section IV) draws from three distributions:
 Each distribution is a small object holding its parameters; sampling takes
 the :class:`numpy.random.Generator` explicitly so streams stay controlled
 by the caller.
+
+Every class draws either one variate (``sample``) or a block of ``n``
+(``sample_block``).  A block is the same stream read ahead: it equals ``n``
+``sample`` calls on an identically seeded generator and leaves the
+generator in the same state, so a consumer may buffer draws without
+changing a single value.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ class Distribution(Protocol):
 
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one variate."""
+        ...
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw the next ``n`` variates of the ``sample`` sequence."""
         ...
 
     @property
@@ -51,6 +61,10 @@ class Deterministic:
     def sample(self, rng: np.random.Generator) -> float:
         """Return the fixed value (``rng`` unused, kept for the protocol)."""
         return self._value
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` copies of the fixed value (``rng`` unused)."""
+        return np.full(n, self._value)
 
     @property
     def mean(self) -> float:
@@ -75,6 +89,10 @@ class Uniform:
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one uniform variate."""
         return float(rng.uniform(self._low, self._high))
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw the next ``n`` uniform variates."""
+        return rng.uniform(self._low, self._high, n)
 
     @property
     def mean(self) -> float:
@@ -109,6 +127,10 @@ class Exponential:
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one exponential variate."""
         return float(rng.exponential(self._mean))
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw the next ``n`` exponential variates."""
+        return rng.exponential(self._mean, n)
 
     @property
     def mean(self) -> float:
@@ -166,6 +188,20 @@ class Pareto:
             u = rng.random()
         return self._k * (u ** (-1.0 / self._alpha) - 1.0)
 
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw the next ``n`` variates by CDF inversion."""
+        uniforms: list[float] = []
+        while len(uniforms) < n:
+            # ``sample`` redraws a zero, so a zero takes no output slot.
+            block = rng.random(n - len(uniforms))
+            uniforms.extend(block[block != 0.0].tolist())
+        # Python's float power, as in ``sample``: numpy's vectorised
+        # ``power`` may round the last bit differently.
+        exponent = -1.0 / self._alpha
+        return np.array(
+            [self._k * (u**exponent - 1.0) for u in uniforms], dtype=np.float64
+        )
+
     @property
     def alpha(self) -> float:
         """Tail index; smaller means burstier."""
@@ -210,6 +246,10 @@ class LogNormal:
         """Draw one log-normal variate."""
         return float(rng.lognormal(self._mu, self._sigma))
 
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw the next ``n`` log-normal variates."""
+        return rng.lognormal(self._mu, self._sigma, n)
+
     @property
     def mean(self) -> float:
         """Theoretical (arithmetic) mean."""
@@ -249,10 +289,10 @@ class ZipfSelector:
         # the result is identical.
         return int(self._cdf.searchsorted(rng.random(), side="right"))
 
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` rank indices at once."""
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw the next ``n`` rank indices."""
         return self._cdf.searchsorted(
-            rng.random(count), side="right"
+            rng.random(n), side="right"
         ).astype(np.int64)
 
     def probability(self, rank: int) -> float:
@@ -348,6 +388,13 @@ class ZipfSlice:
         if rank >= self._hi:
             return self._hi - 1
         return rank
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw the next ``n`` *global* rank indices in ``[lo, hi)``."""
+        u = self._base + rng.random(n) * self._mass
+        ranks = self._parent._cdf.searchsorted(u, side="right")
+        # Clamp float round-off at the span edges, as ``sample`` does.
+        return ranks.clip(self._lo, self._hi - 1)
 
     @property
     def mass(self) -> float:

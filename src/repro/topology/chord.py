@@ -4,7 +4,7 @@ The paper targets *structured* peer-to-peer networks and cites Chord as the
 canonical example: queries for a key are routed along well-defined paths to
 the key's authority node, and those paths form the index search tree.  This
 module implements a complete static Chord ring — identifier circle, finger
-tables, successor lists, and greedy lookup — from which
+tables, and greedy lookup — from which
 :func:`repro.topology.chord_tree.chord_search_tree` derives per-key search
 trees.
 
@@ -12,6 +12,11 @@ Identifiers live on a ``2**m`` circle.  A key ``k`` is owned by
 ``successor(k)``: the first node clockwise from ``k``.  Lookups hop via the
 *closest preceding finger*, halving the remaining distance each step, so
 paths have O(log n) hops.
+
+Finger ``k`` of a node is ``successor(node + 2**k)``, so on a static ring
+the whole routing function is arithmetic over the sorted id list: the ring
+stores no per-node table and answers every routing question with a
+constant number of binary searches (see :meth:`ChordRing._finger_toward`).
 """
 
 from __future__ import annotations
@@ -31,21 +36,8 @@ def chord_hash(label: str, bits: int) -> int:
     return int.from_bytes(digest, "big") % (1 << bits)
 
 
-def _in_interval(value: int, low: int, high: int, modulus: int) -> bool:
-    """Whether ``value`` is in the circular interval ``(low, high]``."""
-    low %= modulus
-    high %= modulus
-    value %= modulus
-    if low < high:
-        return low < value <= high
-    if low > high:
-        return value > low or value <= high
-    # low == high: the interval covers the whole circle.
-    return True
-
-
 class ChordRing:
-    """A static Chord identifier circle with finger tables.
+    """A static Chord identifier circle with closed-form finger routing.
 
     Parameters
     ----------
@@ -61,7 +53,10 @@ class ChordRing:
             raise TopologyError(f"bits must be >= 1, got {bits}")
         self._bits = bits
         self._modulus = 1 << bits
-        ids = sorted(set(int(i) for i in node_ids))
+        if isinstance(node_ids, np.ndarray) and node_ids.dtype.kind in "iu":
+            ids = np.unique(node_ids).tolist()
+        else:
+            ids = sorted({int(i) for i in node_ids})
         if not ids:
             raise TopologyError("a Chord ring needs at least one node")
         if ids[0] < 0 or ids[-1] >= self._modulus:
@@ -69,35 +64,10 @@ class ChordRing:
                 f"node ids must lie in [0, 2**{bits}); got range "
                 f"[{ids[0]}, {ids[-1]}]"
             )
-        self._ids = ids
-        self._ids_np = np.asarray(ids, dtype=np.int64)
-        # Finger matrix: row i is node ids[i]'s finger table, built in one
-        # vectorized searchsorted over all n*bits targets instead of
-        # n*bits bisect calls (the construction bottleneck at 10^5
-        # nodes).  searchsorted-left is exactly bisect_left, and the
-        # ``% n`` wraps an off-the-end index to ids[0] — successor().
-        if bits <= 62:
-            shifts = np.left_shift(
-                np.int64(1), np.arange(bits, dtype=np.int64)
-            )
-            targets = (self._ids_np[:, None] + shifts[None, :]) % self._modulus
-            rows = np.searchsorted(self._ids_np, targets, side="left")
-            self._finger_np = self._ids_np[rows % len(ids)]
-        else:  # pragma: no cover - identifier spaces beyond int64
-            self._finger_np = np.array(
-                [
-                    [
-                        self.successor((node + (1 << k)) % self._modulus)
-                        for k in range(bits)
-                    ]
-                    for node in ids
-                ],
-                dtype=object,
-            )
-        # Per-node Python rows materialize lazily on first routing use:
-        # most rings route through a small working set of nodes, and the
-        # matrix alone answers bulk queries.
-        self._fingers: dict[int, list[int]] = {}
+        # All the ring keeps: the sorted ids (bisected for routing) and
+        # their set (membership probes, two or three per routed hop).
+        self._ids = tuple(ids)
+        self._members = frozenset(ids)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -111,15 +81,17 @@ class ChordRing:
             raise TopologyError(
                 f"cannot place {n} distinct ids in a {bits}-bit space"
             )
-        chosen: set[int] = set()
-        while len(chosen) < n:
-            needed = n - len(chosen)
-            draws = rng.integers(0, 1 << bits, size=needed * 2, dtype=np.int64)
-            for draw in draws:
-                chosen.add(int(draw))
-                if len(chosen) == n:
-                    break
-        return cls(chosen, bits=bits)
+        # The ids are the first n distinct values of the draw sequence;
+        # each round draws twice what is still missing.
+        draws = np.empty(0, dtype=np.int64)
+        distinct = first_seen = draws
+        while len(distinct) < n:
+            needed = n - len(distinct)
+            fresh = rng.integers(0, 1 << bits, size=needed * 2, dtype=np.int64)
+            draws = np.concatenate((draws, fresh))
+            distinct, first_seen = np.unique(draws, return_index=True)
+        cutoff = np.partition(first_seen, n - 1)[n - 1]
+        return cls(distinct[first_seen <= cutoff], bits=bits)
 
     @classmethod
     def from_labels(
@@ -138,56 +110,67 @@ class ChordRing:
     @property
     def node_ids(self) -> tuple[int, ...]:
         """All node identifiers, ascending."""
-        return tuple(self._ids)
+        return self._ids
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __contains__(self, node: int) -> bool:
-        index = bisect.bisect_left(self._ids, node)
-        return index < len(self._ids) and self._ids[index] == node
+        return node in self._members
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ids)
 
     def successor(self, key: int) -> int:
         """The node owning ``key``: first node clockwise from ``key``."""
-        key %= self._modulus
-        index = bisect.bisect_left(self._ids, key)
-        if index == len(self._ids):
-            return self._ids[0]
-        return self._ids[index]
+        ids = self._ids
+        index = bisect.bisect_left(ids, key % self._modulus)
+        return ids[index] if index < len(ids) else ids[0]
 
     def predecessor(self, node: int) -> int:
         """The node immediately counter-clockwise from ``node``."""
         self._require(node)
-        index = bisect.bisect_left(self._ids, node)
-        return self._ids[index - 1] if index > 0 else self._ids[-1]
+        # Index -1 wraps the lowest id round to the highest.
+        return self._ids[bisect.bisect_left(self._ids, node) - 1]
 
     def finger_table(self, node: int) -> tuple[int, ...]:
         """``node``'s finger table: entry k is successor(node + 2**k)."""
         self._require(node)
-        return tuple(self._finger_row(node))
-
-    def _finger_row(self, node: int) -> list[int]:
-        """``node``'s finger table as a cached plain-int list."""
-        row = self._fingers.get(node)
-        if row is None:
-            index = bisect.bisect_left(self._ids, node)
-            row = [int(f) for f in self._finger_np[index]]
-            self._fingers[node] = row
-        return row
+        return tuple(
+            self.successor(node + (1 << k)) for k in range(self._bits)
+        )
 
     # -- routing -----------------------------------------------------------
+    def _finger_toward(self, node: int, last: int) -> int:
+        """``node``'s highest finger that is not past the ring id ``last``.
+
+        Finger ``k`` is the first id at clockwise distance at least
+        ``2**k`` from ``node``, so it lies in ``(node, last]`` exactly
+        when ``2**k <= dist(last)``: scanning the finger table from the
+        top stops at ``k = floor(log2(dist(last)))``.  No finger
+        qualifies when ``last`` is ``node`` itself, which is returned.
+        """
+        modulus = self._modulus
+        reach = (last - node) % modulus
+        if not reach:
+            return node
+        # successor(node + 2**k), inlined: this is the routed hop.
+        ids = self._ids
+        start = (node + (1 << (reach.bit_length() - 1))) % modulus
+        index = bisect.bisect_left(ids, start)
+        return ids[index] if index < len(ids) else ids[0]
+
     def closest_preceding_finger(self, node: int, key: int) -> int:
         """The finger of ``node`` closest to (but preceding) ``key``."""
         self._require(node)
-        for finger in reversed(self._finger_row(node)):
-            if finger != node and _in_interval(
-                finger, node, key - 1, self._modulus
-            ):
-                return finger
-        return node
+        modulus = self._modulus
+        if (key - 1) % modulus == node:
+            # Fingers are sought in (node, key - 1]; with equal ends a
+            # circular interval is the whole circle, so every other id
+            # precedes the key, as it does for ``key == node``.
+            key = node
+        last = self._ids[bisect.bisect_left(self._ids, key % modulus) - 1]
+        return self._finger_toward(node, last)
 
     def next_hop(self, node: int, key: int) -> Optional[int]:
         """Next node on the lookup route from ``node`` toward ``key``.
@@ -195,17 +178,18 @@ class ChordRing:
         Returns ``None`` when ``node`` already owns ``key``.
         """
         self._require(node)
-        owner = self.successor(key)
-        if node == owner:
+        ids = self._ids
+        index = bisect.bisect_left(ids, key % self._modulus)
+        owner = ids[index] if index < len(ids) else ids[0]
+        if owner == node:
             return None
-        successor = self._finger_row(node)[0]
-        if _in_interval(key, node, successor, self._modulus):
-            return successor
-        finger = self.closest_preceding_finger(node, key)
-        if finger == node:
-            # No strictly closer finger: fall through to the successor.
-            return successor
-        return finger
+        # The last id before the key (index -1 wraps round the top of
+        # the ring).  If that is ``node``, the key lies in
+        # (node, successor] and the successor is the owner.
+        last = ids[index - 1]
+        if last == node:
+            return owner
+        return self._finger_toward(node, last)
 
     def lookup_path(self, start: int, key: int) -> list[int]:
         """The full lookup route from ``start`` to the owner of ``key``.
@@ -230,7 +214,7 @@ class ChordRing:
         return len(self.lookup_path(start, key)) - 1
 
     def _require(self, node: int) -> None:
-        if node not in self:
+        if node not in self._members:
             raise NodeNotFoundError(f"node {node} not on the ring")
 
     def __repr__(self) -> str:

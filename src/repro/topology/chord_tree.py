@@ -60,6 +60,10 @@ def chord_search_tree(ring: ChordRing, key: int) -> SearchTree:
     return tree
 
 
+#: Marks "no memo entry" where ``None`` is a legitimate memoized value.
+_UNSET = object()
+
+
 class LazyChordTree:
     """The search tree of a key, materialized one parent at a time.
 
@@ -104,13 +108,11 @@ class LazyChordTree:
 
     def parent(self, node: int) -> Optional[int]:
         """Next hop toward the authority (``None`` at the root)."""
-        memo = self._parent
-        try:
-            return memo[node]
-        except KeyError:
-            pass
-        hop = self._ring.next_hop(node, self._key)
-        memo[node] = hop
+        # The root's parent is a memoized ``None``, hence the sentinel;
+        # a miss is the common case at scale, so it must not raise.
+        hop = self._parent.get(node, _UNSET)
+        if hop is _UNSET:
+            hop = self._parent[node] = self._ring.next_hop(node, self._key)
         return hop
 
     def depth(self, node: int) -> int:

@@ -14,7 +14,9 @@ from repro.net import (
     Subscribe,
     Transport,
 )
+from repro.net.faults import FaultInjector, FaultPlan
 from repro.sim import Environment
+from repro.sim.rng import RandomStreams
 from repro.stats.distributions import Deterministic, Exponential
 
 
@@ -205,6 +207,82 @@ class TestTransport:
         assert transport.dropped == 0
         transport.drop()
         assert transport.dropped == 1
+
+
+class TestLatencyLookAhead:
+    """Hop latencies are read ahead in blocks; the sequence must be the
+    one-draw-per-hop stream on every branch of ``send``."""
+
+    SENDS = 2500  # crosses two refills, ends mid-block
+
+    def delays(self, attach=None, plan=None):
+        """Per-send delays of ``SENDS`` hops issued at t=0 (``None`` for
+        a dropped hop); ``attach(index, transport)`` runs before each."""
+        env = Environment()
+        transport = Transport(
+            env=env,
+            latency=Exponential(0.1),
+            rng=np.random.default_rng(3),
+            ledger=CostLedger(clock=lambda: env.now),
+        )
+        if plan is not None:
+            transport.use_injector(
+                FaultInjector(plan, RandomStreams(5), clock=lambda: env.now)
+            )
+        delivered = {}
+        transport.bind(
+            lambda dst, msg: delivered.setdefault(msg.origin, env.now)
+        )
+        for index in range(self.SENDS):
+            if attach is not None:
+                attach(index, transport)
+            transport.send(1, QueryMessage(key=1, origin=index))
+        env.run()
+        return [delivered.get(index) for index in range(self.SENDS)]
+
+    def scalar_stream(self):
+        generator = np.random.default_rng(3)
+        latency = Exponential(0.1)
+        return [latency.sample(generator) for _ in range(self.SENDS)]
+
+    def test_fast_path_is_the_scalar_stream(self):
+        assert self.delays() == self.scalar_stream()
+
+    def test_observer_and_injector_take_the_same_delays(self):
+        def observe_from_start(index, transport):
+            if index == 0:
+                transport.add_observer(lambda event: None)
+
+        bare = self.delays()
+        observed = self.delays(attach=observe_from_start)
+        injected = self.delays(plan=FaultPlan())
+        assert observed == bare
+        assert injected == bare
+
+    def test_attaching_mid_run_keeps_the_sequence(self):
+        seen = []
+
+        def attach(index, transport):
+            if index == 700:  # mid-block: buffered draws stay in order
+                transport.add_observer(seen.append)
+            elif index == 1500:
+                transport.use_injector(
+                    FaultInjector(
+                        FaultPlan(), RandomStreams(5), clock=lambda: 0.0
+                    )
+                )
+            elif index == 2100:
+                transport.remove_observer(seen.append)
+                transport.use_injector(None)
+
+        assert self.delays(attach=attach) == self.delays()
+        assert sum(event.kind == "send" for event in seen) == 1400
+
+    def test_dropped_hops_take_no_latency(self):
+        delays = self.delays(plan=FaultPlan(loss_rate=0.3))
+        delivered = [delay for delay in delays if delay is not None]
+        assert 0 < len(delivered) < self.SENDS
+        assert delivered == self.scalar_stream()[: len(delivered)]
 
 
 class TestVersionedDelivery:

@@ -268,6 +268,17 @@ class TestLazyChordTree:
         # materialize() hands back the eager tree for full comparison.
         assert lazy.materialize().root == lazy.root
 
+    def test_non_member_is_absent_and_rejected(self):
+        ring = ChordRing([2, 8, 14], bits=4)
+        lazy = LazyChordTree(ring, 5)
+        assert all(node in lazy for node in ring.node_ids)
+        for outsider in (-1, 3, 16):
+            assert outsider not in lazy
+            with pytest.raises(NodeNotFoundError):
+                lazy.parent(outsider)
+        # A rejected lookup leaves nothing behind in the memo.
+        assert lazy.touched == 1
+
 
 class TestZipfSlices:
     def test_slices_partition_the_global_law(self):

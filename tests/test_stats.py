@@ -232,6 +232,72 @@ class TestDistributions:
         assert np.mean(samples) == pytest.approx(0.1, rel=0.05)
 
 
+class TestBlockDraws:
+    """``sample_block`` is the ``sample`` stream read ahead."""
+
+    SELECTOR = ZipfSelector(500, theta=0.9)
+    CASES = [
+        Deterministic(0.3),
+        Uniform(0.1, 2.0),
+        Exponential(0.1),
+        Pareto(1.2, 0.5),
+        LogNormal(0.1, 0.5),
+        SELECTOR,
+        SELECTOR.slice(17, 203),
+    ]
+
+    def test_every_distribution_class_is_covered(self):
+        import inspect
+
+        from repro.stats import distributions
+
+        classes = {
+            cls
+            for _, cls in inspect.getmembers(distributions, inspect.isclass)
+            if cls.__module__ == distributions.__name__
+            and not getattr(cls, "_is_protocol", False)
+        }
+        assert classes == {type(case) for case in self.CASES}
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: type(case).__name__)
+    def test_block_equals_scalar_draws(self, case):
+        # 2500 is not a multiple of the transport's 1024 block: the
+        # three chunks below end mid-block, as a refill boundary does.
+        blocked, scalar = rng(11), rng(11)
+        expected = [case.sample(scalar) for _ in range(2500)]
+        drawn = []
+        for size in (1024, 1024, 452):
+            block = case.sample_block(blocked, size)
+            assert isinstance(block, np.ndarray) and block.shape == (size,)
+            drawn.extend(block.tolist())
+        assert drawn == expected
+        # Both generators end in the same state.
+        assert blocked.random() == scalar.random()
+
+    def test_pareto_block_skips_zero_uniforms_like_sample(self):
+        class ZeroThenStream:
+            """A generator whose first uniforms are 0.0."""
+
+            def __init__(self):
+                self._inner = rng(12)
+                self._zeros = 2
+
+            def random(self, size=None):
+                if size is None:
+                    if self._zeros:
+                        self._zeros -= 1
+                        return 0.0
+                    return self._inner.random()
+                return np.array([self.random() for _ in range(size)])
+
+        pareto = Pareto(1.2, 0.5)
+        scalar = ZeroThenStream()
+        expected = [pareto.sample(scalar) for _ in range(5)]
+        blocked = ZeroThenStream()
+        assert pareto.sample_block(blocked, 5).tolist() == expected
+        assert blocked.random() == scalar.random()
+
+
 class TestZipfSelector:
     def test_probabilities_sum_to_one(self):
         selector = ZipfSelector(100, theta=0.95)
@@ -260,7 +326,7 @@ class TestZipfSelector:
     def test_empirical_frequencies(self):
         selector = ZipfSelector(10, theta=1.0)
         generator = rng(6)
-        draws = selector.sample_many(generator, 100000)
+        draws = selector.sample_block(generator, 100000)
         freq0 = np.mean(draws == 0)
         assert freq0 == pytest.approx(selector.probability(0), abs=0.01)
 

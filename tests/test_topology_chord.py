@@ -1,5 +1,7 @@
 """Unit and property tests for the Chord ring and derived search trees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,92 @@ from hypothesis import strategies as st
 
 from repro.errors import NodeNotFoundError, TopologyError
 from repro.topology import ChordRing, chord_search_tree
-from repro.topology.chord import chord_hash, _in_interval
+from repro.topology.chord import chord_hash
+
+
+# -- reference routing: Chord by its definition ------------------------------
+# ``ChordRing`` routes in closed form and stores no finger table.  This is
+# the rule it must reproduce: finger k of a node is successor(node + 2**k);
+# a lookup scans the table from the top for the first finger inside
+# (node, key - 1] and falls back to the successor.
+
+
+def _in_interval(value: int, low: int, high: int, modulus: int) -> bool:
+    """Whether ``value`` is in the circular interval ``(low, high]``."""
+    low %= modulus
+    high %= modulus
+    value %= modulus
+    if low < high:
+        return low < value <= high
+    if low > high:
+        return value > low or value <= high
+    # low == high: the interval covers the whole circle.
+    return True
+
+
+class ReferenceRing:
+    """Finger-table Chord over explicit per-node tables."""
+
+    def __init__(self, node_ids, bits):
+        self.ids = sorted(set(node_ids))
+        self.modulus = 1 << bits
+        self.fingers = {
+            node: [
+                self.successor((node + (1 << k)) % self.modulus)
+                for k in range(bits)
+            ]
+            for node in self.ids
+        }
+
+    def successor(self, key):
+        key %= self.modulus
+        return next((node for node in self.ids if node >= key), self.ids[0])
+
+    def closest_preceding_finger(self, node, key):
+        for finger in reversed(self.fingers[node]):
+            if finger != node and _in_interval(
+                finger, node, key - 1, self.modulus
+            ):
+                return finger
+        return node
+
+    def next_hop(self, node, key):
+        if node == self.successor(key):
+            return None
+        successor = self.fingers[node][0]
+        if _in_interval(key, node, successor, self.modulus):
+            return successor
+        finger = self.closest_preceding_finger(node, key)
+        return successor if finger == node else finger
+
+    def lookup_path(self, start, key):
+        path = [start]
+        while (hop := self.next_hop(path[-1], key)) is not None:
+            assert len(path) <= len(self.ids), "reference lookup loops"
+            path.append(hop)
+        return path
+
+
+@st.composite
+def rings(draw):
+    """``(bits, ids)``: 1-12 bits, 1-40 distinct ids, often adjacent."""
+    bits = draw(st.integers(1, 12))
+    modulus = 1 << bits
+    ids = draw(
+        st.sets(
+            st.integers(0, modulus - 1),
+            min_size=1,
+            max_size=min(40, modulus),
+        )
+    )
+    # Runs of adjacent ids and both ends of the circle are where the
+    # interval arithmetic can go wrong; plain uniform sets rarely have them.
+    if draw(st.booleans()):
+        anchor = draw(st.sampled_from(sorted(ids)))
+        ids |= {(anchor + 1) % modulus, (anchor - 1) % modulus}
+    if draw(st.booleans()):
+        ids |= {0, modulus - 1}
+    return bits, sorted(ids)[:40]
 
 
 class TestIntervals:
@@ -96,6 +183,140 @@ class TestChordRing:
     def test_random_too_many_nodes_rejected(self):
         with pytest.raises(TopologyError):
             ChordRing.random(20, np.random.default_rng(0), bits=4)
+
+
+class TestRoutingOracle:
+    """Closed-form routing against the finger-table definition."""
+
+    @given(rings(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_finger_table_definition(self, ring_spec, data):
+        bits, ids = ring_spec
+        modulus = 1 << bits
+        ring = ChordRing(ids, bits=bits)
+        reference = ReferenceRing(ids, bits)
+        assert ring.node_ids == tuple(reference.ids)
+        drawn = data.draw(
+            st.lists(st.integers(-modulus, 2 * modulus), max_size=8)
+        )
+        for node in ids:
+            assert list(ring.finger_table(node)) == reference.fingers[node]
+            keys = {node - 1, node, node + 1, 0, modulus - 1, modulus}
+            keys.update(drawn)
+            # Every id and its two neighbours: owner boundaries.
+            for other in ids:
+                keys.update((other - 1, other, other + 1))
+            for key in keys:
+                assert ring.next_hop(node, key) == reference.next_hop(
+                    node, key
+                ), (node, key)
+                assert ring.closest_preceding_finger(
+                    node, key
+                ) == reference.closest_preceding_finger(node, key), (node, key)
+        for key in drawn:
+            assert ring.successor(key) == reference.successor(key)
+            assert ring.lookup_path(ids[0], key) == reference.lookup_path(
+                ids[0], key
+            )
+
+    @given(rings())
+    @settings(max_examples=50, deadline=None)
+    def test_non_member_still_rejected(self, ring_spec):
+        bits, ids = ring_spec
+        ring = ChordRing(ids, bits=bits)
+        outsiders = [
+            node for node in range(-1, (1 << bits) + 1) if node not in ids
+        ][:5]
+        for node in outsiders:
+            assert node not in ring
+            for call in (
+                lambda: ring.next_hop(node, 0),
+                lambda: ring.closest_preceding_finger(node, 0),
+                lambda: ring.finger_table(node),
+                lambda: ring.lookup_path(node, 0),
+                lambda: ring.predecessor(node),
+            ):
+                with pytest.raises(NodeNotFoundError):
+                    call()
+
+    def test_one_node_ring_owns_everything(self):
+        ring = ChordRing([5], bits=4)
+        for key in range(-1, 18):
+            assert ring.next_hop(5, key) is None
+            assert ring.closest_preceding_finger(5, key) == 5
+        assert ring.finger_table(5) == (5, 5, 5, 5)
+
+    def test_wrap_past_zero(self):
+        ring = ChordRing([1, 14], bits=4)
+        # Key 0 is owned by 1; from 14 the route wraps past the top.
+        assert ring.next_hop(14, 0) == 1
+        assert ring.next_hop(1, 0) is None
+        assert ring.lookup_path(14, 15) == [14, 1]
+        assert ring.lookup_path(1, 2) == [1, 14]
+        assert ring.closest_preceding_finger(14, 1) == 14
+
+
+class TestRingState:
+    """The ring keeps ids only: no per-node routing state."""
+
+    def test_ring_build_allocates_no_finger_matrix(self):
+        # A 32768 x 32 int64 finger matrix alone is 8 MiB and its
+        # construction peaked at 36 MiB; ids, set and draws stay far below.
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            ring = ChordRing.random(32768, rng, bits=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ring) == 32768
+        assert peak < 12 * 2**20, f"ring build peaked at {peak / 2**20:.1f} MiB"
+
+    def test_routing_leaves_no_state_behind(self):
+        ring = ChordRing.random(512, np.random.default_rng(8), bits=32)
+        before = {
+            name: len(value)
+            for name, value in vars(ring).items()
+            if hasattr(value, "__len__")
+        }
+        for node in ring.node_ids[:64]:
+            ring.finger_table(node)
+            ring.lookup_path(node, 123456789)
+        after = {
+            name: len(value)
+            for name, value in vars(ring).items()
+            if hasattr(value, "__len__")
+        }
+        assert before == after
+
+    def test_node_ids_is_built_once(self):
+        ring = ChordRing([9, 2, 14], bits=4)
+        assert ring.node_ids == (2, 9, 14)
+        assert ring.node_ids is ring.node_ids
+
+    def test_integer_array_ids_accepted(self):
+        ring = ChordRing(np.array([9, 2, 14, 9], dtype=np.int64), bits=4)
+        assert ring.node_ids == (2, 9, 14)
+        assert all(type(node) is int for node in ring.node_ids)
+
+    @given(st.integers(1, 300), st.integers(1, 16), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_random_takes_first_distinct_draws(self, n, bits, seed):
+        n = min(n, 1 << bits)
+        ring = ChordRing.random(n, np.random.default_rng(seed), bits=bits)
+        # The definition: add draws in order until n distinct ids exist,
+        # each round drawing twice what is still missing.
+        rng = np.random.default_rng(seed)
+        chosen: set[int] = set()
+        while len(chosen) < n:
+            needed = n - len(chosen)
+            for draw in rng.integers(
+                0, 1 << bits, size=needed * 2, dtype=np.int64
+            ):
+                chosen.add(int(draw))
+                if len(chosen) == n:
+                    break
+        assert ring.node_ids == tuple(sorted(chosen))
 
 
 class TestChordSearchTree:
