@@ -6,7 +6,7 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale ledger perf-smoke profile clean
+.PHONY: test bench bench-scale ledger ledger-ab perf-smoke profile clean
 
 test:
 	$(PY) -m pytest -q
@@ -25,6 +25,13 @@ bench-scale:
 # its children's PYTHONPATH itself.
 ledger:
 	python3 benchmarks/ledger/run.py
+
+# Judge a performance change: BASE revision against the working tree on
+# one ledger workload, alternating pairs, verdicts against the
+# BENCHMARK.json bounds.  make ledger-ab BASE=HEAD~1 WORKLOAD=churn-repair
+PAIRS ?= 10
+ledger-ab:
+	python3 scripts/ledger_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py

@@ -1,0 +1,259 @@
+#!/usr/bin/env python3
+"""Alternating-pair A/B of one ledger workload: a base revision against
+the working tree.
+
+``python3 scripts/ledger_ab.py --base REV --workload NAME [--pairs 10]``
+(``make ledger-ab BASE=REV WORKLOAD=NAME [PAIRS=10]``)
+
+Host timings on a shared machine drift by tens of percent for minutes
+at a time and some metrics are bimodal, so two single runs say nothing.
+This is the procedure a performance claim is judged by instead:
+
+- ``REV`` is exported into a temporary directory (removed on exit; the
+  repository itself is only read), so each side runs the
+  ``BENCHMARK.json`` contract command on its own committed benchmark
+  code and ``src/``;
+- pair ``i`` runs both sides with seed ``i``, one child at a time, and
+  the side that goes first flips every pair;
+- per end-to-end metric it prints both medians with their quartiles,
+  the ratio change/base, how many pairs the change won, and a verdict
+  against the metric's ``BENCHMARK.json`` bound:
+
+  ``ok``          the change's median is no worse than the base's by
+                  more than the bound;
+  ``worse``       it is worse by more than the bound;
+  ``unresolved``  within the bound, but either side's quartile spread
+                  is wider than the bound, so "unchanged" is not shown
+                  (unless every change run beats every base run).
+
+  ``gain`` is ``yes`` only when at least ten pairs ran, the change won
+  at least nine tenths of them (ties count for neither) and the medians
+  differ by more than the distance between the base's own quartiles.
+
+Exits non-zero on a ``worse`` row or when the change fails a larger
+share of its operations than the base.  Imports nothing from ``repro``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# The ledger's own judge (ok / regressed / unresolved against a bound).
+sys.path.append(str(ROOT / "benchmarks" / "ledger"))
+import compare  # noqa: E402
+
+#: Fewer pairs than this never show a gain, however one-sided they are.
+GAIN_PAIRS = 10
+
+
+def export(rev: str, target: pathlib.Path) -> None:
+    """Unpack the committed files of ``rev`` into ``target``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(target, filter="data")
+        else:  # pragma: no cover - interpreters before the filter API
+            tar.extractall(target)
+
+
+def contract(command: list[str], checkout: pathlib.Path) -> dict:
+    """Run the contract command in ``checkout``; its JSON summary line."""
+    done = subprocess.run(
+        command, cwd=checkout, capture_output=True, text=True
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"{' '.join(command)} failed in {checkout} "
+            f"(exit {done.returncode}):\n{done.stderr.strip()}"
+        )
+    return json.loads(lines[-1])
+
+
+def progress(text: str) -> None:
+    """Progress goes to stderr; stdout carries only the report."""
+    print(text, file=sys.stderr, flush=True)
+
+
+def run_pairs(
+    command: list[str],
+    base: pathlib.Path,
+    change: pathlib.Path,
+    pairs: int,
+    report=progress,
+) -> dict[str, list[dict]]:
+    """``{"base": [...], "change": [...]}``: one summary per pair a side."""
+    sides = {"base": base, "change": change}
+    summaries: dict[str, list[dict]] = {"base": [], "change": []}
+    for seed in range(1, pairs + 1):
+        order = ("base", "change") if seed % 2 else ("change", "base")
+        for side in order:
+            summaries[side].append(
+                contract([*command, "--seed", str(seed)], sides[side])
+            )
+        report(f"pair {seed}/{pairs} done ({order[0]} first)")
+    return summaries
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(first quartile, median, third quartile)``."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    first, median, third = statistics.quantiles(values, n=4)
+    return first, median, third
+
+
+def judge(
+    base: list[float], change: list[float], better: str, bound: float
+) -> dict:
+    """Medians, quartiles, wins and the verdicts for one metric.
+
+    ``base[i]`` and ``change[i]`` are the two readings of pair ``i``.
+    The verdict is ``compare.py``'s rule, so both tools agree.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    a_q1, a, a_q3 = quartiles(base)
+    b_q1, b, b_q3 = quartiles(change)
+    wins = sum(sign * (y - x) < 0 for x, y in zip(base, change))
+    verdict = compare.judge(
+        {"value": a, "values": base},
+        {"value": b, "values": change},
+        better,
+        bound,
+    )
+    gain = (
+        len(base) >= GAIN_PAIRS
+        and wins >= 0.9 * len(base)
+        and sign * (a - b) > a_q3 - a_q1
+    )
+    return {
+        "base": (a_q1, a, a_q3),
+        "change": (b_q1, b, b_q3),
+        "ratio": b / a if a else float("nan"),
+        "wins": wins,
+        "ties": sum(x == y for x, y in zip(base, change)),
+        "pairs": len(base),
+        "verdict": "worse" if verdict == "regressed" else verdict,
+        "gain": gain,
+    }
+
+
+def failed_share(summaries: list[dict]) -> float:
+    """Failed operations as a share of the attempted ones."""
+    attempted = sum(s["attempted"] for s in summaries)
+    return sum(s["failed"] for s in summaries) / attempted
+
+
+def render(spec: dict, summaries: dict[str, list[dict]]) -> tuple[str, bool]:
+    """The report table and whether every row passed."""
+
+    def cell(q: tuple[float, float, float]) -> str:
+        return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+    rows = [
+        (
+            "metric",
+            "unit",
+            "base median [q1, q3]",
+            "change median [q1, q3]",
+            "change/base",
+            "wins/pairs",
+            "verdict",
+            "gain",
+        )
+    ]
+    passed = True
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        result = judge(
+            [s["metrics"][name]["value"] for s in summaries["base"]],
+            [s["metrics"][name]["value"] for s in summaries["change"]],
+            metric["better"],
+            metric["bound"],
+        )
+        passed = passed and result["verdict"] != "worse"
+        wins = f"{result['wins']}/{result['pairs']}"
+        if result["ties"]:
+            wins += f" ({result['ties']} tied)"
+        rows.append(
+            (
+                name,
+                metric["unit"],
+                cell(result["base"]),
+                cell(result["change"]),
+                f"{result['ratio']:.3f}x of {result['base'][1]:.6g}",
+                wins,
+                result["verdict"],
+                "yes" if result["gain"] else "-",
+            )
+        )
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = [
+        "  ".join(text.ljust(width) for text, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
+    shares = {side: failed_share(runs) for side, runs in summaries.items()}
+    lines.append(
+        f"failed operations: base {shares['base']:.3f}, "
+        f"change {shares['change']:.3f} of attempted"
+    )
+    return "\n".join(lines), passed and shares["change"] <= shares["base"]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--base", required=True, help="revision to compare against")
+    parser.add_argument("--workload", required=True, help="a BENCHMARK.json workload name")
+    parser.add_argument("--pairs", type=int, default=10, help="base/change pairs, seeds 1..PAIRS")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(ROOT / "BENCHMARK.json") as handle:
+        spec = json.load(handle)
+    known = [w["name"] for w in spec["workloads"]]
+    if args.workload not in known:
+        print(f"unknown workload {args.workload!r}; known: {known}", file=sys.stderr)
+        return 2
+    command = [
+        *spec["command"],
+        "--workload",
+        args.workload,
+        "--seconds",
+        str(spec["run_seconds"]),
+        "--trace",
+        "0",
+    ]
+    with tempfile.TemporaryDirectory(prefix="ledger-ab-") as scratch:
+        base = pathlib.Path(scratch)
+        export(args.base, base)
+        summaries = run_pairs(command, base, ROOT, args.pairs)
+    print(f"{args.workload}: {args.base} (base) vs working tree (change), {args.pairs} pairs")
+    table, passed = render(spec, summaries)
+    print(table)
+    return 0 if passed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -766,7 +766,7 @@ class Simulation:
         generating queries (must be called before :meth:`run`).
 
         Every event node must exist in the topology; events on departed
-        nodes (churn) are skipped.
+        (churn) or crashed (silent failure) nodes are skipped.
         """
         if self._ran:
             raise RuntimeError("use_trace must precede run()")
@@ -1093,7 +1093,7 @@ class Simulation:
             delay = event.time - self.env.now
             if delay > 0:
                 yield self.env.timeout(delay)
-            if self.alive(event.node):
+            if self.functioning(event.node):
                 self.scheme.on_local_query(event.node)
 
     def _churn_loop(self):
@@ -1104,32 +1104,38 @@ class Simulation:
 
     def _apply_churn(self, process: ChurnProcess) -> None:
         kind = process.next_kind()
-        members = [n for n in self.tree.nodes if self.functioning(n)]
-        non_root = [n for n in members if n != self.tree.root]
+        nodes = self.tree.nodes
+        # The functioning population in the tree's own parent-map order
+        # (the order pick_victim's index refers to), read at C speed: no
+        # functioning() call per node, no second copy of the membership
+        # to keep in step with the mutators.  The injector remembers
+        # victims already spliced out, hence the intersection.
+        dead = self.injector.dead & nodes if self.injector is not None else ()
+        candidates = (
+            [n for n in nodes if n not in dead] if dead else list(nodes)
+        )
+        population = len(candidates)
+        with_root = kind is ChurnEvent.JOIN_LEAF or (
+            kind is ChurnEvent.FAIL
+            and self.config.churn.allow_root_failure
+            and self.standby_pool is not None
+            and self.standby_pool.promoted is None
+        )
+        if not with_root and self.tree.root not in dead:
+            # Dropped by position, so the survivors keep their order.
+            candidates.remove(self.tree.root)
+        if not candidates:
+            return
         if kind is ChurnEvent.JOIN_EDGE:
-            if not non_root:
-                return
-            lower = process.pick_victim(non_root)
+            lower = process.pick_victim(candidates)
             upper = self.tree.parent(lower)
             self.scheme.on_node_joined_edge(
                 self.allocate_node_id(), upper, lower
             )
         elif kind is ChurnEvent.JOIN_LEAF:
-            if not members:
-                return
-            parent = process.pick_victim(members)
+            parent = process.pick_victim(candidates)
             self.scheme.on_node_joined_leaf(parent, self.allocate_node_id())
-        else:
-            allow_root = (
-                kind is ChurnEvent.FAIL
-                and self.config.churn.allow_root_failure
-                and self.standby_pool is not None
-                and self.standby_pool.promoted is None
-                and self.functioning(self.tree.root)
-            )
-            candidates = members if allow_root else non_root
-            if len(members) <= process.config.min_population or not candidates:
-                return
+        elif population > process.config.min_population:
             victim = process.pick_victim(candidates)
             if kind is ChurnEvent.LEAVE:
                 self.scheme.on_node_left(victim)

@@ -41,7 +41,7 @@ seed-deterministic and never perturb the streams existing runs consume
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, KeysView, Mapping, Optional
 
 from repro.errors import ConfigError
 from repro.net.message import Category, Message
@@ -341,6 +341,15 @@ class FaultInjector:
     def is_dead(self, node: NodeId) -> bool:
         """Whether ``node`` blackholes traffic."""
         return node in self._failed_at
+
+    @property
+    def dead(self) -> KeysView[NodeId]:
+        """Every node :meth:`is_dead` holds for, as a live read-only view.
+
+        Detected victims stay on record after their repair spliced them
+        out of the overlay, so intersect with the tree before counting.
+        """
+        return self._failed_at.keys()
 
     def note_blackholed(self) -> None:
         """Count one delivery swallowed by a dead destination."""

@@ -112,6 +112,11 @@ class ChordRing:
         """All node identifiers, ascending."""
         return self._ids
 
+    @property
+    def members(self) -> frozenset[int]:
+        """The node identifiers as a set (the ring's own, not a copy)."""
+        return self._members
+
     def __len__(self) -> int:
         return len(self._ids)
 

@@ -81,10 +81,13 @@ class LazyChordTree:
     path needs is provided — mutators live on :class:`SearchTree`.
     """
 
-    __slots__ = ("_ring", "_key", "_root", "_parent", "_depth")
+    __slots__ = ("_ring", "_members", "_key", "_root", "_parent", "_depth")
 
     def __init__(self, ring: ChordRing, key: int):
         self._ring = ring
+        # The ring's own frozenset, shared by every key's tree: one C
+        # probe per ``node in tree`` instead of a second Python call.
+        self._members = ring.members
         self._key = key
         self._root = ring.successor(key)
         self._parent: dict[int, Optional[int]] = {self._root: None}
@@ -101,7 +104,7 @@ class LazyChordTree:
         return self._key
 
     def __contains__(self, node: int) -> bool:
-        return node in self._ring
+        return node in self._members
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -449,15 +449,13 @@ class SessionEngine:
             self._regional_burst(rng)
 
     def _regional_burst(self, rng) -> None:
-        sim = self._sim
-        candidates = sorted(
-            node for node in sim.tree.nodes if self._crashable(node)
-        )
-        if not candidates:
+        crashable = self._crashable()
+        if not crashable:
             self.deferred += 1
             return
+        candidates = sorted(crashable)
         seed = candidates[int(rng.integers(len(candidates)))]
-        ball = self._ball(seed)
+        ball = self._ball(seed, crashable)
         # Respect the down-fraction ceiling by trimming the ball in BFS
         # order (the seed always crashes).
         victims = []
@@ -476,14 +474,22 @@ class SessionEngine:
         for victim in victims:
             self._crash(victim, origin="regional")
 
-    def _crashable(self, node: NodeId) -> bool:
+    def _crashable(self) -> set[NodeId]:
+        """Functioning, up, unprotected nodes: who a burst may crash.
+
+        One set difference per burst, not a ``functioning()`` call and a
+        fresh protected set per node (a plan that crashes peers always
+        has an injector, see ``Simulation.__init__``).
+        """
+        sim = self._sim
         return (
-            self._sim.functioning(node)
-            and node not in self._down
-            and node not in self._protected()
+            sim.tree.nodes
+            - sim.injector.dead
+            - self._down.keys()
+            - self._protected()
         )
 
-    def _ball(self, seed: NodeId) -> list[NodeId]:
+    def _ball(self, seed: NodeId, crashable: set[NodeId]) -> list[NodeId]:
         """Crashable members of the BFS ball around ``seed``, BFS order."""
         tree = self._sim.tree
         seen = {seed}
@@ -502,7 +508,7 @@ class SessionEngine:
                         next_frontier.append(neighbor)
             frontier = next_frontier
             order.extend(next_frontier)
-        return [node for node in order if self._crashable(node)]
+        return [node for node in order if node in crashable]
 
     # -- observation -----------------------------------------------------
     def _record(self, kind: str, node=None, subject=None, detail="") -> None:

@@ -24,6 +24,7 @@ that can never fail proves nothing).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 from repro.engine.config import SimulationConfig
@@ -110,3 +111,8 @@ def diff_fields(
         if left_value != right_value:
             diffs.append(field)
     return diffs
+
+
+def fingerprint_digest(result: SimulationResult) -> str:
+    """SHA-256 of :func:`metric_fingerprint`: a pinnable one-liner."""
+    return hashlib.sha256(metric_fingerprint(result).encode()).hexdigest()

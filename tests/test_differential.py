@@ -13,6 +13,7 @@ from tests.differential import (
     assert_divergent,
     assert_equivalent,
     diff_fields,
+    fingerprint_digest,
     metric_fingerprint,
 )
 from repro.engine import SimulationConfig, run_replications
@@ -145,3 +146,62 @@ class TestNewSchemesParallelEquivalence:
             "dup-balanced", overload=OverloadPlan(max_subscribers=3)
         )
         assert self.fingerprints(config, 1) == self.fingerprints(config, 4)
+
+
+class TestChurnPathPinned:
+    """Churn runs pinned before the eligibility scan left ``_apply_churn``.
+
+    The digests were taken on the commit whose ``_apply_churn`` still
+    rebuilt ``members``/``non_root`` with one ``functioning()`` call per
+    node; a candidate list that differs in content *or order* draws a
+    different victim and moves every number downstream.
+    """
+
+    CHURN = dict(
+        num_nodes=256,
+        duration=7200.0,
+        warmup=1800.0,
+        query_rate=2.0,
+        seed=5,
+    )
+
+    PINNED = {
+        "dup": (
+            "d75f8263a08ee4de9b8375fa2f2c50b3a5c0d21b6f958ce5c802628c9dd26762"
+        ),
+        "cup": (
+            "9026688d3a7435cd34774d0a9983ef5230e139949438f04a72cddd743299195d"
+        ),
+        "pcx": (
+            "b270af3076074f68baeb726e45192baee89e5d3b7823502012cba0f81e1e4019"
+        ),
+        "dup-silent-loss": (
+            "ee0e40bb76b40c0f34a62965c29149bd3ec2d1b90221f11e871498c6d08cd5f4"
+        ),
+    }
+
+    def config(self, name: str) -> SimulationConfig:
+        from repro.net.faults import FaultPlan
+        from repro.workload.churn import ChurnConfig
+
+        overrides = dict(churn=ChurnConfig(0.05, 0.025, 0.025))
+        if name == "dup-silent-loss":
+            overrides.update(
+                faults=FaultPlan(silent_failures=True, loss_rate=0.02),
+                retry_budget=3,
+                lease_ttl=300.0,
+            )
+        return SimulationConfig(
+            scheme=name.partition("-")[0], **self.CHURN, **overrides
+        )
+
+    def test_churn_fingerprints_unchanged(self):
+        from repro.engine.simulation import Simulation
+
+        for name, pinned in self.PINNED.items():
+            result = Simulation(self.config(name)).run()
+            assert fingerprint_digest(result) == pinned, (
+                f"{name}: churn run drifted from its pinned fingerprint "
+                f"(queries={result.queries}, "
+                f"final_population={result.final_population})"
+            )

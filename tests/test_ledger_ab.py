@@ -1,0 +1,155 @@
+"""Tests of ``scripts/ledger_ab.py``: the verdict rules and the pairing.
+
+The script itself is exercised against a stand-in contract command, so
+nothing here runs the real ledger or needs a git checkout.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+import sys
+import textwrap
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "ledger_ab.py"
+spec = importlib.util.spec_from_file_location("ledger_ab", SCRIPT)
+ledger_ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ledger_ab)
+
+TEN = [float(v) for v in range(100, 110)]
+
+
+class TestJudge:
+    def test_clear_gain_on_a_higher_is_better_metric(self):
+        result = ledger_ab.judge(TEN, [2.5 * v for v in TEN], "higher", 0.25)
+        assert result["verdict"] == "ok"
+        assert result["gain"]
+        assert result["wins"] == result["pairs"] == 10
+        assert result["ratio"] == 2.5
+
+    def test_worse_beyond_the_bound(self):
+        result = ledger_ab.judge(TEN, [1.3 * v for v in TEN], "lower", 0.25)
+        assert result["verdict"] == "worse"
+        assert not result["gain"]
+        assert result["wins"] == 0
+
+    def test_within_bound_is_ok_but_no_gain_inside_the_base_spread(self):
+        # 2% better in every pair, yet less than the base's own quartile
+        # distance: ok, and not a gain.
+        result = ledger_ab.judge(TEN, [0.98 * v for v in TEN], "lower", 0.25)
+        assert result["verdict"] == "ok"
+        assert result["wins"] == 10
+        assert not result["gain"]
+
+    def test_wide_spread_is_unresolved_unless_separated(self):
+        noisy = [100.0, 160.0] * 5
+        result = ledger_ab.judge(noisy, [v * 1.05 for v in noisy], "lower", 0.25)
+        assert result["verdict"] == "unresolved"
+        separated = ledger_ab.judge(noisy, [v * 0.3 for v in noisy], "lower", 0.25)
+        assert separated["verdict"] == "ok"
+
+    def test_fewer_than_ten_pairs_never_show_a_gain(self):
+        result = ledger_ab.judge(TEN[:4], [0.4 * v for v in TEN[:4]], "lower", 0.25)
+        assert result["wins"] == 4 and result["verdict"] == "ok"
+        assert not result["gain"]
+
+    def test_ties_count_for_neither_side(self):
+        result = ledger_ab.judge(TEN, list(TEN), "lower", 0.25)
+        assert (result["wins"], result["ties"]) == (0, 10)
+        assert result["verdict"] == "ok" and not result["gain"]
+
+    def test_nine_wins_in_ten_is_enough_eight_is_not(self):
+        nine = [0.5 * v for v in TEN[:9]] + [2 * TEN[9]]
+        assert ledger_ab.judge(TEN, nine, "lower", 0.25)["gain"]
+        eight = [0.5 * v for v in TEN[:8]] + [2 * v for v in TEN[8:]]
+        assert not ledger_ab.judge(TEN, eight, "lower", 0.25)["gain"]
+
+
+FAKE = textwrap.dedent(
+    """
+    import json, pathlib, sys
+    seed = int(sys.argv[sys.argv.index("--seed") + 1])
+    speed = float(pathlib.Path("speed").read_text())
+    with open(pathlib.Path.cwd().parents[1] / "log", "a") as log:
+        log.write(f"{pathlib.Path.cwd().name}:{seed}\\n")
+    print("noise the parser must skip")
+    print(json.dumps({
+        "correct": True, "attempted": 5, "failed": 0,
+        "metrics": {
+            "queries_per_s": {"value": speed * (100 + seed), "unit": "1/s"},
+            "sim_latency_hops": {"value": 0.5 + seed, "unit": "hops"},
+        },
+    }))
+    """
+)
+
+SPEC = {
+    "end_to_end": [
+        {"name": "queries_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "sim_latency_hops", "unit": "hops", "better": "lower", "bound": 0.25},
+    ]
+}
+
+
+class TestPairs:
+    def checkouts(self, tmp_path, speeds):
+        for side, speed in speeds.items():
+            directory = tmp_path / "sides" / side
+            directory.mkdir(parents=True)
+            (directory / "fake.py").write_text(FAKE)
+            (directory / "speed").write_text(str(speed))
+        return tmp_path / "sides" / "base", tmp_path / "sides" / "change"
+
+    def test_order_flips_every_pair_and_seeds_are_shared(self, tmp_path):
+        base, change = self.checkouts(tmp_path, {"base": 1.0, "change": 2.0})
+        notes = []
+        summaries = ledger_ab.run_pairs(
+            [sys.executable, "fake.py"], base, change, 4, report=notes.append
+        )
+        assert (tmp_path / "log").read_text().split() == [
+            "base:1", "change:1",
+            "change:2", "base:2",
+            "base:3", "change:3",
+            "change:4", "base:4",
+        ]
+        assert len(notes) == 4
+        assert [len(runs) for runs in summaries.values()] == [4, 4]
+        table, passed = ledger_ab.render(SPEC, summaries)
+        assert passed
+        rows = {line.split()[0]: line for line in table.splitlines()}
+        assert "2.000x of" in rows["queries_per_s"]
+        assert "4/4" in rows["queries_per_s"]
+        # The simulated metric is the same on both sides for every seed.
+        assert "0/4 (4 tied)" in rows["sim_latency_hops"]
+        assert rows["failed"].startswith("failed operations: base 0.000")
+
+    def test_a_slower_change_fails_the_run(self, tmp_path):
+        base, change = self.checkouts(tmp_path, {"base": 1.0, "change": 0.5})
+        summaries = ledger_ab.run_pairs(
+            [sys.executable, "fake.py"], base, change, 2, report=lambda _: None
+        )
+        table, passed = ledger_ab.render(SPEC, summaries)
+        assert not passed
+        assert "worse" in table
+
+    def test_more_failed_operations_fail_the_run(self):
+        def summary(failed):
+            return {
+                "correct": failed == 0, "attempted": 5, "failed": failed,
+                "metrics": {
+                    "queries_per_s": {"value": 1.0, "unit": "1/s"},
+                    "sim_latency_hops": {"value": 1.0, "unit": "hops"},
+                },
+            }
+
+        clean = {"base": [summary(0)], "change": [summary(0)]}
+        assert ledger_ab.render(SPEC, clean)[1]
+        broken = {"base": [summary(0)], "change": [summary(1)]}
+        assert not ledger_ab.render(SPEC, broken)[1]
+
+    def test_a_crashing_contract_command_is_reported(self, tmp_path):
+        (tmp_path / "boom.py").write_text("import sys; sys.exit('no ledger here')")
+        with pytest.raises(RuntimeError, match="no ledger here"):
+            ledger_ab.contract([sys.executable, "boom.py"], tmp_path)

@@ -291,7 +291,22 @@ class TestRegionalBursts:
             for node in sorted(tree.nodes)
             if node != root and tree.parent(node) != root
         )
-        ball = engine._ball(seed)
+        # One neighbor down (fluctuation layer) and one silently dead
+        # (another layer): neither may be crashed again.
+        down = tree.parent(seed)
+        engine._crash(down, origin="test")
+        sim.fail_silently(next(n for n in tree.children(root) if n != down))
+        crashable = engine._crashable()
+        # The definitional rule, node by node, as the reference.
+        assert crashable == {
+            node
+            for node in tree.nodes
+            if sim.functioning(node)
+            and node not in engine._down
+            and node not in engine._protected()
+        }
+        assert len(crashable) == len(tree) - 3
+        ball = engine._ball(seed, crashable)
         assert ball[0] == seed
         assert root not in ball
         expected = {seed}
@@ -305,9 +320,8 @@ class TestRegionalBursts:
                     nxt.add(parent)
             frontier = nxt - expected
             expected |= frontier
-        assert set(ball) == {
-            node for node in expected if engine._crashable(node)
-        }
+        assert set(ball) == expected & crashable
+        assert down in expected - crashable
 
     def test_regional_scenario_fires_bursts(self):
         config = get_scenario("regional").apply(

@@ -279,6 +279,13 @@ class TestLazyChordTree:
         # A rejected lookup leaves nothing behind in the memo.
         assert lazy.touched == 1
 
+    def test_membership_probes_the_rings_own_set(self):
+        ring = ChordRing([2, 8, 14], bits=4)
+        assert ring.members == frozenset(ring.node_ids)
+        # Shared by reference: a thousand per-key trees, one set.
+        first, second = LazyChordTree(ring, 5), LazyChordTree(ring, 11)
+        assert first._members is second._members is ring.members
+
 
 class TestZipfSlices:
     def test_slices_partition_the_global_law(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Simulation, SimulationConfig
 from repro.errors import WorkloadError
+from repro.net.faults import FaultPlan
 from repro.workload import QueryTrace, TraceEvent
 
 
@@ -84,7 +85,7 @@ class TestTraceSerialization:
 
 
 class TestReplay:
-    def make_sim(self, scheme="pcx"):
+    def make_sim(self, scheme="pcx", **overrides):
         config = SimulationConfig(
             scheme=scheme,
             num_nodes=32,
@@ -92,6 +93,7 @@ class TestReplay:
             duration=5000.0,
             warmup=0.0,
             seed=1,
+            **overrides,
         )
         return Simulation(config)
 
@@ -106,6 +108,23 @@ class TestReplay:
         # First query from the chain tail walks 31 hops; the second hits.
         assert sim.latency.samples[0] == 31.0
         assert sim.latency.samples[1] == 0.0
+
+    def test_replay_skips_silently_crashed_nodes(self):
+        # A silently failed node is still ``alive`` (a member until some
+        # survivor detects it) but generates no queries: the replay must
+        # gate on functioning(), like the generated workload does.
+        trace = QueryTrace(
+            [TraceEvent(10.0, 31), TraceEvent(20.0, 31), TraceEvent(30.0, 15)]
+        )
+        sim = self.make_sim(faults=FaultPlan(silent_failures=True))
+        sim.use_trace(trace)
+        sim.fail_silently(31)
+        assert sim.alive(31) and not sim.functioning(31)
+        result = sim.run()
+        assert result.queries == 1
+        assert result.incomplete_queries == 0
+        # Only node 15's climb to the root is charged.
+        assert result.hop_breakdown["query"] == 15
 
     def test_replay_is_scheme_comparable(self):
         trace = QueryTrace.synthesize(
