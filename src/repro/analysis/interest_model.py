@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as _scipy_stats
-
 from repro.errors import ConfigError
+from repro.stats.special import poisson_tail
 
 
 def zipf_probabilities(n: int, theta: float) -> list[float]:
@@ -58,9 +57,7 @@ def expected_interested(
         raise ConfigError(f"threshold_c must be >= 0, got {threshold_c}")
     expected = 0.0
     for probability in zipf_probabilities(n, theta):
-        mu = rate * probability * ttl
-        # P[N > c] = 1 - CDF(c); survival function is more stable.
-        expected += float(_scipy_stats.poisson.sf(threshold_c, mu))
+        expected += poisson_tail(threshold_c, rate * probability * ttl)
     return expected
 
 

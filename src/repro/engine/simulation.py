@@ -187,11 +187,9 @@ class Simulation:
         if self.injector is not None:
             self.transport.add_observer(self._observe_fault_drops)
         self._next_node_id = max(self.tree.nodes) + 1
-        eligible = [
-            node
-            for node in self.tree.nodes
-            if config.root_queries or node != self.tree.root
-        ]
+        eligible = list(self.tree.nodes)
+        if not config.root_queries:
+            eligible.remove(self.tree.root)
         self.selector = ZipfNodeSelector(
             eligible, config.zipf_theta, self.streams.get("placement")
         )

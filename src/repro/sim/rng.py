@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy loads numpy.random on first attribute access; importing it here
+# keeps that out of the first simulation constructor.
+from numpy.random import PCG64, Generator, SeedSequence
+
 
 class RandomStreams:
     """A family of independent random generators derived from one seed.
@@ -33,21 +37,21 @@ class RandomStreams:
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {seed!r}")
         self._seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, Generator] = {}
 
     @property
     def seed(self) -> int:
         """The root seed this family was created from."""
         return self._seed
 
-    def get(self, name: str) -> np.random.Generator:
+    def get(self, name: str) -> Generator:
         """Return (creating if needed) the stream for ``name``."""
         stream = self._streams.get(name)
         if stream is None:
-            sequence = np.random.SeedSequence(
+            sequence = SeedSequence(
                 self._seed, spawn_key=(_stable_hash(name),)
             )
-            stream = np.random.Generator(np.random.PCG64(sequence))
+            stream = Generator(PCG64(sequence))
             self._streams[name] = stream
         return stream
 

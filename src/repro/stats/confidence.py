@@ -7,7 +7,7 @@ estimators used for that:
 - :func:`mean_confidence_interval` over independent replications, and
 - :func:`batch_means_interval` over one long run split into batches.
 
-Both use the Student-t quantile from :mod:`scipy.stats`.
+Both use the Student-t quantile from :mod:`repro.stats.special`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 from repro.stats.running import RunningStat
+from repro.stats.special import student_t_quantile
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def mean_confidence_interval(
     stat.extend(samples)
     if count == 1:
         return ConfidenceInterval(stat.mean, math.nan, confidence, 1)
-    t_quantile = _scipy_stats.t.ppf((1 + confidence) / 2, df=count - 1)
+    t_quantile = student_t_quantile((1 + confidence) / 2, count - 1)
     half_width = t_quantile * stat.stdev / math.sqrt(count)
     return ConfidenceInterval(stat.mean, half_width, confidence, count)
 

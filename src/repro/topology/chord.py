@@ -54,7 +54,12 @@ class ChordRing:
         self._bits = bits
         self._modulus = 1 << bits
         if isinstance(node_ids, np.ndarray) and node_ids.dtype.kind in "iu":
-            ids = np.unique(node_ids).tolist()
+            # Not np.unique: without return_index it probes for a masked
+            # array, which imports numpy.ma the first time a ring is built.
+            ordered = np.sort(node_ids, axis=None)
+            distinct = np.ones(len(ordered), dtype=bool)
+            distinct[1:] = ordered[1:] != ordered[:-1]
+            ids = ordered[distinct].tolist()
         else:
             ids = sorted({int(i) for i in node_ids})
         if not ids:

@@ -46,17 +46,20 @@ def random_search_tree(
     if max_degree < 1:
         raise TopologyError(f"max_degree must be >= 1, got {max_degree}")
     tree = SearchTree(root=0)
-    next_id = 1
-    frontier: deque[int] = deque([0])
-    while next_id < n:
-        parent = frontier.popleft()
-        child_count = int(rng.integers(1, max_degree + 1))
-        for _ in range(child_count):
-            if next_id >= n:
-                break
-            tree.add_leaf(parent, next_id)
-            frontier.append(next_id)
-            next_id += 1
+    parent = 0  # ids are handed out breadth-first, so parents come in id order
+    while len(tree) < n:
+        missing = n - len(tree)
+        # No count exceeds max_degree, so one draw per parent needs at least
+        # this many more: a block never takes a draw that loop would not.
+        draws = -(-missing // max_degree)
+        counts = rng.integers(1, max_degree + 1, size=draws)
+        # Only the block's last count can overrun n and the slice truncates
+        # it; the minimum just bounds the array a huge max_degree asks for.
+        counts = np.minimum(counts, missing)
+        parents = np.arange(parent, parent + draws).repeat(counts)[:missing]
+        for node, above in enumerate(parents.tolist(), len(tree)):
+            tree.add_leaf(above, node)
+        parent += draws
     return tree
 
 

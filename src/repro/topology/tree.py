@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-import networkx as nx
-
 from repro.errors import NodeNotFoundError, TopologyError
 
 NodeId = int
@@ -330,15 +328,6 @@ class SearchTree:
         driver: deeper trees mean longer cache-miss paths)."""
         total = sum(self.depth(node) for node in self._parent)
         return total / len(self._parent)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed child->parent graph view (for analysis/plotting)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._parent)
-        for node, parent in self._parent.items():
-            if parent is not None:
-                graph.add_edge(node, parent)
-        return graph
 
     # -- invariants -----------------------------------------------------------
     def validate(self) -> None:

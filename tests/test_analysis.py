@@ -137,6 +137,11 @@ class TestInterestModel:
         almost_all = expected_interested(64, 0.5, 100.0, 3600, 6)
         assert almost_all == pytest.approx(63, abs=1.5)  # root excluded? all ranks
 
+    def test_expected_interested_is_plain_float(self):
+        value = expected_interested(4096, 0.95, 1.0, 3600, threshold_c=6)
+        assert type(value) is float
+        assert 0.0 < value < 4096.0
+
     def test_rank_cutoff_scaling(self):
         few = interested_rank_cutoff(4096, 0.95, 1.0, 3600, 6)
         many = interested_rank_cutoff(4096, 0.95, 10.0, 3600, 6)
@@ -149,6 +154,8 @@ class TestInterestModel:
             expected_interested(10, -1.0, 1.0, 3600, 6)
         with pytest.raises(ConfigError):
             expected_interested(10, 1.0, 0.0, 3600, 6)
+        with pytest.raises(ConfigError):
+            expected_interested(10, 1.0, 1.0, 3600, -1)
 
     def test_predicts_simulated_subscriber_count(self):
         # The model should land within a factor ~2 of the simulation

@@ -131,6 +131,16 @@ class TestConfidenceIntervals:
         assert ci.mean == pytest.approx(10.0)
         assert ci.half_width == pytest.approx(2.9, abs=0.2)
 
+    def test_interval_is_plain_floats(self):
+        # A numpy scalar here leaks into every report and exporter.
+        ci = mean_confidence_interval(np.array([1.0, 2.0, 3.0]))
+        assert type(ci.mean) is float
+        assert type(ci.half_width) is float
+        assert type(ci.low) is float and type(ci.high) is float
+        assert type(ci.relative_half_width) is float
+        assert "np." not in repr(ci)
+        assert ci.half_width == pytest.approx(2.4841377117503303, rel=1e-12)
+
     def test_contains(self):
         ci = ConfidenceInterval(mean=10.0, half_width=1.0, confidence=0.95, count=5)
         assert ci.contains(10.5)

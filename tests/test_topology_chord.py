@@ -299,6 +299,19 @@ class TestRingState:
         assert ring.node_ids == (2, 9, 14)
         assert all(type(node) is int for node in ring.node_ids)
 
+    @given(
+        st.lists(st.integers(0, 255), min_size=1, max_size=60),
+        st.sampled_from([np.int64, np.int32, np.uint8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_array_ids_sorted_and_deduplicated(self, ids, dtype):
+        # Unsorted, repeated and 2-D input all reduce to the same ring.
+        flat = ChordRing(np.array(ids, dtype=dtype), bits=8)
+        square = ChordRing(np.array([ids, ids[::-1]], dtype=dtype), bits=8)
+        assert flat.node_ids == square.node_ids == tuple(sorted(set(ids)))
+        assert flat.members == frozenset(ids)
+        assert all(type(node) is int for node in flat.node_ids)
+
     @given(st.integers(1, 300), st.integers(1, 16), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_random_takes_first_distinct_draws(self, n, bits, seed):

@@ -1,5 +1,7 @@
 """Unit and property tests for the index search tree."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,12 +107,6 @@ class TestQueries:
         assert paper_tree.height() == 5
         depths = [0, 1, 2, 3, 3, 4, 5, 5]
         assert paper_tree.mean_depth() == pytest.approx(sum(depths) / 8)
-
-    def test_to_networkx(self, paper_tree):
-        graph = paper_tree.to_networkx()
-        assert graph.number_of_nodes() == 8
-        assert graph.number_of_edges() == 7
-        assert graph.has_edge(6, 5)  # child -> parent
 
 
 class TestMutation:
@@ -239,6 +235,87 @@ class TestGenerators:
         assert tree.degree(0) == 3
         assert tree.degree(1) == 3
         tree.validate()
+
+
+def one_draw_per_parent_tree(n, max_degree, rng):
+    """The generator as first written: one scalar draw per popped parent.
+
+    Kept as the reference the block-drawing ``random_search_tree`` must
+    reproduce draw for draw.
+    """
+    tree = SearchTree(root=0)
+    next_id = 1
+    frontier = deque([0])
+    while next_id < n:
+        parent = frontier.popleft()
+        child_count = int(rng.integers(1, max_degree + 1))
+        for _ in range(child_count):
+            if next_id >= n:
+                break
+            tree.add_leaf(parent, next_id)
+            frontier.append(next_id)
+            next_id += 1
+    return tree
+
+
+def shape(tree):
+    """Parent of every node and every child list, in order."""
+    return (
+        {node: tree.parent(node) for node in tree.nodes},
+        {node: tree.children(node) for node in tree.nodes},
+    )
+
+
+class TestBlockDrawnRandomTree:
+    """Drawing child counts in blocks changes nothing observable."""
+
+    @given(st.integers(1, 400), st.integers(1, 16), st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_same_tree_and_generator_state_as_scalar_draws(
+        self, n, max_degree, seed
+    ):
+        block_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        tree = random_search_tree(n, max_degree, block_rng)
+        reference = one_draw_per_parent_tree(n, max_degree, scalar_rng)
+        assert list(tree.nodes) == list(reference.nodes)
+        assert shape(tree) == shape(reference)
+        assert tree.version == reference.version == n - 1
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+        tree.validate()
+
+    def test_paper_sized_trees_match(self):
+        # The last case is a star: one draw far above n, no n-sized block.
+        for n, max_degree in ((4096, 4), (16384, 4), (2048, 10), (50, 10**12)):
+            block_rng = np.random.default_rng(n)
+            scalar_rng = np.random.default_rng(n)
+            tree = random_search_tree(n, max_degree, block_rng)
+            reference = one_draw_per_parent_tree(n, max_degree, scalar_rng)
+            assert shape(tree) == shape(reference)
+            assert (
+                block_rng.bit_generator.state == scalar_rng.bit_generator.state
+            )
+
+    def test_single_node_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        untouched = np.random.default_rng(5).bit_generator.state
+        tree = random_search_tree(1, 4, rng)
+        assert len(tree) == 1 and tree.version == 0
+        assert rng.bit_generator.state == untouched
+
+    def test_last_count_is_truncated_not_redrawn(self):
+        n, max_degree, seed = 200, 7, 11
+        rng = np.random.default_rng(seed)
+        tree = random_search_tree(n, max_degree, rng)
+        parents = [node for node in tree.nodes if not tree.is_leaf(node)]
+        # Parents are 0..m-1 and took the first m draws, one each.
+        assert parents == list(range(len(parents)))
+        replay = np.random.default_rng(seed)
+        counts = replay.integers(1, max_degree + 1, size=len(parents)).tolist()
+        degrees = [tree.degree(node) for node in parents]
+        assert degrees[:-1] == counts[:-1]
+        assert 1 <= degrees[-1] <= counts[-1]
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 @st.composite
