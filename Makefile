@@ -29,9 +29,11 @@ ledger:
 # Judge a performance change: BASE revision against the working tree on
 # one ledger workload, alternating pairs, verdicts against the
 # BENCHMARK.json bounds.  make ledger-ab BASE=HEAD~1 WORKLOAD=churn-repair
+# TRACE=1 compares the traced run's per-layer metrics instead and names
+# the exact counts that differ.
 PAIRS ?= 10
 ledger-ab:
-	python3 scripts/ledger_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+	python3 scripts/ledger_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) $(if $(TRACE),--trace)
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py

@@ -2,8 +2,9 @@
 """Alternating-pair A/B of one ledger workload: a base revision against
 the working tree.
 
-``python3 scripts/ledger_ab.py --base REV --workload NAME [--pairs 10]``
-(``make ledger-ab BASE=REV WORKLOAD=NAME [PAIRS=10]``)
+``python3 scripts/ledger_ab.py --base REV --workload NAME [--pairs 10]
+[--trace]`` (``make ledger-ab BASE=REV WORKLOAD=NAME [PAIRS=10]
+[TRACE=1]``)
 
 Host timings on a shared machine drift by tens of percent for minutes
 at a time and some metrics are bimodal, so two single runs say nothing.
@@ -29,6 +30,13 @@ This is the procedure a performance claim is judged by instead:
   ``gain`` is ``yes`` only when at least ten pairs ran, the change won
   at least nine tenths of them (ties count for neither) and the medians
   differ by more than the distance between the base's own quartiles.
+
+With ``--trace`` the same pairs run the contract command's traced mode
+(``--trace 1``) instead: per ``per_layer`` metric it prints both medians
+with their quartiles and the ratio, no verdict, and ends with one line
+naming the ``count`` metrics whose value differs between base and change
+at the same seed in any pair — the exact counts a change's ``CHANGES.md``
+line has to account for.
 
 Exits non-zero on a ``worse`` row or when the change fails a larger
 share of its operations than the base.  Imports nothing from ``repro``.
@@ -158,12 +166,37 @@ def failed_share(summaries: list[dict]) -> float:
     return sum(s["failed"] for s in summaries) / attempted
 
 
+def cell(q: tuple[float, float, float]) -> str:
+    """``median [q1, q3]``."""
+    return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
+def readings(summaries: list[dict], name: str) -> list[float]:
+    """One side's value of metric ``name``, one per pair."""
+    return [s["metrics"][name]["value"] for s in summaries]
+
+
+def finish(
+    rows: list[tuple], summaries: dict[str, list[dict]], *trailer: str
+) -> tuple[str, bool]:
+    """The aligned table, the failed-operation line and the ``trailer``
+    lines; and whether the change failed no larger a share than the base."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = [
+        "  ".join(text.ljust(width) for text, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
+    shares = {side: failed_share(runs) for side, runs in summaries.items()}
+    lines.append(
+        f"failed operations: base {shares['base']:.3f}, "
+        f"change {shares['change']:.3f} of attempted"
+    )
+    lines.extend(trailer)
+    return "\n".join(lines), shares["change"] <= shares["base"]
+
+
 def render(spec: dict, summaries: dict[str, list[dict]]) -> tuple[str, bool]:
     """The report table and whether every row passed."""
-
-    def cell(q: tuple[float, float, float]) -> str:
-        return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
-
     rows = [
         (
             "metric",
@@ -180,8 +213,8 @@ def render(spec: dict, summaries: dict[str, list[dict]]) -> tuple[str, bool]:
     for metric in spec["end_to_end"]:
         name = metric["name"]
         result = judge(
-            [s["metrics"][name]["value"] for s in summaries["base"]],
-            [s["metrics"][name]["value"] for s in summaries["change"]],
+            readings(summaries["base"], name),
+            readings(summaries["change"], name),
             metric["better"],
             metric["bound"],
         )
@@ -201,17 +234,40 @@ def render(spec: dict, summaries: dict[str, list[dict]]) -> tuple[str, bool]:
                 "yes" if result["gain"] else "-",
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = [
-        "  ".join(text.ljust(width) for text, width in zip(row, widths)).rstrip()
-        for row in rows
+    table, no_more_failures = finish(rows, summaries)
+    return table, passed and no_more_failures
+
+
+def render_trace(
+    spec: dict, summaries: dict[str, list[dict]]
+) -> tuple[str, bool]:
+    """The per-layer table (no verdicts: the bounds are end-to-end); the
+    last line names the exact counts that differ."""
+    rows = [
+        (
+            "metric",
+            "unit",
+            "base median [q1, q3]",
+            "change median [q1, q3]",
+            "change/base",
+        )
     ]
-    shares = {side: failed_share(runs) for side, runs in summaries.items()}
-    lines.append(
-        f"failed operations: base {shares['base']:.3f}, "
-        f"change {shares['change']:.3f} of attempted"
+    differing = []
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        base = readings(summaries["base"], name)
+        change = readings(summaries["change"], name)
+        a, b = quartiles(base), quartiles(change)
+        ratio = f"{b[1] / a[1]:.3f}x" if a[1] else "-"
+        rows.append((name, metric["unit"], cell(a), cell(b), ratio))
+        if metric["unit"] == "count" and base != change:
+            differing.append(name)
+    return finish(
+        rows,
+        summaries,
+        "counts that differ at the same seed: "
+        + (", ".join(differing) or "none"),
     )
-    return "\n".join(lines), passed and shares["change"] <= shares["base"]
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -222,6 +278,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--base", required=True, help="revision to compare against")
     parser.add_argument("--workload", required=True, help="a BENCHMARK.json workload name")
     parser.add_argument("--pairs", type=int, default=10, help="base/change pairs, seeds 1..PAIRS")
+    parser.add_argument("--trace", action="store_true", help="compare the traced run's per-layer metrics instead")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -243,14 +300,14 @@ def main(argv=None) -> int:
         "--seconds",
         str(spec["run_seconds"]),
         "--trace",
-        "0",
+        "1" if args.trace else "0",
     ]
     with tempfile.TemporaryDirectory(prefix="ledger-ab-") as scratch:
         base = pathlib.Path(scratch)
         export(args.base, base)
         summaries = run_pairs(command, base, ROOT, args.pairs)
     print(f"{args.workload}: {args.base} (base) vs working tree (change), {args.pairs} pairs")
-    table, passed = render(spec, summaries)
+    table, passed = (render_trace if args.trace else render)(spec, summaries)
     print(table)
     return 0 if passed else 1
 

@@ -46,7 +46,11 @@ from repro.sim.rng import RandomStreams
 from repro.stats.distributions import Exponential, shared_zipf
 from repro.topology.chord import ChordRing
 from repro.topology.chord_tree import LazyChordTree, chord_search_tree
-from repro.workload.arrivals import make_arrival_process
+from repro.workload.arrivals import (
+    QuerySource,
+    make_arrival_process,
+    read_ahead,
+)
 from repro.workload.selection import ZipfNodeSelector
 
 NodeId = int
@@ -62,8 +66,8 @@ class _KeySlice:
     """
 
     #: Interface parity: the multi-key engine has no reliable channel
-    #: (schemes fall back to plain transport sends).
-    reliable = None
+    #: (schemes fall back to plain transport sends) and no tracer.
+    reliable = tracer = None
 
     def __init__(self, owner: "MultiKeySimulation", key: int, tree):
         self._owner = owner
@@ -128,10 +132,6 @@ class _KeySlice:
         """Reply lost (cannot happen without churn; kept for interface)."""
         self._owner.note_incomplete_query()
 
-    def trace_begin(self, node: NodeId) -> Optional[int]:
-        """Interface parity: per-query tracing is single-key only."""
-        return None
-
     def trace_annotate(
         self,
         trace_id: Optional[int],
@@ -166,6 +166,42 @@ class _KeySlice:
 
     def forget_node(self, node: NodeId) -> None:  # pragma: no cover - no churn
         """Interface parity with the single-key engine."""
+
+
+def _start_workload(engine, rate: float, stream, key_law, key_ids) -> None:
+    """Start every key's authority, then the engine's queries at ``rate``:
+    each draws an origin from the node selector and a key rank from
+    ``key_law`` (key ``key_ids[rank]``), read ahead on ``stream(name)``."""
+    config = engine.config
+    slices, schemes = engine.slices, engine.schemes
+    for key, slice_ in slices.items():
+        slice_.authority = Authority(
+            env=engine.env,
+            key=key,
+            ttl=config.ttl,
+            push_lead=config.push_lead,
+            on_new_version=schemes[key].on_new_version,
+            value=f"host-of-{key}",
+        )
+    next_key_rank = read_ahead(key_law, stream("key-draws")).__next__
+
+    def issue(node: NodeId) -> None:
+        key = key_ids[next_key_rank()]
+        if node == slices[key].tree.root:
+            # The authority answers its own queries locally.
+            engine.record_latency(key, 0, engine.env.now)
+        else:
+            schemes[key].on_local_query(node)
+
+    QuerySource(
+        engine.env,
+        make_arrival_process(
+            config.arrival, rate, stream("arrivals"), config.pareto_alpha
+        ),
+        engine._node_selector,
+        stream("placement-draws"),
+        issue,
+    ).schedule_next()
 
 
 class MultiKeySimulation:
@@ -277,28 +313,6 @@ class MultiKeySimulation:
             return
         scheme.on_message(destination, message)
 
-    # -- workload ------------------------------------------------------------
-    def _query_loop(self):
-        config = self.config
-        arrivals = make_arrival_process(
-            config.arrival,
-            config.query_rate,
-            self.streams.get("arrivals"),
-            config.pareto_alpha,
-        )
-        key_rng = self.streams.get("key-draws")
-        node_rng = self.streams.get("placement-draws")
-        while True:
-            yield self.env.timeout(arrivals.next_gap())
-            key = self._key_order[self._key_selector.sample(key_rng)]
-            node = self._node_selector.sample(node_rng)
-            slice_ = self.slices[key]
-            if node == slice_.tree.root:
-                # The authority answers its own queries locally.
-                self.record_latency(key, 0, self.env.now)
-                continue
-            self.schemes[key].on_local_query(node)
-
     # -- running ----------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Run and return aggregate results (per-key counts in extras)."""
@@ -306,17 +320,13 @@ class MultiKeySimulation:
             raise RuntimeError("a MultiKeySimulation runs only once")
         self._ran = True
         started = time.perf_counter()
-        for slice_ in self.slices.values():
-            scheme = self.schemes[slice_.key]
-            slice_.authority = Authority(
-                env=self.env,
-                key=slice_.key,
-                ttl=self.config.ttl,
-                push_lead=self.config.push_lead,
-                on_new_version=scheme.on_new_version,
-                value=f"host-of-{slice_.key}",
-            )
-        self.env.process(self._query_loop(), name="multikey-workload")
+        _start_workload(
+            self,
+            self.config.query_rate,
+            self.streams.get,
+            self._key_selector,
+            self._key_order,
+        )
         self.env.run(until=self.config.duration)
         wall = time.perf_counter() - started
 
@@ -568,30 +578,6 @@ class MultiKeyScaleSimulation:
         scheme.on_message(destination, message)
 
     # -- processes -----------------------------------------------------------
-    def _query_loop(self):
-        config = self.config
-        # Thinning: a Poisson stream marked by an independent key draw
-        # splits into independent Poisson streams per mark subset; this
-        # shard's subset is its rank range, with probability mass
-        # ``slice.mass`` under the key law.
-        arrivals = make_arrival_process(
-            config.arrival,
-            config.query_rate * self._key_slice.mass,
-            self._stream("arrivals"),
-            config.pareto_alpha,
-        )
-        key_rng = self._stream("key-draws")
-        node_rng = self._stream("placement-draws")
-        while True:
-            yield self.env.timeout(arrivals.next_gap())
-            key = self._keys[self._key_slice.sample(key_rng)]
-            node = self._node_selector.sample(node_rng)
-            slice_ = self.slices[key]
-            if node == slice_.tree.root:
-                self.record_latency(key, 0, self.env.now)
-                continue
-            self.schemes[key].on_local_query(node)
-
     def _sweep_loop(self):
         """Vectorized TTL reclamation: one flatnonzero pass per period."""
         while True:
@@ -615,17 +601,17 @@ class MultiKeyScaleSimulation:
             raise RuntimeError("a MultiKeyScaleSimulation runs only once")
         self._ran = True
         started = time.perf_counter()
-        for slice_ in self.slices.values():
-            scheme = self.schemes[slice_.key]
-            slice_.authority = Authority(
-                env=self.env,
-                key=slice_.key,
-                ttl=self.config.ttl,
-                push_lead=self.config.push_lead,
-                on_new_version=scheme.on_new_version,
-                value=f"host-of-{slice_.key}",
-            )
-        self.env.process(self._query_loop(), name="scale-workload")
+        # Thinning: a Poisson stream marked by an independent key draw
+        # splits into independent Poisson streams per mark subset; this
+        # shard's subset is its rank range, with probability mass
+        # ``slice.mass`` under the key law.
+        _start_workload(
+            self,
+            self.config.query_rate * self._key_slice.mass,
+            self._stream,
+            self._key_slice,
+            self._keys,
+        )
         self.env.process(self._sweep_loop(), name="scale-sweeper")
         self.env.run(until=self.config.duration)
         wall = time.perf_counter() - started

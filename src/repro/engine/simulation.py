@@ -68,7 +68,7 @@ from repro.topology.generators import (
     star_tree,
 )
 from repro.topology.tree import SearchTree
-from repro.workload.arrivals import make_arrival_process
+from repro.workload.arrivals import QuerySource, make_arrival_process
 from repro.workload.churn import ChurnEvent, ChurnProcess
 from repro.workload.selection import ZipfNodeSelector
 from repro.workload.sessions import SessionEngine
@@ -1033,15 +1033,8 @@ class Simulation:
                 # the ring (latest divergence wins the file).
                 self.recorder.anomaly("auditor-divergence")
 
-    def _query_loop(self):
+    def _query_source(self) -> QuerySource:
         config = self.config
-        arrivals = make_arrival_process(
-            config.arrival,
-            config.query_rate,
-            self.streams.get("arrivals"),
-            config.pareto_alpha,
-        )
-        draws = self.streams.get("placement-draws")
         churning = config.churn is not None and config.churn.enabled
         guarded = (
             churning
@@ -1057,34 +1050,25 @@ class Simulation:
                 config.root_queries or node != self.tree.root
             )
 
-        # Localised bindings: this loop issues every query in the run.
-        timeout = self.env.timeout
-        next_gap = arrivals.next_gap
         sessions = self.sessions
-        if sessions is not None and sessions.plan.diurnal_enabled:
+        diurnal = sessions is not None and sessions.plan.diurnal_enabled
+        return QuerySource(
+            self.env,
+            make_arrival_process(
+                config.arrival,
+                config.query_rate,
+                self.streams.get("arrivals"),
+                config.pareto_alpha,
+            ),
+            self.selector,
+            self.streams.get("placement-draws"),
+            self.scheme.on_local_query,
+            eligible=eligible_origin if guarded else None,
             # Diurnal modulation: the same stream draws, with the gap
             # divided by the intensity curve at issue time — higher
             # intensity, shorter gaps, identical distribution family.
-            base_gap = next_gap
-            modulation = sessions.modulation
-            env = self.env
-
-            def next_gap() -> float:
-                return base_gap() / modulation(env._now)
-
-        on_local_query = self.scheme.on_local_query
-        if guarded:
-            while True:
-                yield timeout(next_gap())
-                node = self.selector.sample_alive(draws, eligible_origin)
-                if node is None:
-                    continue
-                on_local_query(node)
-        else:
-            sample = self.selector.sample
-            while True:
-                yield timeout(next_gap())
-                on_local_query(sample(draws))
+            modulation=sessions.modulation if diurnal else None,
+        )
 
     def _trace_loop(self):
         for event in self._trace:
@@ -1225,7 +1209,7 @@ class Simulation:
         if self._trace is not None:
             self.env.process(self._trace_loop(), name="trace-workload")
         else:
-            self.env.process(self._query_loop(), name="query-workload")
+            self._query_source().schedule_next()
         if self.config.churn is not None and self.config.churn.enabled:
             self.env.process(self._churn_loop(), name="churn")
         try:

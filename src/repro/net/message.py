@@ -41,6 +41,10 @@ class Category(enum.Enum):
     CONTROL = "control"
     KEEPALIVE = "keepalive"
 
+    # Members compare by identity; ``Enum.__hash__`` is a Python function
+    # the ledger's ``counts[category] += hops`` would run twice per hop.
+    __hash__ = object.__hash__
+
 
 # ---------------------------------------------------------------------------
 # Control payloads (DUP: Figure 3 of the paper; CUP: register/unregister)

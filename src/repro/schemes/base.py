@@ -198,6 +198,18 @@ class PathCachingScheme(Scheme):
             self._handle_control,  # ControlMessage.TYPE_ID == 2
             self._handle_push,  # PushMessage.TYPE_ID == 3
         )
+        # The facade handles every query touches, resolved once instead
+        # of by attribute chain per hop.  ``sim.tracer`` is not among
+        # them: ``enable_tracing()`` may follow ``bind()``.
+        self._env = sim.env
+        self._piggyback = sim.config.piggyback
+        self._parent = sim.parent
+        self._send = sim.transport.send
+        self._record_latency = sim.record_latency
+        self._note_read = sim.note_read
+        if type(self)._lookup is PathCachingScheme._lookup:
+            # No override (``NoCacheScheme`` has one): skip the method.
+            self._lookup = sim.lookup
 
     # ------------------------------------------------------------------ hooks
     def _on_query_arrival(
@@ -224,17 +236,17 @@ class PathCachingScheme(Scheme):
     # ---------------------------------------------------------------- queries
     def on_local_query(self, node: NodeId) -> None:
         sim = self.sim
-        issued_at = sim.env._now
-        trace_id = sim.trace_begin(node)
+        issued_at = self._env._now
+        trace_id = None if sim.tracer is None else sim.trace_begin(node)
         self._carrier_trace = trace_id
-        payloads = self._on_query_arrival(node, packet=None)
+        payloads = self._on_query_arrival(node, None)
         version = self._lookup(node)
         if version is not None:
-            sim.record_latency(0, issued_at, trace_id=trace_id)
-            sim.note_read(version)
+            self._record_latency(0, issued_at, trace_id)
+            self._note_read(version)
             # A cache hit leaves no packet to piggyback on: hard-state
             # control payloads travel explicitly, soft-state ones lapse.
-            if self.control_survives_serving:
+            if payloads and self.control_survives_serving:
                 self._send_control(node, payloads, trace_id=trace_id)
             self._carrier_trace = None
             return
@@ -243,22 +255,21 @@ class PathCachingScheme(Scheme):
         )
         message.trace_id = trace_id
         payloads.extend(self._on_local_miss(node))
-        if sim.config.piggyback:
+        if self._piggyback:
             message.control.extend(payloads)
         else:
             self._send_control(node, payloads, trace_id=trace_id)
         self._carrier_trace = None
-        parent = sim.parent(node)
+        parent = self._parent(node)
         if parent is None:  # pragma: no cover - root always has the index
-            sim.record_latency(0, issued_at, trace_id=trace_id)
+            self._record_latency(0, issued_at, trace_id)
             return
-        sim.transport.send(parent, message, sender=node)
+        self._send(parent, message, sender=node)
 
     def _handle_query(self, node: NodeId, message: QueryMessage) -> None:
-        sim = self.sim
         self._carrier_trace = message.trace_id
         try:
-            own_payloads = self._on_query_arrival(node, packet=message)
+            own_payloads = self._on_query_arrival(node, message)
             # Piggybacked control bits from downstream are processed at
             # every hop, free of charge; the node's own payloads are
             # destined for the parent and therefore appended only
@@ -267,7 +278,7 @@ class PathCachingScheme(Scheme):
                 message.control = self._process_control(
                     node, message.control, explicit=False
                 )
-            if sim.config.piggyback:
+            if self._piggyback:
                 message.control.extend(own_payloads)
             else:
                 self._send_control(
@@ -285,7 +296,7 @@ class PathCachingScheme(Scheme):
                     )
                 self._serve(node, message, version)
                 return
-            parent = sim.parent(node)
+            parent = self._parent(node)
             if parent is None:
                 # The root must hold the authoritative copy; reaching here
                 # means the authority was not started - treat as served
@@ -295,9 +306,9 @@ class PathCachingScheme(Scheme):
                     self._send_control(
                         node, leftovers, trace_id=message.trace_id
                     )
-                self._serve(node, message, sim.authority.current)
+                self._serve(node, message, self.sim.authority.current)
                 return
-            sim.transport.send(parent, message, sender=node)
+            self._send(parent, message, sender=node)
         finally:
             self._carrier_trace = None
 
@@ -321,13 +332,12 @@ class PathCachingScheme(Scheme):
         self._forward_reply(reply)
 
     def _handle_reply(self, node: NodeId, reply: ReplyMessage) -> None:
-        sim = self.sim
         self._store_reply(node, reply.version)
         if reply.position == 0:
-            sim.record_latency(
-                reply.request_hops, reply.issued_at, trace_id=reply.trace_id
+            self._record_latency(
+                reply.request_hops, reply.issued_at, reply.trace_id
             )
-            sim.note_read(reply.version)
+            self._note_read(reply.version)
             return
         self._forward_reply(reply)
 

@@ -72,6 +72,7 @@ class DupScheme(PathCachingScheme):
 
     def bind(self, sim) -> None:
         super().bind(sim)
+        self._is_root = sim.is_root
         self._recorder = getattr(sim, "recorder", None)
         if self.overload is not None:
             self._max_subscribers = self.overload.plan.max_subscribers
@@ -121,13 +122,12 @@ class DupScheme(PathCachingScheme):
     def _on_query_arrival(
         self, node: NodeId, packet: Optional[QueryMessage]
     ) -> list[object]:
-        sim = self.sim
-        now = sim.env._now
+        now = self._env._now
         tracker = self._trackers.get(node)
         if tracker is None:
             tracker = self.tracker(node)
         tracker.record(now)
-        if sim.is_root(node):
+        if self._is_root(node):
             return []
         # The interest/subscription checks must run before the local-query
         # early return below: ``is_subscribed`` lazily creates the node's
@@ -142,7 +142,7 @@ class DupScheme(PathCachingScheme):
             # are refused until its penalty decays below the reuse
             # threshold — no hard state for a peer that keeps crashing.
             return []
-        if packet is None and not sim.config.eager_subscribe:
+        if packet is None and not self.sim.config.eager_subscribe:
             # Local query with no packet yet: if it misses, the
             # subscription rides the outgoing request (paper: "piggybacks
             # subscribe(N6) by setting the interest bit in the request

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.stats.distributions import shared_zipf
+from repro.stats.distributions import ZipfSelector, shared_zipf
 
 NodeId = int
 
@@ -67,11 +67,19 @@ class ZipfNodeSelector:
         hitting departed nodes; returns ``None`` when no eligible node is
         alive at all.
         """
+        return self.first_alive(
+            lambda: self._zipf.sample(rng), is_alive, attempts
+        )
+
+    def first_alive(self, next_rank, is_alive, attempts: int = 64):
+        """:meth:`sample_alive` over successive :attr:`rank_law` draws the
+        caller supplies (its read-ahead buffer, for one)."""
+        ranked = self._ranked
         for _ in range(attempts):
-            node = self.sample(rng)
+            node = ranked[next_rank()]
             if is_alive(node):
                 return node
-        for node in self._ranked:
+        for node in ranked:
             if is_alive(node):
                 return node
         return None
@@ -134,6 +142,17 @@ class ZipfNodeSelector:
         promoted = [self._ranked.pop(index) for index in chosen]
         self._ranked[:0] = promoted
         return promoted
+
+    @property
+    def rank_law(self) -> ZipfSelector:
+        """The law of the rank draws (0 = hottest); stateless."""
+        return self._zipf
+
+    @property
+    def ranking(self) -> list[NodeId]:
+        """The live rank -> node list, hottest first: :meth:`flip_ranks`
+        reorders this very list in place, so a holder sees every flip."""
+        return self._ranked
 
     def rank_of(self, node: NodeId) -> int:
         """The node's popularity rank (0 = hottest)."""

@@ -205,3 +205,92 @@ class TestChurnPathPinned:
                 f"(queries={result.queries}, "
                 f"final_population={result.final_population})"
             )
+
+
+class TestQueryPathPinned:
+    """256-node runs pinned before the query loops left the engines.
+
+    The digests were taken on the commit whose three engines each ran a
+    ``_query_loop`` generator drawing one scalar gap and one scalar
+    placement per arrival; a source that reads a stream in a different
+    order, maps a rank through a stale ranking or schedules an arrival a
+    bit off moves every number downstream.  The single-key cases are the
+    shapes the source branches on (plain, Pareto gaps, diurnal
+    modulation, a flash crowd's rank flips, the churn guard).
+    """
+
+    BASE = dict(
+        num_nodes=256, duration=7200.0, warmup=1800.0, query_rate=2.0, seed=11
+    )
+
+    PINNED = {
+        "dup": (
+            "7796224693862fcebb315eb30f07605b6943257f883792e69af79f95c430f7b0"
+        ),
+        "pareto": (
+            "c3ba6c9983d917a806e64e11e16f55f957344a323caa635be442c30c6280ca5b"
+        ),
+        "diurnal": (
+            "9b0d63636f059846ff43bda4e9176706af0d3961b338b421f59adf061ab12f16"
+        ),
+        "flash-crowd": (
+            "1ad3fc1fa6a35e7a17f444c5398e3c566e3cd73ea7102c62f11646198d150f20"
+        ),
+        "churn": (
+            "edf2d5392bfae07423560631f6a7fca7fb9481fda4e1f08f1003a7289e30f685"
+        ),
+        "multikey": (
+            "de002ff63dba48cb815e37ac25afc3fc106d7caae6a6700b9e862afb2f1bd67a"
+        ),
+        "scale": (
+            "96845bfa96154c6459dd92159daa139d4bb19429464398f2d56f1c236c1ea51a"
+        ),
+    }
+
+    def run(self, name: str):
+        from repro.engine.multikey import MultiKeySimulation, run_scale
+        from repro.engine.simulation import Simulation
+        from repro.workload.churn import ChurnConfig
+        from repro.workload.sessions import SessionPlan
+        from repro.workload.storms import StormPhase, StormPlan
+
+        if name in ("multikey", "scale"):
+            config = SimulationConfig(
+                scheme="dup", topology="chord", **self.BASE
+            )
+            if name == "multikey":
+                return MultiKeySimulation(config, 8, 0.8).run()
+            return run_scale(config, 16, 0.8, workers=1)
+        overrides = {
+            "dup": dict(),
+            "pareto": dict(scheme="cup", arrival="pareto", pareto_alpha=1.2),
+            "diurnal": dict(
+                sessions=SessionPlan(
+                    diurnal_amplitude=0.5, diurnal_period=3600.0
+                )
+            ),
+            "flash-crowd": dict(
+                storms=StormPlan(
+                    (
+                        StormPhase(
+                            "flash-crowd",
+                            start=2000.0,
+                            duration=3000.0,
+                            rate=0.01,
+                            rank_flips=3,
+                        ),
+                    )
+                )
+            ),
+            "churn": dict(churn=ChurnConfig(0.05, 0.025, 0.025)),
+        }[name]
+        config = SimulationConfig(**{"scheme": "dup", **self.BASE, **overrides})
+        return Simulation(config).run()
+
+    def test_query_path_fingerprints_unchanged(self):
+        for name, pinned in self.PINNED.items():
+            result = self.run(name)
+            assert fingerprint_digest(result) == pinned, (
+                f"{name}: run drifted from its pinned fingerprint "
+                f"(queries={result.queries}, hit_rate={result.hit_rate})"
+            )

@@ -153,3 +153,73 @@ class TestPairs:
         (tmp_path / "boom.py").write_text("import sys; sys.exit('no ledger here')")
         with pytest.raises(RuntimeError, match="no ledger here"):
             ledger_ab.contract([sys.executable, "boom.py"], tmp_path)
+
+
+TRACE_SPEC = {
+    "per_layer": [
+        {"name": "stats.share", "unit": "ratio", "better": "lower"},
+        {"name": "stats.calls", "unit": "count", "better": "lower"},
+        {"name": "net.messages", "unit": "count", "better": "lower"},
+    ]
+}
+
+
+class TestTrace:
+    """``--trace``: per-layer medians and the exact counts that differ."""
+
+    def summaries(self, change_calls, failed=0):
+        def side(calls, share, failed=0):
+            return [
+                {
+                    "correct": failed == 0, "attempted": 3, "failed": failed,
+                    "metrics": {
+                        "stats.share": {"value": share + seed / 100, "unit": "ratio"},
+                        "stats.calls": {"value": value, "unit": "count"},
+                        "net.messages": {"value": 88000 + seed, "unit": "count"},
+                    },
+                }
+                for seed, value in enumerate(calls, start=1)
+            ]
+
+        return {
+            "base": side([185193, 185200, 185100], 0.08),
+            "change": side(change_calls, 0.005, failed),
+        }
+
+    def test_identical_counts_list_nothing(self):
+        table, passed = ledger_ab.render_trace(
+            TRACE_SPEC, self.summaries([185193, 185200, 185100])
+        )
+        assert passed
+        lines = table.splitlines()
+        assert lines[-1] == "counts that differ at the same seed: none"
+        rows = {line.split()[0]: line for line in lines}
+        # Host-time shares move on every run; they are never listed.
+        assert "0.1 [0.09, 0.11]" in rows["stats.share"]
+        assert "0.025 [0.015, 0.035]" in rows["stats.share"]
+        assert "0.250x" in rows["stats.share"]
+
+    def test_a_count_differing_in_any_pair_is_listed_once(self):
+        # Equal medians, equal first and last pair: one pair is enough.
+        table, passed = ledger_ab.render_trace(
+            TRACE_SPEC, self.summaries([185193, 270, 185100])
+        )
+        assert passed  # an intended count change is not a failure
+        assert table.splitlines()[-1] == (
+            "counts that differ at the same seed: stats.calls"
+        )
+
+    def test_exit_status_is_the_failed_operation_share_only(self):
+        table, passed = ledger_ab.render_trace(
+            TRACE_SPEC, self.summaries([270, 270, 270], failed=1)
+        )
+        assert not passed
+        assert "change 0.333 of attempted" in table
+
+    def test_trace_flag_selects_the_traced_contract_command(self):
+        assert ledger_ab.parse_args(
+            ["--base", "HEAD", "--workload", "paper-steady", "--trace"]
+        ).trace
+        assert not ledger_ab.parse_args(
+            ["--base", "HEAD", "--workload", "paper-steady"]
+        ).trace

@@ -105,6 +105,47 @@ class TestCostLedger:
         with pytest.raises(ValueError):
             CostLedger(clock=FakeClock()).charge(Category.QUERY, -1)
 
+    def test_a_charge_runs_no_python_level_hash(self):
+        # ``Enum.__hash__`` is a Python function; two of its frames per
+        # message used to sit under every ``counts[category] += hops``.
+        import sys
+
+        clock = FakeClock(0.0)
+        ledger = CostLedger(clock=clock, warmup=100.0)
+        frames = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_filename)
+
+        sys.setprofile(profiler)
+        try:
+            for index in range(1000):
+                clock.now = float(index)  # warm-up and measured charges
+                ledger.charge(Category.PUSH, 2)
+        finally:
+            sys.setprofile(None)
+        assert len(frames) >= 1000  # the profiler did see ``charge``
+        assert not [name for name in frames if name.endswith("enum.py")]
+        # Same readings, same key order, same repr as with the name hash.
+        assert ledger.warmup_hops(Category.PUSH) == 200
+        assert ledger.hops(Category.PUSH) == ledger.total_hops == 1800
+        assert list(ledger.breakdown().items()) == [
+            ("query", 0),
+            ("reply", 0),
+            ("push", 1800),
+            ("control", 0),
+            ("keepalive", 0),
+        ]
+        assert repr(ledger) == "CostLedger(push=1800)"
+
+    def test_categories_survive_pickling_and_lookup_by_value(self):
+        import pickle
+
+        assert pickle.loads(pickle.dumps(Category.PUSH)) is Category.PUSH
+        assert Category("control") is Category.CONTROL
+        assert {Category.PUSH: 1}[pickle.loads(pickle.dumps(Category.PUSH))] == 1
+
 
 class TestLatencyRecorder:
     def test_records_and_averages(self):
