@@ -393,7 +393,7 @@ class Simulation:
         member until some survivor detects the crash, so schemes keep
         sending to it and the transport blackholes the traffic.
         """
-        return node in self.tree
+        return node in self.tree._parent
 
     def functioning(self, node: NodeId) -> bool:
         """Whether ``node`` is alive *and* actually responding.
@@ -814,7 +814,7 @@ class Simulation:
 
     # -- internals -----------------------------------------------------------
     def _dispatch(self, destination: NodeId, message: Message) -> None:
-        if destination not in self.tree:
+        if destination not in self.tree._parent:
             self.transport.drop(message, destination=destination)
             if isinstance(message, ReplyMessage):
                 self.note_incomplete_query()
@@ -822,7 +822,12 @@ class Simulation:
         admit = self._inbox_admit
         if admit is not None and not admit(destination, message):
             return  # queued for later service (or shed) by the inbox
-        self._dispatch_now(destination, message)
+        if message.TYPE_ID < 4 and self.reliable is None:
+            # Scheme traffic (query/reply/control/push) with no ack
+            # layer: nothing in ``_dispatch_now`` applies to it.
+            self.scheme.on_message(destination, message)
+        else:
+            self._dispatch_now(destination, message)
 
     def _dispatch_queued(self, destination: NodeId, message: Message) -> None:
         """Deliver a message the overload inbox held back until now.

@@ -107,14 +107,18 @@ class IndexCache:
         if not isinstance(version, IndexVersion):
             raise CacheError(f"not an IndexVersion: {version!r}")
         current = self._entries.get(version.key)
-        if current is not None and current.is_valid(now):
-            if version.version < current.version.version:
-                self.stats.rejected_stale += 1
-                return False
-            if version.version == current.version.version:
-                current.stored_at = now
-                self.stats.refreshes += 1
-                return True
+        if current is not None:
+            # Inlined current.is_valid(now), as in ``get``: every push
+            # hop stores here.
+            held = current.version
+            if now < current.stored_at + held.ttl:
+                if version.version < held.version:
+                    self.stats.rejected_stale += 1
+                    return False
+                if version.version == held.version:
+                    current.stored_at = now
+                    self.stats.refreshes += 1
+                    return True
         self._entries[version.key] = CachedCopy(version, now)
         self.stats.stores += 1
         return True

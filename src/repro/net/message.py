@@ -23,13 +23,10 @@ end-to-end traces from transport events.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 NodeId = int
-
-_sequence = itertools.count()
 
 
 class Category(enum.Enum):
@@ -196,11 +193,6 @@ class Message:
     #: Delivery id set by the reliable channel when this message is sent
     #: with ack/retry semantics (None for ordinary fire-and-forget hops).
     reliable_id: Optional[int] = field(default=None, init=False)
-    #: Global construction order (``slots=True`` needs it declared).
-    sequence: int = field(default=-1, init=False)
-
-    def __post_init__(self) -> None:
-        self.sequence = next(_sequence)
 
     def inherit_trace(self, source: "Message | int | None") -> "Message":
         """Adopt the span context of ``source`` (a message or raw id).
@@ -238,7 +230,6 @@ class QueryMessage(Message):
     control: list[ControlPayload] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        Message.__post_init__(self)
         self.category = Category.QUERY
         if not self.path:
             self.path = [self.origin]
@@ -266,7 +257,6 @@ class ReplyMessage(Message):
     issued_at: float = 0.0
 
     def __post_init__(self) -> None:
-        Message.__post_init__(self)
         self.category = Category.REPLY
 
     @property
@@ -281,18 +271,34 @@ class ReplyMessage(Message):
         return self.path[self.position - 1]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class PushMessage(Message):
-    """A proactively pushed index update (CUP hop-by-hop, DUP direct)."""
+    """A proactively pushed index update (CUP hop-by-hop, DUP direct).
+
+    The constructor is written out: a push is built once per DUP-tree
+    edge per update, and the generated ``__init__`` + ``__post_init__``
+    pair costs a second frame on each.  It also takes the span context,
+    so the fan-out need not set it afterwards.
+    """
 
     TYPE_ID = 3
 
     version: "object"
     sender: NodeId
 
-    def __post_init__(self) -> None:
-        Message.__post_init__(self)
+    def __init__(
+        self,
+        key: int,
+        version: "object",
+        sender: NodeId,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        self.key = key
         self.category = Category.PUSH
+        self.trace_id = trace_id
+        self.reliable_id = None
+        self.version = version
+        self.sender = sender
 
 
 @dataclass(slots=True)
@@ -312,7 +318,6 @@ class ControlMessage(Message):
     sender: NodeId
 
     def __post_init__(self) -> None:
-        Message.__post_init__(self)
         self.category = Category.CONTROL
 
 
@@ -332,7 +337,6 @@ class AckMessage(Message):
     sender: NodeId
 
     def __post_init__(self) -> None:
-        Message.__post_init__(self)
         self.category = Category.CONTROL
 
 
@@ -345,7 +349,6 @@ class KeepAliveMessage(Message):
     sender: NodeId
 
     def __post_init__(self) -> None:
-        Message.__post_init__(self)
         self.category = Category.KEEPALIVE
 
 
@@ -362,7 +365,6 @@ class AuthorityHeartbeat(Message):
     sender: NodeId
 
     def __post_init__(self) -> None:
-        Message.__post_init__(self)
         self.category = Category.KEEPALIVE
 
 
@@ -381,5 +383,4 @@ class AuthorityReplicate(Message):
     sender: NodeId
 
     def __post_init__(self) -> None:
-        Message.__post_init__(self)
         self.category = Category.CONTROL

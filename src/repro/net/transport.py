@@ -232,8 +232,12 @@ class Transport:
             # in the instrumented path, so runs stay bit-identical.
             # defer() skips the Timeout machinery in batched
             # environments and degrades to call_later everywhere else.
+            delays = self._delays
             self._env.defer(
-                self._next_delay(), self._deliver, destination, message
+                delays.pop() if delays else self._next_delay(),
+                self._deliver,
+                destination,
+                message,
             )
             return
         if self._observers or injector is not None:

@@ -181,6 +181,10 @@ class PathCachingScheme(Scheme):
     #: protocols (CUP) let them die with the packet.
     control_survives_serving = True
 
+    #: Whether :meth:`_fan_out` consults the overload layer's circuit
+    #: breakers before each push (DUP arms it when the plan has them).
+    _breakers = False
+
     def bind(self, sim: "Simulation") -> None:
         """Attach to a simulation and resolve the typed handler table.
 
@@ -429,3 +433,45 @@ class PathCachingScheme(Scheme):
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
         """Push handling; passive schemes receive none."""
         raise TypeError(f"{self.name} received unexpected push {message!r}")
+
+    def _fan_out(
+        self,
+        node: NodeId,
+        targets,
+        version,
+        trace_id: Optional[int] = None,
+    ) -> list[NodeId]:
+        """Push ``version`` from ``node`` to each of ``targets`` but itself.
+
+        The one push loop of every push scheme.  Targets that left the
+        overlay are skipped and returned, so soft-state callers can
+        forget them (DUP leaves them to its failure flows).  A scheme
+        with :attr:`reliable_delivery` sends acked and retried when the
+        channel exists — an unacked push is also DUP's failure detector
+        for silently dead subscribers: retry exhaustion raises the
+        suspicion that triggers the Section III-C repair.  With
+        :attr:`_breakers` armed, a peer whose breaker is OPEN gets no
+        push (the subscription survives; the half-open probe resumes
+        pushes once the peer answers again).
+        """
+        sim = self.sim
+        alive = sim.alive
+        key = sim.key
+        send = self._send
+        channel = sim.reliable if self.reliable_delivery else None
+        allows = self.overload.allows if self._breakers else None
+        gone: list[NodeId] = []
+        for target in targets:
+            if target == node:
+                continue
+            if not alive(target):
+                gone.append(target)
+                continue
+            if allows is not None and not allows(node, target):
+                continue
+            push = PushMessage(key, version, node, trace_id)
+            if channel is not None:
+                channel.send(target, push, sender=node)
+            else:
+                send(target, push)
+        return gone

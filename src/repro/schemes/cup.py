@@ -168,14 +168,9 @@ class CupScheme(PathCachingScheme):
     def _push_registered(
         self, node: NodeId, version, trace_id: Optional[int] = None
     ) -> None:
-        sim = self.sim
-        for child in self.live_registrations(node):
-            if not sim.alive(child):
-                self._registered.get(node, {}).pop(child, None)
-                continue
-            push = PushMessage(key=sim.key, version=version, sender=node)
-            push.trace_id = trace_id
-            sim.transport.send(child, push)
+        children = self.live_registrations(node)
+        for gone in self._fan_out(node, children, version, trace_id):
+            self._registered.get(node, {}).pop(gone, None)
 
     # -- churn ----------------------------------------------------------------
     def on_node_left(self, node: NodeId) -> None:

@@ -124,14 +124,10 @@ class CupIdealScheme(PathCachingScheme):
     def _push_to_children(
         self, node: NodeId, version, trace_id: Optional[int] = None
     ) -> None:
-        sim = self.sim
-        for child in tuple(self.registered_children(node)):
-            if not sim.alive(child):
-                self.registered_children(node).discard(child)
-                continue
-            push = PushMessage(key=sim.key, version=version, sender=node)
-            push.trace_id = trace_id
-            sim.transport.send(child, push)
+        children = self.registered_children(node)
+        children.difference_update(
+            self._fan_out(node, tuple(children), version, trace_id)
+        )
 
     # -- churn ----------------------------------------------------------------
     def on_node_left(self, node: NodeId) -> None:

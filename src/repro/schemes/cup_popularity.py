@@ -89,18 +89,15 @@ class CupPopularityScheme(PathCachingScheme):
         branches = self._branches.get(node)
         if not branches:
             return
+        popular = []
         for child in list(branches):
             counter = branches[child]
-            if not counter.is_interested(now):
-                if counter.count(now) == 0:
-                    del branches[child]  # fully decayed: free the counter
-                continue
-            if not sim.alive(child):
-                del branches[child]
-                continue
-            push = PushMessage(key=sim.key, version=version, sender=node)
-            push.trace_id = trace_id
-            sim.transport.send(child, push)
+            if counter.is_interested(now):
+                popular.append(child)
+            elif counter.count(now) == 0:
+                del branches[child]  # fully decayed: free the counter
+        for gone in self._fan_out(node, popular, version, trace_id):
+            del branches[gone]
 
     # -- churn ----------------------------------------------------------------
     def on_node_left(self, node: NodeId) -> None:

@@ -60,7 +60,6 @@ class DupScheme(PathCachingScheme):
         #: Graceful degradation: fanout cap (0 = uncapped) and, per
         #: refusing node, the subjects it redirected to its parent.
         self._max_subscribers = 0
-        self._breakers = False
         self._redirected: dict[NodeId, set[NodeId]] = {}
         self._rejected_subscribers = 0
         #: Flap-damping gate (``node -> bool``) installed by ``bind``
@@ -320,33 +319,38 @@ class DupScheme(PathCachingScheme):
 
     # -- pushes ---------------------------------------------------------------
     def on_new_version(self, version) -> None:
-        self._push_to_targets(self.sim.tree.root, version)
+        root = self.sim.tree.root
+        self._fan_out(root, self.protocol.s_list(root), version)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
-        sim = self.sim
-        sim.cache(node).put(message.version, sim.env.now)
-        # Figure 3 (D): the push is the natural moment to notice that the
-        # node's interest lapsed during the last cycle.
-        if self.protocol.is_subscribed(node) and not self.is_interested(node):
-            self._record("unsubscribe", node=node, detail="interest-lapse")
-            result = self.protocol.drop_subscription(node)
-            self._send_control(
-                node, result.upstream, trace_id=message.trace_id
-            )
-        self._push_to_targets(
-            node, message.version, trace_id=message.trace_id
-        )
+        version = message.version
+        self._store_push(node, version)
+        # One list fetch serves the subscription test and the fan-out;
+        # it is also where the node's entry is lazily created, which
+        # fixes its place in ``nodes_with_state`` (the lease loops walk
+        # that order) — keep it after the store and before the tracker.
+        s_list = self.protocol.s_list(node)
+        if node in s_list:
+            tracker = self._trackers.get(node)
+            if tracker is None:
+                tracker = self.tracker(node)
+            # Figure 3 (D): the push is the natural moment to notice
+            # that the node's interest lapsed during the last cycle.
+            if not tracker.is_interested(self._env._now):
+                self._record("unsubscribe", node=node, detail="interest-lapse")
+                result = self.protocol.drop_subscription(node)
+                self._send_control(
+                    node, result.upstream, trace_id=message.trace_id
+                )
+            elif len(s_list) == 1:
+                return  # a subscribed leaf: nobody downstream to serve
+        # ``drop_subscription`` edited this very list, but only the
+        # node's own entry, which the fan-out skips either way.
+        self._fan_out(node, s_list, version, message.trace_id)
 
-    def _push_to_targets(
-        self, node: NodeId, version, trace_id: Optional[int] = None
-    ) -> None:
-        sim = self.sim
-        for target in self.protocol.push_targets(node):
-            if not sim.alive(target):
-                continue  # repaired by the failure flows
-            push = PushMessage(key=sim.key, version=version, sender=node)
-            push.trace_id = trace_id
-            self._send_push(target, push)
+    def _store_push(self, node: NodeId, version) -> None:
+        """What a received push leaves in the node's cache."""
+        self.sim.cache(node).put(version, self._env._now)
 
     def _push_current(self, node: NodeId, targets: list[NodeId]) -> None:
         """Push the node's current valid copy to newly added subscribers."""
@@ -356,35 +360,12 @@ class DupScheme(PathCachingScheme):
         version = sim.lookup(node)
         if version is None:
             return
+        gone = self._fan_out(node, targets, version, self._carrier_trace)
         for target in targets:
-            if target != node and sim.alive(target):
+            if target != node and target not in gone:
                 self._trace_note(
                     node, "dup.push_current", f"target={target}"
                 )
-                push = PushMessage(
-                    key=sim.key, version=version, sender=node
-                )
-                push.trace_id = self._carrier_trace
-                self._send_push(target, push)
-
-    def _send_push(self, target: NodeId, push: PushMessage) -> None:
-        """One push hop, acked and retried when the channel exists.
-
-        An unacked push is also DUP's failure detector for silently dead
-        subscribers: retry exhaustion raises a suspicion that triggers
-        the Section III-C repair flows.
-        """
-        sim = self.sim
-        if self._breakers and not self.overload.allows(push.sender, target):
-            # Breaker OPEN for this peer: suppress the push (the
-            # subscription survives; the half-open probe will resume
-            # pushes once the peer answers again).
-            return
-        channel = sim.reliable
-        if channel is not None:
-            channel.send(target, push, sender=push.sender)
-        else:
-            sim.transport.send(target, push)
 
     # -- churn -------------------------------------------------------------------
     def on_node_joined_edge(

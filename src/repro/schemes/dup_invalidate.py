@@ -17,9 +17,6 @@ gap.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.net.message import PushMessage
 from repro.schemes.dup import DupScheme
 
 NodeId = int
@@ -43,34 +40,13 @@ class DupInvalidateScheme(DupScheme):
     name = "dup-invalidate"
 
     def on_new_version(self, version) -> None:
-        marker = _InvalidationMarker(version.version)
-        self._push_to_targets(self.sim.tree.root, marker)
+        super().on_new_version(_InvalidationMarker(version.version))
 
-    def _handle_push(self, node: NodeId, message: PushMessage) -> None:
-        sim = self.sim
-        if isinstance(message.version, _InvalidationMarker):
+    def _store_push(self, node: NodeId, version) -> None:
+        if isinstance(version, _InvalidationMarker):
             # Drop the local copy; the next query will re-fetch.
-            sim.cache(node).invalidate(sim.key)
+            self.sim.cache(node).invalidate(self.sim.key)
         else:
             # Immediate push of a concrete version (explicit-subscribe
             # bootstrap) still delivers data.
-            sim.cache(node).put(message.version, sim.env.now)
-        if self.protocol.is_subscribed(node) and not self.is_interested(node):
-            result = self.protocol.drop_subscription(node)
-            self._send_control(
-                node, result.upstream, trace_id=message.trace_id
-            )
-        self._push_to_targets(
-            node, message.version, trace_id=message.trace_id
-        )
-
-    def _push_to_targets(
-        self, node: NodeId, payload, trace_id: Optional[int] = None
-    ) -> None:
-        sim = self.sim
-        for target in self.protocol.push_targets(node):
-            if not sim.alive(target):
-                continue
-            push = PushMessage(key=sim.key, version=payload, sender=node)
-            push.trace_id = trace_id
-            sim.transport.send(target, push)
+            super()._store_push(node, version)

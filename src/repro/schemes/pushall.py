@@ -22,17 +22,10 @@ class PushAllScheme(PathCachingScheme):
     name = "push-all"
 
     def on_new_version(self, version) -> None:
-        self._push_to_children(self.sim.tree.root, version)
+        root = self.sim.tree.root
+        self._fan_out(root, self.sim.tree.children(root), version)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
         sim = self.sim
         sim.cache(node).put(message.version, sim.env.now)
-        self._push_to_children(node, message.version)
-
-    def _push_to_children(self, node: NodeId, version) -> None:
-        sim = self.sim
-        for child in sim.tree.children(node):
-            sim.transport.send(
-                child,
-                PushMessage(key=sim.key, version=version, sender=node),
-            )
+        self._fan_out(node, sim.tree.children(node), message.version)

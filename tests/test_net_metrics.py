@@ -60,11 +60,6 @@ class TestMessages:
         control = ControlMessage(key=1, payloads=[Subscribe(3)], sender=2)
         assert control.category is Category.CONTROL
 
-    def test_sequence_numbers_increase(self):
-        first = QueryMessage(key=1, origin=1)
-        second = QueryMessage(key=1, origin=1)
-        assert second.sequence > first.sequence
-
 
 class TestCostLedger:
     def test_charges_by_category(self):

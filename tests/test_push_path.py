@@ -1,0 +1,105 @@
+"""The push path's regression fence: a count, not a clock.
+
+One authority update travels root -> three interiors -> nine leaves of a
+fixed 13-node, 3-level DUP tree in which every receiver is subscribed
+and still interested (the longest path through the handler).  Every
+Python ``call`` event from the forced update until the overlay is quiet
+again is counted with ``sys.setprofile`` and divided by the 12 pushes
+delivered, so the authority's issue and the kernel's ``run`` are in the
+quotient too.
+
+Before the push-path rebuild this fixture read 459 frames, 38.25 per
+push (about 33 per push hop averaged over ``update-storm``, where not
+every receiver is subscribed): two subscriber-list fetches behind
+``is_subscribed`` and ``push_targets``, a generator-built target tuple,
+a generated ``__init__`` plus two chained ``__post_init__``,
+``_send_push``, ``_next_delay``, ``_dispatch_now``, ``tree.__contains__``
+twice, ``CachedCopy.is_valid`` + ``expires_at``, three ``env.now``
+property reads.  The rebuild reads 247 frames, 20.58 per push.
+"""
+
+import sys
+
+from repro import fastpath
+from repro.engine import Simulation, SimulationConfig
+from repro.net.message import Category, PushMessage
+
+#: The rebuild's reading (20.58) + 2, rounded down to a whole frame.
+FRAMES_PER_PUSH = 22
+
+LEAVES = range(4, 13)
+
+
+def _three_level_dup_tree():
+    """Root 0, interiors 1-3, leaves 4-12, every leaf subscribed."""
+    previous = (fastpath.set_enabled(True), fastpath.set_batched(True))
+    try:
+        sim = Simulation(
+            SimulationConfig(
+                scheme="dup",
+                num_nodes=13,
+                topology="balanced",
+                max_degree=3,
+                hop_latency_mean=0.001,
+                duration=100_000.0,
+                warmup=0.0,
+                threshold_c=1,
+                seed=1,
+            )
+        )
+    finally:
+        fastpath.set_enabled(previous[0])
+        fastpath.set_batched(previous[1])
+    sim.start()
+    # The canonical subscribe sequence: a miss, a hit, and the miss that
+    # carries the subscription once the first copy has expired.
+    for until in (0.0, 3550.0, 3650.0):
+        sim.env.run(until=until)
+        for leaf in LEAVES:
+            sim.scheme.on_local_query(leaf)
+        sim.env.run(until=until + 5.0)
+    return sim
+
+
+def test_frames_per_delivered_push():
+    sim = _three_level_dup_tree()
+    protocol = sim.scheme.protocol
+    assert all(protocol.is_subscribed(leaf) for leaf in LEAVES)
+    assert all(protocol.in_dup_tree(interior) for interior in (1, 2, 3))
+    pushes_before = sim.ledger.hops(Category.PUSH)
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        sim.authority.force_update()
+        sim.env.run(until=sim.env.now + 5.0)
+    finally:
+        sys.setprofile(None)
+    pushes = sim.ledger.hops(Category.PUSH) - pushes_before
+    assert pushes == 12  # 3 interiors + 9 leaves, one direct hop each
+    assert all(
+        sim.cache(leaf).peek(sim.key).version is sim.authority.current
+        for leaf in LEAVES
+    )
+    assert calls / pushes <= FRAMES_PER_PUSH, calls / pushes
+
+
+def test_push_message_is_the_dataclass_it_was():
+    push = PushMessage(key=7, version="v", sender=3)
+    assert push.category is Category.PUSH
+    assert push.trace_id is None
+    assert push.reliable_id is None
+    assert (push.key, push.version, push.sender) == (7, "v", 3)
+    assert push == PushMessage(7, "v", 3)
+    assert push != PushMessage(7, "v", 4)
+    assert PushMessage(7, "v", 3, trace_id=9).trace_id == 9
+    assert repr(push) == (
+        "PushMessage(key=7, category=<Category.PUSH: 'push'>, "
+        "trace_id=None, reliable_id=None, version='v', sender=3)"
+    )
+    assert not hasattr(push, "__dict__")  # still slotted

@@ -7,9 +7,13 @@ subscriptions, pushes, and cut-offs.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Simulation, SimulationConfig
-from repro.net.message import Category
+from repro.index.entry import IndexVersion
+from repro.net.faults import FaultPlan
+from repro.net.message import Category, PushMessage
 from repro.schemes.registry import available_schemes, make_scheme
 from repro.errors import ConfigError
 
@@ -373,3 +377,204 @@ class TestDupInvalidate:
         sim.scheme.on_local_query(5)
         settle(sim)
         assert sim.latency.samples[-1] == 0.0
+
+    def test_invalidations_are_acked_and_detect_a_dead_subscriber(self):
+        # With a retry budget the invalidation push is hard-state
+        # traffic like every other DUP push: it rides the reliable
+        # channel, and retry exhaustion is what exposes a silently dead
+        # subscriber to the Section III-C repair.
+        sim = chain_sim(
+            "dup-invalidate",
+            threshold_c=1,
+            retry_budget=2,
+            ack_timeout=1.0,
+            faults=FaultPlan(silent_failures=True),
+        )
+        make_subscribed(sim, 5)
+        assert 5 in sim.scheme.protocol.s_list(4)
+        pushes = []
+        sim.transport.add_observer(
+            lambda event: event.kind == "send"
+            and event.message.category is Category.PUSH
+            and pushes.append(event.message)
+        )
+        sim.fail_silently(5)
+        sim.authority.force_update()
+        settle(sim, 200.0)
+        assert pushes
+        assert all(push.reliable_id is not None for push in pushes)
+        assert sim.reliable.give_ups > 0
+        assert sim.injector.detected_count >= 1
+        assert 5 not in sim.tree
+
+    def test_false_suspicion_of_a_live_subscriber_only_unlists_it(self):
+        # Acks lost, not a crash: the give-up reaches on_peer_suspected,
+        # which drops the pusher's entry (the root pushes to node 5
+        # directly) and leaves the overlay alone.
+        sim = chain_sim(
+            "dup-invalidate",
+            threshold_c=1,
+            retry_budget=1,
+            ack_timeout=1.0,
+            flight_recorder=True,
+        )
+        make_subscribed(sim, 5)
+        assert 5 in sim.scheme.protocol.s_list(0)
+        sim.transport.use_injector(_LosePushes())
+        sim.authority.force_update()
+        settle(sim, 200.0)
+        assert sim.reliable.give_ups > 0
+        assert 5 in sim.tree
+        assert 5 not in sim.scheme.protocol.s_list(0)
+        assert any(
+            event.kind == "unsubscribe" and event.detail == "suspected"
+            for event in sim.recorder.events
+        )
+
+    def test_interest_lapse_reaches_the_flight_recorder(self):
+        sim = chain_sim("dup-invalidate", threshold_c=1, flight_recorder=True)
+        make_subscribed(sim, 5)
+        sim.env.run(until=sim.env.now + 2 * 3600.0 + 100.0)
+        assert not sim.scheme.protocol.is_subscribed(5)
+        lapses = [
+            event
+            for event in sim.recorder.events
+            if event.kind == "unsubscribe" and event.detail == "interest-lapse"
+        ]
+        assert [event.node for event in lapses] == [5]
+
+
+class _LosePushes:
+    """A fault injector that loses every push and nothing else."""
+
+    partition_active = False
+
+    def should_drop(self, message):
+        return message.category is Category.PUSH
+
+    def should_duplicate(self, message):
+        return False
+
+    def extra_delay(self):
+        return 0.0
+
+    def is_dead(self, node):
+        return False
+
+
+# -- the fused push handler against the three-call sequence it replaced ------
+
+
+def _oracle_handle_push(scheme, node, message):
+    """``DupScheme._handle_push`` + ``_push_to_targets`` as they stood
+    before the fusion: ``is_subscribed`` -> ``is_interested`` ->
+    ``push_targets``, each fetching the node's list on its own."""
+    sim = scheme.sim
+    sim.cache(node).put(message.version, sim.env.now)
+    if scheme.protocol.is_subscribed(node) and not scheme.is_interested(node):
+        scheme._record("unsubscribe", node=node, detail="interest-lapse")
+        result = scheme.protocol.drop_subscription(node)
+        scheme._send_control(node, result.upstream, trace_id=message.trace_id)
+    for target in scheme.protocol.push_targets(node):
+        if not sim.alive(target):
+            continue
+        push = PushMessage(key=sim.key, version=message.version, sender=node)
+        push.trace_id = message.trace_id
+        sim.transport.send(target, push)
+
+
+def _capturing_sim():
+    """A 15-node, 4-level DUP tree that is never run: every send lands
+    in ``sent`` instead of the event heap."""
+    sim = Simulation(
+        SimulationConfig(
+            scheme="dup",
+            num_nodes=15,
+            topology="balanced",
+            max_degree=2,
+            threshold_c=1,
+            warmup=0.0,
+            seed=1,
+        )
+    )
+    sent = []
+
+    def capture(destination, message, **_):
+        if message.category is Category.PUSH:
+            sent.append(
+                (destination, message.version.version, message.trace_id)
+            )
+        else:
+            sent.append((destination, tuple(message.payloads)))
+
+    sim.transport.send = capture
+    sim.scheme._send = capture
+    return sim, sent
+
+
+def _apply(sim, handle_push, step):
+    kind, node, number = step
+    scheme = sim.scheme
+    protocol = scheme.protocol
+    if node not in sim.tree:
+        return
+    if kind == "subscribe" and node != sim.tree.root:
+        payloads = protocol.ensure_subscribed(node).upstream
+        while payloads and sim.parent(node) is not None:
+            node = sim.parent(node)
+            payloads = [
+                onward
+                for payload in payloads
+                for onward in protocol.step(node, payload).upstream
+            ]
+    elif kind == "query":
+        for _ in range(2):  # threshold_c=1: two arrivals are interest
+            scheme.tracker(node).record(sim.env.now)
+    elif kind == "lapse":
+        if node in scheme._trackers:
+            scheme._trackers[node] = sim.make_interest_policy()
+    elif kind == "depart" and node != sim.tree.root:
+        sim.tree.splice_out(node)  # lists still name it: a dead target
+    elif kind == "push":
+        version = IndexVersion(sim.key, number, 0.0, 3600.0)
+        handle_push(
+            scheme, node, PushMessage(sim.key, version, 0, trace_id=number)
+        )
+
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["subscribe", "query", "lapse", "depart", "push"]),
+        st.integers(0, 14),
+        st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestFusedPushHandler:
+    @given(_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_three_call_sequence(self, steps):
+        fused, fused_sent = _capturing_sim()
+        oracle, oracle_sent = _capturing_sim()
+        for step in steps:
+            _apply(fused, type(fused.scheme)._handle_push, step)
+            _apply(oracle, _oracle_handle_push, step)
+            assert fused_sent == oracle_sent
+            assert (
+                fused.scheme.protocol.nodes_with_state()
+                == oracle.scheme.protocol.nodes_with_state()
+            )
+            assert list(fused.scheme.protocol._lists) == list(
+                oracle.scheme.protocol._lists
+            )
+            assert list(fused.scheme._trackers) == list(
+                oracle.scheme._trackers
+            )
+            for node in fused.scheme.protocol._lists:
+                assert (
+                    fused.scheme.protocol.peek_entries(node)
+                    == oracle.scheme.protocol.peek_entries(node)
+                )
