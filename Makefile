@@ -14,8 +14,8 @@ test:
 bench:
 	$(PY) -m pytest -q benchmarks/
 
-# Full (nodes x keys) capacity sweep up to the 10^5-node point plus the
-# batched-vs-unbatched kernel A/B; writes benchmarks/results/BENCH_scale.json.
+# Full (nodes x keys) capacity sweep up to the 10^5-node point; writes
+# benchmarks/results/BENCH_scale.json.
 # Trim with e.g. BENCH_SCALE_GRID=2048x256,8192x512.
 bench-scale:
 	$(PY) -m pytest -q benchmarks/bench_scale.py

@@ -1,21 +1,10 @@
-"""Scale-tier benchmark: (nodes x keys) grid walls and the kernel A/B.
+"""Scale-tier benchmark: (nodes x keys) grid walls and memory.
 
 Unlike the ``bench_<figure>`` files this does not regenerate a paper
 artifact; it records the capacity trajectory of the scale engine — how
 long a sharded multi-key run takes and how much memory it holds at each
 (nodes x keys) grid point, up to the 10^5-node, 1024-key run the tier
-exists for — plus two A/B comparisons against the unbatched kernel:
-
-- ``kernel_ab``: the grid point's delivery volume replayed through pure
-  kernel dispatch (``Environment.defer`` under the batched loop vs
-  ``call_later`` under the ``REPRO_FAST=0`` event machinery), with hop
-  latencies quantized to scheduling epochs so same-epoch work batches —
-  the regime the batched drain is built for.  This is where the >= 2x
-  kernel claim is measured.
-- ``end_to_end_ab``: full batched vs plain runs of a smaller grid point,
-  asserted bit-identical.  End-to-end walls are scheme-handler-bound
-  (protocol logic dominates once dispatch is cheap), so this ratio is
-  deliberately reported separately from the kernel number.
+exists for.
 
 Results go to ``benchmarks/results/BENCH_scale.json``.  Wall-clock and
 peak RSS live here and only here — the scale *experiment* rows stay
@@ -31,30 +20,14 @@ import os
 import platform
 import time
 
-import numpy as np
-
-from repro import fastpath
 from repro.engine import SimulationConfig
 from repro.engine.multikey import default_shard_count, run_scale
-from repro.sim.core import Environment
 
 from _harness import RESULTS_DIR, _git_sha, peak_rss_mb
 
 #: Default (num_nodes, num_keys) sweep; the last point is the headline
 #: one-process 10^5-node, 1024-key run.
 DEFAULT_GRID = ((2048, 256), (8192, 512), (32768, 1024), (100_000, 1024))
-
-#: Grid point rerun end-to-end in plain mode for the identity check
-#: (small enough that doubling its wall is cheap).
-AB_POINT = (2048, 256)
-
-#: Scheduling epoch the kernel A/B quantizes hop latencies to.
-EPOCH = 0.05
-
-#: Bounds on the kernel A/B's replayed event count (the grid point's
-#: delivery volume, clamped for timing stability).
-MIN_AB_EVENTS = 100_000
-MAX_AB_EVENTS = 400_000
 
 
 def _grid():
@@ -83,7 +56,7 @@ def _config(num_nodes):
 
 
 def _run_point(num_nodes, num_keys):
-    """(wall_seconds, merged result) for one batched one-process run."""
+    """(wall_seconds, merged result) for one single-process run."""
     start = time.perf_counter()
     merged = run_scale(
         _config(num_nodes),
@@ -95,70 +68,14 @@ def _run_point(num_nodes, num_keys):
     return time.perf_counter() - start, merged
 
 
-def _fingerprint(merged):
-    """The merged numbers the batched/plain identity check compares."""
-    return (
-        merged.queries,
-        merged.mean_latency,
-        merged.hit_rate,
-        merged.cost_per_query,
-        merged.extras["latency_p95"],
-        merged.extras["swept_entries"],
-        merged.extras["parents_touched"],
-    )
-
-
-def _kernel_ab(events):
-    """(batched_wall, plain_wall) dispatching ``events`` deliveries.
-
-    The same epoch-quantized delay list runs through both kernels:
-    batched mode schedules flat ``defer`` records and drains same-tick
-    batches; plain mode (``REPRO_FAST=0`` equivalent) pays the full
-    Timeout/callback machinery per event.  Best-of-three per side.
-    """
-    rng = np.random.default_rng(1)
-    delays = (np.round(rng.exponential(0.1, size=events) / EPOCH) * EPOCH).tolist()
-
-    def one(fast, batched):
-        fastpath.set_enabled(fast)
-        fastpath.set_batched(batched)
-        env = Environment()
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-
-        schedule = env.defer if fast else env.call_later
-        start = time.perf_counter()
-        for delay in delays:
-            schedule(delay, tick)
-        env.run()
-        wall = time.perf_counter() - start
-        assert fired[0] == events
-        return wall
-
-    try:
-        one(True, True)  # warm allocator and bytecode caches
-        batched = min(one(True, True) for _ in range(3))
-        plain = min(one(False, False) for _ in range(3))
-    finally:
-        fastpath.set_enabled(True)
-        fastpath.set_batched(True)
-    return batched, plain
-
-
 def test_scale_benchmark(benchmark):
-    """Sweep the grid, run both A/Bs, persist BENCH_scale.json."""
+    """Sweep the grid, persist BENCH_scale.json."""
     grid = _grid()
 
     def run_all():
-        fastpath.set_enabled(True)
-        fastpath.set_batched(True)
         rows = []
-        last = None
         for num_nodes, num_keys in grid:
             wall, merged = _run_point(num_nodes, num_keys)
-            last = merged
             rows.append(
                 {
                     "nodes": num_nodes,
@@ -172,78 +89,20 @@ def test_scale_benchmark(benchmark):
                     "parents_touched": int(merged.extras["parents_touched"]),
                 }
             )
-        # Kernel A/B sized from the last (largest) grid point's actual
-        # delivery volume.
-        volume = int(round(last.queries * last.cost_per_query))
-        events = max(MIN_AB_EVENTS, min(MAX_AB_EVENTS, volume))
-        batched_wall, plain_wall = _kernel_ab(events)
-        kernel_ab = {
-            "nodes": grid[-1][0],
-            "keys": grid[-1][1],
-            "events": events,
-            "epoch_seconds": EPOCH,
-            "batched_wall_seconds": round(batched_wall, 4),
-            "unbatched_wall_seconds": round(plain_wall, 4),
-            "speedup": round(plain_wall / batched_wall, 2),
-        }
-        # End-to-end identity + walls on the A/B point.
-        ab_nodes, ab_keys = AB_POINT
-        fastpath.set_enabled(True)
-        fastpath.set_batched(True)
-        wall_batched, merged_batched = _run_point(ab_nodes, ab_keys)
-        fastpath.set_enabled(False)
-        fastpath.set_batched(False)
-        try:
-            wall_plain, merged_plain = _run_point(ab_nodes, ab_keys)
-        finally:
-            fastpath.set_enabled(True)
-            fastpath.set_batched(True)
-        assert _fingerprint(merged_batched) == _fingerprint(merged_plain), (
-            "batched and plain kernels disagree on merged scale metrics"
-        )
-        end_to_end_ab = {
-            "nodes": ab_nodes,
-            "keys": ab_keys,
-            "batched_wall_seconds": round(wall_batched, 3),
-            "plain_wall_seconds": round(wall_plain, 3),
-            "speedup": round(wall_plain / wall_batched, 2),
-            "bit_identical": True,
-        }
-        return rows, kernel_ab, end_to_end_ab
+        return rows
 
-    rows, kernel_ab, end_to_end_ab = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
     for row in rows:
         print(
             f"\n{row['nodes']}x{row['keys']}: {row['wall_seconds']}s, "
             f"{row['peak_rss_mb']} MiB peak, {row['queries']} queries"
         )
-    print(
-        f"\nkernel A/B ({kernel_ab['events']} events): "
-        f"batched {kernel_ab['batched_wall_seconds']}s vs unbatched "
-        f"{kernel_ab['unbatched_wall_seconds']}s "
-        f"({kernel_ab['speedup']}x)"
-    )
-    # The dispatch layer must stay well ahead of the unbatched path; the
-    # floor sits below the >= 2x it measures unloaded so runner noise
-    # cannot flake the build.
-    assert kernel_ab["speedup"] >= 1.5, kernel_ab
     RESULTS_DIR.mkdir(exist_ok=True)
     record = {
         "experiment_id": "scale",
         "python_version": platform.python_version(),
         "git_sha": _git_sha(),
         "grid": rows,
-        "kernel_ab": kernel_ab,
-        "end_to_end_ab": end_to_end_ab,
-        "notes": (
-            "kernel_ab replays the largest grid point's delivery volume "
-            "through pure kernel dispatch (batched defer records vs the "
-            "REPRO_FAST=0 Timeout machinery) with epoch-quantized hop "
-            "latencies; end_to_end_ab reruns a full grid point both ways "
-            "and is scheme-handler-bound by design."
-        ),
     }
     (RESULTS_DIR / "BENCH_scale.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -29,13 +29,6 @@ repeated with a present-but-inert
 :class:`~repro.workload.sessions.SessionPlan` attached, and must again
 match the golden bit for bit.
 
-A fifth leg guards the batched kernel the same way: the main timing
-gate above already runs with batched dispatch on (the default), so a
-batched kernel slower than the committed PR-5 baseline fails the wall
-check; this leg additionally reruns the smoke experiment with batching
-switched off (``REPRO_BATCH=0`` equivalent) and requires the canonical
-output to stay bit-identical to the golden.
-
 Environment overrides:
 
 - ``PERF_SMOKE_BASELINE`` — baseline wall seconds (default: the newest
@@ -230,35 +223,6 @@ def _fluctuation_off_identity_leg() -> int:
     return 0
 
 
-def _batching_off_identity_leg() -> int:
-    """Batch draining off must not move a single bit."""
-    from repro import fastpath
-    from repro.experiments import get_experiment
-
-    canonical = _canonical()
-    expected = GOLDEN.read_text(encoding="utf-8")
-    previous = fastpath.set_batched(False)
-    start = time.perf_counter()
-    try:
-        result = get_experiment("figure4")(
-            scale="smoke", replications=1, seed=1, rates=(1.0, 10.0)
-        )
-    finally:
-        fastpath.set_batched(previous)
-    wall = time.perf_counter() - start
-    if canonical(result) != expected:
-        print(
-            "perf-smoke: batched-kernel leg FAILED — the batching-off "
-            f"run drifted from {GOLDEN.name}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"perf-smoke: batching-off run bit-identical to golden ({wall:.2f}s)"
-    )
-    return 0
-
-
 def main() -> int:
     budget = float(os.environ.get("PERF_SMOKE_BUDGET", "2.0"))
     baseline = _baseline()
@@ -276,7 +240,6 @@ def main() -> int:
         _telemetry_overhead_leg()
         or _overload_off_identity_leg()
         or _fluctuation_off_identity_leg()
-        or _batching_off_identity_leg()
     )
 
 

@@ -264,7 +264,7 @@ class DisseminationPlatform:
         route_delay = sum(
             self._latency.sample(self._latency_rng) for _ in range(route_hops)
         )
-        self.env.call_later(
+        self.env.defer(
             route_delay,
             self._push_from,
             topic,
@@ -343,7 +343,7 @@ class DisseminationPlatform:
                 continue  # departed concurrently; repair flows pending
             self.stats.push_hops += 1
             delay = self._latency.sample(self._latency_rng)
-            self.env.call_later(
+            self.env.defer(
                 delay,
                 self._push_from,
                 topic,

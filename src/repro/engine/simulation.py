@@ -625,7 +625,7 @@ class Simulation:
                 return
             self._pending_suspicions.add(key)
             timeout = self.config.ack_timeout * (self.config.retry_budget + 1)
-            self.env.call_later(timeout, self._timeout_suspicion, *key)
+            self.env.defer(timeout, self._timeout_suspicion, *key)
 
     def _timeout_suspicion(self, reporter: NodeId, suspect: NodeId) -> None:
         self._pending_suspicions.discard((reporter, suspect))
@@ -1187,7 +1187,7 @@ class Simulation:
             registry.gauge("audit.repairs", lambda: float(auditor.repairs))
             registry.gauge("audit.sweeps", lambda: float(auditor.sweeps))
         if self.config.authority_crash_at > 0:
-            self.env.call_later(
+            self.env.defer(
                 self.config.authority_crash_at, self._crash_authority
             )
         if self.storms is not None:

@@ -1,73 +1,10 @@
-"""Runtime toggles for the simulator's optimised hot paths.
+"""Two constants kept only for ``benchmarks/ledger``.
 
-The event kernel carries two layers of optimisation, both bit-identical
-to the straightforward implementations but measurably faster:
-
-- **fast paths** (``REPRO_FAST``, default on): an inlined run loop and a
-  :class:`~repro.sim.core.Timeout` free-list;
-- **batched dispatch** (``REPRO_BATCH``, default on, only active when
-  the fast paths are too): same-timestamp events are drained as one
-  batch with the loop's head checks hoisted to the tick boundary, and
-  fire-and-forget deliveries scheduled through
-  :meth:`~repro.sim.core.Environment.defer` skip event-object
-  allocation entirely.
-
-Either layer can be disabled for A/B verification with its environment
-variable (``REPRO_FAST=0`` / ``REPRO_BATCH=0``) or, in-process, with
-:func:`set_enabled` / :func:`set_batched`.
-
-Determinism contract: every simulation result — goldens, serial/parallel
-fingerprints, metric counters — must be identical under every flag
-combination.  ``tests/test_perf_fastpath.py`` enforces this by running
-the same experiment under the flags and comparing fingerprints.
-
-The flags are captured by :class:`~repro.sim.core.Environment` at
-construction, so flipping them never affects a simulation that is
-already running.
+Every ledger child imports this module and records ``ENABLED`` and
+``BATCHED`` as ``host.fastpath``.  The kernel has one run loop and no
+switches (:mod:`repro.sim.core`); nothing in ``src/`` reads these.  The
+ledger re-pin (ROADMAP item 1) deletes this file.
 """
 
-from __future__ import annotations
-
-import os
-
-_FALSE_VALUES = ("0", "false", "no", "off")
-
-#: Whether new environments use the optimised kernel paths.  Read once
-#: per Environment construction; seed it from ``REPRO_FAST`` (default on).
-ENABLED: bool = (
-    os.environ.get("REPRO_FAST", "1").strip().lower() not in _FALSE_VALUES
-)
-
-#: Whether new environments use the batched same-tick dispatch loop and
-#: zero-allocation deferred deliveries.  Layered on top of the fast
-#: paths: it only takes effect when :data:`ENABLED` is also true.
-BATCHED: bool = (
-    os.environ.get("REPRO_BATCH", "1").strip().lower() not in _FALSE_VALUES
-)
-
-
-def set_enabled(value: bool) -> bool:
-    """Set the fast-path flag in-process; returns the previous value.
-
-    Only environments constructed *after* the call observe the change —
-    the flag is captured at :class:`~repro.sim.core.Environment`
-    construction time.  Intended for the determinism regression tests;
-    production configuration goes through ``REPRO_FAST``.
-    """
-    global ENABLED
-    previous = ENABLED
-    ENABLED = bool(value)
-    return previous
-
-
-def set_batched(value: bool) -> bool:
-    """Set the batched-dispatch flag in-process; returns the previous value.
-
-    Like :func:`set_enabled`, the flag is captured at
-    :class:`~repro.sim.core.Environment` construction time; already
-    running simulations are unaffected.
-    """
-    global BATCHED
-    previous = BATCHED
-    BATCHED = bool(value)
-    return previous
+ENABLED = True
+BATCHED = True

@@ -10,7 +10,7 @@ a pure observer: it never consumes randomness and never schedules
 simulation events, so a run with the recorder armed is bit-identical to
 the same run without it.
 
-It follows the same discipline as :mod:`repro.fastpath`:
+Its switch follows one discipline:
 
 * a process-wide default from the environment (``REPRO_FLIGHT``,
   default *off*), overridable per-run via

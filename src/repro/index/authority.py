@@ -167,7 +167,7 @@ class Authority:
                 self.coalesced_updates += 1
                 if not self._flush_pending:
                     self._flush_pending = True
-                    self._env.call_later(
+                    self._env.defer(
                         self._min_issue_gap - elapsed, self._flush_forced
                     )
                 return self.current

@@ -200,7 +200,7 @@ class OverloadManager:
     Parameters
     ----------
     env:
-        The simulation environment (for ``now`` and ``call_later``;
+        The simulation environment (for ``now`` and ``defer``;
         scheduling consumes no RNG).
     plan:
         The validated :class:`OverloadPlan`.
@@ -261,7 +261,7 @@ class OverloadManager:
             inbox = self._inboxes[destination] = _Inbox()
         if not inbox.busy:
             inbox.busy = True
-            self._env.call_later(
+            self._env.defer(
                 self._service_time, self._drain, destination, inbox
             )
             return True
@@ -335,7 +335,7 @@ class OverloadManager:
         else:
             inbox.busy = False
             return
-        self._env.call_later(
+        self._env.defer(
             self._service_time, self._drain, destination, inbox
         )
         self._deliver(destination, message)

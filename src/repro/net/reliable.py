@@ -160,7 +160,7 @@ class ReliableChannel:
             self._base_timeout * self._backoff**pending.attempts,
             self._timeout_cap,
         )
-        self._env.call_later(
+        self._env.defer(
             timeout, self._expire, delivery_id, pending.attempts
         )
 

@@ -230,8 +230,8 @@ class Transport:
             # hop is charge + latency + delayed delivery, nothing else.
             # The latency is taken at the same point of the sequence as
             # in the instrumented path, so runs stay bit-identical.
-            # defer() skips the Timeout machinery in batched
-            # environments and degrades to call_later everywhere else.
+            # defer() pushes one flat heap record per delivery: no
+            # Timeout, no callbacks list.
             delays = self._delays
             self._env.defer(
                 delays.pop() if delays else self._next_delay(),
@@ -277,7 +277,7 @@ class Transport:
                 )
                 return
             if injector.should_duplicate(message):
-                self._env.call_later(
+                self._env.defer(
                     injector.duplicate_delay(self._latency),
                     self._deliver,
                     destination,
@@ -286,7 +286,7 @@ class Transport:
         delay = self._next_delay()
         if injector is not None:
             delay += injector.extra_delay()
-        self._env.call_later(delay, self._deliver, destination, message)
+        self._env.defer(delay, self._deliver, destination, message)
 
     def _deliver(self, destination: NodeId, message: Message) -> None:
         injector = self._injector

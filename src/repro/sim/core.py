@@ -12,37 +12,25 @@ an event, so processes can wait on each other.
 
 Hot-path notes
 --------------
-The dominant cycle in every experiment is "schedule timeout -> pop ->
-resume one generator".  The kernel therefore carries a few fast paths,
-all bit-identical to the straightforward implementations (event order,
-clock values, and RNG draw order are unchanged):
+:meth:`Environment.run` is the kernel's one dispatch loop.  It drains
+all entries sharing the head timestamp as a batch: the stop-time and
+stop-event head checks and the clock assignment run once per tick, and
+the inner loop needs one float comparison per entry.  Entries still
+come off the one heap, so same-tick order is exactly the
+``(priority, sequence)`` order single :meth:`Environment.step` calls
+pop them in — ``tests/test_sim_kernel.py`` holds ``run`` to a
+``step`` loop on random schedules.
 
-- ``heappush``/``heappop`` are imported as locals instead of attribute
-  lookups on the :mod:`heapq` module;
-- :class:`Timeout` construction is flattened (no ``super().__init__``
-  chain, the heap push is inlined);
-- :meth:`Environment.call_later` callbacks are :class:`_Invoke` records
-  instead of closure objects;
-- when :mod:`repro.fastpath` is enabled (the default), :meth:`Environment.run`
-  uses an inlined event loop and recycles value-less :class:`Timeout`
-  events through a small free list.  Only events whose sole callback is
-  kernel-owned (a :class:`Process` resume or an :class:`_Invoke`) are
-  recycled, so any event a caller might still hold a reference to —
-  condition members, interrupted targets, timeouts carrying values —
-  is never reused;
-- when batched dispatch is additionally enabled (``REPRO_BATCH``, the
-  default), the run loop drains all events sharing one timestamp as a
-  single batch: the stop-time/stop-event head checks and the clock
-  assignment are hoisted to the tick boundary, and the inner loop walks
-  the batch with one float comparison per event instead of the full
-  ``(time, priority, sequence)`` tuple discipline.  Batched
-  environments also accept :meth:`Environment.defer` — fire-and-forget
-  work flattened straight into the heap entry (one tuple, no event
-  object), skipping the :class:`Timeout`/callback machinery entirely
-  (the transport's delivery hot path uses this).  Batch order is provably
-  identical to the serial pops: entries still live in the one heap, so
-  same-tick events run in exactly the (priority, sequence) order the
-  plain loop would pop them in.
+The heap holds two entry shapes.  ``(time, priority, sequence, event)``
+carries an :class:`Event`; ``(time, NORMAL, sequence, fn, args)`` is
+the flat record :meth:`Environment.defer` pushes for fire-and-forget
+work — one tuple, no event object, no callbacks list (every transport
+delivery is one).  Mixing the two lengths in one heap is safe because
+``sequence`` is unique per environment, so tuple comparison never
+reaches index 3.
+
+``heappush``/``heappop`` are imported as locals instead of attribute
+lookups on the :mod:`heapq` module.
 """
 
 from __future__ import annotations
@@ -50,7 +38,6 @@ from __future__ import annotations
 from heapq import heappush, heappop
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro import fastpath
 from repro.errors import ProcessError, SchedulingError, SimulationError
 
 #: Priority used for ordinary events.
@@ -59,9 +46,6 @@ NORMAL = 1
 URGENT = 0
 
 _PENDING = object()
-
-#: Upper bound on the Timeout free list (per environment).
-_POOL_CAP = 1024
 
 
 class Event:
@@ -151,8 +135,8 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SchedulingError(f"negative timeout delay {delay!r}")
-        # Flattened Event.__init__ + _schedule: this constructor runs a
-        # quarter of a million times per quick-scale experiment.
+        # Flattened Event.__init__ + _schedule: every process wake-up
+        # builds one of these, in one frame instead of three.
         self.env = env
         self.callbacks = []
         self._ok = True
@@ -165,31 +149,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
-
-
-class _Invoke:
-    """Kernel-owned ``call_later`` callback: calls ``fn(*args)``.
-
-    A tagged record instead of a closure so the run loop can recognise
-    fire-and-forget deliveries and recycle their carrier timeouts.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable, args: tuple) -> None:
-        self.fn = fn
-        self.args = args
-
-    def __call__(self, _event: Event) -> None:
-        self.fn(*self.args)
-
-
-# Deferred entries (see Environment.defer) are flattened straight into
-# the heap tuple: ``(time, priority, sequence, fn, args)`` — one
-# allocation per record, distinguished from ``(time, priority,
-# sequence, event)`` entries by tuple length alone.  Mixing lengths in
-# one heap is safe because the ``sequence`` field is unique, so tuple
-# comparison never reaches index 3.
 
 
 class Initialize(Event):
@@ -338,11 +297,6 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
-#: The unbound resume used to recognise kernel-owned callbacks in the
-#: fast run loop (``bound.__func__ is _PROCESS_RESUME``).
-_PROCESS_RESUME = Process._resume
-
-
 class _Condition(Event):
     """Base for AnyOf / AllOf composition events."""
 
@@ -418,25 +372,15 @@ class Environment:
     ----------
     initial_time:
         Starting value of the clock (defaults to ``0.0``).
-
-    The :mod:`repro.fastpath` flags are captured at construction: an
-    environment created while the fast paths are enabled uses the inlined
-    run loop and the :class:`Timeout` free list for its whole lifetime,
-    and one created while batched dispatch is also enabled uses the
-    same-tick batch loop and accepts zero-allocation :meth:`defer`
-    records.
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        # 4-tuples carry Events; 5-tuples (batched mode only) carry
-        # flat (fn, args) deferred records.
+        # 4-tuples carry Events; 5-tuples carry flat (fn, args) deferred
+        # records.
         self._queue: list[tuple] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        self._fast = fastpath.ENABLED
-        self._batched = self._fast and fastpath.BATCHED
-        self._timeout_pool: list[Timeout] = []
 
     # -- properties -------------------------------------------------------
     @property
@@ -461,22 +405,6 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` time units."""
-        if value is None and self._fast:
-            pool = self._timeout_pool
-            if pool:
-                if delay < 0:
-                    raise SchedulingError(f"negative timeout delay {delay!r}")
-                event = pool.pop()
-                event.callbacks = []
-                event._ok = True
-                event._value = None
-                event._defused = False
-                event.delay = delay = float(delay)
-                heappush(
-                    self._queue, (self._now + delay, NORMAL, self._eid, event)
-                )
-                self._eid += 1
-                return event
         return Timeout(self, delay, value)
 
     def process(
@@ -486,35 +414,30 @@ class Environment:
         return Process(self, generator, name=name)
 
     def call_later(self, delay: float, function: Callable, *args) -> Timeout:
-        """Schedule ``function(*args)`` to run after ``delay`` time units.
+        """Schedule ``function(*args)`` after ``delay``; returns the event.
 
-        A lightweight alternative to spawning a process for fire-and-forget
-        work such as message deliveries.
+        The handle-returning form of :meth:`defer`, for callers that
+        wait on the :class:`Timeout` or attach further callbacks to it.
         """
-        timeout = self.timeout(delay)
-        timeout.callbacks.append(_Invoke(function, args))
+        timeout = Timeout(self, delay)
+        timeout.callbacks.append(lambda _event: function(*args))
         return timeout
 
     def defer(self, delay: float, function: Callable, *args) -> None:
-        """Fire-and-forget :meth:`call_later` with no event handle.
+        """Schedule ``function(*args)`` to run after ``delay`` time units.
 
-        In a batched environment the call is flattened straight into
-        the heap entry — no :class:`Timeout`, no callbacks list, no
-        record object — occupying the same ``(time, NORMAL, sequence)``
-        slot the timeout would have, so dispatch order is unchanged.  Outside
-        batched mode it falls back to :meth:`call_later` (discarding
-        the handle), keeping the two paths bit-identical.
+        Fire-and-forget: the call is flattened straight into the heap
+        entry — no :class:`Timeout`, no callbacks list — in the same
+        ``(time, NORMAL, sequence)`` slot a timeout would occupy, so
+        ``defer`` and :meth:`call_later` interleave in scheduling order.
         """
-        if self._batched:
-            if delay < 0:
-                raise SchedulingError(f"negative timeout delay {delay!r}")
-            heappush(
-                self._queue,
-                (self._now + delay, NORMAL, self._eid, function, args),
-            )
-            self._eid += 1
-            return
-        self.call_later(delay, function, *args)
+        if delay < 0:
+            raise SchedulingError(f"negative timeout delay {delay!r}")
+        heappush(
+            self._queue,
+            (self._now + delay, NORMAL, self._eid, function, args),
+        )
+        self._eid += 1
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event triggering when any of ``events`` does."""
@@ -542,10 +465,7 @@ class Environment:
             raise SimulationError("no scheduled events")
         entry = heappop(self._queue)
         self._now = entry[0]
-        if len(entry) == 5:
-            # Deferred record — possible only in a batched environment
-            # whose events are being stepped manually; semantics match
-            # the batch loop.
+        if len(entry) == 5:  # flat deferred record
             entry[3](*entry[4])
             return
         event = entry[3]
@@ -581,111 +501,37 @@ class Environment:
                     f"until={stop_time} lies in the past (now={self._now})"
                 )
 
+        # All entries sharing the head timestamp are drained as one batch:
+        # the stop-time check and the clock assignment run once per tick,
+        # and the inner loop needs only a float equality per entry.
         queue = self._queue
-        if self._batched:
-            # Batched dispatch: all events sharing the head timestamp are
-            # drained as one batch.  The stop-time check and the clock
-            # assignment run once per tick; the inner loop needs only a
-            # float equality per event (entries still come off the one
-            # heap, so same-tick order is exactly the plain loop's
-            # (priority, sequence) order).  Flat deferred records —
-            # fire-and-forget deliveries — bypass the event machinery.
-            pool = self._timeout_pool
-            while queue:
-                if stop_event is not None and stop_event.callbacks is None:
-                    return stop_event.value
-                tick = queue[0][0]
-                if tick > stop_time:
-                    self._now = stop_time
-                    return None
-                self._now = tick
-                while queue and queue[0][0] == tick:
-                    entry = heappop(queue)
-                    if len(entry) == 5:
-                        entry[3](*entry[4])
-                        continue
-                    event = entry[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok:
-                        if (
-                            type(event) is Timeout
-                            and event._value is None
-                            and len(callbacks) == 1
-                            and len(pool) < _POOL_CAP
-                        ):
-                            callback = callbacks[0]
-                            if (
-                                type(callback) is _Invoke
-                                or getattr(callback, "__func__", None)
-                                is _PROCESS_RESUME
-                            ):
-                                event._value = _PENDING
-                                pool.append(event)
-                    elif not event._defused:
-                        value = event._value
-                        if isinstance(value, BaseException):
-                            raise value
-                        raise SimulationError(
-                            f"unhandled event failure: {value!r}"
-                        )
-                    if (
-                        stop_event is not None
-                        and stop_event.callbacks is None
-                    ):
-                        return stop_event.value
-        elif self._fast:
-            # Inlined step() loop: localised heap ops, direct slot reads,
-            # and Timeout recycling.  Event order, clock values, and every
-            # raise are identical to the plain loop below.
-            pool = self._timeout_pool
-            while queue:
-                if stop_event is not None and stop_event.callbacks is None:
-                    return stop_event.value
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-                self._now, _, _, event = heappop(queue)
+        while queue:
+            if stop_event is not None and stop_event.callbacks is None:
+                return stop_event.value
+            tick = queue[0][0]
+            if tick > stop_time:
+                self._now = stop_time
+                return None
+            self._now = tick
+            while queue and queue[0][0] == tick:
+                entry = heappop(queue)
+                if len(entry) == 5:  # flat deferred record
+                    entry[3](*entry[4])
+                    continue
+                event = entry[3]
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-                if event._ok:
-                    # Recycle the dominant event shape: a value-less
-                    # Timeout whose only callback was kernel-owned (a
-                    # process resume or a call_later delivery) — nothing
-                    # else can still hold a reference to it.
-                    if (
-                        type(event) is Timeout
-                        and event._value is None
-                        and len(callbacks) == 1
-                        and len(pool) < _POOL_CAP
-                    ):
-                        callback = callbacks[0]
-                        if (
-                            type(callback) is _Invoke
-                            or getattr(callback, "__func__", None)
-                            is _PROCESS_RESUME
-                        ):
-                            event._value = _PENDING
-                            pool.append(event)
-                elif not event._defused:
+                if not event._ok and not event._defused:
                     value = event._value
                     if isinstance(value, BaseException):
                         raise value
                     raise SimulationError(
                         f"unhandled event failure: {value!r}"
                     )
-        else:
-            while queue:
-                if stop_event is not None and stop_event.processed:
+                if stop_event is not None and stop_event.callbacks is None:
                     return stop_event.value
-                if self.peek() > stop_time:
-                    self._now = stop_time
-                    return None
-                self.step()
 
         if stop_event is not None:
             if stop_event.processed:

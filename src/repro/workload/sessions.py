@@ -271,7 +271,7 @@ class FlapDamper:
 class SessionEngine:
     """Runs a :class:`SessionPlan` against one simulation.
 
-    The lifecycle is event-driven (``env.call_later`` callbacks, no
+    The lifecycle is event-driven (``env.defer`` callbacks, no
     per-node process): all session and downtime draws come from the
     single ``sessions`` stream in event order, regional bursts from
     ``sessions-regional``.
@@ -376,7 +376,7 @@ class SessionEngine:
     def _schedule_crash(self, node: NodeId, delay: float) -> None:
         epoch = self._epoch.get(node, 0) + 1
         self._epoch[node] = epoch
-        self._sim.env.call_later(delay, self._session_end, node, epoch)
+        self._sim.env.defer(delay, self._session_end, node, epoch)
 
     def _session_end(self, node: NodeId, epoch: int) -> None:
         if self._epoch.get(node) != epoch:
@@ -418,7 +418,7 @@ class SessionEngine:
                 and overload.plan.breakers_enabled
             ):
                 overload.record_failure(parent, node, reason="flap-damp")
-        sim.env.call_later(
+        sim.env.defer(
             self._downtime.sample(self._rng), self._rejoin, node
         )
 

@@ -1,9 +1,8 @@
-"""Regression tests for the hot-path performance layers.
+"""Regression tests for hot-path helpers outside the kernel.
 
-Covers the determinism contract of the fast path (``REPRO_FAST=0`` and
-``REPRO_FAST=1`` must produce bit-identical experiment output), the
-kernel's timeout pooling rules, trace inheritance edge cases, the search
-tree's route memoisation under churn, and the benchmark-harness metadata.
+Covers trace inheritance edge cases, the search tree's route memoisation
+under churn, and the benchmark-harness metadata.  The kernel's own cases
+live in ``tests/test_sim_kernel.py``.
 """
 
 from __future__ import annotations
@@ -14,223 +13,12 @@ import sys
 
 import pytest
 
-from repro import fastpath
-from repro.experiments import figure4_arrival_rate
 from repro.index.entry import IndexVersion
 from repro.net.message import PushMessage, QueryMessage, ReplyMessage
-from repro.sim.core import Environment, Timeout
 from repro.topology.tree import SearchTree
 
 REPO = pathlib.Path(__file__).parent.parent
 BENCHMARKS = REPO / "benchmarks"
-
-
-class TestFastPathDeterminism:
-    def test_flag_reflects_environment_and_toggles(self):
-        previous = fastpath.set_enabled(False)
-        try:
-            assert fastpath.ENABLED is False
-            assert fastpath.set_enabled(True) is False
-            assert fastpath.ENABLED is True
-        finally:
-            fastpath.set_enabled(previous)
-
-    def test_environment_captures_flag_at_construction(self):
-        previous = fastpath.set_enabled(False)
-        try:
-            slow_env = Environment()
-            fastpath.set_enabled(True)
-            fast_env = Environment()
-            assert slow_env._fast is False
-            assert fast_env._fast is True
-        finally:
-            fastpath.set_enabled(previous)
-
-    def test_figure4_identical_with_and_without_fast_path(self):
-        """The tentpole contract: optimisations change wall-clock only."""
-
-        def run():
-            return figure4_arrival_rate.run(
-                scale="quick", replications=1, rates=(1.0,), workers=1
-            )
-
-        previous = fastpath.set_enabled(False)
-        try:
-            slow = run()
-            fastpath.set_enabled(True)
-            fast = run()
-        finally:
-            fastpath.set_enabled(previous)
-        # repr round-trips floats exactly, so this is a bit-level check.
-        # (Shape checks need the full rate sweep, so only row equality is
-        # asserted on this single-rate run.)
-        assert slow.rows and repr(slow.rows) == repr(fast.rows)
-
-
-class TestBatchedKernel:
-    def test_batched_flag_toggles_and_is_captured_at_construction(self):
-        previous_fast = fastpath.set_enabled(True)
-        previous_batched = fastpath.set_batched(False)
-        try:
-            unbatched_env = Environment()
-            fastpath.set_batched(True)
-            batched_env = Environment()
-            assert unbatched_env._batched is False
-            assert batched_env._batched is True
-        finally:
-            fastpath.set_batched(previous_batched)
-            fastpath.set_enabled(previous_fast)
-
-    def test_batched_requires_fast(self):
-        previous_fast = fastpath.set_enabled(False)
-        previous_batched = fastpath.set_batched(True)
-        try:
-            env = Environment()
-            assert env._batched is False
-        finally:
-            fastpath.set_batched(previous_batched)
-            fastpath.set_enabled(previous_fast)
-
-    def test_defer_order_matches_call_later(self):
-        """Deferred records fire in the exact slots timeouts would."""
-
-        def run(batched):
-            fastpath.set_enabled(True)
-            fastpath.set_batched(batched)
-            env = Environment()
-            fired = []
-            for index, delay in enumerate([3.0, 1.0, 1.0, 2.0, 0.0]):
-                env.defer(delay, fired.append, (delay, index))
-            env.run()
-            return fired
-
-        previous_fast = fastpath.set_enabled(True)
-        previous_batched = fastpath.set_batched(True)
-        try:
-            assert run(True) == run(False)
-        finally:
-            fastpath.set_batched(previous_batched)
-            fastpath.set_enabled(previous_fast)
-
-    def test_defer_rejects_negative_delay(self):
-        previous_fast = fastpath.set_enabled(True)
-        previous_batched = fastpath.set_batched(True)
-        try:
-            env = Environment()
-            with pytest.raises(Exception):
-                env.defer(-1.0, lambda: None)
-        finally:
-            fastpath.set_batched(previous_batched)
-            fastpath.set_enabled(previous_fast)
-
-    def test_step_handles_deferred_records(self):
-        previous_fast = fastpath.set_enabled(True)
-        previous_batched = fastpath.set_batched(True)
-        try:
-            env = Environment()
-            fired = []
-            env.defer(2.0, fired.append, "a")
-            env.step()
-            assert fired == ["a"]
-            assert env.now == 2.0
-        finally:
-            fastpath.set_batched(previous_batched)
-            fastpath.set_enabled(previous_fast)
-
-    def test_figure4_identical_with_and_without_batching(self):
-        """Same-tick batch draining changes wall-clock only."""
-
-        def run():
-            return figure4_arrival_rate.run(
-                scale="quick", replications=1, rates=(1.0,), workers=1
-            )
-
-        previous_fast = fastpath.set_enabled(True)
-        previous_batched = fastpath.set_batched(False)
-        try:
-            unbatched = run()
-            fastpath.set_batched(True)
-            batched = run()
-        finally:
-            fastpath.set_batched(previous_batched)
-            fastpath.set_enabled(previous_fast)
-        assert unbatched.rows and repr(unbatched.rows) == repr(batched.rows)
-
-
-class TestTimeoutPooling:
-    def _drain(self, env, events=64):
-        def ticker():
-            for _ in range(events):
-                yield env.timeout(1.0)
-
-        env.process(ticker(), name="ticker")
-        env.run(until=events + 1.0)
-
-    def test_fast_kernel_recycles_process_timeouts(self):
-        previous = fastpath.set_enabled(True)
-        try:
-            env = Environment()
-            self._drain(env)
-            assert len(env._timeout_pool) >= 1
-        finally:
-            fastpath.set_enabled(previous)
-
-    def test_slow_kernel_never_pools(self):
-        previous = fastpath.set_enabled(False)
-        try:
-            env = Environment()
-            self._drain(env)
-            assert env._timeout_pool == []
-        finally:
-            fastpath.set_enabled(previous)
-
-    def test_value_carrying_timeouts_are_not_recycled(self):
-        previous = fastpath.set_enabled(True)
-        try:
-            env = Environment()
-            held = []
-
-            def proc():
-                event = env.timeout(1.0, value="payload")
-                held.append(event)
-                got = yield event
-                assert got == "payload"
-
-            env.process(proc(), name="valued")
-            env.run(until=5.0)
-            assert held[0] not in env._timeout_pool
-            # The held reference keeps its processed state.
-            assert held[0].callbacks is None
-        finally:
-            fastpath.set_enabled(previous)
-
-    def test_externally_observed_timeout_is_not_recycled(self):
-        """An event with extra callbacks may be referenced elsewhere."""
-        previous = fastpath.set_enabled(True)
-        try:
-            env = Environment()
-            seen = []
-            event = env.timeout(1.0)
-            event.callbacks.append(lambda ev: seen.append(ev))
-            env.run(until=2.0)
-            assert seen == [event]
-            assert event not in env._timeout_pool
-        finally:
-            fastpath.set_enabled(previous)
-
-    def test_pooled_timeout_is_reused_with_fresh_state(self):
-        previous = fastpath.set_enabled(True)
-        try:
-            env = Environment()
-            self._drain(env, events=4)
-            pooled = env._timeout_pool[-1]
-            reused = env.timeout(2.5)
-            assert reused is pooled
-            assert isinstance(reused, Timeout)
-            assert reused.callbacks == []
-            assert reused.delay == 2.5
-        finally:
-            fastpath.set_enabled(previous)
 
 
 class TestInheritTrace:

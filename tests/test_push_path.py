@@ -20,7 +20,6 @@ property reads.  The rebuild reads 247 frames, 20.58 per push.
 
 import sys
 
-from repro import fastpath
 from repro.engine import Simulation, SimulationConfig
 from repro.net.message import Category, PushMessage
 
@@ -32,24 +31,19 @@ LEAVES = range(4, 13)
 
 def _three_level_dup_tree():
     """Root 0, interiors 1-3, leaves 4-12, every leaf subscribed."""
-    previous = (fastpath.set_enabled(True), fastpath.set_batched(True))
-    try:
-        sim = Simulation(
-            SimulationConfig(
-                scheme="dup",
-                num_nodes=13,
-                topology="balanced",
-                max_degree=3,
-                hop_latency_mean=0.001,
-                duration=100_000.0,
-                warmup=0.0,
-                threshold_c=1,
-                seed=1,
-            )
+    sim = Simulation(
+        SimulationConfig(
+            scheme="dup",
+            num_nodes=13,
+            topology="balanced",
+            max_degree=3,
+            hop_latency_mean=0.001,
+            duration=100_000.0,
+            warmup=0.0,
+            threshold_c=1,
+            seed=1,
         )
-    finally:
-        fastpath.set_enabled(previous[0])
-        fastpath.set_batched(previous[1])
+    )
     sim.start()
     # The canonical subscribe sequence: a miss, a hit, and the miss that
     # carries the subscription once the first copy has expired.

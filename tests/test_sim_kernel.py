@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProcessError, SchedulingError, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
 
 
 class TestEnvironmentBasics:
@@ -73,6 +75,23 @@ class TestTimeout:
         env.run()
         assert order == ["a", "b", "c"]
 
+    def test_fired_timeout_stays_fired(self):
+        """A process may keep the timeouts it yielded; none is reused."""
+        env = Environment()
+        seen = []
+
+        def proc(env):
+            first = env.timeout(1.0)
+            yield first
+            yield env.timeout(1.0)
+            third = env.timeout(7.0)
+            seen.append((third is first, first.processed, first.delay))
+            yield third
+
+        env.process(proc(env))
+        env.run()
+        assert seen == [(False, True, 1.0)]
+
 
 class TestCallLater:
     def test_call_later_invokes_function(self):
@@ -89,6 +108,33 @@ class TestCallLater:
         env.call_later(1.0, lambda a, b: calls.append(a + b), 2, 3)
         env.run()
         assert calls == [5]
+
+
+class TestDefer:
+    def test_defer_rejects_negative_delay(self):
+        env = Environment()
+        with pytest.raises(SchedulingError):
+            env.defer(-1.0, lambda: None)
+
+    def test_step_dispatches_a_flat_record(self):
+        env = Environment()
+        fired = []
+        env.defer(2.0, fired.append, "a")
+        env.step()
+        assert fired == ["a"]
+        assert env.now == 2.0
+
+    def test_defer_and_call_later_share_scheduling_order(self):
+        """Both forms take the same heap slot: ties keep call order."""
+        env = Environment()
+        fired = []
+        for index, delay in enumerate([3.0, 1.0, 1.0, 2.0, 1.0, 0.0, 1.0]):
+            schedule = env.defer if index % 2 else env.call_later
+            schedule(delay, fired.append, (delay, index))
+        env.run()
+        assert fired == [
+            (0.0, 5), (1.0, 1), (1.0, 2), (1.0, 4), (1.0, 6), (2.0, 3), (3.0, 0)
+        ]
 
 
 class TestProcesses:
@@ -327,9 +373,6 @@ class TestConditions:
 
 class TestKernelProperties:
     def test_events_fire_in_time_order_property(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
         @given(st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=50))
         @settings(max_examples=80, deadline=None)
         def check(delays):
@@ -374,3 +417,128 @@ class TestKernelProperties:
         env.run()
         assert len(done) == 500
         assert sorted(done) == list(range(500))
+
+
+# -- Environment.run held to a loop of single step() calls -----------------
+#
+# ``run`` drains same-tick entries as a batch; ``step`` pops one entry at
+# a time.  The reference below is ``run`` written with ``step`` alone, and
+# the differential builds one random schedule twice and asks both for the
+# same fired order, clock, return value and raised exception.
+
+#: Few distinct delays, so same-tick ties are the common case.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5])
+
+_OPS = st.one_of(
+    st.tuples(st.just("defer"), _DELAYS),
+    st.tuples(st.just("call_later"), _DELAYS),
+    st.tuples(st.just("chain"), _DELAYS, _DELAYS),
+    st.tuples(st.just("process"), st.lists(_DELAYS, max_size=4)),
+    st.tuples(st.just("interrupt"), _DELAYS, _DELAYS),
+    st.tuples(st.just("fail"), _DELAYS),
+)
+
+_UNTIL = st.one_of(
+    st.none(),
+    _DELAYS,
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.just("process"),
+)
+
+
+def _ticker(env, note, tag, delays):
+    for delay in delays:
+        yield env.timeout(delay)
+        note(tag)
+    return tag
+
+
+def _sleeper(env, note, tag, delay):
+    try:
+        yield env.timeout(delay)
+        note((tag, "slept"))
+    except Interrupt as interrupt:
+        note((tag, "interrupted", interrupt.cause))
+        yield env.timeout(delay)
+    return tag
+
+
+def _build(env, log, ops, until):
+    """Schedule ``ops`` on ``env``; returns the ``until`` to run to."""
+
+    def note(tag):
+        log.append((tag, env.now))
+
+    def wake(victim, cause):
+        if victim.is_alive:
+            victim.interrupt(cause)
+
+    processes = []
+    for index, (kind, *args) in enumerate(ops):
+        if kind == "defer":
+            env.defer(args[0], note, index)
+        elif kind == "call_later":
+            env.call_later(args[0], note, index)
+        elif kind == "chain":  # a deferred callback that defers again
+            env.defer(args[0], env.defer, args[1], note, index)
+        elif kind == "process":
+            processes.append(env.process(_ticker(env, note, index, args[0])))
+        elif kind == "interrupt":
+            victim = env.process(_sleeper(env, note, index, args[0]))
+            env.call_later(args[1], wake, victim, index)
+            processes.append(victim)
+        else:  # an event that fails with nobody waiting on it
+            env.defer(
+                args[0], lambda tag=index: env.event().fail(ValueError(tag))
+            )
+    if until == "process":
+        # With no process to wait for: an event that never triggers.
+        return processes[-1] if processes else env.event()
+    if isinstance(until, tuple):
+        return env.timeout(until[1], value="stop")
+    return until
+
+
+def _run(env, until):
+    return env.run(until), env.now
+
+
+def _run_by_steps(env, until):
+    """``Environment.run`` spelled as one ``step()`` per entry."""
+    stop_event = until if isinstance(until, Event) else None
+    timed = until is not None and stop_event is None
+    stop = float(until) if timed else float("inf")
+    while env.queue_size and env.peek() <= stop:
+        if stop_event is not None and stop_event.processed:
+            return stop_event.value, env.now
+        env.step()
+    if stop_event is not None:
+        if stop_event.processed:
+            return stop_event.value, env.now
+        raise SimulationError(
+            "event queue exhausted before the awaited event triggered"
+        )
+    if timed:
+        env._now = stop  # run(until=time) leaves the clock at that time
+    return None, env.now
+
+
+def _outcome(runner, ops, until):
+    env = Environment()
+    log = []
+    results = []
+    # The first call stops where ``until`` says; the second resumes the
+    # same environment and drains what is left.
+    for target in (_build(env, log, ops, until), None):
+        try:
+            results.append(runner(env, target))
+        except (ValueError, SimulationError) as error:
+            results.append((type(error), str(error), env.now))
+    return log, results, env.queue_size
+
+
+class TestRunMatchesStepLoop:
+    @given(st.lists(_OPS, max_size=12), _UNTIL)
+    @settings(max_examples=300, deadline=None)
+    def test_run_equals_step_loop(self, ops, until):
+        assert _outcome(_run, ops, until) == _outcome(_run_by_steps, ops, until)
