@@ -14,7 +14,7 @@ Run:
     python examples/multi_key.py
 """
 
-from repro import MultiKeySimulation, SimulationConfig
+from repro import SimulationConfig, run_scale
 
 
 def main() -> None:
@@ -28,10 +28,9 @@ def main() -> None:
     )
     results = {}
     for scheme in ("pcx", "dup"):
-        sim = MultiKeySimulation(
+        results[scheme] = run_scale(
             base.replace(scheme=scheme), num_keys=12, key_zipf_theta=0.8
         )
-        results[scheme] = sim.run()
 
     print("== aggregate over 12 keys, 256 nodes ==")
     for scheme, result in results.items():

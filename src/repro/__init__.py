@@ -25,13 +25,13 @@ Quickstart
 from repro.core import DupProtocol, SubscriberList, WindowInterestPolicy
 from repro.engine import (
     ComparisonResult,
-    MultiKeySimulation,
     ReplicatedResult,
     Simulation,
     SimulationConfig,
     SimulationResult,
     compare_schemes,
     run_replications,
+    run_scale,
     run_simulation,
 )
 from repro.engine.runner import sweep
@@ -47,7 +47,6 @@ __all__ = [
     "ChurnConfig",
     "ComparisonResult",
     "DupProtocol",
-    "MultiKeySimulation",
     "ReplicatedResult",
     "ReproError",
     "SearchTree",
@@ -63,6 +62,7 @@ __all__ = [
     "make_scheme",
     "random_search_tree",
     "run_replications",
+    "run_scale",
     "run_simulation",
     "sweep",
 ]

@@ -32,6 +32,9 @@ Mechanics
   the delegate receives a :class:`Reclaim`, dissolving the split.
 - No candidate (all entries capped, dead, or cyclic) falls back to the
   PR-7 refusal — redirect upstream plus NACK — so coverage never drops.
+- A Section III-C ``RefreshSubscribe`` reaching a capped node that does
+  not list its subject is split or redirected the same way (without the
+  NACK: repair traffic is no fault of the subject).
 
 Delegated entries are deliberately *cross-branch* state: ``d`` lists a
 subject that is not in its subtree, exactly like the parent does after a
@@ -156,8 +159,11 @@ class DupBalancer:
         Returns ``True`` when the payload was fully handled here (the
         caller must skip the plain ``protocol.step``).  The pipeline, in
         order: delegation payloads, routing for delegated subjects,
-        redirect relaying (the PR-7 flow), and — for a fresh subscribe at
-        a capped node — split-or-refuse.
+        redirect relaying (the overload layer's flow), and — for a
+        subscribe at a capped node that does not list its subject —
+        split-or-refuse.  A III-C ``RefreshSubscribe`` counts as such a
+        subscribe: at the first node that does not list the subject it
+        becomes one.
         """
         if isinstance(payload, Delegate):
             self._accept_delegate(node, payload, combined)
@@ -171,7 +177,7 @@ class DupBalancer:
             return True
         if self._relay_dissolution(node, payload, combined):
             return True
-        if not isinstance(payload, Subscribe):
+        if not isinstance(payload, (Subscribe, RefreshSubscribe)):
             return False
         subject = payload.subject
         if subject == node or self._is_root(node):
@@ -339,13 +345,24 @@ class DupBalancer:
         return False
 
     def _refuse(
-        self, node: NodeId, payload: Subscribe, combined: StepResult
+        self,
+        node: NodeId,
+        payload: "Subscribe | RefreshSubscribe",
+        combined: StepResult,
     ) -> bool:
-        """PR-7 fallback: redirect the subscribe upstream, NACK the subject."""
+        """Refusal fallback: redirect the payload upstream.
+
+        A refused subscribe NACKs its subject; a refused repair refresh
+        does not (the subject did nothing wrong, as for the orphans
+        ``shed_overflow`` redirects).
+        """
         subject = payload.subject
         self._redirected.setdefault(node, set()).add(subject)
         combined.upstream.append(payload)
-        self._on_reject(node, subject)
+        if isinstance(payload, Subscribe):
+            self._on_reject(node, subject)
+        else:
+            self._trace(node, "dup.refresh-redirect", f"subject={subject}")
         return True
 
     # -- splitting -----------------------------------------------------------

@@ -12,6 +12,8 @@ arrival-rate estimate) used by the ablation benchmark to quantify how much
 the policy choice matters.  :class:`AdaptiveInterestPolicy` keeps the
 paper's decision rule but lets each node tune its own threshold from the
 query rate it observes (ROADMAP item 5; the ``dup-adaptive`` scheme).
+:func:`make_interest_policy` builds the one a run configuration (or a
+scheme's override) selects; every engine and scheme goes through it.
 """
 
 from __future__ import annotations
@@ -307,3 +309,26 @@ class AdaptiveInterestPolicy:
             f"floor={self._floor}, ceiling={self._ceiling}, "
             f"threshold={self._threshold}, rate={self._rate:.4g})"
         )
+
+
+def make_interest_policy(
+    config, override: "str | None" = None
+) -> InterestPolicy:
+    """A fresh per-node interest policy for a run configuration.
+
+    ``config`` is a :class:`~repro.engine.config.SimulationConfig` (any
+    object with its interest fields will do).  ``override`` is a
+    scheme's ``interest_policy_override``: when set it replaces
+    ``config.interest_policy`` (``dup-adaptive`` forces ``"adaptive"``).
+    """
+    kind = override or config.interest_policy
+    if kind == "window":
+        return WindowInterestPolicy(config.ttl, config.threshold_c)
+    if kind == "adaptive":
+        return AdaptiveInterestPolicy(
+            config.ttl,
+            config.threshold_floor,
+            config.threshold_ceiling,
+            config.adaptive_gain,
+        )
+    return EwmaInterestPolicy(config.ttl, config.threshold_c)

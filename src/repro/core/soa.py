@@ -1,307 +1,20 @@
-"""Structure-of-arrays state for the scale tier (ROADMAP item 1).
+"""Flat-array expiry hints for the multi-key engine's cache sweeps.
 
-At 10^5+ nodes the per-object layers — dict-of-dicts trees, per-entry
-timer objects, per-node subscriber lists — dominate memory and make
-every sweep a Python loop.  This module provides the flat replacements:
+:class:`ExpiryWheel` keeps an append-only (deadline, a, b) record array
+and finds every due record with one vectorized
+``np.flatnonzero(expiry <= now)`` pass per sweep, instead of one timer
+object per cache entry.  Records are *hints*: the wheel never cancels,
+and callers re-validate on pop (a refreshed cache entry simply leaves a
+stale hint that the re-validation drops).  Its one customer is
+:class:`repro.engine.multikey.MultiKeyScaleSimulation`, whose wheel-swept
+caches push one hint per store.
 
-* :class:`SoaTree` — the index search tree as numpy parent/depth arrays
-  over dense slots, mirroring :class:`repro.topology.tree.SearchTree`'s
-  mutator semantics (the property tests run both against random churn
-  interleavings and compare).  Subtree updates are vectorized level
-  sweeps (``np.isin`` / ``np.flatnonzero``) instead of pointer chasing.
-* :class:`ExpiryWheel` — an append-only (deadline, a, b) record array
-  with one vectorized ``np.flatnonzero(expiry <= now)`` pass per sweep.
-  Records are *hints*: the wheel never cancels, callers re-validate on
-  pop (a refreshed cache entry simply produces a stale hint that the
-  re-validation drops).
-* :class:`FlatSubscriberTable` — (holder, entry) subscription pairs as
-  parallel int arrays with O(1) membership and swap-with-last removal,
-  so population-wide fanout statistics are one ``np.unique`` call.
-
-Everything here is deterministic and allocation-frugal; nothing draws
-randomness.  The single-key engine keeps its dict-based structures (bit
-compatibility with the goldens is pinned there); the multi-key scale
-engine and the telemetry layer build on these.
+Deterministic and allocation-frugal; nothing here draws randomness.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 import numpy as np
-
-from repro.errors import NodeNotFoundError, TopologyError
-
-NodeId = int
-
-#: Parent-slot sentinel for the root.
-_ROOT = -1
-#: Parent-slot sentinel for a free (unallocated) slot.
-_FREE = -2
-
-
-class SoaTree:
-    """A rooted tree stored as parent/depth arrays over dense slots.
-
-    Node ids map to dense integer slots; ``parent[slot]`` holds the
-    parent's slot (``-1`` for the root), ``depth[slot]`` the hop count
-    to the root.  Mutators mirror :class:`~repro.topology.tree.SearchTree`
-    (same operations, same error types) so the two are interchangeable
-    oracles; child order is not represented (the scale tier never
-    consumes it).
-    """
-
-    def __init__(self, root: NodeId, capacity: int = 64):
-        capacity = max(8, int(capacity))
-        self._index: dict[NodeId, int] = {root: 0}
-        self._ids = np.empty(capacity, dtype=np.int64)
-        self._parent = np.full(capacity, _FREE, dtype=np.int64)
-        self._depth = np.zeros(capacity, dtype=np.int64)
-        self._ids[0] = root
-        self._parent[0] = _ROOT
-        self._root = root
-        self._free: list[int] = []
-        self._limit = 1  # slots [0, _limit) have ever been used
-        self._version = 0
-
-    # -- plumbing ---------------------------------------------------------
-    def _grow(self) -> None:
-        capacity = len(self._parent) * 2
-        self._ids = np.resize(self._ids, capacity)
-        parent = np.full(capacity, _FREE, dtype=np.int64)
-        parent[: self._limit] = self._parent[: self._limit]
-        self._parent = parent
-        self._depth = np.resize(self._depth, capacity)
-
-    def _alloc(self, node: NodeId) -> int:
-        if self._free:
-            slot = self._free.pop()
-        else:
-            if self._limit == len(self._parent):
-                self._grow()
-            slot = self._limit
-            self._limit += 1
-        self._ids[slot] = node
-        self._index[node] = slot
-        return slot
-
-    def _release(self, node: NodeId, slot: int) -> None:
-        del self._index[node]
-        self._parent[slot] = _FREE
-        self._free.append(slot)
-
-    def _slot(self, node: NodeId) -> int:
-        slot = self._index.get(node)
-        if slot is None:
-            raise NodeNotFoundError(f"node {node} not in tree")
-        return slot
-
-    def _child_slots(self, slots: np.ndarray) -> np.ndarray:
-        """Slots whose parent is in ``slots`` (one vectorized pass)."""
-        prefix = self._parent[: self._limit]
-        return np.flatnonzero(np.isin(prefix, slots))
-
-    def _shift_subtree(self, slot: int, delta: int) -> None:
-        """Adjust depths of ``slot``'s whole subtree by ``delta``.
-
-        Vectorized level sweep: each round resolves one tree level of
-        the subtree with ``np.isin`` over the parent array.
-        """
-        frontier = np.array([slot], dtype=np.int64)
-        while frontier.size:
-            self._depth[frontier] += delta
-            frontier = self._child_slots(frontier)
-
-    # -- construction -----------------------------------------------------
-    def add_leaf(self, parent: NodeId, node: NodeId) -> None:
-        """Attach ``node`` as a new child of ``parent``."""
-        parent_slot = self._slot(parent)
-        if node in self._index:
-            raise TopologyError(f"node {node} already in tree")
-        slot = self._alloc(node)
-        self._parent[slot] = parent_slot
-        self._depth[slot] = self._depth[parent_slot] + 1
-        self._version += 1
-
-    def insert_on_edge(
-        self, upper: NodeId, lower: NodeId, node: NodeId
-    ) -> None:
-        """Insert ``node`` between ``upper`` (parent) and ``lower``."""
-        upper_slot = self._slot(upper)
-        lower_slot = self._slot(lower)
-        if node in self._index:
-            raise TopologyError(f"node {node} already in tree")
-        if self._parent[lower_slot] != upper_slot:
-            raise TopologyError(
-                f"({upper}, {lower}) is not an edge of the tree"
-            )
-        slot = self._alloc(node)
-        self._parent[slot] = upper_slot
-        self._depth[slot] = self._depth[upper_slot] + 1
-        self._parent[lower_slot] = slot
-        self._shift_subtree(lower_slot, +1)
-        self._version += 1
-
-    def remove_leaf(self, node: NodeId) -> None:
-        """Remove a leaf node (fails if it has children or is the root)."""
-        slot = self._slot(node)
-        if node == self._root:
-            raise TopologyError("cannot remove the root")
-        if self._child_slots(np.array([slot], dtype=np.int64)).size:
-            raise TopologyError(f"node {node} is not a leaf")
-        self._release(node, slot)
-        self._version += 1
-
-    def splice_out(self, node: NodeId) -> NodeId:
-        """Remove an interior node; its children re-parent to its parent."""
-        slot = self._slot(node)
-        if node == self._root:
-            raise TopologyError(
-                "cannot splice out the root; use replace_root instead"
-            )
-        parent_slot = self._parent[slot]
-        orphans = self._child_slots(np.array([slot], dtype=np.int64))
-        # The subtree loses a level before the re-parent (the orphan
-        # sweep covers each orphan's own subtree).
-        for orphan in orphans:
-            self._shift_subtree(int(orphan), -1)
-        self._parent[orphans] = parent_slot
-        self._release(node, slot)
-        self._version += 1
-        return int(self._ids[parent_slot])
-
-    def replace_root(self, new_root: NodeId) -> None:
-        """Replace a failed root with a fresh node."""
-        if new_root in self._index:
-            raise TopologyError(f"node {new_root} already in tree")
-        old_root = self._root
-        old_slot = self._index[old_root]
-        children = self._child_slots(np.array([old_slot], dtype=np.int64))
-        slot = self._alloc(new_root)
-        self._parent[slot] = _ROOT
-        self._depth[slot] = 0
-        self._parent[children] = slot
-        self._release(old_root, old_slot)
-        self._root = new_root
-        self._version += 1
-
-    def promote_to_root(self, node: NodeId) -> NodeId:
-        """An existing node takes over the failed root's position."""
-        self._slot(node)
-        if node == self._root:
-            raise TopologyError(f"node {node} is already the root")
-        absorber = self.splice_out(node)
-        self.replace_root(node)
-        return absorber
-
-    def rename(self, old: NodeId, new: NodeId) -> None:
-        """Give node ``old`` the id ``new``, keeping its tree position."""
-        slot = self._slot(old)
-        if new in self._index:
-            raise TopologyError(f"node {new} already in tree")
-        del self._index[old]
-        self._index[new] = slot
-        self._ids[slot] = new
-        if old == self._root:
-            self._root = new
-        self._version += 1
-
-    # -- queries ------------------------------------------------------------
-    @property
-    def root(self) -> NodeId:
-        """The authority node of the tree's key."""
-        return self._root
-
-    @property
-    def version(self) -> int:
-        """Structure version: bumped by every mutating operation."""
-        return self._version
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._index)
-
-    def parent(self, node: NodeId) -> Optional[NodeId]:
-        """Parent of ``node`` (``None`` for the root)."""
-        parent_slot = self._parent[self._slot(node)]
-        if parent_slot == _ROOT:
-            return None
-        return int(self._ids[parent_slot])
-
-    def depth(self, node: NodeId) -> int:
-        """Number of hops from ``node`` up to the root."""
-        return int(self._depth[self._slot(node)])
-
-    def path_to_root(self, node: NodeId) -> list[NodeId]:
-        """Nodes from ``node`` (inclusive) up to the root (inclusive)."""
-        slot = self._slot(node)
-        path = [node]
-        parent = self._parent[slot]
-        while parent != _ROOT:
-            path.append(int(self._ids[parent]))
-            parent = self._parent[parent]
-        return path
-
-    def is_leaf(self, node: NodeId) -> bool:
-        """Whether ``node`` has no children."""
-        slot = self._slot(node)
-        return not self._child_slots(np.array([slot], dtype=np.int64)).size
-
-    def children(self, node: NodeId) -> tuple[NodeId, ...]:
-        """Children of ``node``, ascending by slot (not insertion order)."""
-        slot = self._slot(node)
-        child = self._child_slots(np.array([slot], dtype=np.int64))
-        return tuple(int(i) for i in self._ids[child])
-
-    def _present_slots(self) -> np.ndarray:
-        return np.flatnonzero(self._parent[: self._limit] != _FREE)
-
-    def depths(self) -> np.ndarray:
-        """Depth of every present node (one array, unspecified order)."""
-        return self._depth[self._present_slots()]
-
-    def height(self) -> int:
-        """Maximum depth over all nodes (vectorized)."""
-        return int(self.depths().max())
-
-    def mean_depth(self) -> float:
-        """Average depth over all nodes (vectorized)."""
-        depths = self.depths()
-        return float(depths.mean())
-
-    # -- invariants -----------------------------------------------------------
-    def validate(self) -> None:
-        """Check structural invariants; raise :class:`TopologyError` if broken."""
-        present = self._present_slots()
-        if len(present) != len(self._index):
-            raise TopologyError("slot bookkeeping out of sync")
-        root_slot = self._index.get(self._root)
-        if root_slot is None or self._parent[root_slot] != _ROOT:
-            raise TopologyError("root has a parent or is missing")
-        roots = np.flatnonzero(self._parent[: self._limit] == _ROOT)
-        if len(roots) != 1:
-            raise TopologyError(f"{len(roots)} roots present")
-        # Walk levels from the root: checks reachability, cycle freedom,
-        # and depth consistency in one sweep.
-        seen = 0
-        expected_depth = 0
-        frontier = np.array([root_slot], dtype=np.int64)
-        while frontier.size:
-            if not np.all(self._depth[frontier] == expected_depth):
-                raise TopologyError("depth array inconsistent")
-            seen += frontier.size
-            frontier = self._child_slots(frontier)
-            expected_depth += 1
-        if seen != len(present):
-            raise TopologyError("unreachable nodes present")
-
-    def __repr__(self) -> str:
-        return f"SoaTree(root={self._root}, nodes={len(self._index)})"
 
 
 class ExpiryWheel:
@@ -313,7 +26,7 @@ class ExpiryWheel:
     never cancelled or updated in place — a renewed entry just pushes a
     fresh record, and the caller drops the superseded hint when it pops
     (lazy invalidation).  ``a``/``b`` are opaque int tags; the cache
-    sweep uses (node, key), the lease sweep (holder, entry).
+    sweep files the node in ``a`` and leaves ``b`` at 0.
     """
 
     __slots__ = ("_times", "_a", "_b", "_size")
@@ -369,83 +82,3 @@ class ExpiryWheel:
 
     def __repr__(self) -> str:
         return f"ExpiryWheel(pending={self._size})"
-
-
-class FlatSubscriberTable:
-    """(holder, entry) subscription pairs as parallel int arrays.
-
-    O(1) add/discard/membership through a row index; removal swaps the
-    last row in.  Fanout statistics over the whole population —
-    per-holder counts, the max/mean fanout the telemetry layer samples —
-    are single ``np.unique`` passes instead of dict iterations.
-    """
-
-    __slots__ = ("_holders", "_entries", "_rows", "_size")
-
-    def __init__(self, capacity: int = 256):
-        capacity = max(16, int(capacity))
-        self._holders = np.empty(capacity, dtype=np.int64)
-        self._entries = np.empty(capacity, dtype=np.int64)
-        self._rows: dict[tuple[int, int], int] = {}
-        self._size = 0
-
-    def add(self, holder: NodeId, entry: NodeId) -> bool:
-        """Insert the pair; returns False when it was already present."""
-        pair = (holder, entry)
-        if pair in self._rows:
-            return False
-        size = self._size
-        if size == len(self._holders):
-            capacity = size * 2
-            self._holders = np.resize(self._holders, capacity)
-            self._entries = np.resize(self._entries, capacity)
-        self._holders[size] = holder
-        self._entries[size] = entry
-        self._rows[pair] = size
-        self._size = size + 1
-        return True
-
-    def discard(self, holder: NodeId, entry: NodeId) -> bool:
-        """Remove the pair; returns False when it was absent."""
-        row = self._rows.pop((holder, entry), None)
-        if row is None:
-            return False
-        last = self._size - 1
-        if row != last:
-            moved = (int(self._holders[last]), int(self._entries[last]))
-            self._holders[row] = moved[0]
-            self._entries[row] = moved[1]
-            self._rows[moved] = row
-        self._size = last
-        return True
-
-    def __contains__(self, pair: tuple[NodeId, NodeId]) -> bool:
-        return pair in self._rows
-
-    def __len__(self) -> int:
-        return self._size
-
-    def entries_for(self, holder: NodeId) -> np.ndarray:
-        """Entries held by ``holder`` (one vectorized pass)."""
-        prefix = self._holders[: self._size]
-        return self._entries[: self._size][prefix == holder]
-
-    def count_for(self, holder: NodeId) -> int:
-        """Number of entries ``holder`` lists."""
-        return int(
-            np.count_nonzero(self._holders[: self._size] == holder)
-        )
-
-    def fanout(self) -> tuple[np.ndarray, np.ndarray]:
-        """(holders, counts) over the whole table — one ``np.unique``."""
-        return np.unique(self._holders[: self._size], return_counts=True)
-
-    def max_fanout(self) -> int:
-        """Largest per-holder entry count (0 when empty)."""
-        if not self._size:
-            return 0
-        _, counts = self.fanout()
-        return int(counts.max())
-
-    def __repr__(self) -> str:
-        return f"FlatSubscriberTable(pairs={self._size})"

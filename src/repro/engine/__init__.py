@@ -12,7 +12,7 @@ from repro.engine.parallel import (
 )
 from repro.engine.telemetry import TelemetryWriter, render_top
 from repro.engine.results import ComparisonResult, ReplicatedResult, SimulationResult
-from repro.engine.multikey import MultiKeySimulation
+from repro.engine.multikey import run_scale
 from repro.engine.runner import (
     compare_many,
     compare_schemes,
@@ -25,7 +25,6 @@ from repro.engine.simulation import Simulation
 
 __all__ = [
     "ComparisonResult",
-    "MultiKeySimulation",
     "ParallelRunner",
     "ProgressEvent",
     "ReplicatedResult",
@@ -41,6 +40,7 @@ __all__ = [
     "replicate_many",
     "resolve_workers",
     "run_replications",
+    "run_scale",
     "run_simulation",
     "set_default_event_sink",
     "set_default_progress",

@@ -1,4 +1,4 @@
-"""Multi-key simulation: many indices sharing one overlay.
+"""Multi-key simulation: many indices sharing one Chord overlay.
 
 The paper's evaluation fixes a single index at one authority ("the index
 is maintained at the root node") — a clean isolation of one propagation
@@ -7,34 +7,34 @@ own authority on the DHT, giving every key its own search tree over the
 *same* node population, with caches, transport, and cost accounting
 shared.
 
-:class:`MultiKeySimulation` builds a Chord ring, derives one search tree
-per key, instantiates an independent scheme instance per key (each bound
-to a per-key facade slice), and drives a workload where queries pick a
+:class:`MultiKeyScaleSimulation` is the one multi-key engine.  Every key
+gets a :class:`~repro.topology.chord_tree.LazyChordTree` (parents follow
+the ring's next hops, computed on first use), its own scheme instance
+bound to a per-key facade slice, and its own authority; queries pick a
 key by a Zipf law over keys and an origin node by the paper's Zipf law
-over nodes.  Metrics aggregate across keys; per-key breakdowns are
-available for analysis.
+over nodes.  Left at ``shard_index=0, shard_count=1`` one instance runs
+every key; :func:`run_scale` cuts the key ranking into rank shards, runs
+them on any number of workers, and merges the shard results exactly.
+Metrics aggregate across keys; per-key query counts are in the extras.
 
-Churn is intentionally out of scope here (each key's tree would need its
-own repair sequencing); use the single-key engine for churn studies.
+Churn is out of scope here (each key's tree would need its own repair
+sequencing) and is rejected with a :class:`~repro.errors.ConfigError`;
+use the single-key engine for churn studies.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Optional
 
-from repro.core.interest import (
-    AdaptiveInterestPolicy,
-    EwmaInterestPolicy,
-    WindowInterestPolicy,
-)
+from repro.core.soa import ExpiryWheel
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
 from repro.errors import ConfigError
 from repro.index.authority import Authority
 from repro.index.cache import IndexCache
 from repro.index.entry import IndexVersion
-from repro.core.soa import ExpiryWheel, FlatSubscriberTable
 from repro.metrics.counters import CostLedger
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.windows import TimeBuckets, WindowedReservoir
@@ -45,7 +45,7 @@ from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.stats.distributions import Exponential, shared_zipf
 from repro.topology.chord import ChordRing
-from repro.topology.chord_tree import LazyChordTree, chord_search_tree
+from repro.topology.chord_tree import LazyChordTree
 from repro.workload.arrivals import (
     QuerySource,
     make_arrival_process,
@@ -62,19 +62,18 @@ class _KeySlice:
     Implements the same narrow interface as
     :class:`repro.engine.simulation.Simulation` but scoped to one key's
     tree and authority, while sharing the clock, transport, caches, and
-    metric recorders with every other key.
+    metric recorders with every other key of the engine.
     """
 
     #: Interface parity: the multi-key engine has no reliable channel
     #: (schemes fall back to plain transport sends) and no tracer.
     reliable = tracer = None
 
-    def __init__(self, owner: "MultiKeySimulation", key: int, tree):
+    def __init__(self, owner: "MultiKeyScaleSimulation", key: int, tree):
         self._owner = owner
         self.key = key
         self.tree = tree
         self.authority: Optional[Authority] = None
-        self.scheme: Optional[object] = None
         # Shared with every other key of the owner: the clock, the
         # transport and its cost ledger, and the run configuration.
         self.env: Environment = owner.env
@@ -141,232 +140,8 @@ class _KeySlice:
     ) -> None:
         """Interface parity: annotations are dropped (no tracer here)."""
 
-    def make_interest_policy(self):
-        """Per-node, per-key interest policy.
-
-        Mirrors :meth:`Simulation.make_interest_policy`, including the
-        scheme-level ``interest_policy_override`` consult (the scheme
-        back-reference is set when the slice is wired up).
-        """
-        config = self.config
-        kind = (
-            getattr(self.scheme, "interest_policy_override", None)
-            or config.interest_policy
-        )
-        if kind == "window":
-            return WindowInterestPolicy(config.ttl, config.threshold_c)
-        if kind == "adaptive":
-            return AdaptiveInterestPolicy(
-                config.ttl,
-                config.threshold_floor,
-                config.threshold_ceiling,
-                config.adaptive_gain,
-            )
-        return EwmaInterestPolicy(config.ttl, config.threshold_c)
-
     def forget_node(self, node: NodeId) -> None:  # pragma: no cover - no churn
         """Interface parity with the single-key engine."""
-
-
-def _start_workload(engine, rate: float, stream, key_law, key_ids) -> None:
-    """Start every key's authority, then the engine's queries at ``rate``:
-    each draws an origin from the node selector and a key rank from
-    ``key_law`` (key ``key_ids[rank]``), read ahead on ``stream(name)``."""
-    config = engine.config
-    slices, schemes = engine.slices, engine.schemes
-    for key, slice_ in slices.items():
-        slice_.authority = Authority(
-            env=engine.env,
-            key=key,
-            ttl=config.ttl,
-            push_lead=config.push_lead,
-            on_new_version=schemes[key].on_new_version,
-            value=f"host-of-{key}",
-        )
-    next_key_rank = read_ahead(key_law, stream("key-draws")).__next__
-
-    def issue(node: NodeId) -> None:
-        key = key_ids[next_key_rank()]
-        if node == slices[key].tree.root:
-            # The authority answers its own queries locally.
-            engine.record_latency(key, 0, engine.env.now)
-        else:
-            schemes[key].on_local_query(node)
-
-    QuerySource(
-        engine.env,
-        make_arrival_process(
-            config.arrival, rate, stream("arrivals"), config.pareto_alpha
-        ),
-        engine._node_selector,
-        stream("placement-draws"),
-        issue,
-    ).schedule_next()
-
-
-class MultiKeySimulation:
-    """Simulate ``num_keys`` indices over one shared Chord overlay.
-
-    Parameters
-    ----------
-    config:
-        Base configuration.  ``topology`` must be ``"chord"`` (per-key
-        trees require a real DHT); ``query_rate`` is the network-wide
-        rate across *all* keys; churn must be disabled.
-    num_keys:
-        Number of distinct indices.
-    key_zipf_theta:
-        Popularity skew across keys (0 = uniform).
-    """
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        num_keys: int = 8,
-        key_zipf_theta: float = 0.8,
-    ):
-        config.validate()
-        if num_keys < 1:
-            raise ConfigError(f"need at least one key, got {num_keys}")
-        if config.topology != "chord":
-            raise ConfigError("multi-key simulation requires topology='chord'")
-        if config.churn is not None and config.churn.enabled:
-            raise ConfigError("multi-key simulation does not support churn")
-        self.config = config
-        self.num_keys = num_keys
-        self.streams = RandomStreams(config.seed)
-        self.env = Environment()
-        rng = self.streams.get("topology")
-        self.ring = ChordRing.random(config.num_nodes, rng, bits=32)
-        self.ledger = CostLedger(
-            clock=lambda: self.env.now,
-            warmup=config.warmup,
-            count_keepalive=config.count_keepalive,
-        )
-        self.latency = LatencyRecorder(
-            clock=lambda: self.env.now,
-            warmup=config.warmup,
-            keep_samples=config.keep_latency_samples,
-        )
-        self.transport = Transport(
-            env=self.env,
-            latency=Exponential(config.hop_latency_mean),
-            rng=self.streams.get("latency"),
-            ledger=self.ledger,
-        )
-        self.transport.bind(self._dispatch)
-        self._caches: dict[NodeId, IndexCache] = {}
-        self._incomplete = 0
-        self._queries_per_key: dict[int, int] = {}
-
-        self.slices: dict[int, _KeySlice] = {}
-        self.schemes: dict[int, object] = {}
-        for index in range(num_keys):
-            key = int(rng.integers(0, 1 << 32))
-            while key in self.slices:  # pragma: no cover - 2^-32 chance
-                key = int(rng.integers(0, 1 << 32))
-            tree = chord_search_tree(self.ring, key)
-            slice_ = _KeySlice(self, key, tree)
-            scheme = make_scheme(config.scheme)
-            slice_.scheme = scheme
-            scheme.bind(slice_)
-            self.slices[key] = slice_
-            self.schemes[key] = scheme
-            self._queries_per_key[key] = 0
-
-        # Shared CDF table: the key law is a pure function of
-        # (num_keys, theta), so 4096-key configs reuse one cumsum.
-        self._key_selector = shared_zipf(num_keys, key_zipf_theta)
-        self._key_order = list(self.slices)
-        self._node_selector = ZipfNodeSelector(
-            self.ring.node_ids,
-            config.zipf_theta,
-            self.streams.get("placement"),
-        )
-        self._ran = False
-
-    # -- shared services ---------------------------------------------------
-    def cache(self, node: NodeId) -> IndexCache:
-        """One cache per node, holding entries for every key."""
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = IndexCache()
-            self._caches[node] = cache
-        return cache
-
-    def record_latency(self, key: int, hops: float, issued_at: float) -> None:
-        """Aggregate recorder plus a per-key query counter."""
-        self.latency.record(hops, issued_at)
-        if issued_at >= self.config.warmup:
-            self._queries_per_key[key] += 1
-
-    def note_incomplete_query(self) -> None:
-        """Interface parity; unreachable without churn."""
-        self._incomplete += 1
-
-    def _dispatch(self, destination: NodeId, message: Message) -> None:
-        scheme = self.schemes.get(message.key)
-        if scheme is None:  # pragma: no cover - defensive
-            self.transport.drop()
-            if isinstance(message, ReplyMessage):
-                self.note_incomplete_query()
-            return
-        scheme.on_message(destination, message)
-
-    # -- running ----------------------------------------------------------------
-    def run(self) -> SimulationResult:
-        """Run and return aggregate results (per-key counts in extras)."""
-        if self._ran:
-            raise RuntimeError("a MultiKeySimulation runs only once")
-        self._ran = True
-        started = time.perf_counter()
-        _start_workload(
-            self,
-            self.config.query_rate,
-            self.streams.get,
-            self._key_selector,
-            self._key_order,
-        )
-        self.env.run(until=self.config.duration)
-        wall = time.perf_counter() - started
-
-        extras: dict[str, object] = {
-            "num_keys": self.num_keys,
-            "queries_per_key": dict(
-                sorted(
-                    self._queries_per_key.items(),
-                    key=lambda item: -item[1],
-                )
-            ),
-        }
-        subscribed_total = 0
-        for scheme in self.schemes.values():
-            if hasattr(scheme, "subscribed_nodes"):
-                subscribed_total += len(scheme.subscribed_nodes())
-        if subscribed_total:
-            extras["total_subscriptions"] = subscribed_total
-        keep = self.config.keep_latency_samples and self.latency.count
-        return SimulationResult(
-            config=self.config,
-            scheme=f"{self.config.scheme} (x{self.num_keys} keys)",
-            queries=self.latency.count,
-            mean_latency=self.latency.mean,
-            latency_ci=self.latency.confidence_interval() if keep else None,
-            cost_per_query=self.ledger.cost_per_query(self.latency.count),
-            hit_rate=self.latency.hit_rate,
-            hop_breakdown=dict(self.ledger.breakdown()),
-            dropped_messages=self.transport.dropped,
-            incomplete_queries=self._incomplete,
-            final_population=len(self.ring),
-            wall_seconds=wall,
-            extras=extras,
-            latency_percentiles=self.latency.percentiles() if keep else {},
-        )
-
-
-# ---------------------------------------------------------------------------
-# Sharded scale path: 10^5 nodes x 10^3 keys in bounded memory
-# ---------------------------------------------------------------------------
 
 
 class _SweptCache(IndexCache):
@@ -408,7 +183,12 @@ def default_shard_count(num_keys: int) -> int:
 
 
 class MultiKeyScaleSimulation:
-    """One shard of a sharded multi-key run at population scale.
+    """Simulate ``num_keys`` indices over one shared Chord overlay.
+
+    With the default ``shard_index=0, shard_count=1`` one instance runs
+    every key.  ``config.topology`` must be ``"chord"`` (per-key trees
+    need a real DHT), ``config.query_rate`` is the network-wide rate
+    across *all* keys, and churn must be disabled.
 
     The multi-key workload decomposes exactly by key: a query for key
     ``k`` touches only ``k``'s search tree, authority, and cache
@@ -425,12 +205,11 @@ class MultiKeyScaleSimulation:
       views — O(1) setup, parents materialized only for nodes the
       workload actually touches — instead of eagerly materialized
       O(n log n)-per-key dicts.
-    - Caches are wheel-swept (:class:`_SweptCache`), latency tails come
-      from bounded streaming estimators
+    - Caches are wheel-swept (:class:`_SweptCache`), and latency tails
+      come from bounded streaming estimators
       (:class:`~repro.metrics.windows.WindowedReservoir` /
       :class:`~repro.metrics.windows.TimeBuckets`) instead of per-query
-      sample lists, and subscription fanout is audited through one
-      :class:`~repro.core.soa.FlatSubscriberTable`.
+      sample lists.
 
     The ring and the key sequence are drawn from the same streams for
     every shard (they depend only on the config), so shard ``i`` of
@@ -528,7 +307,6 @@ class MultiKeyScaleSimulation:
             tree = LazyChordTree(self.ring, key)
             slice_ = _KeySlice(self, key, tree)
             scheme = make_scheme(config.scheme)
-            slice_.scheme = scheme
             scheme.bind(slice_)
             self.slices[key] = slice_
             self.schemes[key] = scheme
@@ -547,7 +325,7 @@ class MultiKeyScaleSimulation:
             f"scale/{self.rank_lo}-{self.rank_hi}/{name}"
         )
 
-    # -- shared services (interface mirrored from MultiKeySimulation) -------
+    # -- shared services (the per-key slices delegate here) -----------------
     def cache(self, node: NodeId) -> IndexCache:
         """One wheel-swept cache per node, shared by the shard's keys."""
         cache = self._caches.get(node)
@@ -601,28 +379,60 @@ class MultiKeyScaleSimulation:
             raise RuntimeError("a MultiKeyScaleSimulation runs only once")
         self._ran = True
         started = time.perf_counter()
+        config = self.config
+        slices, schemes, keys = self.slices, self.schemes, self._keys
+        for key, slice_ in slices.items():
+            slice_.authority = Authority(
+                env=self.env,
+                key=key,
+                ttl=config.ttl,
+                push_lead=config.push_lead,
+                on_new_version=schemes[key].on_new_version,
+                value=f"host-of-{key}",
+            )
+        # Each query draws an origin from the node selector and a key
+        # rank from the shard's conditional key law.
+        next_key_rank = read_ahead(
+            self._key_slice, self._stream("key-draws")
+        ).__next__
+
+        def issue(node: NodeId) -> None:
+            key = keys[next_key_rank()]
+            if node == slices[key].tree.root:
+                # The authority answers its own queries locally.
+                self.record_latency(key, 0, self.env.now)
+            else:
+                schemes[key].on_local_query(node)
+
         # Thinning: a Poisson stream marked by an independent key draw
         # splits into independent Poisson streams per mark subset; this
         # shard's subset is its rank range, with probability mass
         # ``slice.mass`` under the key law.
-        _start_workload(
-            self,
-            self.config.query_rate * self._key_slice.mass,
-            self._stream,
-            self._key_slice,
-            self._keys,
-        )
+        QuerySource(
+            self.env,
+            make_arrival_process(
+                config.arrival,
+                config.query_rate * self._key_slice.mass,
+                self._stream("arrivals"),
+                config.pareto_alpha,
+            ),
+            self._node_selector,
+            self._stream("placement-draws"),
+            issue,
+        ).schedule_next()
         self.env.process(self._sweep_loop(), name="scale-sweeper")
-        self.env.run(until=self.config.duration)
+        self.env.run(until=config.duration)
         wall = time.perf_counter() - started
 
-        subscribers = FlatSubscriberTable()
-        for key, scheme in self.schemes.items():
-            if hasattr(scheme, "subscribed_nodes"):
-                for node in scheme.subscribed_nodes():
-                    subscribers.add(node, key)
+        # (node, key) pairs are distinct: each scheme lists a node once.
+        fanout = Counter(
+            node
+            for scheme in schemes.values()
+            if hasattr(scheme, "subscribed_nodes")
+            for node in scheme.subscribed_nodes()
+        )
         parents_touched = sum(
-            slice_.tree.touched for slice_ in self.slices.values()
+            slice_.tree.touched for slice_ in slices.values()
         )
         extras: dict[str, object] = {
             "num_keys": self.num_keys,
@@ -639,8 +449,8 @@ class MultiKeyScaleSimulation:
                     key=lambda item: -item[1],
                 )
             ),
-            "total_subscriptions": len(subscribers),
-            "max_fanout": subscribers.max_fanout(),
+            "total_subscriptions": fanout.total(),
+            "max_fanout": max(fanout.values(), default=0),
             "parents_touched": parents_touched,
             "swept_entries": self._swept_entries,
             "resident_entries": sum(
@@ -680,10 +490,10 @@ def _ring_and_keys(
 ) -> tuple[ChordRing, list[int]]:
     """The shared world every shard of a run agrees on.
 
-    Draws the ring and then the key ids from the ``"topology"`` stream
-    in the same order as :class:`MultiKeySimulation`, so the world is a
-    pure function of ``(seed, num_nodes, num_keys)`` — identical in
-    every worker process, whichever shards it happens to execute.
+    Draws the ring and then ``num_keys`` distinct key ids, in that
+    order, from the ``"topology"`` stream, so the world is a pure
+    function of ``(seed, num_nodes, num_keys)`` — identical in every
+    worker process, whichever shards it happens to execute.
     """
     cache_key = (config.seed, config.num_nodes, num_keys)
     world = _WORLD_CACHE.get(cache_key)

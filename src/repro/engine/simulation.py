@@ -28,11 +28,6 @@ import time
 from typing import Optional
 
 from repro import flightrec
-from repro.core.interest import (
-    AdaptiveInterestPolicy,
-    EwmaInterestPolicy,
-    WindowInterestPolicy,
-)
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
 from repro.errors import ConfigError
@@ -730,28 +725,6 @@ class Simulation:
     def forget_node(self, node: NodeId) -> None:
         """Drop per-node engine state after departure/failure."""
         self._caches.pop(node, None)
-
-    def make_interest_policy(self):
-        """A fresh per-node interest policy per the configuration.
-
-        A scheme may force a policy kind via an ``interest_policy_override``
-        class attribute (``dup-adaptive`` does) regardless of the config.
-        """
-        config = self.config
-        kind = (
-            getattr(self.scheme, "interest_policy_override", None)
-            or config.interest_policy
-        )
-        if kind == "window":
-            return WindowInterestPolicy(config.ttl, config.threshold_c)
-        if kind == "adaptive":
-            return AdaptiveInterestPolicy(
-                config.ttl,
-                config.threshold_floor,
-                config.threshold_ceiling,
-                config.adaptive_gain,
-            )
-        return EwmaInterestPolicy(config.ttl, config.threshold_c)
 
     def allocate_node_id(self) -> NodeId:
         """A fresh node id for a joining node."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.interest import InterestPolicy, make_interest_policy
 from repro.index.entry import IndexVersion
 from repro.net.message import (
     ControlMessage,
@@ -44,6 +45,11 @@ class Scheme(abc.ABC):
     #: state forever.  Soft-state protocols stay unreliable — their
     #: state self-repairs within a TTL.
     reliable_delivery: bool = False
+
+    #: Interest-policy kind this scheme forces whatever
+    #: ``config.interest_policy`` says (``dup-adaptive``: ``"adaptive"``);
+    #: ``None`` follows the configuration.
+    interest_policy_override: "str | None" = None
 
     def __init__(self) -> None:
         self.sim: "Simulation | None" = None
@@ -185,6 +191,12 @@ class PathCachingScheme(Scheme):
     #: breakers before each push (DUP arms it when the plan has them).
     _breakers = False
 
+    def __init__(self) -> None:
+        super().__init__()
+        #: node -> its interest policy, created on first use by
+        #: :meth:`tracker` (only the push schemes measure interest).
+        self._trackers: dict[NodeId, InterestPolicy] = {}
+
     def bind(self, sim: "Simulation") -> None:
         """Attach to a simulation and resolve the typed handler table.
 
@@ -214,6 +226,16 @@ class PathCachingScheme(Scheme):
         if type(self)._lookup is PathCachingScheme._lookup:
             # No override (``NoCacheScheme`` has one): skip the method.
             self._lookup = sim.lookup
+
+    def tracker(self, node: NodeId) -> InterestPolicy:
+        """The node's interest policy instance (lazily created)."""
+        tracker = self._trackers.get(node)
+        if tracker is None:
+            tracker = make_interest_policy(
+                self.sim.config, self.interest_policy_override
+            )
+            self._trackers[node] = tracker
+        return tracker
 
     # ------------------------------------------------------------------ hooks
     def _on_query_arrival(

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.interest import InterestPolicy
 from repro.net.message import CupRegister, PushMessage, QueryMessage
 from repro.schemes.base import PathCachingScheme
 
@@ -50,7 +49,6 @@ class CupScheme(PathCachingScheme):
         super().__init__()
         # node -> {child -> time of the registration's last refresh}
         self._registered: dict[NodeId, dict[NodeId, float]] = {}
-        self._trackers: dict[NodeId, InterestPolicy] = {}
         #: Graceful degradation: registration-table cap (0 = uncapped).
         self._max_subscribers = 0
         self._rejected_subscribers = 0
@@ -61,14 +59,6 @@ class CupScheme(PathCachingScheme):
             self._max_subscribers = self.overload.plan.max_subscribers
 
     # -- interest and registration state ------------------------------------
-    def tracker(self, node: NodeId) -> InterestPolicy:
-        """The node's own interest policy instance (lazily created)."""
-        tracker = self._trackers.get(node)
-        if tracker is None:
-            tracker = self.sim.make_interest_policy()
-            self._trackers[node] = tracker
-        return tracker
-
     def is_interested(self, node: NodeId) -> bool:
         """Whether ``node`` itself currently satisfies the interest policy."""
         return self.tracker(node).is_interested(self.sim.env.now)

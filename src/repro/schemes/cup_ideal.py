@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.interest import InterestPolicy
 from repro.net.message import CupRegister, CupUnregister, PushMessage, QueryMessage
 from repro.schemes.base import PathCachingScheme
 
@@ -32,7 +31,6 @@ class CupIdealScheme(PathCachingScheme):
         super().__init__()
         self._registered: dict[NodeId, set[NodeId]] = {}
         self._registered_up: set[NodeId] = set()
-        self._trackers: dict[NodeId, InterestPolicy] = {}
 
     # -- state helpers -----------------------------------------------------
     def registered_children(self, node: NodeId) -> set[NodeId]:
@@ -42,14 +40,6 @@ class CupIdealScheme(PathCachingScheme):
             children = set()
             self._registered[node] = children
         return children
-
-    def tracker(self, node: NodeId) -> InterestPolicy:
-        """The node's interest policy instance."""
-        tracker = self._trackers.get(node)
-        if tracker is None:
-            tracker = self.sim.make_interest_policy()
-            self._trackers[node] = tracker
-        return tracker
 
     def wants_updates(self, node: NodeId) -> bool:
         """Interested itself, or forwarding for registered children."""

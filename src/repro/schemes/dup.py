@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.interest import InterestPolicy
 from repro.core.leases import LeaseTable
 from repro.core.maintenance import DupMaintenance
 from repro.core.protocol import DupProtocol, StepResult
@@ -53,7 +52,6 @@ class DupScheme(PathCachingScheme):
         super().__init__()
         self.protocol: DupProtocol | None = None
         self.maintenance: DupMaintenance | None = None
-        self._trackers: dict[NodeId, InterestPolicy] = {}
         self._leases: LeaseTable | None = None
         self._lease_expiries = 0
         self._recorder = None
@@ -105,14 +103,6 @@ class DupScheme(PathCachingScheme):
             self._recorder.record(kind, node, subject, detail)
 
     # -- interest ------------------------------------------------------------
-    def tracker(self, node: NodeId) -> InterestPolicy:
-        """The node's interest policy instance (lazily created)."""
-        tracker = self._trackers.get(node)
-        if tracker is None:
-            tracker = self.sim.make_interest_policy()
-            self._trackers[node] = tracker
-        return tracker
-
     def is_interested(self, node: NodeId) -> bool:
         """Whether ``node`` currently satisfies the interest policy."""
         return self.tracker(node).is_interested(self.sim.env.now)

@@ -12,7 +12,8 @@ literature applied to DUP's subscription decision.
 Everything else — subscriber lists, pushes, repair — is inherited
 unchanged; the scheme merely forces the policy kind through the
 ``interest_policy_override`` attribute that
-``Simulation.make_interest_policy`` consults.  With
+:meth:`~repro.schemes.base.PathCachingScheme.tracker` hands to
+:func:`~repro.core.interest.make_interest_policy`.  With
 ``threshold_floor == threshold_ceiling == threshold_c`` the run is
 bit-identical to plain ``dup`` (proven by ``tests/test_differential.py``).
 """
@@ -27,6 +28,6 @@ class DupAdaptiveScheme(DupScheme):
 
     name = "dup-adaptive"
 
-    #: Consulted by ``make_interest_policy``: this scheme always uses the
-    #: adaptive policy, whatever ``config.interest_policy`` says.
+    #: This scheme always uses the adaptive policy, whatever
+    #: ``config.interest_policy`` says.
     interest_policy_override = "adaptive"

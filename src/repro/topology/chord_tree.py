@@ -81,7 +81,15 @@ class LazyChordTree:
     path needs is provided — mutators live on :class:`SearchTree`.
     """
 
-    __slots__ = ("_ring", "_members", "_key", "_root", "_parent", "_depth")
+    __slots__ = (
+        "_ring",
+        "_members",
+        "_key",
+        "_root",
+        "_parent",
+        "_depth",
+        "_eager",
+    )
 
     def __init__(self, ring: ChordRing, key: int):
         self._ring = ring
@@ -92,6 +100,7 @@ class LazyChordTree:
         self._root = ring.successor(key)
         self._parent: dict[int, Optional[int]] = {self._root: None}
         self._depth: dict[int, int] = {self._root: 0}
+        self._eager: Optional[SearchTree] = None
 
     @property
     def root(self) -> int:
@@ -140,6 +149,17 @@ class LazyChordTree:
             path.append(parent)
             parent = self.parent(parent)
         return path
+
+    def children(self, node: int) -> tuple[int, ...]:
+        """Nodes whose next hop is ``node``.
+
+        Parents are one ``next_hop`` away, children are not: the first
+        call materializes the eager tree once and answers from it.  Only
+        ``push-all``, which floods every edge anyway, asks.
+        """
+        if self._eager is None:
+            self._eager = self.materialize()
+        return self._eager.children(node)
 
     @property
     def touched(self) -> int:

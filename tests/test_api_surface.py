@@ -63,7 +63,7 @@ class TestPublicMethodDocstrings:
             "repro.core.subscriber_list.SubscriberList",
             "repro.core.maintenance.DupMaintenance",
             "repro.engine.simulation.Simulation",
-            "repro.engine.multikey.MultiKeySimulation",
+            "repro.engine.multikey.MultiKeyScaleSimulation",
             "repro.topology.tree.SearchTree",
             "repro.topology.chord.ChordRing",
             "repro.topology.can.CanOverlay",

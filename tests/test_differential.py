@@ -216,7 +216,9 @@ class TestQueryPathPinned:
     order, maps a rank through a stale ranking or schedules an arrival a
     bit off moves every number downstream.  The single-key cases are the
     shapes the source branches on (plain, Pareto gaps, diurnal
-    modulation, a flash crowd's rank flips, the churn guard).
+    modulation, a flash crowd's rank flips, the churn guard).  ``shard``
+    is one unsharded multi-key engine over 8 keys, ``scale`` the same
+    engine cut into shards by ``run_scale``.
     """
 
     BASE = dict(
@@ -239,8 +241,8 @@ class TestQueryPathPinned:
         "churn": (
             "edf2d5392bfae07423560631f6a7fca7fb9481fda4e1f08f1003a7289e30f685"
         ),
-        "multikey": (
-            "de002ff63dba48cb815e37ac25afc3fc106d7caae6a6700b9e862afb2f1bd67a"
+        "shard": (
+            "9a3cf44da38971d84a51e2d2b52efabdc3b3e30afc3198275b74fe085e1ff7a5"
         ),
         "scale": (
             "96845bfa96154c6459dd92159daa139d4bb19429464398f2d56f1c236c1ea51a"
@@ -248,18 +250,18 @@ class TestQueryPathPinned:
     }
 
     def run(self, name: str):
-        from repro.engine.multikey import MultiKeySimulation, run_scale
+        from repro.engine.multikey import MultiKeyScaleSimulation, run_scale
         from repro.engine.simulation import Simulation
         from repro.workload.churn import ChurnConfig
         from repro.workload.sessions import SessionPlan
         from repro.workload.storms import StormPhase, StormPlan
 
-        if name in ("multikey", "scale"):
+        if name in ("shard", "scale"):
             config = SimulationConfig(
                 scheme="dup", topology="chord", **self.BASE
             )
-            if name == "multikey":
-                return MultiKeySimulation(config, 8, 0.8).run()
+            if name == "shard":
+                return MultiKeyScaleSimulation(config, 8, 0.8).run()
             return run_scale(config, 16, 0.8, workers=1)
         overrides = {
             "dup": dict(),

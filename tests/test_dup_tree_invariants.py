@@ -22,7 +22,8 @@ failure-repair (crashes healed by the Section III-C maintenance flows).
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.balance import DupBalancer
@@ -414,10 +415,32 @@ def assert_capped(driver: SyncBalancedDriver) -> None:
 
 
 class TestBalancedCapInvariant:
-    """Satellite: the fanout cap holds after *any* interleaving."""
+    """The fanout cap holds after *any* interleaving.
+
+    Derandomized: every run draws the same examples, so a failure is a
+    regression, never an unlucky seed.
+    """
 
     @given(history(), st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    # Interior node 7 (listing [16, 18]) fails; the orphans' refreshes
+    # turn into subscribes at node 1, which must split or redirect them
+    # rather than list [16, 18, 27] under cap 2.
+    @example(
+        scenario=(
+            31,
+            80,
+            [
+                ("sub", 2609952),
+                ("fail", 147),
+                ("join-leaf", 0),
+                ("sub", 0),
+                ("sub", 1),
+                ("fail", 19062),
+            ],
+        ),
+        cap=2,
+    )
     def test_cap_never_exceeded_under_full_interleaving(self, scenario, cap):
         size, seed, steps = scenario
         tree = random_search_tree(size, 4, np.random.default_rng(seed))
@@ -428,8 +451,48 @@ class TestBalancedCapInvariant:
             assert_capped(driver)
             assert_push_graph_acyclic(driver)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "delegation dissolution re-localizes a subject at a delegator "
+            "that is already full"
+        ),
+    )
+    def test_dissolution_respects_the_cap(self):
+        # Node 1 delegates a subject, fills up again, and then the
+        # delegate's dissolution Substitute swaps the subject back into
+        # node 1's own list: it ends listing [8, 9, 13] under cap 2.
+        tree = random_search_tree(20, 4, np.random.default_rng(1590))
+        driver = SyncBalancedDriver(tree, cap=2)
+        steps = [
+            ("sub", 5),
+            ("sub", 68),
+            ("sub", 1853),
+            ("sub", 1),
+            ("unsub", 14359749),
+        ]
+        next_id = 20
+        for i in range(len(steps)):
+            next_id = _drive(driver, steps[i : i + 1], next_id)
+            assert_capped(driver)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="pushes survive after every interested node unsubscribed",
+    )
+    def test_pushes_stop_after_total_drain(self):
+        # Churn-free, cap 1: once every subscriber has left, a vestigial
+        # relay entry still routes pushes to node 16.
+        tree = random_search_tree(18, 4, np.random.default_rng(0))
+        driver = SyncBalancedDriver(tree, cap=1)
+        _drive(driver, [("sub", 3272), ("sub", 3554), ("sub", 189020)], 18)
+        for node in sorted(driver.interested - {tree.root}):
+            driver.unsubscribe(node)
+        assert driver.balancer.delegated_count() == 0
+        assert driver.push_recipients() == set()
+
     @given(history(), st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_coverage_never_drops_under_churn(self, scenario, cap):
         # Delegator failure may leak an entry at its delegate (decays via
         # leases in the engine), so under churn the assertable direction
@@ -445,7 +508,7 @@ class TestBalancedCapInvariant:
             assert not missing, f"interested but unreached: {sorted(missing)}"
 
     @given(history(ops=("sub", "unsub")), st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exact_coverage_churn_free(self, scenario, cap):
         # Without churn there are no delegation leaks: the full exact-
         # coverage oracle must hold after every step, cap included.
@@ -460,7 +523,7 @@ class TestBalancedCapInvariant:
             assert_exact_coverage(driver)
 
     @given(history(ops=("sub", "unsub")), st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_delegations_drain_with_interest(self, scenario, cap):
         size, seed, steps = scenario
         tree = random_search_tree(size, 4, np.random.default_rng(seed))

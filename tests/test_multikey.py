@@ -3,8 +3,9 @@
 import pytest
 
 from repro.engine import SimulationConfig
-from repro.engine.multikey import MultiKeySimulation
+from repro.engine.multikey import MultiKeyScaleSimulation, run_scale
 from repro.errors import ConfigError
+from repro.schemes.registry import available_schemes
 from repro.workload import ChurnConfig
 
 
@@ -25,33 +26,36 @@ def multikey_config(**overrides):
 class TestConstruction:
     def test_requires_chord(self):
         with pytest.raises(ConfigError):
-            MultiKeySimulation(multikey_config(topology="random-tree"))
+            MultiKeyScaleSimulation(
+                multikey_config(topology="random-tree"), num_keys=8
+            )
 
     def test_requires_positive_keys(self):
         with pytest.raises(ConfigError):
-            MultiKeySimulation(multikey_config(), num_keys=0)
+            MultiKeyScaleSimulation(multikey_config(), num_keys=0)
 
     def test_rejects_churn(self):
         churn = ChurnConfig(join_rate=0.1)
         with pytest.raises(ConfigError):
-            MultiKeySimulation(multikey_config(churn=churn))
+            MultiKeyScaleSimulation(multikey_config(churn=churn), num_keys=8)
 
     def test_per_key_trees_have_distinct_roots_usually(self):
-        sim = MultiKeySimulation(multikey_config(), num_keys=8)
+        sim = MultiKeyScaleSimulation(multikey_config(), num_keys=8)
         roots = {slice_.tree.root for slice_ in sim.slices.values()}
         assert len(roots) >= 4
 
     def test_every_tree_spans_the_ring(self):
-        sim = MultiKeySimulation(multikey_config(), num_keys=4)
+        sim = MultiKeyScaleSimulation(multikey_config(), num_keys=4)
         for slice_ in sim.slices.values():
-            assert len(slice_.tree) == len(sim.ring)
-            slice_.tree.validate()
+            tree = slice_.tree.materialize()
+            assert len(tree) == len(sim.ring)
+            tree.validate()
 
 
 class TestRun:
     @pytest.fixture(scope="class")
     def result(self):
-        return MultiKeySimulation(multikey_config(), num_keys=6).run()
+        return MultiKeyScaleSimulation(multikey_config(), num_keys=6).run()
 
     def test_queries_flow(self, result):
         assert result.queries > 100
@@ -69,7 +73,7 @@ class TestRun:
         assert result.extras.get("total_subscriptions", 0) > 0
 
     def test_runs_once(self):
-        sim = MultiKeySimulation(multikey_config(), num_keys=2)
+        sim = MultiKeyScaleSimulation(multikey_config(), num_keys=2)
         sim.run()
         with pytest.raises(RuntimeError):
             sim.run()
@@ -77,7 +81,7 @@ class TestRun:
 
 class TestCrossKeyIsolation:
     def test_caches_hold_multiple_keys(self):
-        sim = MultiKeySimulation(multikey_config(), num_keys=4)
+        sim = MultiKeyScaleSimulation(multikey_config(), num_keys=4)
         sim.run()
         multi = [
             node
@@ -89,7 +93,7 @@ class TestCrossKeyIsolation:
     def test_dup_beats_pcx_aggregate(self):
         results = {}
         for scheme in ("pcx", "dup"):
-            sim = MultiKeySimulation(
+            sim = MultiKeyScaleSimulation(
                 multikey_config(scheme=scheme, query_rate=8.0), num_keys=6
             )
             results[scheme] = sim.run()
@@ -102,12 +106,25 @@ class TestCrossKeyIsolation:
         )
 
     def test_determinism(self):
-        first = MultiKeySimulation(multikey_config(), num_keys=3).run()
-        second = MultiKeySimulation(multikey_config(), num_keys=3).run()
+        first = MultiKeyScaleSimulation(multikey_config(), num_keys=3).run()
+        second = MultiKeyScaleSimulation(multikey_config(), num_keys=3).run()
         assert first.mean_latency == second.mean_latency
         assert first.extras["queries_per_key"] == second.extras[
             "queries_per_key"
         ]
+
+
+class TestEveryScheme:
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_scheme_runs_on_many_keys(self, scheme):
+        # push-all floods each key's tree, so it needs tree children too.
+        config = multikey_config(
+            scheme=scheme, num_nodes=128, duration=3600.0 * 2, warmup=1800.0
+        )
+        result = run_scale(config, num_keys=4, workers=1)
+        assert result.queries > 0
+        assert sum(result.extras["queries_per_key"].values()) == result.queries
+        assert 0 <= result.hit_rate <= 1
 
 
 class TestScaleEngine:
@@ -142,8 +159,6 @@ class TestScaleEngine:
         )
 
     def test_workers_1_and_4_bit_identical(self):
-        from repro.engine.multikey import run_scale
-
         merged = {
             workers: run_scale(
                 self._scale_config(),
@@ -165,8 +180,6 @@ class TestScaleEngine:
         # never depend on how many processes execute it.
 
     def test_scale_run_conserves_queries_across_shards(self):
-        from repro.engine.multikey import run_scale
-
         merged = run_scale(
             self._scale_config(), num_keys=16, key_zipf_theta=0.8, workers=1
         )
@@ -176,8 +189,6 @@ class TestScaleEngine:
         assert len(per_key) == 16
 
     def test_scale_rejects_churn_and_non_chord(self):
-        from repro.engine.multikey import MultiKeyScaleSimulation
-
         with pytest.raises(ConfigError):
             MultiKeyScaleSimulation(
                 self._scale_config(topology="random-tree"), num_keys=8
@@ -196,7 +207,6 @@ class TestScaleEngine:
     def test_scale_rejects_non_positive_sweep_interval(self, sweep_interval):
         # Zero used to hang the run (the sweeper re-armed at the same
         # instant for ever); a negative value died mid-run.
-        from repro.engine.multikey import MultiKeyScaleSimulation, run_scale
         from repro.errors import ExperimentError
 
         with pytest.raises(ConfigError, match="sweep_interval"):
@@ -215,8 +225,6 @@ class TestScaleEngine:
         assert isinstance(raised.value.__cause__, ConfigError)
 
     def test_scale_accepts_positive_sweep_interval(self):
-        from repro.engine.multikey import run_scale
-
         default = run_scale(self._scale_config(), num_keys=8, workers=1)
         swept = run_scale(
             self._scale_config(), num_keys=8, workers=1, sweep_interval=60.0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.interest import make_interest_policy
 from repro.engine import Simulation, SimulationConfig
 from repro.index.entry import IndexVersion
 from repro.net.faults import FaultPlan
@@ -532,7 +533,7 @@ def _apply(sim, handle_push, step):
             scheme.tracker(node).record(sim.env.now)
     elif kind == "lapse":
         if node in scheme._trackers:
-            scheme._trackers[node] = sim.make_interest_policy()
+            scheme._trackers[node] = make_interest_policy(sim.config)
     elif kind == "depart" and node != sim.tree.root:
         sim.tree.splice_out(node)  # lists still name it: a dead target
     elif kind == "push":

@@ -1,14 +1,9 @@
-"""Tests for the structure-of-arrays scale core (``repro.core.soa``).
+"""Tests for the scale tier's flat and lazy structures.
 
-The load-bearing test is the randomized oracle: :class:`SoaTree` must
-agree with the dict-backed :class:`SearchTree` on every observable after
-any interleaving of the mutators the schemes use (subscribe joins,
-unsubscribe leaves, churn splices, authority failover re-roots).  The
-rest covers the expiry wheel's lazy-invalidation contract, the flat
-subscriber table against a naive dict-of-sets, the vectorized
-lease/cache sweeps against their per-item counterparts, the lazy Chord
-tree against the eager construction, and the conditional Zipf slices
-against the global law.
+Covers the expiry wheel's lazy-invalidation contract
+(``repro.core.soa``), the vectorized lease/cache sweeps against their
+per-item counterparts, the lazy Chord tree against the eager
+construction, and the conditional Zipf slices against the global law.
 """
 
 from __future__ import annotations
@@ -17,124 +12,13 @@ import numpy as np
 import pytest
 
 from repro.core.leases import LeaseTable
-from repro.core.soa import ExpiryWheel, FlatSubscriberTable, SoaTree
-from repro.errors import NodeNotFoundError, TopologyError, WorkloadError
+from repro.core.soa import ExpiryWheel
+from repro.errors import NodeNotFoundError, WorkloadError
 from repro.index.cache import IndexCache
 from repro.index.entry import IndexVersion
 from repro.stats.distributions import ZipfSlice, shared_zipf
 from repro.topology.chord import ChordRing
 from repro.topology.chord_tree import LazyChordTree, chord_search_tree
-from repro.topology.tree import SearchTree
-
-
-class TestSoaTreeOracle:
-    """Random interleavings compared mutator-for-mutator to SearchTree."""
-
-    OPS = ("add", "remove", "splice", "insert", "promote", "replace", "rename")
-
-    def _compare(self, soa, ref, nodes):
-        assert len(soa) == len(ref)
-        assert soa.root == ref.root
-        for node in nodes:
-            assert node in soa and node in ref
-            assert soa.parent(node) == ref.parent(node)
-            assert soa.depth(node) == ref.depth(node)
-            assert soa.is_leaf(node) == ref.is_leaf(node)
-            assert soa.path_to_root(node) == ref.path_to_root(node)
-            assert sorted(soa.children(node)) == sorted(ref.children(node))
-        assert soa.height() == ref.height()
-        assert soa.mean_depth() == pytest.approx(ref.mean_depth())
-        soa.validate()
-        ref.validate()
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_interleavings_match_searchtree(self, seed):
-        rng = np.random.default_rng(seed)
-        soa, ref = SoaTree(0), SearchTree(0)
-        nodes = [0]
-        fresh = 1
-        for step in range(1200):
-            op = self.OPS[int(rng.integers(len(self.OPS)))]
-            if op == "add" or len(nodes) < 4:
-                parent = nodes[int(rng.integers(len(nodes)))]
-                soa.add_leaf(parent, fresh)
-                ref.add_leaf(parent, fresh)
-                nodes.append(fresh)
-                fresh += 1
-            elif op == "remove":
-                leaves = [n for n in nodes if ref.is_leaf(n) and n != ref.root]
-                if not leaves:
-                    continue
-                victim = leaves[int(rng.integers(len(leaves)))]
-                soa.remove_leaf(victim)
-                ref.remove_leaf(victim)
-                nodes.remove(victim)
-            elif op == "splice":
-                inner = [
-                    n
-                    for n in nodes
-                    if n != ref.root and not ref.is_leaf(n)
-                ]
-                if not inner:
-                    continue
-                victim = inner[int(rng.integers(len(inner)))]
-                assert soa.splice_out(victim) == ref.splice_out(victim)
-                nodes.remove(victim)
-            elif op == "insert":
-                children = [n for n in nodes if n != ref.root]
-                if not children:
-                    continue
-                child = children[int(rng.integers(len(children)))]
-                parent = ref.parent(child)
-                soa.insert_on_edge(parent, child, fresh)
-                ref.insert_on_edge(parent, child, fresh)
-                nodes.append(fresh)
-                fresh += 1
-            elif op == "promote":
-                candidates = [n for n in nodes if n != ref.root]
-                if not candidates:
-                    continue
-                node = candidates[int(rng.integers(len(candidates)))]
-                old_root = ref.root
-                assert soa.promote_to_root(node) == ref.promote_to_root(node)
-                # promote_to_root splices the old root OUT of the tree.
-                nodes.remove(old_root)
-            elif op == "replace":
-                old_root = ref.root
-                soa.replace_root(fresh)
-                ref.replace_root(fresh)
-                nodes.remove(old_root)
-                nodes.append(fresh)
-                fresh += 1
-            elif op == "rename":
-                node = nodes[int(rng.integers(len(nodes)))]
-                soa.rename(node, fresh)
-                ref.rename(node, fresh)
-                nodes[nodes.index(node)] = fresh
-                fresh += 1
-            if step % 100 == 0:
-                self._compare(soa, ref, nodes)
-        self._compare(soa, ref, nodes)
-
-    def test_growth_past_initial_capacity(self):
-        tree = SoaTree(0, capacity=4)
-        for node in range(1, 200):
-            tree.add_leaf(node - 1, node)
-        assert len(tree) == 200
-        assert tree.depth(199) == 199
-        tree.validate()
-
-    def test_error_types_match_searchtree(self):
-        tree = SoaTree(0)
-        tree.add_leaf(0, 1)
-        with pytest.raises(NodeNotFoundError):
-            tree.parent(99)
-        with pytest.raises(TopologyError):
-            tree.add_leaf(0, 1)  # duplicate
-        with pytest.raises(TopologyError):
-            tree.remove_leaf(0)  # the root
-        with pytest.raises(TopologyError):
-            tree.splice_out(0)  # the root needs replace_root
 
 
 class TestExpiryWheel:
@@ -171,34 +55,6 @@ class TestExpiryWheel:
             wheel.push(float(i), i, i)
         assert len(wheel) == 100
         assert wheel.pop_due(49.0) == [(i, i) for i in range(50)]
-
-
-class TestFlatSubscriberTable:
-    def test_matches_naive_dict_of_sets(self):
-        rng = np.random.default_rng(4)
-        table = FlatSubscriberTable(capacity=4)
-        naive: dict[int, set[int]] = {}
-        for _ in range(3000):
-            holder = int(rng.integers(20))
-            entry = int(rng.integers(50))
-            if rng.random() < 0.6:
-                added = entry not in naive.setdefault(holder, set())
-                assert table.add(holder, entry) == added
-                naive[holder].add(entry)
-            else:
-                removed = entry in naive.get(holder, set())
-                assert table.discard(holder, entry) == removed
-                naive.get(holder, set()).discard(entry)
-        assert len(table) == sum(len(s) for s in naive.values())
-        for holder, entries in naive.items():
-            assert set(table.entries_for(holder).tolist()) == entries
-            assert table.count_for(holder) == len(entries)
-        counts = [len(s) for s in naive.values() if s]
-        assert table.max_fanout() == (max(counts) if counts else 0)
-        holders, fanouts = table.fanout()
-        assert dict(zip(holders.tolist(), fanouts.tolist())) == {
-            h: len(s) for h, s in naive.items() if s
-        }
 
 
 class TestVectorizedSweeps:
@@ -253,6 +109,13 @@ class TestLazyChordTree:
                 assert lazy.parent(node) == eager.parent(node)
                 assert lazy.depth(node) == eager.depth(node)
                 assert lazy.path_to_root(node) == eager.path_to_root(node)
+
+    def test_children_match_eager_construction(self):
+        ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
+        eager = chord_search_tree(ring, 777)
+        lazy = LazyChordTree(ring, 777)
+        for node in ring.node_ids:
+            assert lazy.children(node) == eager.children(node)
 
     def test_touched_grows_lazily(self):
         ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
