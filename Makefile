@@ -6,7 +6,7 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale ledger ledger-ab perf-smoke profile clean
+.PHONY: test bench bench-scale ledger ledger-ab gc-phase perf-smoke profile clean
 
 test:
 	$(PY) -m pytest -q
@@ -34,6 +34,12 @@ ledger:
 PAIRS ?= 10
 ledger-ab:
 	python3 scripts/ledger_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) $(if $(TRACE),--trace)
+
+# Where the cyclic garbage collector runs between a ledger child's
+# warm-up and the end of its timed constructor (read it before trusting
+# a setup_s row).  make gc-phase WORKLOAD=cold-miss
+gc-phase:
+	python3 scripts/gc_phase.py $(WORKLOAD)
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py

@@ -80,25 +80,28 @@ class _KeySlice:
         self.transport: Transport = owner.transport
         self.config: SimulationConfig = owner.config
         self.ledger: CostLedger = owner.ledger
+        # The overlay is static, so the root and the ring's membership
+        # set are read once; the owner's cache dict is read directly.
+        self._root = tree.root
+        self._members = owner.ring.members
+        self._caches = owner._caches
+        #: Whether ``node`` is in the overlay (static here).
+        self.alive = self._members.__contains__
 
     # -- per-key topology -------------------------------------------------------
     def is_root(self, node: NodeId) -> bool:
         """Whether ``node`` is this key's authority."""
-        return node == self.tree.root
+        return node == self._root
 
     def parent(self, node: NodeId) -> Optional[NodeId]:
         """Parent on this key's search tree."""
-        if node not in self.tree:
+        if node not in self._members:
             return None
         return self.tree.parent(node)
 
-    def alive(self, node: NodeId) -> bool:
-        """Whether ``node`` is in the overlay (static here)."""
-        return node in self.tree
-
     def functioning(self, node: NodeId) -> bool:
         """Interface parity: no fault injection here, so alive == working."""
-        return node in self.tree
+        return node in self._members
 
     def note_read(self, version: IndexVersion) -> None:
         """Interface parity: staleness tracking is single-key only."""
@@ -112,11 +115,21 @@ class _KeySlice:
 
     def lookup(self, node: NodeId) -> Optional[IndexVersion]:
         """A valid copy of this key's index at ``node``."""
-        if node == self.tree.root:
+        if node == self._root:
             if self.authority is None:
                 return None
             return self.authority.current
-        return self.cache(node).get(self.key, self.env.now)
+        cache = self._caches.get(node)
+        if cache is None:
+            cache = self._owner.cache(node)
+        return cache.get(self.key, self.env._now)
+
+    def store(self, node: NodeId, version: IndexVersion) -> None:
+        """Cache ``version`` at ``node`` now (a reply passing through)."""
+        cache = self._caches.get(node)
+        if cache is None:
+            cache = self._owner.cache(node)
+        cache.put(version, self.env._now)
 
     def record_latency(
         self,

@@ -7,8 +7,8 @@ two metrics into a :class:`~repro.engine.results.SimulationResult`.
 
 It also serves as the narrow facade schemes program against: clock
 (``env``), topology (``tree``, ``parent``, ``is_root``, ``alive``),
-messaging (``transport``), state (``cache``, ``lookup``), metrics
-(``record_latency``, ``ledger``, ``registry``), and tracing
+messaging (``transport``), state (``cache``, ``lookup``, ``store``),
+metrics (``record_latency``, ``ledger``, ``registry``), and tracing
 (``trace_begin``, ``trace_annotate``).
 
 Observability is wired here: every run owns a
@@ -81,6 +81,16 @@ class Simulation:
         self.streams = RandomStreams(config.seed)
         self.env = Environment()
         self.tree, self.key = self._build_topology()
+        # Facade: ``parent(node)`` is the parent on the index search tree
+        # (``None`` at the root and for nodes outside the tree);
+        # ``alive(node)`` is whether ``node`` is part of the overlay, the
+        # schemes' view, in which a silently failed node stays a member
+        # until some survivor detects the crash (schemes keep sending to
+        # it and the transport blackholes the traffic).  Both are the
+        # tree's parent map's own C methods: the mutators edit that map
+        # in place and never replace it.
+        self.parent = self.tree._parent.get
+        self.alive = self.tree._parent.__contains__
         self.ledger = CostLedger(
             clock=lambda: self.env.now,
             warmup=config.warmup,
@@ -374,22 +384,6 @@ class Simulation:
         """Whether ``node`` is the current authority (tree root)."""
         return node == self.tree.root
 
-    def parent(self, node: NodeId) -> Optional[NodeId]:
-        """Parent on the index search tree (``None`` at the root)."""
-        # Direct read of the tree's parent map: one dict get instead of a
-        # membership check plus a guarded lookup.  Semantics are the
-        # same — None for the root and for nodes outside the tree.
-        return self.tree._parent.get(node)
-
-    def alive(self, node: NodeId) -> bool:
-        """Whether ``node`` is currently part of the overlay.
-
-        This is the *schemes'* view: a silently failed node is still a
-        member until some survivor detects the crash, so schemes keep
-        sending to it and the transport blackholes the traffic.
-        """
-        return node in self.tree._parent
-
     def functioning(self, node: NodeId) -> bool:
         """Whether ``node`` is alive *and* actually responding.
 
@@ -427,6 +421,14 @@ class Simulation:
             cache = IndexCache()
             self._caches[node] = cache
         return cache.get(self.key, self.env._now)
+
+    def store(self, node: NodeId, version: IndexVersion) -> None:
+        """Cache ``version`` at ``node`` now (a reply passing through)."""
+        cache = self._caches.get(node)
+        if cache is None:
+            cache = IndexCache()
+            self._caches[node] = cache
+        cache.put(version, self.env._now)
 
     def record_latency(
         self,

@@ -173,10 +173,16 @@ class PathCachingScheme(Scheme):
     - :meth:`_on_query_arrival` — called once per query arrival at a node
       (locally generated or forwarded); returns control payloads to
       propagate upstream from that node.
+    - :meth:`_on_local_miss` — a local query missed; returns payloads to
+      ride the request packet.
     - :meth:`_process_control` — transforms piggybacked/explicit control
       payloads arriving at a node; returns what continues upstream.
-    - :meth:`_serve_extra` — called when a query is served at a node
-      (push schemes do nothing; kept for symmetry/extension).
+    - :meth:`_lookup` / :meth:`_store_reply` — where a valid copy is
+      looked for and what a passing reply leaves behind.
+
+    :meth:`bind` skips the two payload hooks when a class does not
+    override them and routes an unoverridden lookup or store straight
+    to the facade.
     """
 
     name = "pcx-base"
@@ -220,12 +226,22 @@ class PathCachingScheme(Scheme):
         self._env = sim.env
         self._piggyback = sim.config.piggyback
         self._parent = sim.parent
+        self._alive = sim.alive
         self._send = sim.transport.send
         self._record_latency = sim.record_latency
         self._note_read = sim.note_read
-        if type(self)._lookup is PathCachingScheme._lookup:
-            # No override (``NoCacheScheme`` has one): skip the method.
+        # A hook the class does not override is skipped outright (the
+        # query paths test for ``None``); an unoverridden lookup or store
+        # goes straight to the facade (``NoCacheScheme`` overrides both).
+        cls = type(self)
+        if cls._on_query_arrival is PathCachingScheme._on_query_arrival:
+            self._on_query_arrival = None
+        if cls._on_local_miss is PathCachingScheme._on_local_miss:
+            self._on_local_miss = None
+        if cls._lookup is PathCachingScheme._lookup:
             self._lookup = sim.lookup
+        if cls._store_reply is PathCachingScheme._store_reply:
+            self._store_reply = sim.store
 
     def tracker(self, node: NodeId) -> InterestPolicy:
         """The node's interest policy instance (lazily created)."""
@@ -265,7 +281,8 @@ class PathCachingScheme(Scheme):
         issued_at = self._env._now
         trace_id = None if sim.tracer is None else sim.trace_begin(node)
         self._carrier_trace = trace_id
-        payloads = self._on_query_arrival(node, None)
+        arrival = self._on_query_arrival
+        payloads = None if arrival is None else arrival(node, None)
         version = self._lookup(node)
         if version is not None:
             self._record_latency(0, issued_at, trace_id)
@@ -280,11 +297,17 @@ class PathCachingScheme(Scheme):
             key=sim.key, origin=node, issued_at=issued_at
         )
         message.trace_id = trace_id
-        payloads.extend(self._on_local_miss(node))
-        if self._piggyback:
-            message.control.extend(payloads)
-        else:
-            self._send_control(node, payloads, trace_id=trace_id)
+        local_miss = self._on_local_miss
+        if local_miss is not None:
+            if payloads is None:
+                payloads = local_miss(node)
+            else:
+                payloads.extend(local_miss(node))
+        if payloads:
+            if self._piggyback:
+                message.control.extend(payloads)
+            else:
+                self._send_control(node, payloads, trace_id=trace_id)
         self._carrier_trace = None
         parent = self._parent(node)
         if parent is None:  # pragma: no cover - root always has the index
@@ -295,7 +318,8 @@ class PathCachingScheme(Scheme):
     def _handle_query(self, node: NodeId, message: QueryMessage) -> None:
         self._carrier_trace = message.trace_id
         try:
-            own_payloads = self._on_query_arrival(node, message)
+            arrival = self._on_query_arrival
+            own_payloads = None if arrival is None else arrival(node, message)
             # Piggybacked control bits from downstream are processed at
             # every hop, free of charge; the node's own payloads are
             # destined for the parent and therefore appended only
@@ -304,22 +328,25 @@ class PathCachingScheme(Scheme):
                 message.control = self._process_control(
                     node, message.control, explicit=False
                 )
-            if self._piggyback:
-                message.control.extend(own_payloads)
-            else:
-                self._send_control(
-                    node, own_payloads, trace_id=message.trace_id
-                )
+            if own_payloads:
+                if self._piggyback:
+                    message.control.extend(own_payloads)
+                else:
+                    self._send_control(
+                        node, own_payloads, trace_id=message.trace_id
+                    )
             message.path.append(node)
             version = self._lookup(node)
             if version is not None:
                 # Served here: hard-state leftovers continue explicitly,
                 # soft-state ones die with the packet.
-                leftovers, message.control = message.control, []
-                if self.control_survives_serving:
-                    self._send_control(
-                        node, leftovers, trace_id=message.trace_id
-                    )
+                leftovers = message.control
+                if leftovers:
+                    message.control = []
+                    if self.control_survives_serving:
+                        self._send_control(
+                            node, leftovers, trace_id=message.trace_id
+                        )
                 self._serve(node, message, version)
                 return
             parent = self._parent(node)
@@ -348,46 +375,60 @@ class PathCachingScheme(Scheme):
             version=version,
             path=message.path,
             position=position,
-            request_hops=message.hops,
+            request_hops=position,
             issued_at=message.issued_at,
         )
-        reply.inherit_trace(message)
-        sim.trace_annotate(
-            message.trace_id, node, "serve", f"version={version.version}"
-        )
+        reply.trace_id = message.trace_id
+        if sim.tracer is not None:
+            sim.trace_annotate(
+                message.trace_id, node, "serve", f"version={version.version}"
+            )
         self._forward_reply(reply)
 
     def _handle_reply(self, node: NodeId, reply: ReplyMessage) -> None:
         self._store_reply(node, reply.version)
-        if reply.position == 0:
+        position = reply.position
+        if position == 0:
             self._record_latency(
                 reply.request_hops, reply.issued_at, reply.trace_id
             )
             self._note_read(reply.version)
             return
-        self._forward_reply(reply)
+        # :meth:`_forward_reply`'s common case, inline: the next hop down
+        # the path is still a member.
+        path = reply.path
+        next_node = path[position - 1]
+        if self._alive(next_node):
+            reply.position = position - 1
+            self._send(next_node, reply, sender=path[position])
+        else:
+            self._forward_reply(reply)
 
     def _store_reply(self, node: NodeId, version: IndexVersion) -> None:
-        """Path caching: cache the reply at every hop (PCX behaviour)."""
-        sim = self.sim
-        sim.cache(node).put(version, sim.env._now)
+        """Path caching: cache the reply at every hop (PCX behaviour).
+
+        Unless a subclass overrides it, :meth:`bind` replaces this with
+        the facade's own ``store``.
+        """
+        self.sim.store(node, version)
 
     def _forward_reply(self, reply: ReplyMessage) -> None:
-        sim = self.sim
+        alive = self._alive
+        path = reply.path
         # The forwarding hop: captured before ``position`` moves so the
         # span records who actually relayed the reply (churn may skip
         # intermediate path entries).
-        sender = reply.path[reply.position]
-        reply.position -= 1
-        next_node = reply.path[reply.position]
-        if not sim.alive(next_node):
+        sender = path[reply.position]
+        position = reply.position - 1
+        next_node = path[position]
+        if not alive(next_node):
             # The path broke under churn: skip the missing hop(s).
-            while reply.position > 0 and not sim.alive(
-                reply.path[reply.position]
-            ):
-                reply.position -= 1
-            next_node = reply.path[reply.position]
-            if not sim.alive(next_node):
+            while position > 0 and not alive(path[position]):
+                position -= 1
+            next_node = path[position]
+            if not alive(next_node):
+                reply.position = position
+                sim = self.sim
                 sim.transport.drop(
                     reply,
                     destination=next_node,
@@ -396,7 +437,8 @@ class PathCachingScheme(Scheme):
                 )
                 sim.note_incomplete_query()
                 return
-        sim.transport.send(next_node, reply, sender=sender)
+        reply.position = position
+        self._send(next_node, reply, sender=sender)
 
     # ---------------------------------------------------------------- control
     def _send_control(
@@ -415,10 +457,10 @@ class PathCachingScheme(Scheme):
         """
         if not payloads:
             return
-        sim = self.sim
-        parent = sim.parent(node)
+        parent = self._parent(node)
         if parent is None:
             return
+        sim = self.sim
         message = ControlMessage(
             key=sim.key, payloads=list(payloads), sender=node
         )
@@ -427,7 +469,7 @@ class PathCachingScheme(Scheme):
         if self.reliable_delivery and channel is not None:
             channel.send(parent, message, sender=node, hops=len(payloads))
         else:
-            sim.transport.send(parent, message, hops=len(payloads))
+            self._send(parent, message, hops=len(payloads))
 
     def _handle_control(self, node: NodeId, message: ControlMessage) -> None:
         self._carrier_trace = message.trace_id
@@ -477,7 +519,7 @@ class PathCachingScheme(Scheme):
         pushes once the peer answers again).
         """
         sim = self.sim
-        alive = sim.alive
+        alive = self._alive
         key = sim.key
         send = self._send
         channel = sim.reliable if self.reliable_delivery else None

@@ -57,8 +57,7 @@ def random_search_tree(
         # it; the minimum just bounds the array a huge max_degree asks for.
         counts = np.minimum(counts, missing)
         parents = np.arange(parent, parent + draws).repeat(counts)[:missing]
-        for node, above in enumerate(parents.tolist(), len(tree)):
-            tree.add_leaf(above, node)
+        tree.add_leaves(parents.tolist(), len(tree))
         parent += draws
     return tree
 
@@ -108,8 +107,7 @@ def chain_tree(n: int) -> SearchTree:
     if n < 1:
         raise TopologyError(f"need at least one node, got n={n}")
     tree = SearchTree(root=0)
-    for node in range(1, n):
-        tree.add_leaf(node - 1, node)
+    tree.add_leaves(range(n - 1), 1)
     return tree
 
 
@@ -118,6 +116,5 @@ def star_tree(n: int) -> SearchTree:
     if n < 1:
         raise TopologyError(f"need at least one node, got n={n}")
     tree = SearchTree(root=0)
-    for node in range(1, n):
-        tree.add_leaf(0, node)
+    tree.add_leaves([0] * (n - 1), 1)
     return tree

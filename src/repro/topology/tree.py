@@ -23,7 +23,7 @@ property-based tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import NodeNotFoundError, TopologyError
 
@@ -85,6 +85,35 @@ class SearchTree:
         self._children[node] = []
         self._children[parent].append(node)
         self._mutated()
+
+    def add_leaves(self, parents: Sequence[NodeId], first: NodeId) -> None:
+        """Attach ``first, first + 1, ...`` as children of ``parents``.
+
+        Node ``first + i`` hangs under ``parents[i]``, which must be in
+        the tree already or be an earlier node of the same block.  The
+        result — both maps, every child order, :attr:`version` — is
+        exactly that of one :meth:`add_leaf` per node in order.  The
+        whole block is checked before anything is attached, so a bad
+        parent (:class:`NodeNotFoundError`) or an id already present
+        (:class:`TopologyError`) leaves the tree untouched.
+        """
+        parent_map = self._parent
+        new = range(first, first + len(parents))
+        if not parent_map.keys().isdisjoint(new):
+            taken = next(node for node in new if node in parent_map)
+            raise TopologyError(f"node {taken} already in tree")
+        for offset, above in enumerate(parents):
+            # Outside the tree, a parent must be an earlier block node.
+            if above not in parent_map and not 0 <= above - first < offset:
+                raise NodeNotFoundError(f"node {above} not in tree")
+        children = self._children
+        for node, above in zip(new, parents):
+            parent_map[node] = above
+            children[node] = []
+            children[above].append(node)
+        self._version += len(new)
+        if self._paths:
+            self._paths.clear()
 
     def insert_on_edge(
         self, upper: NodeId, lower: NodeId, node: NodeId

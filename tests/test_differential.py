@@ -296,3 +296,105 @@ class TestQueryPathPinned:
                 f"{name}: run drifted from its pinned fingerprint "
                 f"(queries={result.queries}, hit_rate={result.hit_rate})"
             )
+
+
+class TestMissPathPinned:
+    """256-node runs of every scheme pinned before the miss-path cut.
+
+    The digests were taken on the commit whose query path still called
+    every no-op hook, cached replies through ``_store_reply`` ->
+    ``Simulation.cache`` and annotated every serve whether traced or
+    not.  The miss path is the paper's latency and cost: a request that
+    climbs one hop too many or a reply cached one hop too few moves
+    every number downstream.  ``nocache`` overrides both lookup and
+    store; ``pcx-no-piggyback`` takes the explicit control branch;
+    ``pcx-traced`` also digests every reconstructed trace, its ``serve``
+    annotations included.
+    """
+
+    BASE = dict(
+        num_nodes=256, duration=7200.0, warmup=1800.0, query_rate=2.0, seed=13
+    )
+
+    PINNED = {
+        "cup": (
+            "f83a63ce60b08c4310ecd551f77298c3877a71968f2b7c0410736c98a059915e"
+        ),
+        "cup-ideal": (
+            "3dcf269dbfbd7cf3f7680352875d8556739bb8d83610082ecc1284d55e4f39cf"
+        ),
+        "cup-popularity": (
+            "76a675b566f103784ecb0b429634b1a30811526e9129ce9f1f3cc780e9a90b43"
+        ),
+        "dup": (
+            "4c23478fb180069ec3b134e1a34595381c2c4f6e774e526a894a0c0a3c581e16"
+        ),
+        "dup-adaptive": (
+            "4ccac81acc205ed45fffa5f8b2eed5d4d11e1e7873524aa9ed01bcb6b0da6474"
+        ),
+        "dup-balanced": (
+            "4c23478fb180069ec3b134e1a34595381c2c4f6e774e526a894a0c0a3c581e16"
+        ),
+        "dup-invalidate": (
+            "21c0984880529d5ab1a2b0310525051bb5c7a752b55cf270f17122986b8e2d96"
+        ),
+        "nocache": (
+            "c99020f61c7a5d6812c87f80cb6d4f62dc6c3aa330cbd820e29f54040544166f"
+        ),
+        "pcx": (
+            "76a675b566f103784ecb0b429634b1a30811526e9129ce9f1f3cc780e9a90b43"
+        ),
+        "push-all": (
+            "44d41e466df23fa5973b5df56d638c9906088da6f5b4e2598d5804d5e51692e0"
+        ),
+        "pcx-no-piggyback": (
+            "76a675b566f103784ecb0b429634b1a30811526e9129ce9f1f3cc780e9a90b43"
+        ),
+        "pcx-traced": (
+            "5465a2e15deff19cc5698d8c0a31d51115ca4811d72712e7e9da926c89ed29db"
+        ),
+    }
+
+    def config(self, scheme: str, **overrides) -> SimulationConfig:
+        return SimulationConfig(scheme=scheme, **self.BASE, **overrides)
+
+    def test_every_scheme_is_pinned(self):
+        from repro.schemes.registry import available_schemes
+
+        assert set(available_schemes()) < set(self.PINNED)
+
+    def test_scheme_fingerprints_unchanged(self):
+        from repro.engine.simulation import Simulation
+        from repro.schemes.registry import available_schemes
+
+        runs = {name: self.config(name) for name in available_schemes()}
+        runs["pcx-no-piggyback"] = self.config("pcx", piggyback=False)
+        for name, config in runs.items():
+            result = Simulation(config).run()
+            assert fingerprint_digest(result) == self.PINNED[name], (
+                f"{name}: run drifted from its pinned fingerprint "
+                f"(queries={result.queries}, hit_rate={result.hit_rate})"
+            )
+
+    def test_traced_run_and_its_serve_annotations_unchanged(self):
+        import hashlib
+        import json
+
+        from repro.engine.simulation import Simulation
+
+        sim = Simulation(self.config("pcx"))
+        tracer = sim.enable_tracing()
+        result = sim.run()
+        traces = [trace.to_dict() for trace in tracer.traces()]
+        serves = [
+            note
+            for trace in traces
+            for note in trace["annotations"]
+            if note["event"] == "serve"
+        ]
+        assert len(serves) == 191
+        payload = json.dumps(
+            [metric_fingerprint(result), traces], sort_keys=True
+        )
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == self.PINNED["pcx-traced"]

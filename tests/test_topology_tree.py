@@ -215,12 +215,14 @@ class TestGenerators:
         tree = chain_tree(5)
         assert tree.height() == 4
         assert tree.path_to_root(4) == [4, 3, 2, 1, 0]
+        assert tree.version == 4
         tree.validate()
 
     def test_star_tree(self):
         tree = star_tree(6)
         assert tree.height() == 1
-        assert tree.degree(0) == 5
+        assert tree.children(0) == (1, 2, 3, 4, 5)
+        assert tree.version == 5
         tree.validate()
 
     def test_balanced_tree(self):
@@ -316,6 +318,68 @@ class TestBlockDrawnRandomTree:
         assert degrees[:-1] == counts[:-1]
         assert 1 <= degrees[-1] <= counts[-1]
         assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@st.composite
+def tree_and_block(draw):
+    """A random tree, an id gap and a block whose parents are drawn from
+    the tree and from the block's own earlier nodes."""
+    size = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**31))
+    first = size + draw(st.integers(0, 5))
+    picks = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=60))
+    existing = list(range(size))
+    parents = []
+    for index, pick in enumerate(picks):
+        pool = existing + list(range(first, first + index))
+        parents.append(pool[pick % len(pool)])
+    return size, seed, first, parents
+
+
+def snapshot(tree):
+    """Everything ``add_leaves`` promises to keep equal to the loop."""
+    return list(tree.nodes), shape(tree), tree.version
+
+
+class TestAddLeaves:
+    """One bulk attach is indistinguishable from an ``add_leaf`` loop."""
+
+    @given(tree_and_block())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_an_add_leaf_loop(self, scenario):
+        size, seed, first, parents = scenario
+        bulk = random_search_tree(size, 3, np.random.default_rng(seed))
+        loop = random_search_tree(size, 3, np.random.default_rng(seed))
+        bulk.depth(size - 1)  # warm the path memo
+        before = bulk.version
+        bulk.add_leaves(parents, first)
+        for node, parent in enumerate(parents, first):
+            loop.add_leaf(parent, node)
+        assert snapshot(bulk) == snapshot(loop)
+        assert bulk.version == before + len(parents)
+        assert not bulk._paths
+        bulk.validate()
+        assert bulk.depth(first) == loop.depth(first)
+
+    @pytest.mark.parametrize(
+        "parents, first, error",
+        [
+            ([1, 99], 10, NodeNotFoundError),  # parent nowhere
+            ([1, 12, 1], 10, NodeNotFoundError),  # block node attached later
+            ([1, 11], 10, NodeNotFoundError),  # a node as its own parent
+            ([1, 2], 8, TopologyError),  # 8 is already in the tree
+        ],
+    )
+    def test_a_bad_block_leaves_the_tree_untouched(
+        self, paper_tree, parents, first, error
+    ):
+        paper_tree.depth(7)  # warm the path memo
+        before, memo = snapshot(paper_tree), dict(paper_tree._paths)
+        with pytest.raises(TopologyError) as raised:
+            paper_tree.add_leaves(parents, first)
+        assert type(raised.value) is error
+        assert snapshot(paper_tree) == before
+        assert paper_tree._paths == memo
 
 
 @st.composite
