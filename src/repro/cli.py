@@ -46,13 +46,272 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from repro.engine import SimulationConfig, run_simulation
+from repro.engine.config import ARRIVALS, INTEREST_POLICIES, TOPOLOGIES
+from repro.errors import ConfigError
 from repro.experiments import get_experiment, list_experiments
-from repro.experiments.spec import ExperimentResult
+from repro.net.faults import FaultPlan, PartitionWindow
+from repro.net.overload import OverloadPlan
 from repro.schemes import available_schemes
+from repro.workload.churn import ChurnConfig
+from repro.workload.sessions import SessionPlan
+from repro.workload.storms import STORM_KINDS, StormPhase, StormPlan
+
+#: Every config flag, one row each: ``(flag, config path, help)``.  The
+#: flag's type, default and choices come from the dataclass field the
+#: path names (:func:`_field_kwargs`); adding a flag is adding a row.
+#: Rows under ``None`` are ungrouped, and each subcommand picks those it
+#: takes; the other keys are argument groups, taken whole.
+_TABLE = {
+    None: (
+        ("--scheme", "scheme", None),
+        ("--nodes", "num_nodes", None),
+        ("--degree", "max_degree", None),
+        ("--rate", "query_rate", "queries/second network-wide"),
+        ("--arrival", "arrival", None),
+        ("--pareto-alpha", "pareto_alpha", None),
+        ("--theta", "zipf_theta", None),
+        ("--threshold", "threshold_c", None),
+        ("--ttl", "ttl", None),
+        ("--push-lead", "push_lead", None),
+        ("--duration", "duration", None),
+        ("--warmup", "warmup", None),
+        ("--topology", "topology", None),
+        ("--seed", "seed", None),
+        ("--churn-rate", "churn.join_rate",
+         "network-wide join and leave rate in events/second "
+         "(0 disables churn; failures stay off)"),
+    ),
+    "resilience": (
+        ("--loss-rate", "faults.loss_rate",
+         "probability each transmission is lost (default: 0)"),
+        ("--duplicate-rate", "faults.duplicate_rate",
+         "probability a control/push hop is delivered twice (default: 0)"),
+        ("--silent-failures", "faults.silent_failures",
+         "crashed nodes blackhole traffic until suspected instead of "
+         "being oracle-announced to the scheme"),
+        ("--retry-budget", "retry_budget",
+         "retransmissions per reliable delivery for hard-state "
+         "schemes (0 disables the reliable channel)"),
+        ("--ack-timeout", "ack_timeout",
+         "initial ack timeout in simulated seconds (default: 2)"),
+        ("--retry-timeout-cap", "retry_timeout_cap",
+         "ceiling on the exponential retry backoff in simulated "
+         "seconds (0: uncapped)"),
+        ("--lease-ttl", "lease_ttl",
+         "lease duration for DUP subscriptions (0 disables leases)"),
+        ("--partition-at", "partition.start",
+         "open a network partition at this simulated time (0: none)"),
+        ("--partition-duration", "partition.duration",
+         "how long the partition lasts before healing (default: 300)"),
+        ("--partition-components", "partition.components",
+         "how many components the partition splits into (default: 2)"),
+        ("--standbys", "authority_standbys",
+         "authority standbys receiving replicated version state "
+         "(0 disables replication and failover)"),
+        ("--failover-timeout", "failover_timeout",
+         "authority silence a standby tolerates before promoting "
+         "itself (default: 120)"),
+        ("--authority-crash-at", "authority_crash_at",
+         "deliberately crash the authority at this simulated time "
+         "(0: never; needs --standbys >= 1)"),
+        ("--audit-interval", "audit_interval",
+         "cadence of the runtime consistency auditor (0 disables; "
+         "DUP-family schemes only)"),
+    ),
+    "overload": (
+        ("--service-rate", "overload.service_rate",
+         "per-node message service rate in messages/second; enables "
+         "the bounded priority inboxes (0 keeps the instant-service "
+         "model and the whole overload layer off)"),
+        ("--inbox-capacity", "overload.inbox_capacity",
+         "queued messages per node inbox (default: 64)"),
+        ("--max-subscribers", "overload.max_subscribers",
+         "graceful-degradation fanout cap: DUP interior nodes refuse "
+         "fresh subscribers past this many branches, CUP caps its "
+         "registration tables (0: uncapped)"),
+        ("--breaker-threshold", "overload.breaker_threshold",
+         "consecutive delivery failures before a per-peer circuit "
+         "breaker trips (0 disables breakers)"),
+        ("--breaker-cooldown", "overload.breaker_cooldown",
+         "seconds an open breaker waits before its half-open probe "
+         "(default: 60)"),
+        ("--coalesce-gap", "overload.authority_coalesce_gap",
+         "minimum gap between forced authority updates; faster "
+         "force_update calls coalesce into one deferred issue "
+         "(0 disables)"),
+        ("--storm", "storm.kind",
+         "inject an overload storm phase (repeatable); shaped by the "
+         "--storm-* flags, which apply to every phase"),
+        ("--storm-start", "storm.start",
+         "storm phase onset in simulated seconds (default: warmup)"),
+        ("--storm-duration", "storm.duration",
+         "storm phase length in simulated seconds (default: the "
+         "post-warmup window)"),
+        ("--storm-rate", "storm.rate",
+         "storm events per simulated second (default: 1)"),
+        ("--storm-rank-flips", "storm.rank_flips",
+         "flash-crowd: nodes promoted to the Zipf head (default: 8)"),
+        ("--storm-burst", "storm.burst",
+         "thrash: queries per burst (default: threshold_c + 1)"),
+    ),
+    "peer fluctuation": (
+        ("--mean-session", "sessions.mean_session",
+         "mean alive-session length in simulated seconds (Pareto); "
+         "enables the crash-restart lifecycle (0 keeps it off)"),
+        ("--mean-downtime", "sessions.mean_downtime",
+         "mean downtime (MTTR) in simulated seconds (log-normal); "
+         "required whenever anything crashes"),
+        ("--session-alpha", "sessions.session_alpha",
+         "Pareto tail index of session lengths (default: 1.5)"),
+        ("--downtime-sigma", "sessions.downtime_sigma",
+         "log-space shape of the downtime distribution (default: 0.75)"),
+        ("--diurnal-amplitude", "sessions.diurnal_amplitude",
+         "relative amplitude of the diurnal arrival-rate curve in "
+         "[0, 1) (0 disables it)"),
+        ("--diurnal-period", "sessions.diurnal_period",
+         "period of the diurnal curve in seconds (default: one day)"),
+        ("--regional-rate", "sessions.regional_rate",
+         "correlated regional failure bursts per simulated second "
+         "(0 disables them)"),
+        ("--regional-radius", "sessions.regional_radius",
+         "BFS radius of the neighborhood a burst crashes (default: 2)"),
+        ("--damp-suppress", "sessions.damp_suppress",
+         "flap-damping penalty at which a peer is suppressed "
+         "(0 disables damping)"),
+        ("--damp-reuse", "sessions.damp_reuse",
+         "penalty below which a suppressed peer is released"),
+        ("--damp-penalty", "sessions.damp_penalty",
+         "penalty charged per crash (default: 1)"),
+        ("--damp-half-life", "sessions.damp_half_life",
+         "exponential half-life of the penalty decay (default: 300)"),
+    ),
+    "interest policy": (
+        ("--interest-policy", "interest_policy",
+         "per-node interest estimator: the paper's sliding window, "
+         "the EWMA ablation, or the self-tuning adaptive policy "
+         "(dup-adaptive forces 'adaptive' regardless)"),
+        ("--threshold-floor", "threshold_floor",
+         "adaptive policy: lower bound on the per-node threshold"),
+        ("--threshold-ceiling", "threshold_ceiling",
+         "adaptive policy: upper bound on the per-node threshold"),
+        ("--adaptive-gain", "adaptive_gain",
+         "adaptive policy: threshold per observed query-per-window "
+         "(a node seeing r queries/TTL settles near round(gain * r))"),
+    ),
+}
+_ROWS = {row[0]: row for rows in _TABLE.values() for row in rows}
+
+#: The dataclass each path prefix names.  ``partition``, ``storm`` and
+#: ``churn`` are the derived inputs :func:`_config_from_args` assembles.
+_CLASSES = {
+    "": SimulationConfig,
+    "faults": FaultPlan,
+    "overload": OverloadPlan,
+    "sessions": SessionPlan,
+    "churn": ChurnConfig,
+    "partition": PartitionWindow,
+    "storm": StormPhase,
+}
+_CHOICES = {
+    "scheme": available_schemes(),
+    "arrival": ARRIVALS,
+    "topology": TOPOLOGIES,
+    "interest_policy": INTEREST_POLICIES,
+    "storm.kind": STORM_KINDS,
+}
+#: Where a derived input's flag departs from its field: the fields with
+#: no default (0 reads "unset": no partition, the warm-up, the rest of
+#: the run), --storm-rank-flips's 8 and the repeatable --storm.
+_DERIVED = {
+    "partition.start": {"default": 0.0},
+    "partition.duration": {"default": 300.0},
+    "storm.kind": {"action": "append", "metavar": "KIND"},
+    "storm.start": {"default": 0.0},
+    "storm.duration": {"default": 0.0},
+    "storm.rate": {"default": 1.0},
+    "storm.rank_flips": {"default": 8},
+}
+
+
+def _field_kwargs(path: str) -> dict:
+    """``add_argument`` keywords for the dataclass field ``path`` names."""
+    prefix, _, name = path.rpartition(".")
+    field = next(
+        f for f in dataclasses.fields(_CLASSES[prefix]) if f.name == name
+    )
+    if field.type == "bool":
+        return {"action": "store_true"}
+    kwargs = {
+        "type": {"int": int, "float": float}.get(field.type),
+        "default": (
+            None if field.default is dataclasses.MISSING else field.default
+        ),
+        "choices": _CHOICES.get(path),
+    }
+    kwargs.update(_DERIVED.get(path, {}))
+    return kwargs
+
+
+def _add_flags(parser, flags: Sequence[str], described: bool = True) -> None:
+    """Add the table rows of ``flags`` to ``parser`` (or a group)."""
+    for flag in flags:
+        _, path, text = _ROWS[flag]
+        parser.add_argument(
+            flag, help=text if described else None, **_field_kwargs(path)
+        )
+
+
+def _add_groups(parser: argparse.ArgumentParser, *titles: str) -> None:
+    """Add the table's argument groups ``titles``, every row of each."""
+    for title in titles:
+        group = parser.add_argument_group(title)
+        _add_flags(group, [row[0] for row in _TABLE[title]])
+
+
+def _config_from_args(
+    args: argparse.Namespace, flags: Sequence[str] = tuple(_ROWS), **fixed
+) -> SimulationConfig:
+    """The one ``SimulationConfig`` the table flags in ``args`` describe.
+
+    Values group by the dotted prefix of their path; each plan is built
+    from its group and kept only when enabled (``None`` otherwise).
+    Three inputs are derived: ``--partition-at`` > 0 opens one
+    ``PartitionWindow``; each ``--storm`` is one ``StormPhase`` that
+    starts at the warm-up and lasts the rest of the run unless told
+    otherwise; ``--churn-rate`` joins and leaves at the same rate.
+    ``fixed`` sets fields outright.
+    """
+    groups: dict = {}
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        if hasattr(args, dest):
+            prefix, _, name = _ROWS[flag][1].rpartition(".")
+            groups.setdefault(prefix, {})[name] = getattr(args, dest)
+    fields = {**groups.pop("", {}), **fixed}
+    partition = groups.pop("partition", None)
+    if partition and partition["start"] > 0:
+        groups["faults"]["partitions"] = (PartitionWindow(**partition),)
+    storm = groups.pop("storm", None)
+    if storm and storm["kind"]:
+        kinds = storm.pop("kind")
+        storm["start"] = storm["start"] or fields["warmup"]
+        storm["duration"] = storm["duration"] or max(
+            fields["duration"] - storm["start"], 1.0
+        )
+        fields["storms"] = StormPlan(
+            tuple(StormPhase(kind, **storm) for kind in kinds)
+        )
+    if "churn" in groups:
+        groups["churn"]["leave_rate"] = groups["churn"]["join_rate"]
+    for prefix, values in groups.items():
+        plan = _CLASSES[prefix](**values)
+        fields[prefix] = plan if plan.enabled else None
+    return SimulationConfig(**fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list experiments and schemes")
+    subparsers.add_parser(
+        "list", help="list experiments and schemes"
+    ).set_defaults(handler=_command_list)
 
     run_parser = subparsers.add_parser(
         "run", help="regenerate a paper table/figure or ablation"
@@ -86,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--replications", type=int, default=2, help="seeds per data point"
     )
-    run_parser.add_argument("--seed", type=int, default=1, help="root seed")
+    run_parser.add_argument("--seed", help="root seed", **_field_kwargs("seed"))
     run_parser.add_argument(
         "--workers",
         default="auto",
@@ -99,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--telemetry-out",
-        default=None,
         metavar="PATH",
         help=(
             "stream structured per-trial progress events as JSONL to "
@@ -115,42 +375,24 @@ def _build_parser() -> argparse.ArgumentParser:
             "continues to the next experiment)"
         ),
     )
+    run_parser.set_defaults(handler=_command_run)
 
     sim_parser = subparsers.add_parser(
         "simulate", help="run one ad-hoc simulation"
     )
-    sim_parser.add_argument(
-        "--scheme", default="dup", choices=available_schemes()
+    _add_flags(
+        sim_parser,
+        ("--scheme", "--nodes", "--degree", "--rate", "--arrival",
+         "--pareto-alpha", "--theta", "--threshold", "--ttl",
+         "--duration", "--warmup", "--topology", "--seed"),
     )
-    sim_parser.add_argument("--nodes", type=int, default=1024)
-    sim_parser.add_argument("--degree", type=int, default=4)
-    sim_parser.add_argument(
-        "--rate", type=float, default=1.0, help="queries/second network-wide"
-    )
-    sim_parser.add_argument(
-        "--arrival", default="exponential", choices=("exponential", "pareto")
-    )
-    sim_parser.add_argument("--pareto-alpha", type=float, default=1.05)
-    sim_parser.add_argument("--theta", type=float, default=0.95)
-    sim_parser.add_argument("--threshold", type=int, default=6)
-    sim_parser.add_argument("--ttl", type=float, default=3600.0)
-    sim_parser.add_argument("--duration", type=float, default=3600.0 * 6)
-    sim_parser.add_argument("--warmup", type=float, default=3600.0 * 2)
-    sim_parser.add_argument(
-        "--topology",
-        default="random-tree",
-        choices=("random-tree", "chord", "can", "balanced", "chain", "star"),
-    )
-    sim_parser.add_argument("--seed", type=int, default=1)
     sim_parser.add_argument(
         "--trace-out",
-        default=None,
         metavar="PATH",
         help="enable per-query tracing and export JSONL traces to PATH",
     )
     sim_parser.add_argument(
         "--metrics-out",
-        default=None,
         metavar="PATH",
         help="export periodic metric-registry snapshots as JSONL to PATH",
     )
@@ -160,41 +402,29 @@ def _build_parser() -> argparse.ArgumentParser:
         default=600.0,
         help="simulated seconds between registry snapshots (default: 600)",
     )
-    sim_parser.add_argument(
-        "--churn-rate",
-        type=float,
-        default=0.0,
-        help=(
-            "network-wide join and leave rate in events/second "
-            "(0 disables churn; failures stay off)"
-        ),
+    _add_flags(sim_parser, ("--churn-rate",))
+    _add_groups(
+        sim_parser,
+        "resilience", "overload", "peer fluctuation", "interest policy",
     )
-    _add_fault_arguments(sim_parser)
-    _add_overload_arguments(sim_parser)
-    _add_fluctuation_arguments(sim_parser)
-    _add_interest_arguments(sim_parser)
     _add_telemetry_arguments(sim_parser)
+    sim_parser.set_defaults(
+        handler=_command_simulate,
+        nodes=1024,
+        duration=3600.0 * 6,
+        warmup=3600.0 * 2,
+    )
 
     observe_parser = subparsers.add_parser(
         "observe", help="run one fully instrumented simulation"
     )
-    observe_parser.add_argument(
-        "--scheme", default="dup", choices=available_schemes()
+    _add_flags(
+        observe_parser,
+        ("--scheme", "--nodes", "--degree", "--rate", "--theta",
+         "--threshold", "--ttl", "--duration", "--warmup", "--topology",
+         "--seed"),
+        described=False,
     )
-    observe_parser.add_argument("--nodes", type=int, default=512)
-    observe_parser.add_argument("--degree", type=int, default=4)
-    observe_parser.add_argument("--rate", type=float, default=1.0)
-    observe_parser.add_argument("--theta", type=float, default=0.95)
-    observe_parser.add_argument("--threshold", type=int, default=6)
-    observe_parser.add_argument("--ttl", type=float, default=3600.0)
-    observe_parser.add_argument("--duration", type=float, default=3600.0 * 4)
-    observe_parser.add_argument("--warmup", type=float, default=3600.0)
-    observe_parser.add_argument(
-        "--topology",
-        default="random-tree",
-        choices=("random-tree", "chord", "can", "balanced", "chain", "star"),
-    )
-    observe_parser.add_argument("--seed", type=int, default=1)
     observe_parser.add_argument(
         "--trace-out", default="traces.jsonl", metavar="PATH"
     )
@@ -210,23 +440,25 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5,
         help="slowest traces to print (default: 5)",
     )
-    _add_fault_arguments(observe_parser)
+    _add_groups(observe_parser, "resilience")
+    observe_parser.set_defaults(
+        handler=_command_observe, nodes=512, duration=3600.0 * 4
+    )
 
     trace_parser = subparsers.add_parser(
         "trace", help="synthesize or replay a query trace"
     )
     trace_parser.add_argument("action", choices=("make", "replay"))
     trace_parser.add_argument("path", help="trace file path")
-    trace_parser.add_argument("--scheme", default="dup",
-                              choices=available_schemes())
-    trace_parser.add_argument("--nodes", type=int, default=512)
-    trace_parser.add_argument("--rate", type=float, default=1.0)
-    trace_parser.add_argument("--duration", type=float, default=3600.0 * 5)
-    trace_parser.add_argument("--theta", type=float, default=0.95)
-    trace_parser.add_argument(
-        "--arrival", default="exponential", choices=("exponential", "pareto")
+    _add_flags(
+        trace_parser,
+        ("--scheme", "--nodes", "--rate", "--duration", "--theta",
+         "--arrival", "--seed"),
+        described=False,
     )
-    trace_parser.add_argument("--seed", type=int, default=1)
+    trace_parser.set_defaults(
+        handler=_command_trace, nodes=512, duration=3600.0 * 5
+    )
 
     chaos_parser = subparsers.add_parser(
         "chaos", help="replay a named chaos scenario"
@@ -234,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument(
         "scenario",
         nargs="?",
-        default=None,
         help="scenario name (omit or use --list to see them)",
     )
     chaos_parser.add_argument(
@@ -243,31 +474,25 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="list_scenarios",
         help="list the stock scenarios and exit",
     )
-    chaos_parser.add_argument(
-        "--scheme", default="dup", choices=available_schemes()
+    _add_flags(
+        chaos_parser,
+        ("--scheme", "--nodes", "--degree", "--rate", "--theta",
+         "--threshold", "--ttl", "--push-lead", "--duration", "--warmup",
+         "--topology", "--seed"),
     )
-    chaos_parser.add_argument("--nodes", type=int, default=64)
-    chaos_parser.add_argument("--degree", type=int, default=4)
-    chaos_parser.add_argument(
-        "--rate", type=float, default=3.0, help="queries/second network-wide"
+    _add_groups(
+        chaos_parser,
+        "resilience", "overload", "peer fluctuation", "interest policy",
     )
-    chaos_parser.add_argument("--theta", type=float, default=0.95)
-    chaos_parser.add_argument("--threshold", type=int, default=6)
-    chaos_parser.add_argument("--ttl", type=float, default=600.0)
-    chaos_parser.add_argument("--push-lead", type=float, default=60.0)
-    chaos_parser.add_argument("--duration", type=float, default=3600.0)
-    chaos_parser.add_argument("--warmup", type=float, default=900.0)
-    chaos_parser.add_argument(
-        "--topology",
-        default="random-tree",
-        choices=("random-tree", "chord", "can", "balanced", "chain", "star"),
-    )
-    chaos_parser.add_argument("--seed", type=int, default=1)
-    _add_fault_arguments(chaos_parser)
-    _add_overload_arguments(chaos_parser)
-    _add_fluctuation_arguments(chaos_parser)
-    _add_interest_arguments(chaos_parser)
     _add_telemetry_arguments(chaos_parser)
+    chaos_parser.set_defaults(
+        handler=_command_chaos,
+        nodes=64,
+        rate=3.0,
+        ttl=600.0,
+        duration=3600.0,
+        warmup=900.0,
+    )
 
     top_parser = subparsers.add_parser(
         "top", help="render a sweep telemetry stream as a dashboard"
@@ -281,6 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5,
         help="recent trials to list (default: 5)",
     )
+    top_parser.set_defaults(handler=_command_top)
 
     profile_parser = subparsers.add_parser(
         "profile", help="profile an experiment run under cProfile"
@@ -299,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replications", type=int, default=1, help="seeds per data point"
     )
     profile_parser.add_argument(
-        "--seed", type=int, default=1, help="root seed"
+        "--seed", help="root seed", **_field_kwargs("seed")
     )
     profile_parser.add_argument(
         "--top",
@@ -315,14 +541,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument(
         "--out",
-        default=None,
         metavar="PATH",
         help="also dump the raw profile (pstats format) to PATH",
     )
     profile_parser.add_argument(
         "--nodes",
         type=int,
-        default=None,
         help=(
             "override the population size (scale experiment only; "
             "e.g. --nodes 100000 for the 10^5-node tier)"
@@ -331,9 +555,12 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--keys",
         type=int,
-        default=None,
         help="override the key count (scale experiment only)",
     )
+    profile_parser.set_defaults(handler=_command_profile)
+    # A ConfigError in a subcommand is reported as its usage error.
+    for subparser in subparsers.choices.values():
+        subparser.set_defaults(parser=subparser)
     return parser
 
 
@@ -342,7 +569,6 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("telemetry")
     group.add_argument(
         "--flight-out",
-        default=None,
         metavar="PATH",
         help=(
             "arm the protocol flight recorder and dump its event ring "
@@ -351,7 +577,6 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--telemetry-out",
-        default=None,
         metavar="PATH",
         help=(
             "sample the tree-evolution timeline and export the windowed "
@@ -366,458 +591,7 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
-    """Resilience flags shared by ``simulate`` and ``observe``."""
-    group = parser.add_argument_group("resilience")
-    group.add_argument(
-        "--loss-rate",
-        type=float,
-        default=0.0,
-        help="probability each transmission is lost (default: 0)",
-    )
-    group.add_argument(
-        "--duplicate-rate",
-        type=float,
-        default=0.0,
-        help="probability a control/push hop is delivered twice (default: 0)",
-    )
-    group.add_argument(
-        "--silent-failures",
-        action="store_true",
-        help=(
-            "crashed nodes blackhole traffic until suspected instead of "
-            "being oracle-announced to the scheme"
-        ),
-    )
-    group.add_argument(
-        "--retry-budget",
-        type=int,
-        default=0,
-        help=(
-            "retransmissions per reliable delivery for hard-state "
-            "schemes (0 disables the reliable channel)"
-        ),
-    )
-    group.add_argument(
-        "--ack-timeout",
-        type=float,
-        default=2.0,
-        help="initial ack timeout in simulated seconds (default: 2)",
-    )
-    group.add_argument(
-        "--retry-timeout-cap",
-        type=float,
-        default=0.0,
-        help=(
-            "ceiling on the exponential retry backoff in simulated "
-            "seconds (0: uncapped)"
-        ),
-    )
-    group.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=0.0,
-        help="lease duration for DUP subscriptions (0 disables leases)",
-    )
-    group.add_argument(
-        "--partition-at",
-        type=float,
-        default=0.0,
-        help="open a network partition at this simulated time (0: none)",
-    )
-    group.add_argument(
-        "--partition-duration",
-        type=float,
-        default=300.0,
-        help="how long the partition lasts before healing (default: 300)",
-    )
-    group.add_argument(
-        "--partition-components",
-        type=int,
-        default=2,
-        help="how many components the partition splits into (default: 2)",
-    )
-    group.add_argument(
-        "--standbys",
-        type=int,
-        default=0,
-        help=(
-            "authority standbys receiving replicated version state "
-            "(0 disables replication and failover)"
-        ),
-    )
-    group.add_argument(
-        "--failover-timeout",
-        type=float,
-        default=120.0,
-        help=(
-            "authority silence a standby tolerates before promoting "
-            "itself (default: 120)"
-        ),
-    )
-    group.add_argument(
-        "--authority-crash-at",
-        type=float,
-        default=0.0,
-        help=(
-            "deliberately crash the authority at this simulated time "
-            "(0: never; needs --standbys >= 1)"
-        ),
-    )
-    group.add_argument(
-        "--audit-interval",
-        type=float,
-        default=0.0,
-        help=(
-            "cadence of the runtime consistency auditor (0 disables; "
-            "DUP-family schemes only)"
-        ),
-    )
-
-
-def _add_overload_arguments(parser: argparse.ArgumentParser) -> None:
-    """Overload-layer / storm flags shared by ``simulate`` and ``chaos``."""
-    group = parser.add_argument_group("overload")
-    group.add_argument(
-        "--service-rate",
-        type=float,
-        default=0.0,
-        help=(
-            "per-node message service rate in messages/second; enables "
-            "the bounded priority inboxes (0 keeps the instant-service "
-            "model and the whole overload layer off)"
-        ),
-    )
-    group.add_argument(
-        "--inbox-capacity",
-        type=int,
-        default=64,
-        help="queued messages per node inbox (default: 64)",
-    )
-    group.add_argument(
-        "--max-subscribers",
-        type=int,
-        default=0,
-        help=(
-            "graceful-degradation fanout cap: DUP interior nodes refuse "
-            "fresh subscribers past this many branches, CUP caps its "
-            "registration tables (0: uncapped)"
-        ),
-    )
-    group.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=0,
-        help=(
-            "consecutive delivery failures before a per-peer circuit "
-            "breaker trips (0 disables breakers)"
-        ),
-    )
-    group.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=60.0,
-        help=(
-            "seconds an open breaker waits before its half-open probe "
-            "(default: 60)"
-        ),
-    )
-    group.add_argument(
-        "--coalesce-gap",
-        type=float,
-        default=0.0,
-        help=(
-            "minimum gap between forced authority updates; faster "
-            "force_update calls coalesce into one deferred issue "
-            "(0 disables)"
-        ),
-    )
-    group.add_argument(
-        "--storm",
-        action="append",
-        default=None,
-        metavar="KIND",
-        choices=("flash-crowd", "update-storm", "thrash"),
-        help=(
-            "inject an overload storm phase (repeatable); shaped by the "
-            "--storm-* flags, which apply to every phase"
-        ),
-    )
-    group.add_argument(
-        "--storm-start",
-        type=float,
-        default=0.0,
-        help="storm phase onset in simulated seconds (default: warmup)",
-    )
-    group.add_argument(
-        "--storm-duration",
-        type=float,
-        default=0.0,
-        help=(
-            "storm phase length in simulated seconds (default: the "
-            "post-warmup window)"
-        ),
-    )
-    group.add_argument(
-        "--storm-rate",
-        type=float,
-        default=1.0,
-        help="storm events per simulated second (default: 1)",
-    )
-    group.add_argument(
-        "--storm-rank-flips",
-        type=int,
-        default=8,
-        help="flash-crowd: nodes promoted to the Zipf head (default: 8)",
-    )
-    group.add_argument(
-        "--storm-burst",
-        type=int,
-        default=0,
-        help="thrash: queries per burst (default: threshold_c + 1)",
-    )
-
-
-def _add_fluctuation_arguments(parser: argparse.ArgumentParser) -> None:
-    """Peer-fluctuation flags shared by ``simulate`` and ``chaos``."""
-    group = parser.add_argument_group("peer fluctuation")
-    group.add_argument(
-        "--mean-session",
-        type=float,
-        default=0.0,
-        help=(
-            "mean alive-session length in simulated seconds (Pareto); "
-            "enables the crash-restart lifecycle (0 keeps it off)"
-        ),
-    )
-    group.add_argument(
-        "--mean-downtime",
-        type=float,
-        default=0.0,
-        help=(
-            "mean downtime (MTTR) in simulated seconds (log-normal); "
-            "required whenever anything crashes"
-        ),
-    )
-    group.add_argument(
-        "--session-alpha",
-        type=float,
-        default=1.5,
-        help="Pareto tail index of session lengths (default: 1.5)",
-    )
-    group.add_argument(
-        "--downtime-sigma",
-        type=float,
-        default=0.75,
-        help="log-space shape of the downtime distribution (default: 0.75)",
-    )
-    group.add_argument(
-        "--diurnal-amplitude",
-        type=float,
-        default=0.0,
-        help=(
-            "relative amplitude of the diurnal arrival-rate curve in "
-            "[0, 1) (0 disables it)"
-        ),
-    )
-    group.add_argument(
-        "--diurnal-period",
-        type=float,
-        default=86_400.0,
-        help="period of the diurnal curve in seconds (default: one day)",
-    )
-    group.add_argument(
-        "--regional-rate",
-        type=float,
-        default=0.0,
-        help=(
-            "correlated regional failure bursts per simulated second "
-            "(0 disables them)"
-        ),
-    )
-    group.add_argument(
-        "--regional-radius",
-        type=int,
-        default=2,
-        help="BFS radius of the neighborhood a burst crashes (default: 2)",
-    )
-    group.add_argument(
-        "--damp-suppress",
-        type=float,
-        default=0.0,
-        help=(
-            "flap-damping penalty at which a peer is suppressed "
-            "(0 disables damping)"
-        ),
-    )
-    group.add_argument(
-        "--damp-reuse",
-        type=float,
-        default=1.0,
-        help="penalty below which a suppressed peer is released",
-    )
-    group.add_argument(
-        "--damp-penalty",
-        type=float,
-        default=1.0,
-        help="penalty charged per crash (default: 1)",
-    )
-    group.add_argument(
-        "--damp-half-life",
-        type=float,
-        default=300.0,
-        help="exponential half-life of the penalty decay (default: 300)",
-    )
-
-
-def _fluctuation_overrides(args: argparse.Namespace) -> dict:
-    """SimulationConfig overrides from the peer-fluctuation flags."""
-    from repro.workload.sessions import SessionPlan
-
-    plan = SessionPlan(
-        mean_session=args.mean_session,
-        session_alpha=args.session_alpha,
-        mean_downtime=args.mean_downtime,
-        downtime_sigma=args.downtime_sigma,
-        diurnal_amplitude=args.diurnal_amplitude,
-        diurnal_period=args.diurnal_period,
-        regional_rate=args.regional_rate,
-        regional_radius=args.regional_radius,
-        damp_penalty=args.damp_penalty,
-        damp_half_life=args.damp_half_life,
-        damp_suppress=args.damp_suppress,
-        damp_reuse=args.damp_reuse,
-    )
-    return {"sessions": plan} if plan.enabled else {}
-
-
-def _add_interest_arguments(parser: argparse.ArgumentParser) -> None:
-    """Interest-policy flags shared by ``simulate`` and ``chaos``."""
-    group = parser.add_argument_group("interest policy")
-    group.add_argument(
-        "--interest-policy",
-        default="window",
-        choices=("window", "ewma", "adaptive"),
-        help=(
-            "per-node interest estimator: the paper's sliding window, "
-            "the EWMA ablation, or the self-tuning adaptive policy "
-            "(dup-adaptive forces 'adaptive' regardless)"
-        ),
-    )
-    group.add_argument(
-        "--threshold-floor",
-        type=int,
-        default=2,
-        help="adaptive policy: lower bound on the per-node threshold",
-    )
-    group.add_argument(
-        "--threshold-ceiling",
-        type=int,
-        default=10,
-        help="adaptive policy: upper bound on the per-node threshold",
-    )
-    group.add_argument(
-        "--adaptive-gain",
-        type=float,
-        default=0.5,
-        help=(
-            "adaptive policy: threshold per observed query-per-window "
-            "(a node seeing r queries/TTL settles near round(gain * r))"
-        ),
-    )
-
-
-def _interest_overrides(args: argparse.Namespace) -> dict:
-    """SimulationConfig overrides from the interest-policy flags."""
-    overrides: dict = {}
-    if args.interest_policy != "window":
-        overrides["interest_policy"] = args.interest_policy
-    if args.threshold_floor != 2:
-        overrides["threshold_floor"] = args.threshold_floor
-    if args.threshold_ceiling != 10:
-        overrides["threshold_ceiling"] = args.threshold_ceiling
-    if args.adaptive_gain != 0.5:
-        overrides["adaptive_gain"] = args.adaptive_gain
-    return overrides
-
-
-def _overload_overrides(args: argparse.Namespace) -> dict:
-    """SimulationConfig overrides from the overload/storm flags."""
-    from repro.net.overload import OverloadPlan
-    from repro.workload.storms import StormPhase, StormPlan
-
-    overrides: dict = {}
-    plan = OverloadPlan(
-        inbox_capacity=args.inbox_capacity,
-        service_rate=args.service_rate,
-        max_subscribers=args.max_subscribers,
-        authority_coalesce_gap=args.coalesce_gap,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-    )
-    if plan.enabled:
-        overrides["overload"] = plan
-    if args.storm:
-        start = args.storm_start or args.warmup
-        duration = args.storm_duration or max(
-            args.duration - start, 1.0
-        )
-        overrides["storms"] = StormPlan(
-            phases=tuple(
-                StormPhase(
-                    kind=kind,
-                    start=start,
-                    duration=duration,
-                    rate=args.storm_rate,
-                    rank_flips=args.storm_rank_flips,
-                    burst=args.storm_burst,
-                )
-                for kind in args.storm
-            )
-        )
-    return overrides
-
-
-def _fault_overrides(args: argparse.Namespace) -> dict:
-    """SimulationConfig overrides from the resilience flags."""
-    from repro.net.faults import FaultPlan, PartitionWindow
-
-    overrides: dict = {}
-    plan_fields: dict = {}
-    if args.loss_rate > 0:
-        plan_fields["loss_rate"] = args.loss_rate
-    if args.duplicate_rate > 0:
-        plan_fields["duplicate_rate"] = args.duplicate_rate
-    if args.silent_failures:
-        plan_fields["silent_failures"] = True
-    if args.partition_at > 0:
-        plan_fields["partitions"] = (
-            PartitionWindow(
-                start=args.partition_at,
-                duration=args.partition_duration,
-                components=args.partition_components,
-            ),
-        )
-    if plan_fields:
-        overrides["faults"] = FaultPlan(**plan_fields)
-    if args.retry_budget > 0:
-        overrides["retry_budget"] = args.retry_budget
-        overrides["ack_timeout"] = args.ack_timeout
-        if args.retry_timeout_cap > 0:
-            overrides["retry_timeout_cap"] = args.retry_timeout_cap
-    if args.lease_ttl > 0:
-        overrides["lease_ttl"] = args.lease_ttl
-    if args.standbys > 0:
-        overrides["authority_standbys"] = args.standbys
-        overrides["failover_timeout"] = args.failover_timeout
-    if args.authority_crash_at > 0:
-        overrides["authority_crash_at"] = args.authority_crash_at
-    if args.audit_interval > 0:
-        overrides["audit_interval"] = args.audit_interval
-    return overrides
-
-
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     print("experiments:")
     for name in list_experiments():
         print(f"  {name}")
@@ -902,8 +676,6 @@ def _instrumented_run(
     tree-evolution timeline every ``timeline_window`` simulated seconds
     and exports the windowed series.
     """
-    import dataclasses
-
     from repro.engine.simulation import Simulation
     from repro.metrics.export import export_registry, export_traces, write_jsonl
 
@@ -936,32 +708,7 @@ def _instrumented_run(
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    overrides = _fault_overrides(args)
-    overrides.update(_overload_overrides(args))
-    overrides.update(_fluctuation_overrides(args))
-    overrides.update(_interest_overrides(args))
-    if args.churn_rate > 0:
-        from repro.workload.churn import ChurnConfig
-
-        overrides["churn"] = ChurnConfig(
-            join_rate=args.churn_rate, leave_rate=args.churn_rate
-        )
-    config = SimulationConfig(
-        scheme=args.scheme,
-        num_nodes=args.nodes,
-        max_degree=args.degree,
-        query_rate=args.rate,
-        arrival=args.arrival,
-        pareto_alpha=args.pareto_alpha,
-        zipf_theta=args.theta,
-        threshold_c=args.threshold,
-        ttl=args.ttl,
-        duration=args.duration,
-        warmup=args.warmup,
-        topology=args.topology,
-        seed=args.seed,
-        **overrides,
-    )
+    config = _config_from_args(args)
     print(f"config: {config.describe()}")
     if (
         args.trace_out
@@ -988,20 +735,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_observe(args: argparse.Namespace) -> int:
-    config = SimulationConfig(
-        scheme=args.scheme,
-        num_nodes=args.nodes,
-        max_degree=args.degree,
-        query_rate=args.rate,
-        zipf_theta=args.theta,
-        threshold_c=args.threshold,
-        ttl=args.ttl,
-        duration=args.duration,
-        warmup=args.warmup,
-        topology=args.topology,
-        seed=args.seed,
-        **_fault_overrides(args),
-    )
+    config = _config_from_args(args)
     print(f"config: {config.describe()}")
     result, tracer = _instrumented_run(
         config, args.trace_out, args.metrics_out, args.snapshot_interval
@@ -1049,12 +783,13 @@ def _command_trace(args: argparse.Namespace) -> int:
         )
         return 0
     trace = QueryTrace.load(args.path)
-    config = SimulationConfig(
-        scheme=args.scheme,
-        num_nodes=args.nodes,
+    # The trace is the workload: the flags that shape `trace make`
+    # (--rate, --duration, --theta, --arrival) stay out of the config.
+    config = _config_from_args(
+        args,
+        ("--scheme", "--nodes", "--seed"),
         duration=max(trace.duration + 60.0, 120.0),
         warmup=0.0,
-        seed=args.seed,
     )
     sim = Simulation(config)
     sim.use_trace(trace)
@@ -1072,26 +807,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
             print(f"  {name:10s} {SCENARIOS[name].description}")
         return 0
     scenario = get_scenario(args.scenario)
-    overrides = _fault_overrides(args)
-    overrides.update(_overload_overrides(args))
-    overrides.update(_fluctuation_overrides(args))
-    overrides.update(_interest_overrides(args))
-    config = SimulationConfig(
-        scheme=args.scheme,
-        num_nodes=args.nodes,
-        max_degree=args.degree,
-        query_rate=args.rate,
-        zipf_theta=args.theta,
-        threshold_c=args.threshold,
-        ttl=args.ttl,
-        push_lead=args.push_lead,
-        duration=args.duration,
-        warmup=args.warmup,
-        topology=args.topology,
-        seed=args.seed,
-        **overrides,
-    )
-    config = scenario.apply(config)
+    config = scenario.apply(_config_from_args(args))
     print(f"scenario: {scenario.name} -- {scenario.description}")
     print(f"config: {config.describe()}")
     if args.flight_out or args.telemetry_out:
@@ -1108,20 +824,10 @@ def _command_chaos(args: argparse.Namespace) -> int:
         result = run_simulation(config)
     print(result)
     if result.extras:
+        layers = ("audit", "failover", "partition", "partitions",
+                  "standby", "session", "flap", "rejoin")
         chaos_keys = tuple(
-            k
-            for k in sorted(result.extras)
-            if k.split("_")[0]
-            in (
-                "audit",
-                "failover",
-                "partition",
-                "partitions",
-                "standby",
-                "session",
-                "flap",
-                "rejoin",
-            )
+            k for k in sorted(result.extras) if k.split("_")[0] in layers
         )
         for key in chaos_keys:
             print(f"  {key}: {result.extras[key]}")
@@ -1200,23 +906,10 @@ def _command_profile(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-dup`` console script."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "simulate":
-        return _command_simulate(args)
-    if args.command == "observe":
-        return _command_observe(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "chaos":
-        return _command_chaos(args)
-    if args.command == "top":
-        return _command_top(args)
-    if args.command == "profile":
-        return _command_profile(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return args.handler(args)
+    except ConfigError as error:
+        args.parser.error(str(error))
 
 
 if __name__ == "__main__":

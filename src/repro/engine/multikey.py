@@ -18,8 +18,10 @@ them on any number of workers, and merges the shard results exactly.
 Metrics aggregate across keys; per-key query counts are in the extras.
 
 Churn is out of scope here (each key's tree would need its own repair
-sequencing) and is rejected with a :class:`~repro.errors.ConfigError`;
-use the single-key engine for churn studies.
+sequencing), and so are faults, the reliable channel, standbys, the
+auditor, overload, storms, sessions and the flight recorder.  A config
+setting any of them is rejected with one :class:`~repro.errors.ConfigError`
+naming them all; use the single-key engine for those studies.
 """
 
 from __future__ import annotations
@@ -54,6 +56,21 @@ from repro.workload.arrivals import (
 from repro.workload.selection import ZipfNodeSelector
 
 NodeId = int
+
+#: Config fields this engine does not implement.  A config that sets any
+#: of them is refused, naming them all, rather than run without them.
+_UNSUPPORTED = (
+    "churn",
+    "faults",
+    "retry_budget",
+    "audit_interval",
+    "authority_standbys",
+    "authority_crash_at",
+    "overload",
+    "storms",
+    "sessions",
+    "flight_recorder",
+)
 
 
 class _KeySlice:
@@ -201,7 +218,7 @@ class MultiKeyScaleSimulation:
     With the default ``shard_index=0, shard_count=1`` one instance runs
     every key.  ``config.topology`` must be ``"chord"`` (per-key trees
     need a real DHT), ``config.query_rate`` is the network-wide rate
-    across *all* keys, and churn must be disabled.
+    across *all* keys, and churn and the resilience layers must be off.
 
     The multi-key workload decomposes exactly by key: a query for key
     ``k`` touches only ``k``'s search tree, authority, and cache
@@ -257,8 +274,17 @@ class MultiKeyScaleSimulation:
             )
         if config.topology != "chord":
             raise ConfigError("scale simulation requires topology='chord'")
-        if config.churn is not None and config.churn.enabled:
-            raise ConfigError("scale simulation does not support churn")
+        unsupported = []
+        for name in _UNSUPPORTED:
+            value = getattr(config, name)
+            # A plan counts as set when enabled, a scalar when non-zero.
+            if getattr(value, "enabled", value):
+                unsupported.append(name)
+        if unsupported:
+            raise ConfigError(
+                "scale simulation does not support "
+                f"{', '.join(unsupported)}; run them on Simulation"
+            )
         if sweep_interval is not None and sweep_interval <= 0:
             # A zero period would spin the sweeper without advancing
             # the clock; a negative one cannot be scheduled at all.

@@ -5,8 +5,12 @@ import pytest
 from repro.engine import SimulationConfig
 from repro.engine.multikey import MultiKeyScaleSimulation, run_scale
 from repro.errors import ConfigError
+from repro.net.faults import FaultPlan
+from repro.net.overload import OverloadPlan
 from repro.schemes.registry import available_schemes
 from repro.workload import ChurnConfig
+from repro.workload.sessions import SessionPlan
+from repro.workload.storms import StormPhase, StormPlan
 
 
 def multikey_config(**overrides):
@@ -223,6 +227,52 @@ class TestScaleEngine:
                 sweep_interval=sweep_interval,
             )
         assert isinstance(raised.value.__cause__, ConfigError)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"faults": FaultPlan(loss_rate=0.4)},
+            {"retry_budget": 3},
+            {"audit_interval": 100.0},
+            {"authority_standbys": 2},
+            {"authority_standbys": 2, "authority_crash_at": 2400.0},
+            {"overload": OverloadPlan(service_rate=1.0, inbox_capacity=2)},
+            {
+                "storms": StormPlan(
+                    (StormPhase("update-storm", 1800.0, 600.0, 0.05),)
+                )
+            },
+            {"sessions": SessionPlan(mean_session=300.0, mean_downtime=60.0)},
+            {"flight_recorder": True},
+        ],
+        ids=lambda changes: "+".join(changes),
+    )
+    def test_scale_refuses_fields_it_would_ignore(self, changes):
+        # Each of these ran bit-identical to the baseline before it was
+        # refused: the engine accepted the field and never read it.
+        from repro.errors import ExperimentError
+
+        config = self._scale_config(**changes)
+        with pytest.raises(ConfigError) as raised:
+            MultiKeyScaleSimulation(config, num_keys=8)
+        assert str(raised.value) == (
+            f"scale simulation does not support {', '.join(changes)}; "
+            "run them on Simulation"
+        )
+        with pytest.raises(ExperimentError) as raised:
+            run_scale(config, num_keys=8, workers=1)
+        assert isinstance(raised.value.__cause__, ConfigError)
+
+    def test_scale_accepts_disabled_plans(self):
+        # All-default plans switch nothing on, so they are not refused.
+        config = self._scale_config(
+            faults=FaultPlan(),
+            overload=OverloadPlan(),
+            storms=StormPlan(),
+            sessions=SessionPlan(),
+            churn=ChurnConfig(),
+        )
+        assert MultiKeyScaleSimulation(config, num_keys=4).run().queries > 0
 
     def test_scale_accepts_positive_sweep_interval(self):
         default = run_scale(self._scale_config(), num_keys=8, workers=1)
