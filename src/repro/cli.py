@@ -257,6 +257,17 @@ def _field_kwargs(path: str) -> dict:
     return kwargs
 
 
+def _positive_int(text: str) -> int:
+    """An ``argparse`` type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_flags(parser, flags: Sequence[str], described: bool = True) -> None:
     """Add the table rows of ``flags`` to ``parser`` (or a group)."""
     for flag in flags:
@@ -345,7 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--replications", type=int, default=2, help="seeds per data point"
+        "--replications",
+        type=_positive_int,
+        default=2,
+        help="seeds per data point",
     )
     run_parser.add_argument("--seed", help="root seed", **_field_kwargs("seed"))
     run_parser.add_argument(
@@ -522,7 +536,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parameter scale (default: quick)",
     )
     profile_parser.add_argument(
-        "--replications", type=int, default=1, help="seeds per data point"
+        "--replications",
+        type=_positive_int,
+        default=1,
+        help="seeds per data point",
     )
     profile_parser.add_argument(
         "--seed", help="root seed", **_field_kwargs("seed")
@@ -768,6 +785,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     from repro.workload.trace import QueryTrace
 
     if args.action == "make":
+        _config_from_args(args, warmup=0.0)  # refuse bad numbers up front
         trace = QueryTrace.synthesize(
             nodes=list(range(1, args.nodes)),  # node 0 is the authority
             rate=args.rate,

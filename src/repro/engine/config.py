@@ -280,6 +280,8 @@ class SimulationConfig:
             )
         if self.warmup < 0:
             raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"

@@ -32,133 +32,75 @@ the widest subscriber fanout, and the adaptive threshold span.
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
-from repro.engine.runner import replicate_many
-from repro.experiments.common import base_config
+from repro.experiments.common import (
+    BENCH_INTENSITIES,
+    MAX_SUBSCRIBERS,
+    RATE,
+    SMOKE_INTENSITIES,
+    cost,
+    extra_mean,
+    goodput,
+    goodput_holds,
+    latency,
+    peak,
+    percentile,
+    storm_config,
+    storm_overload,
+    storm_plan,
+    storm_retries,
+    sweep,
+    total,
+)
 from repro.experiments.spec import ExperimentResult, ShapeCheck
-from repro.net.overload import OverloadPlan
-from repro.workload.storms import StormPhase, StormPlan
 
 EXPERIMENT_ID = "adaptive"
 TITLE = "Adaptive & balanced DUP variants under overload storms"
 
-#: Storm intensity multipliers per sweep level (0 = no storm).
-BENCH_INTENSITIES = (0.0, 1.0, 2.0, 4.0)
-SMOKE_INTENSITIES = (0.0, 1.0, 4.0)
-
 VARIANTS = ("dup", "dup-adaptive", "dup-balanced", "cup", "pcx")
 DUP_FAMILY = ("dup", "dup-adaptive", "dup-balanced")
 
-#: Base network-wide query rate (queries/second).
-RATE = 3.0
-#: Shared overload plan: the same service model, inbox bound, and
-#: fanout / registration cap for every variant (see overload_study for
-#: the calibration rationale — cap 3 sits below the tree degree so it
-#: binds, service 1.5 straddles the update-storm push rate).
-SERVICE_RATE = 1.5
-INBOX_CAPACITY = 48
-MAX_SUBSCRIBERS = 3
-COALESCE_GAP = 30.0
-#: Reliable-channel parameters for the DUP family (Delegate/Reclaim and
-#: the PR-7 NACK flows assume the retry machinery is on).
-RETRY_BUDGET = 3
-ACK_TIMEOUT = 2.0
-RETRY_TIMEOUT_CAP = 16.0
-#: Adaptive-threshold bounds around the stock threshold_c.
-THRESHOLD_FLOOR = 2
-THRESHOLD_CEILING = 10
-ADAPTIVE_GAIN = 0.5
+#: Adaptive-threshold bounds around the stock threshold_c, and its gain.
+ADAPTIVE = dict(threshold_floor=2, threshold_ceiling=10, adaptive_gain=0.5)
 
-#: Storm event rates at intensity 1 (scaled linearly by intensity);
-#: identical to the overload study so the sweeps are comparable.
-FLASH_RATE = 2.0 * RATE
-FLASH_RANK_FLIPS = 8
-UPDATE_RATE = 0.5
-THRASH_RATE = 0.05
-THRASH_BURST = 2 * INBOX_CAPACITY
-
-
-def _storm_config(seed: int):
-    """The purpose-built storm base (see overload_study._storm_config)."""
-    return base_config(
-        "quick",
-        seed=seed,
-        num_nodes=64,
-        ttl=120.0,
-        push_lead=30.0,
-        warmup=900.0,
-        duration=3600.0,
-    )
-
-
-def _storm_plan(base, intensity: float):
-    """The three overlapping storm phases, scaled by ``intensity``."""
-    if intensity <= 0:
-        return None
-    warmup = base.warmup
-    window = base.duration - warmup
-    return StormPlan(
-        phases=(
-            StormPhase(
-                kind="flash-crowd",
-                start=warmup + 0.1 * window,
-                duration=0.6 * window,
-                rate=FLASH_RATE * intensity,
-                rank_flips=FLASH_RANK_FLIPS,
-            ),
-            StormPhase(
-                kind="update-storm",
-                start=warmup + 0.2 * window,
-                duration=0.5 * window,
-                rate=UPDATE_RATE * intensity,
-            ),
-            StormPhase(
-                kind="thrash",
-                start=warmup + 0.3 * window,
-                duration=0.4 * window,
-                rate=THRASH_RATE * intensity,
-                burst=THRASH_BURST,
-            ),
-        )
-    )
-
-
-def _shared_plan() -> OverloadPlan:
-    return OverloadPlan(
-        service_rate=SERVICE_RATE,
-        inbox_capacity=INBOX_CAPACITY,
-        max_subscribers=MAX_SUBSCRIBERS,
-        authority_coalesce_gap=COALESCE_GAP,
-    )
+COLUMNS = {
+    "latency": latency,
+    "p99": lambda a: percentile(a, "p99"),
+    "cost": cost,
+    "goodput": goodput,
+    "shed_frac": lambda a: extra_mean(a, "shed_fraction", 0.0),
+    "rejected": lambda a: total(a, "rejected_subscribers"),
+    "splits": lambda a: total(a, "split_subscribers"),
+    "reabsorbed": lambda a: total(a, "reabsorbed_subscribers"),
+    "max_fanout": lambda a: peak(a, "dup_max_fanout"),
+    "threshold_min": lambda a: min(
+        (int(r.extras["threshold_min"]) for r in a.runs
+         if "threshold_min" in r.extras),
+        default=0,
+    ),
+    "threshold_max": lambda a: max(
+        (int(r.extras["threshold_max"]) for r in a.runs
+         if "threshold_max" in r.extras),
+        default=0,
+    ),
+}
 
 
 def _variant_config(base, variant: str, intensity: float):
+    # One shared plan for every variant (the overload study's protected
+    # plan); the DUP family keeps the reliable channel on because
+    # Delegate/Reclaim and the NACK flows assume the retry machinery.
     config = base.replace(
         scheme=variant,
-        overload=_shared_plan(),
-        storms=_storm_plan(base, intensity),
+        overload=storm_overload(),
+        storms=storm_plan(base, intensity),
     )
     if variant in DUP_FAMILY:
-        config = config.replace(
-            retry_budget=RETRY_BUDGET,
-            ack_timeout=ACK_TIMEOUT,
-            retry_timeout_cap=RETRY_TIMEOUT_CAP,
-        )
+        config = storm_retries(config)
     if variant == "dup-adaptive":
-        config = config.replace(
-            threshold_floor=THRESHOLD_FLOOR,
-            threshold_ceiling=THRESHOLD_CEILING,
-            adaptive_gain=ADAPTIVE_GAIN,
-        )
+        config = config.replace(**ADAPTIVE)
     return config
-
-
-def _mean(values) -> float:
-    values = [v for v in values if not math.isnan(v)]
-    if not values:
-        return float("nan")
-    return sum(values) / len(values)
 
 
 def run(
@@ -174,75 +116,16 @@ def run(
         intensities = (
             SMOKE_INTENSITIES if scale == "smoke" else BENCH_INTENSITIES
         )
-    base = _storm_config(seed).replace(query_rate=rate)
-
-    results = replicate_many(
-        {
-            (intensity, variant): _variant_config(base, variant, intensity)
-            for intensity in intensities
-            for variant in VARIANTS
-        },
-        replications,
-        workers=workers,
-        experiment=EXPERIMENT_ID,
-    )
-    horizon = base.duration - base.warmup
-    rows = []
-    for (intensity, variant), aggregated in results.items():
-        runs = aggregated.runs
-        extras = [dict(r.extras) for r in runs]
-
-        def total(key):
-            return sum(int(e.get(key, 0)) for e in extras)
-
-        rows.append(
-            {
-                "intensity": intensity,
-                "variant": variant,
-                "latency": aggregated.latency.mean,
-                "p99": _mean(
-                    [
-                        float(r.latency_percentiles.get("p99", "nan"))
-                        for r in runs
-                    ]
-                ),
-                "cost": aggregated.cost.mean,
-                "goodput": sum(r.queries for r in runs)
-                / (len(runs) * horizon),
-                "shed_frac": _mean(
-                    [float(e.get("shed_fraction", 0.0)) for e in extras]
-                ),
-                "rejected": total("rejected_subscribers"),
-                "splits": total("split_subscribers"),
-                "reabsorbed": total("reabsorbed_subscribers"),
-                "max_fanout": max(
-                    int(e.get("dup_max_fanout", 0)) for e in extras
-                ),
-                "threshold_min": min(
-                    (
-                        int(e["threshold_min"])
-                        for e in extras
-                        if "threshold_min" in e
-                    ),
-                    default=0,
-                ),
-                "threshold_max": max(
-                    (
-                        int(e["threshold_max"])
-                        for e in extras
-                        if "threshold_max" in e
-                    ),
-                    default=0,
-                ),
-            }
-        )
-
-    checks = _shape_checks(intensities, results, horizon)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        rows=rows,
-        shape_checks=tuple(checks),
+    base = storm_config(seed).replace(query_rate=rate)
+    return sweep(
+        EXPERIMENT_ID,
+        TITLE,
+        points=intensities,
+        variants=VARIANTS,
+        config_for=partial(_variant_config, base),
+        key=("intensity", "variant"),
+        columns=COLUMNS,
+        checks=lambda results: _shape_checks(intensities, results),
         notes=(
             "No paper figure exists for these variants; dup-adaptive "
             "and dup-balanced are PR-8 extensions proven equivalent to "
@@ -251,84 +134,63 @@ def run(
             "root is cap-exempt, so max_fanout compares variants rather "
             "than asserting a global bound."
         ),
+        replications=replications,
+        workers=workers,
     )
 
 
-def _total(results, intensity, variant, key) -> int:
-    return sum(
-        int(r.extras.get(key, 0))
-        for r in results[(intensity, variant)].runs
-    )
-
-
-def _goodput(results, intensity, variant, horizon) -> float:
-    runs = results[(intensity, variant)].runs
-    return sum(r.queries for r in runs) / (len(runs) * horizon)
-
-
-def _shape_checks(intensities, results, horizon):
-    checks = []
+def _shape_checks(intensities, results):
     stormy = [i for i in intensities if i > 0]
     if not stormy:
-        return checks
+        return
     top = max(stormy)
 
     splits_by_intensity = {
-        i: _total(results, i, "dup-balanced", "split_subscribers")
+        i: total(results[(i, "dup-balanced")], "split_subscribers")
         for i in intensities
     }
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "dup-balanced splits engage somewhere in the sweep "
-                "(the cap binds and delegation actually fires)"
-            ),
-            passed=any(v > 0 for v in splits_by_intensity.values()),
-            detail=" ".join(
-                f"i{i:g}={v}" for i, v in splits_by_intensity.items()
-            ),
-        )
+    yield ShapeCheck(
+        claim=(
+            "dup-balanced splits engage somewhere in the sweep "
+            "(the cap binds and delegation actually fires)"
+        ),
+        passed=any(v > 0 for v in splits_by_intensity.values()),
+        detail=" ".join(f"i{i:g}={v}" for i, v in splits_by_intensity.items()),
     )
 
-    dup_rejected = sum(
-        _total(results, i, "dup", "rejected_subscribers")
-        for i in intensities
-    )
-    balanced_rejected = sum(
-        _total(results, i, "dup-balanced", "rejected_subscribers")
-        for i in intensities
-    )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "splitting absorbs subscribers the redirect baseline "
-                "refuses (balanced rejects <= dup rejects)"
-            ),
-            passed=balanced_rejected <= dup_rejected,
-            detail=f"dup={dup_rejected} balanced={balanced_rejected}",
+    def rejected(variant):
+        return sum(
+            total(results[(i, variant)], "rejected_subscribers")
+            for i in intensities
         )
+
+    dup_rejected = rejected("dup")
+    balanced_rejected = rejected("dup-balanced")
+    yield ShapeCheck(
+        claim=(
+            "splitting absorbs subscribers the redirect baseline "
+            "refuses (balanced rejects <= dup rejects)"
+        ),
+        passed=balanced_rejected <= dup_rejected,
+        detail=f"dup={dup_rejected} balanced={balanced_rejected}",
     )
 
     def fanout(variant):
         return max(
-            int(r.extras.get("dup_max_fanout", 0))
-            for i in intensities
-            for r in results[(i, variant)].runs
+            peak(results[(i, variant)], "dup_max_fanout") for i in intensities
         )
 
     dup_fanout = fanout("dup")
     balanced_fanout = fanout("dup-balanced")
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "splitting spreads load down: the widest balanced "
-                "fanout never exceeds the redirect baseline's "
-                "(the cap-exempt root concentrates redirects)"
-            ),
-            passed=balanced_fanout <= dup_fanout,
-            detail=f"dup={dup_fanout} balanced={balanced_fanout} "
-            f"cap={MAX_SUBSCRIBERS}",
-        )
+    yield ShapeCheck(
+        claim=(
+            "splitting spreads load down: the widest balanced "
+            "fanout never exceeds the redirect baseline's "
+            "(the cap-exempt root concentrates redirects)"
+        ),
+        passed=balanced_fanout <= dup_fanout,
+        detail=f"dup={dup_fanout} balanced={balanced_fanout} "
+        f"cap={MAX_SUBSCRIBERS}",
     )
 
     spread = {
@@ -339,28 +201,14 @@ def _shape_checks(intensities, results, horizon):
         )
         for i in intensities
     }
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "adaptive thresholds actually diverge across nodes "
-                "somewhere in the sweep (the estimator is live)"
-            ),
-            passed=any(v > 0 for v in spread.values()),
-            detail=" ".join(f"i{i:g}={v}" for i, v in spread.items()),
-        )
+    yield ShapeCheck(
+        claim=(
+            "adaptive thresholds actually diverge across nodes "
+            "somewhere in the sweep (the estimator is live)"
+        ),
+        passed=any(v > 0 for v in spread.values()),
+        detail=" ".join(f"i{i:g}={v}" for i, v in spread.items()),
     )
 
     for variant in DUP_FAMILY:
-        calm = _goodput(results, intensities[0], variant, horizon)
-        stressed = _goodput(results, top, variant, horizon)
-        checks.append(
-            ShapeCheck(
-                claim=(
-                    f"{variant} goodput does not collapse at intensity "
-                    f"{top:g} (>= 50% of the storm-free rate)"
-                ),
-                passed=stressed >= 0.5 * calm,
-                detail=f"calm={calm:.4g}/s stressed={stressed:.4g}/s",
-            )
-        )
-    return checks
+        yield goodput_holds(results, variant, intensities[0], top, variant)

@@ -28,9 +28,20 @@ without giving up stale-read consistency.
 from __future__ import annotations
 
 import math
+from functools import partial
 
-from repro.engine.runner import replicate_many
-from repro.experiments.common import base_config
+from repro.experiments.common import (
+    RATE,
+    cost,
+    dup_reliable,
+    latency,
+    percentile,
+    stale_fraction,
+    study_base,
+    sweep,
+    total,
+    within_2x,
+)
 from repro.experiments.spec import ExperimentResult, ShapeCheck
 from repro.net.faults import FaultPlan
 from repro.workload.sessions import SessionPlan
@@ -46,78 +57,50 @@ BENCH_POINTS = (
     (600.0, 600.0),
 )
 SMOKE_POINTS = ((900.0, 120.0),)
-#: Network-wide query rate (matches the resilience study).
-RATE = 3.0
-#: Resilience-stack parameters shared by both DUP variants.
-RETRY_BUDGET = 4
-ACK_TIMEOUT = 2.0
 #: Flap-damping knobs of the ``dup-damped`` variant.
-DAMP_PENALTY = 1.0
-DAMP_HALF_LIFE = 600.0
-DAMP_SUPPRESS = 3.0
-DAMP_REUSE = 1.5
+DAMPING = dict(
+    damp_penalty=1.0, damp_half_life=600.0, damp_suppress=3.0, damp_reuse=1.5
+)
 
 VARIANTS = ("dup-reliable", "dup-damped", "cup", "pcx")
 
 
-def _smoke_config(seed: int) -> "object":
-    """A CI-sized base: one minute of wall clock for the whole sweep."""
-    return base_config(
-        "quick",
-        seed=seed,
-        num_nodes=64,
-        ttl=600.0,
-        push_lead=60.0,
-        warmup=900.0,
-        duration=3600.0,
-    )
+def _control_hops_per_query(aggregated) -> float:
+    """Control+push hops per completed query: the repair-traffic cost."""
+    queries = sum(r.queries for r in aggregated.runs)
+    if queries <= 0:
+        return float("nan")
+    return sum(
+        r.hop_breakdown.get("control", 0) + r.hop_breakdown.get("push", 0)
+        for r in aggregated.runs
+    ) / queries
 
 
-def _session_plan(session: float, mttr: float, damped: bool) -> SessionPlan:
-    knobs = {}
-    if damped:
-        knobs = {
-            "damp_penalty": DAMP_PENALTY,
-            "damp_half_life": DAMP_HALF_LIFE,
-            "damp_suppress": DAMP_SUPPRESS,
-            "damp_reuse": DAMP_REUSE,
-        }
-    return SessionPlan(
-        mean_session=session, mean_downtime=mttr, **knobs
-    )
+COLUMNS = {
+    "latency": latency,
+    "latency_p95": lambda a: percentile(a, "p95"),
+    "cost": cost,
+    "ctrl_hops_per_query": _control_hops_per_query,
+    "stale_frac": stale_fraction,
+    "crashes": lambda a: total(a, "session_crashes"),
+    "rejoins": lambda a: total(a, "session_rejoins"),
+    "rejoins_damped": lambda a: total(a, "session_rejoins_damped"),
+    "flap_suppressions": lambda a: total(a, "flap_suppressions"),
+    "rejoin_excised": lambda a: total(a, "rejoin_excised_entries"),
+}
 
 
 def _variant_config(base, variant: str, session: float, mttr: float):
-    plan = _session_plan(session, mttr, damped=variant == "dup-damped")
+    plan = SessionPlan(
+        mean_session=session,
+        mean_downtime=mttr,
+        **(DAMPING if variant == "dup-damped" else {}),
+    )
     if variant in ("dup-reliable", "dup-damped"):
-        return base.replace(
-            scheme="dup",
-            sessions=plan,
-            faults=FaultPlan(silent_failures=True),
-            retry_budget=RETRY_BUDGET,
-            ack_timeout=ACK_TIMEOUT,
-            lease_ttl=base.ttl / 2.0,
+        return dup_reliable(
+            base, sessions=plan, faults=FaultPlan(silent_failures=True)
         )
     return base.replace(scheme=variant, sessions=plan)
-
-
-def _mean(values) -> float:
-    values = [v for v in values if not math.isnan(v)]
-    if not values:
-        return float("nan")
-    return sum(values) / len(values)
-
-
-def _control_hops_per_query(runs) -> float:
-    """Control+push hops per completed query: the repair-traffic cost."""
-    hops = sum(
-        r.hop_breakdown.get("control", 0) + r.hop_breakdown.get("push", 0)
-        for r in runs
-    )
-    queries = sum(r.queries for r in runs)
-    if queries <= 0:
-        return float("nan")
-    return hops / queries
 
 
 def run(
@@ -131,61 +114,16 @@ def run(
     """Sweep mean session length x MTTR for every variant."""
     if points is None:
         points = SMOKE_POINTS if scale == "smoke" else BENCH_POINTS
-    base = (
-        _smoke_config(seed) if scale == "smoke" else base_config(scale, seed=seed)
-    ).replace(query_rate=rate)
-
-    results = replicate_many(
-        {
-            (session, mttr, variant): _variant_config(
-                base, variant, session, mttr
-            )
-            for session, mttr in points
-            for variant in VARIANTS
-        },
-        replications,
-        workers=workers,
-        experiment=EXPERIMENT_ID,
-    )
-    rows = []
-    for (session, mttr, variant), aggregated in results.items():
-        runs = aggregated.runs
-        extras = [dict(r.extras) for r in runs]
-
-        def total(key):
-            return sum(int(e.get(key, 0)) for e in extras)
-
-        rows.append(
-            {
-                "mean_session": session,
-                "mttr": mttr,
-                "variant": variant,
-                "latency": aggregated.latency.mean,
-                "latency_p95": _mean(
-                    [
-                        float(r.latency_percentiles.get("p95", "nan"))
-                        for r in runs
-                    ]
-                ),
-                "cost": aggregated.cost.mean,
-                "ctrl_hops_per_query": _control_hops_per_query(runs),
-                "stale_frac": _mean(
-                    [r.stale_read_fraction for r in runs]
-                ),
-                "crashes": total("session_crashes"),
-                "rejoins": total("session_rejoins"),
-                "rejoins_damped": total("session_rejoins_damped"),
-                "flap_suppressions": total("flap_suppressions"),
-                "rejoin_excised": total("rejoin_excised_entries"),
-            }
-        )
-
-    checks = _shape_checks(scale, points, results)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        rows=rows,
-        shape_checks=tuple(checks),
+    base = study_base(scale, seed, query_rate=rate)
+    return sweep(
+        EXPERIMENT_ID,
+        TITLE,
+        points=points,
+        variants=VARIANTS,
+        config_for=partial(_variant_config, base),
+        key=("mean_session", "mttr", "variant"),
+        columns=COLUMNS,
+        checks=lambda results: _shape_checks(scale, points, results),
         notes=(
             "No paper figure exists for crash-restart churn; the paper's "
             "failure model loses a crashed node's state forever.  This "
@@ -193,82 +131,63 @@ def run(
             "down — and the flap-damping defence against its repair-"
             "traffic cost."
         ),
+        replications=replications,
+        workers=workers,
     )
 
 
 def _shape_checks(scale, points, results):
-    checks = []
     # The flappiest operating point: shortest sessions, then longest MTTR.
     probe = min(points, key=lambda p: (p[0], -p[1]))
     session, mttr = probe
 
     reliable = results[(session, mttr, "dup-reliable")]
-    crashes = sum(
-        int(r.extras.get("session_crashes", 0)) for r in reliable.runs
-    )
-    reconciles = sum(
-        int(r.extras.get("rejoin_reconciles", 0)) for r in reliable.runs
-    )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                f"the lifecycle is exercised at session={session:g}s "
-                f"mttr={mttr:g}s (peers crash and rejoin reconciliation "
-                "runs)"
-            ),
-            passed=crashes > 0 and reconciles > 0,
-            detail=f"crashes={crashes} reconciles={reconciles}",
-        )
+    crashes = total(reliable, "session_crashes")
+    reconciles = total(reliable, "rejoin_reconciles")
+    yield ShapeCheck(
+        claim=(
+            f"the lifecycle is exercised at session={session:g}s "
+            f"mttr={mttr:g}s (peers crash and rejoin reconciliation "
+            "runs)"
+        ),
+        passed=crashes > 0 and reconciles > 0,
+        detail=f"crashes={crashes} reconciles={reconciles}",
     )
     damped = results[(session, mttr, "dup-damped")]
-    suppressions = sum(
-        int(r.extras.get("flap_suppressions", 0)) for r in damped.runs
-    )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "flap damping trips at the flappiest operating point "
-                f"(session={session:g}s mttr={mttr:g}s)"
-            ),
-            passed=suppressions > 0,
-            detail=f"suppressions={suppressions}",
-        )
+    suppressions = total(damped, "flap_suppressions")
+    yield ShapeCheck(
+        claim=(
+            "flap damping trips at the flappiest operating point "
+            f"(session={session:g}s mttr={mttr:g}s)"
+        ),
+        passed=suppressions > 0,
+        detail=f"suppressions={suppressions}",
     )
     if scale == "smoke":
         # CI-sized runs see too few flap cycles for the cost comparison
         # to be statistically meaningful; the full criteria run at
         # quick/bench/paper scales.
-        return checks
+        return
 
-    undamped_cost = _control_hops_per_query(reliable.runs)
-    damped_cost = _control_hops_per_query(damped.runs)
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "flap damping reduces control+push hops per query vs "
-                f"undamped DUP at session={session:g}s mttr={mttr:g}s"
-            ),
-            passed=(not math.isnan(damped_cost))
-            and (not math.isnan(undamped_cost))
-            and damped_cost < undamped_cost,
-            detail=f"damped={damped_cost:.4g} undamped={undamped_cost:.4g}",
-        )
+    undamped_cost = _control_hops_per_query(reliable)
+    damped_cost = _control_hops_per_query(damped)
+    yield ShapeCheck(
+        claim=(
+            "flap damping reduces control+push hops per query vs "
+            f"undamped DUP at session={session:g}s mttr={mttr:g}s"
+        ),
+        passed=(not math.isnan(damped_cost))
+        and (not math.isnan(undamped_cost))
+        and damped_cost < undamped_cost,
+        detail=f"damped={damped_cost:.4g} undamped={undamped_cost:.4g}",
     )
-    undamped_stale = _mean([r.stale_read_fraction for r in reliable.runs])
-    damped_stale = _mean([r.stale_read_fraction for r in damped.runs])
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "damping holds the stale-read fraction within 2x (or "
-                "+2pp) of undamped DUP at the same operating point"
-            ),
-            passed=(not math.isnan(damped_stale))
-            and (not math.isnan(undamped_stale))
-            and damped_stale
-            <= max(2.0 * undamped_stale, undamped_stale + 0.02),
-            detail=(
-                f"damped={damped_stale:.4g} undamped={undamped_stale:.4g}"
-            ),
-        )
+    undamped_stale = stale_fraction(reliable)
+    damped_stale = stale_fraction(damped)
+    yield ShapeCheck(
+        claim=(
+            "damping holds the stale-read fraction within 2x (or "
+            "+2pp) of undamped DUP at the same operating point"
+        ),
+        passed=within_2x(damped_stale, undamped_stale),
+        detail=f"damped={damped_stale:.4g} undamped={undamped_stale:.4g}",
     )
-    return checks

@@ -33,166 +33,81 @@ traffic (zero control drops), and keeps goodput from collapsing.
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
-from repro.engine.runner import replicate_many
-from repro.experiments.common import base_config
+from repro.experiments.common import (
+    BENCH_INTENSITIES,
+    INBOX_CAPACITY,
+    RATE,
+    SERVICE_RATE,
+    SMOKE_INTENSITIES,
+    cost,
+    extra_mean,
+    goodput,
+    goodput_holds,
+    latency,
+    peak,
+    percentile,
+    storm_config,
+    storm_overload,
+    storm_plan,
+    storm_retries,
+    sweep,
+    total,
+)
 from repro.experiments.spec import ExperimentResult, ShapeCheck
 from repro.net.overload import OverloadPlan
-from repro.workload.storms import StormPhase, StormPlan
 
 EXPERIMENT_ID = "overload"
 TITLE = "Graceful degradation under overload storms"
 
-#: Storm intensity multipliers per sweep level (0 = no storm).
-BENCH_INTENSITIES = (0.0, 1.0, 2.0, 4.0)
-SMOKE_INTENSITIES = (0.0, 1.0, 4.0)
-
 VARIANTS = ("dup-raw", "dup-shed", "cup", "pcx")
 PROTECTED = ("dup-shed", "cup", "pcx")
 
-#: Base network-wide query rate (queries/second).
-RATE = 3.0
-#: Per-node service rate (messages/second).  Chosen so the storm-free
-#: run is comfortably under capacity while a high-intensity update storm
-#: (per-subscriber push arrival = storm rate) pushes nodes past it.
-SERVICE_RATE = 1.5
-#: Protected inbox bound; the unprotected variant gets this stand-in
-#: for "infinite".
-INBOX_CAPACITY = 48
+#: The unprotected variant's stand-in for an infinite inbox.
 UNBOUNDED = 1_000_000_000
-#: DUP fanout / CUP registration cap for the protected variants.  The
-#: search tree's node degree tops out around 4, so the cap must sit
-#: below that to ever bind.
-MAX_SUBSCRIBERS = 3
 #: Breaker parameters (dup-shed only; fed by give-ups and NACKs).
-BREAKER_THRESHOLD = 3
-BREAKER_COOLDOWN = 120.0
-#: Minimum gap between forced authority issues (update-storm shedding).
-COALESCE_GAP = 30.0
-#: Reliable-channel parameters for ``dup-shed`` only.  The raw variant
-#: keeps the plain unreliable transport: retries are part of the
-#: protected stack, and a raw run with retries "protects" itself by
-#: accident — give-ups at an overloaded peer trigger suspicion, tear
-#: down the hot subscription, and cap the very queue growth the
-#: baseline exists to exhibit.
-RETRY_BUDGET = 3
-ACK_TIMEOUT = 2.0
-RETRY_TIMEOUT_CAP = 16.0
+BREAKERS = dict(breaker_threshold=3, breaker_cooldown=120.0)
 
-#: Storm event rates at intensity 1 (scaled linearly by intensity).
-#: UPDATE_RATE straddles SERVICE_RATE across the sweep: subcritical at
-#: intensity 1, supercritical (uncoalesced push arrival > service rate)
-#: at 2 and beyond — that crossing is what makes unprotected queue
-#: growth superlinear in intensity.
-FLASH_RATE = 2.0 * RATE
-FLASH_RANK_FLIPS = 8
-UPDATE_RATE = 0.5
-THRASH_RATE = 0.05
-#: Queries per thrash burst, aimed at one node: sized to overflow a
-#: bounded inbox so the protected run demonstrably sheds.
-THRASH_BURST = 2 * INBOX_CAPACITY
+COLUMNS = {
+    "latency": latency,
+    "p99": lambda a: percentile(a, "p99"),
+    "cost": cost,
+    "goodput": goodput,
+    "shed_frac": lambda a: extra_mean(a, "shed_fraction", 0.0),
+    "shed_control": lambda a: total(a, "overload_shed_control"),
+    "max_qdepth": lambda a: peak(a, "max_queue_depth"),
+    "qdepth_p99": lambda a: extra_mean(a, "queue_depth_p99", 0),
+    "breaker_trips": lambda a: total(a, "breaker_trips"),
+    "rejected": lambda a: total(a, "rejected_subscribers"),
+    "coalesced": lambda a: total(
+        a, "pushes_coalesced", "authority_coalesced_updates"
+    ),
+    "give_ups": lambda a: total(a, "delivery_give_ups"),
+}
 
 
-def _storm_config(seed: int):
-    """The purpose-built base every scale of this study runs on.
-
-    The TTL is short relative to the Zipf tail's per-node query gap so
-    tail nodes are genuinely cold between thrash bursts — at ttl=600 the
-    whole 64-node overlay stays warm and no storm can make DUP forward
-    anything.  Stock quick/full configs keep their long TTL and bigger
-    overlay, which only scales *offered* control load past what any
-    bounded inbox can absorb (the flash crowd's subscribe flood exceeds
-    the service rate outright, forcing control-class drops) without
-    adding phenomenon; ``scale`` therefore selects the intensity grid,
-    not the topology.
-    """
-    return base_config(
-        "quick",
-        seed=seed,
-        num_nodes=64,
-        ttl=120.0,
-        push_lead=30.0,
-        warmup=900.0,
-        duration=3600.0,
-    )
-
-
-def _storm_plan(base, intensity: float):
-    """The three overlapping storm phases, scaled by ``intensity``."""
-    if intensity <= 0:
-        return None
-    warmup = base.warmup
-    window = base.duration - warmup
-    return StormPlan(
-        phases=(
-            StormPhase(
-                kind="flash-crowd",
-                start=warmup + 0.1 * window,
-                duration=0.6 * window,
-                rate=FLASH_RATE * intensity,
-                rank_flips=FLASH_RANK_FLIPS,
-            ),
-            StormPhase(
-                kind="update-storm",
-                start=warmup + 0.2 * window,
-                duration=0.5 * window,
-                rate=UPDATE_RATE * intensity,
-            ),
-            StormPhase(
-                kind="thrash",
-                start=warmup + 0.3 * window,
-                duration=0.4 * window,
-                rate=THRASH_RATE * intensity,
-                burst=THRASH_BURST,
-            ),
-        )
-    )
-
-
-def _overload_plan(variant: str) -> OverloadPlan:
+def _variant_config(base, variant: str, intensity: float):
     if variant == "dup-raw":
         # Service model only: queues build but nothing protects them.
-        return OverloadPlan(
+        overload = OverloadPlan(
             service_rate=SERVICE_RATE,
             inbox_capacity=UNBOUNDED,
             coalesce_pushes=False,
         )
-    plan = dict(
-        service_rate=SERVICE_RATE,
-        inbox_capacity=INBOX_CAPACITY,
-        max_subscribers=MAX_SUBSCRIBERS,
-        authority_coalesce_gap=COALESCE_GAP,
-    )
-    if variant == "dup-shed":
-        plan.update(
-            breaker_threshold=BREAKER_THRESHOLD,
-            breaker_cooldown=BREAKER_COOLDOWN,
-        )
-    return OverloadPlan(**plan)
-
-
-def _variant_config(base, variant: str, intensity: float):
+    else:
+        overload = storm_overload(**(BREAKERS if variant == "dup-shed" else {}))
     scheme = {"dup-raw": "dup", "dup-shed": "dup"}.get(variant, variant)
     config = base.replace(
-        scheme=scheme,
-        overload=_overload_plan(variant),
-        storms=_storm_plan(base, intensity),
+        scheme=scheme, overload=overload, storms=storm_plan(base, intensity)
     )
+    # Retries are part of the protected stack only: a raw run with
+    # retries "protects" itself by accident — give-ups at an overloaded
+    # peer trigger suspicion, tear down the hot subscription, and cap
+    # the very queue growth the baseline exists to exhibit.
     if variant == "dup-shed":
-        config = config.replace(
-            retry_budget=RETRY_BUDGET,
-            ack_timeout=ACK_TIMEOUT,
-            retry_timeout_cap=RETRY_TIMEOUT_CAP,
-        )
+        config = storm_retries(config)
     return config
-
-
-def _mean(values) -> float:
-    values = [v for v in values if not math.isnan(v)]
-    if not values:
-        return float("nan")
-    return sum(values) / len(values)
 
 
 def run(
@@ -207,71 +122,23 @@ def run(
 
     ``scale`` picks the intensity grid (smoke: 3 points, otherwise 4);
     the topology is always the purpose-built storm config — see
-    :func:`_storm_config` for why larger stock scales add nothing here.
+    :func:`~repro.experiments.common.storm_config` for why larger stock
+    scales add nothing here.
     """
     if intensities is None:
         intensities = (
             SMOKE_INTENSITIES if scale == "smoke" else BENCH_INTENSITIES
         )
-    base = _storm_config(seed).replace(query_rate=rate)
-
-    results = replicate_many(
-        {
-            (intensity, variant): _variant_config(base, variant, intensity)
-            for intensity in intensities
-            for variant in VARIANTS
-        },
-        replications,
-        workers=workers,
-        experiment=EXPERIMENT_ID,
-    )
-    horizon = base.duration - base.warmup
-    rows = []
-    for (intensity, variant), aggregated in results.items():
-        runs = aggregated.runs
-        extras = [dict(r.extras) for r in runs]
-
-        def total(key):
-            return sum(int(e.get(key, 0)) for e in extras)
-
-        rows.append(
-            {
-                "intensity": intensity,
-                "variant": variant,
-                "latency": aggregated.latency.mean,
-                "p99": _mean(
-                    [
-                        float(r.latency_percentiles.get("p99", "nan"))
-                        for r in runs
-                    ]
-                ),
-                "cost": aggregated.cost.mean,
-                "goodput": sum(r.queries for r in runs)
-                / (len(runs) * horizon),
-                "shed_frac": _mean(
-                    [float(e.get("shed_fraction", 0.0)) for e in extras]
-                ),
-                "shed_control": total("overload_shed_control"),
-                "max_qdepth": max(
-                    int(e.get("max_queue_depth", 0)) for e in extras
-                ),
-                "qdepth_p99": _mean(
-                    [float(e.get("queue_depth_p99", 0)) for e in extras]
-                ),
-                "breaker_trips": total("breaker_trips"),
-                "rejected": total("rejected_subscribers"),
-                "coalesced": total("pushes_coalesced")
-                + total("authority_coalesced_updates"),
-                "give_ups": total("delivery_give_ups"),
-            }
-        )
-
-    checks = _shape_checks(scale, intensities, results, horizon)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        rows=rows,
-        shape_checks=tuple(checks),
+    base = storm_config(seed).replace(query_rate=rate)
+    return sweep(
+        EXPERIMENT_ID,
+        TITLE,
+        points=intensities,
+        variants=VARIANTS,
+        config_for=partial(_variant_config, base),
+        key=("intensity", "variant"),
+        columns=COLUMNS,
+        checks=lambda results: _shape_checks(scale, intensities, results),
         notes=(
             "No paper figure exists for overload; the paper offers load "
             "the schemes always absorb.  'dup-raw' has the same service "
@@ -279,58 +146,40 @@ def run(
             "is in hops, so collapse shows up in queue depth and "
             "goodput rather than in hop counts."
         ),
+        replications=replications,
+        workers=workers,
     )
 
 
-def _depth(results, intensity, variant) -> int:
-    return max(
-        int(r.extras.get("max_queue_depth", 0))
-        for r in results[(intensity, variant)].runs
-    )
-
-
-def _goodput(results, intensity, variant, horizon) -> float:
-    runs = results[(intensity, variant)].runs
-    return sum(r.queries for r in runs) / (len(runs) * horizon)
-
-
-def _shape_checks(scale, intensities, results, horizon):
-    checks = []
+def _shape_checks(scale, intensities, results):
     stormy = [i for i in intensities if i > 0]
     if not stormy:
-        return checks
+        return
     top = max(stormy)
 
     shed_control = sum(
-        int(r.extras.get("overload_shed_control", 0))
+        total(results[(intensity, variant)], "overload_shed_control")
         for intensity in intensities
         for variant in PROTECTED
-        for r in results[(intensity, variant)].runs
     )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "protected variants never drop control-class traffic "
-                "(control evicts queued data instead)"
-            ),
-            passed=shed_control == 0,
-            detail=f"control_sheds={shed_control}",
-        )
+    yield ShapeCheck(
+        claim=(
+            "protected variants never drop control-class traffic "
+            "(control evicts queued data instead)"
+        ),
+        passed=shed_control == 0,
+        detail=f"control_sheds={shed_control}",
     )
 
-    raw_depth = _depth(results, top, "dup-raw")
-    shed_depth = _depth(results, top, "dup-shed")
-    checks.append(
-        ShapeCheck(
-            claim=(
-                f"at intensity {top:g} the unprotected queue outgrows "
-                "the protected bound"
-            ),
-            passed=shed_depth <= INBOX_CAPACITY + 1
-            and raw_depth > shed_depth,
-            detail=f"raw={raw_depth} shed={shed_depth} "
-            f"cap={INBOX_CAPACITY}",
-        )
+    raw_depth = peak(results[(top, "dup-raw")], "max_queue_depth")
+    shed_depth = peak(results[(top, "dup-shed")], "max_queue_depth")
+    yield ShapeCheck(
+        claim=(
+            f"at intensity {top:g} the unprotected queue outgrows "
+            "the protected bound"
+        ),
+        passed=shed_depth <= INBOX_CAPACITY + 1 and raw_depth > shed_depth,
+        detail=f"raw={raw_depth} shed={shed_depth} cap={INBOX_CAPACITY}",
     )
 
     # At the highest intensity DUP can absorb the storm outright: the
@@ -339,59 +188,40 @@ def _shape_checks(scale, intensities, results, horizon):
     # is therefore "the machinery engages somewhere in the sweep", not
     # "it sheds at the top".
     shed_by_intensity = {
-        intensity: _mean(
-            [
-                float(r.extras.get("shed_fraction", 0.0))
-                for r in results[(intensity, "dup-shed")].runs
-            ]
+        intensity: extra_mean(
+            results[(intensity, "dup-shed")], "shed_fraction", 0.0
         )
         for intensity in stormy
     }
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "the protected run sheds at some storm intensity "
-                "(degradation is exercised, not idle)"
-            ),
-            passed=any(v > 0 for v in shed_by_intensity.values()),
-            detail=" ".join(
-                f"i{i:g}={v:.4g}" for i, v in shed_by_intensity.items()
-            ),
-        )
+    yield ShapeCheck(
+        claim=(
+            "the protected run sheds at some storm intensity "
+            "(degradation is exercised, not idle)"
+        ),
+        passed=any(v > 0 for v in shed_by_intensity.values()),
+        detail=" ".join(
+            f"i{i:g}={v:.4g}" for i, v in shed_by_intensity.items()
+        ),
     )
 
-    calm = _goodput(results, intensities[0], "dup-shed", horizon)
-    stressed = _goodput(results, top, "dup-shed", horizon)
-    checks.append(
-        ShapeCheck(
-            claim=(
-                f"protected goodput does not collapse at intensity "
-                f"{top:g} (>= 50% of the storm-free rate)"
-            ),
-            passed=stressed >= 0.5 * calm,
-            detail=f"calm={calm:.4g}/s stressed={stressed:.4g}/s",
-        )
-    )
+    yield goodput_holds(results, "dup-shed", intensities[0], top, "protected")
 
     if scale == "smoke" or len(stormy) < 2:
         # Superlinearity needs at least two storm levels with enough
         # events behind them; CI-sized runs check the bounds above only.
-        return checks
+        return
 
     low = min(stormy)
-    raw_low = _depth(results, low, "dup-raw")
+    raw_low = peak(results[(low, "dup-raw")], "max_queue_depth")
     ratio = raw_depth / max(raw_low, 1)
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "unprotected queue depth grows superlinearly with storm "
-                f"intensity ({low:g} -> {top:g})"
-            ),
-            passed=ratio > (top / low),
-            detail=(
-                f"depth {raw_low} -> {raw_depth} (x{ratio:.2f} vs "
-                f"intensity x{top / low:.2f})"
-            ),
-        )
+    yield ShapeCheck(
+        claim=(
+            "unprotected queue depth grows superlinearly with storm "
+            f"intensity ({low:g} -> {top:g})"
+        ),
+        passed=ratio > (top / low),
+        detail=(
+            f"depth {raw_low} -> {raw_depth} (x{ratio:.2f} vs "
+            f"intensity x{top / low:.2f})"
+        ),
     )
-    return checks

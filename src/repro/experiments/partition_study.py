@@ -34,10 +34,21 @@ violation/repair counts and time-to-reconvergence percentiles.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.engine.chaos import ChaosScenario
-from repro.engine.runner import replicate_many
-from repro.experiments.common import base_config
+from repro.experiments.common import (
+    RATE,
+    cost,
+    dup_reliable,
+    extra_mean,
+    incomplete,
+    latency,
+    stale_fraction,
+    study_base,
+    sweep,
+    total,
+)
 from repro.experiments.spec import ExperimentResult, ShapeCheck
 
 EXPERIMENT_ID = "partition"
@@ -48,12 +59,6 @@ BENCH_DURATIONS = (60.0, 300.0, 900.0)
 SMOKE_DURATIONS = (60.0,)
 #: The partition opens this long after warm-up ends.
 PARTITION_OFFSET = 300.0
-#: Network-wide query rate (matches the resilience study: high enough
-#: that the DUP tree is populated and pushes flow every TTL cycle).
-RATE = 3.0
-#: Resilience-stack parameters for the ``dup-reliable`` variant.
-RETRY_BUDGET = 4
-ACK_TIMEOUT = 2.0
 #: Failover and audit cadence shared by every variant.
 STANDBYS = 2
 FAILOVER_TIMEOUT = 120.0
@@ -61,18 +66,21 @@ AUDIT_INTERVAL = 150.0
 
 VARIANTS = ("dup-reliable", "dup-oracle", "cup", "pcx")
 
-
-def _smoke_config(seed: int) -> "object":
-    """A CI-sized base: one minute of wall clock for the whole sweep."""
-    return base_config(
-        "quick",
-        seed=seed,
-        num_nodes=64,
-        ttl=600.0,
-        push_lead=60.0,
-        warmup=900.0,
-        duration=3600.0,
-    )
+COLUMNS = {
+    "latency": latency,
+    "cost": cost,
+    "stale_frac": stale_fraction,
+    "incomplete": incomplete,
+    "cut_drops": lambda a: total(a, "partition_drops"),
+    "failovers": lambda a: sum(
+        1 for r in a.runs if r.extras.get("failover_promoted", -1) >= 0
+    ),
+    "failover_at": lambda a: extra_mean(a, "failover_at"),
+    "violations": lambda a: total(a, "audit_violations"),
+    "repairs": lambda a: total(a, "audit_repairs"),
+    "reconv_p50": lambda a: extra_mean(a, "audit_reconvergence_p50"),
+    "reconv_max": lambda a: extra_mean(a, "audit_reconvergence_max"),
+}
 
 
 def _scenario(duration: float, silent: bool) -> ChaosScenario:
@@ -91,24 +99,11 @@ def _scenario(duration: float, silent: bool) -> ChaosScenario:
 
 def _variant_config(base, variant: str, duration: float):
     if variant == "dup-reliable":
-        configured = base.replace(
-            scheme="dup",
-            retry_budget=RETRY_BUDGET,
-            ack_timeout=ACK_TIMEOUT,
-            lease_ttl=base.ttl / 2.0,
-        )
-        return _scenario(duration, silent=True).apply(configured)
+        return _scenario(duration, silent=True).apply(dup_reliable(base))
     scheme = {"dup-oracle": "dup"}.get(variant, variant)
     return _scenario(duration, silent=False).apply(
         base.replace(scheme=scheme)
     )
-
-
-def _mean(values) -> float:
-    values = [v for v in values if not math.isnan(v)]
-    if not values:
-        return float("nan")
-    return sum(values) / len(values)
 
 
 def run(
@@ -122,152 +117,87 @@ def run(
     """Sweep the partition duration for every variant."""
     if durations is None:
         durations = SMOKE_DURATIONS if scale == "smoke" else BENCH_DURATIONS
-    base = (
-        _smoke_config(seed) if scale == "smoke" else base_config(scale, seed=seed)
-    ).replace(query_rate=rate)
-
-    results = replicate_many(
-        {
-            (duration, variant): _variant_config(base, variant, duration)
-            for duration in durations
-            for variant in VARIANTS
-        },
-        replications,
-        workers=workers,
-        experiment=EXPERIMENT_ID,
-    )
-    rows = []
-    for (duration, variant), aggregated in results.items():
-        runs = aggregated.runs
-        extras = [dict(r.extras) for r in runs]
-
-        def total(key):
-            return sum(int(e.get(key, 0)) for e in extras)
-
-        rows.append(
-            {
-                "partition_s": duration,
-                "variant": variant,
-                "latency": aggregated.latency.mean,
-                "cost": aggregated.cost.mean,
-                "stale_frac": _mean(
-                    [r.stale_read_fraction for r in runs]
-                ),
-                "incomplete": sum(r.incomplete_queries for r in runs),
-                "cut_drops": total("partition_drops"),
-                "failovers": sum(
-                    1 for e in extras if e.get("failover_promoted", -1) >= 0
-                ),
-                "failover_at": _mean(
-                    [float(e.get("failover_at", "nan")) for e in extras]
-                ),
-                "violations": total("audit_violations"),
-                "repairs": total("audit_repairs"),
-                "reconv_p50": _mean(
-                    [
-                        float(e.get("audit_reconvergence_p50", "nan"))
-                        for e in extras
-                    ]
-                ),
-                "reconv_max": _mean(
-                    [
-                        float(e.get("audit_reconvergence_max", "nan"))
-                        for e in extras
-                    ]
-                ),
-            }
-        )
-
-    checks = _shape_checks(durations, results)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        rows=rows,
-        shape_checks=tuple(checks),
+    base = study_base(scale, seed, query_rate=rate)
+    return sweep(
+        EXPERIMENT_ID,
+        TITLE,
+        points=durations,
+        variants=VARIANTS,
+        config_for=partial(_variant_config, base),
+        key=("partition_s", "variant"),
+        columns=COLUMNS,
+        checks=lambda results: _shape_checks(durations, results),
         notes=(
             "No paper figure exists for partitions; this probes the "
             "implicit assumption that repair traffic always gets "
             "through.  'dup-oracle' is the instant-detection upper "
             "bound; the crash always lands inside the partition window."
         ),
+        replications=replications,
+        workers=workers,
     )
 
 
 def _shape_checks(durations, results):
-    checks = []
     probe = max(durations)
 
     cut_drops = sum(
-        int(r.extras.get("partition_drops", 0))
+        total(results[(probe, variant)], "partition_drops")
         for variant in VARIANTS
-        for r in results[(probe, variant)].runs
     )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                f"the {probe:g}s partition actually cuts traffic "
-                "(cross-component messages dropped-but-charged)"
-            ),
-            passed=cut_drops > 0,
-            detail=f"cut_drops={cut_drops}",
-        )
+    yield ShapeCheck(
+        claim=(
+            f"the {probe:g}s partition actually cuts traffic "
+            "(cross-component messages dropped-but-charged)"
+        ),
+        passed=cut_drops > 0,
+        detail=f"cut_drops={cut_drops}",
     )
 
     reliable = results[(probe, "dup-reliable")].runs
     promoted = sum(
-        1
-        for r in reliable
-        if int(r.extras.get("failover_promoted", -1)) >= 0
+        int(r.extras.get("failover_promoted", -1)) >= 0 for r in reliable
     )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "every dup-reliable run detects the silent authority "
-                "crash and promotes a standby"
-            ),
-            passed=promoted == len(reliable),
-            detail=f"promoted={promoted}/{len(reliable)}",
-        )
+    yield ShapeCheck(
+        claim=(
+            "every dup-reliable run detects the silent authority "
+            "crash and promotes a standby"
+        ),
+        passed=promoted == len(reliable),
+        detail=f"promoted={promoted}/{len(reliable)}",
     )
 
+    # Every oracle run must promote at its own crash time; the detail
+    # names the first run that did not (or the first run, if all did).
     oracle = results[(probe, "dup-oracle")].runs
-    crash_at = None
-    for r in oracle:
-        at = r.extras.get("failover_at")
-        crash_at = float(at) if at is not None else float("nan")
-        break
-    expected = (
-        results[(probe, "dup-oracle")]
-        .runs[0]
-        .config.authority_crash_at
-    )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "oracle failover is instantaneous (promotion at the "
-                "crash time itself)"
-            ),
-            passed=crash_at is not None and crash_at == expected,
-            detail=f"failover_at={crash_at} crash_at={expected}",
-        )
+    late = [
+        r for r in oracle
+        if float(r.extras.get("failover_at", "nan"))
+        != r.config.authority_crash_at
+    ]
+    shown = (late or oracle)[0]
+    yield ShapeCheck(
+        claim=(
+            "oracle failover is instantaneous (promotion at the "
+            "crash time itself)"
+        ),
+        passed=not late,
+        detail=(
+            f"failover_at={float(shown.extras.get('failover_at', 'nan'))}"
+            f" crash_at={shown.config.authority_crash_at}"
+        ),
     )
 
     reconverged = sum(
-        1
+        math.isfinite(float(r.extras.get("audit_reconvergence_max", "nan")))
         for r in reliable
-        if math.isfinite(
-            float(r.extras.get("audit_reconvergence_max", "nan"))
-        )
     )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "the auditor certifies reconvergence for every "
-                "dup-reliable run (a clean sweep after the partition "
-                "heals and the failover completes)"
-            ),
-            passed=reconverged == len(reliable),
-            detail=f"reconverged={reconverged}/{len(reliable)}",
-        )
+    yield ShapeCheck(
+        claim=(
+            "the auditor certifies reconvergence for every "
+            "dup-reliable run (a clean sweep after the partition "
+            "heals and the failover completes)"
+        ),
+        passed=reconverged == len(reliable),
+        detail=f"reconverged={reconverged}/{len(reliable)}",
     )
-    return checks

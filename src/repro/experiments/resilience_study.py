@@ -26,9 +26,21 @@ and — for ``dup-reliable`` — the failure-detection-latency percentiles.
 from __future__ import annotations
 
 import math
+from functools import partial
 
-from repro.engine.runner import replicate_many
-from repro.experiments.common import base_config
+from repro.experiments.common import (
+    RATE,
+    cost,
+    dup_reliable,
+    extra_mean,
+    incomplete,
+    latency,
+    stale_fraction,
+    study_base,
+    sweep,
+    total,
+    within_2x,
+)
 from repro.experiments.spec import ExperimentResult, ShapeCheck
 from repro.net.faults import FaultPlan
 from repro.workload.churn import ChurnConfig
@@ -39,30 +51,23 @@ TITLE = "DUP under message loss and silent failures"
 #: Fraction of control/push transmissions lost, per sweep level.
 BENCH_LEVELS = (0.0, 0.05, 0.1, 0.2)
 SMOKE_LEVELS = (0.0, 0.1)
-#: Network-wide query rate (matches the churn study: high enough that
-#: the DUP tree is populated and pushes flow every TTL cycle).
-RATE = 3.0
 #: Total churn intensity in events/second; joins and crashes only, so
 #: every departure exercises the failure (not the graceful-leave) path.
 CHURN = 0.01
-#: Resilience-stack parameters for the ``dup-reliable`` variant.
-RETRY_BUDGET = 4
-ACK_TIMEOUT = 2.0
 
 VARIANTS = ("dup-reliable", "dup-oracle", "cup", "pcx")
 
-
-def _smoke_config(seed: int) -> "object":
-    """A CI-sized base: one minute of wall clock for the whole sweep."""
-    return base_config(
-        "quick",
-        seed=seed,
-        num_nodes=64,
-        ttl=600.0,
-        push_lead=60.0,
-        warmup=900.0,
-        duration=3600.0,
-    )
+COLUMNS = {
+    "latency": latency,
+    "cost": cost,
+    "stale_frac": stale_fraction,
+    "incomplete": incomplete,
+    "inj_losses": lambda a: total(a, "injected_losses"),
+    "retries": lambda a: total(a, "retries"),
+    "lease_exp": lambda a: total(a, "lease_expiries"),
+    "det_p50": lambda a: extra_mean(a, "detection_p50"),
+    "det_p95": lambda a: extra_mean(a, "detection_p95"),
+}
 
 
 def _fault_plan(level: float, silent: bool) -> FaultPlan | None:
@@ -76,22 +81,9 @@ def _fault_plan(level: float, silent: bool) -> FaultPlan | None:
 
 def _variant_config(base, variant: str, level: float):
     if variant == "dup-reliable":
-        return base.replace(
-            scheme="dup",
-            faults=_fault_plan(level, silent=True),
-            retry_budget=RETRY_BUDGET,
-            ack_timeout=ACK_TIMEOUT,
-            lease_ttl=base.ttl / 2.0,
-        )
+        return dup_reliable(base, faults=_fault_plan(level, silent=True))
     scheme = {"dup-oracle": "dup"}.get(variant, variant)
     return base.replace(scheme=scheme, faults=_fault_plan(level, silent=False))
-
-
-def _mean(values) -> float:
-    values = [v for v in values if not math.isnan(v)]
-    if not values:
-        return float("nan")
-    return sum(values) / len(values)
 
 
 def run(
@@ -105,133 +97,70 @@ def run(
     """Sweep the control/push loss rate for every variant."""
     if levels is None:
         levels = SMOKE_LEVELS if scale == "smoke" else BENCH_LEVELS
-    base = (
-        _smoke_config(seed) if scale == "smoke" else base_config(scale, seed=seed)
-    ).replace(
-        query_rate=rate,
-        churn=ChurnConfig(join_rate=CHURN / 2, fail_rate=CHURN / 2),
-    )
-
-    results = replicate_many(
-        {
-            (level, variant): _variant_config(base, variant, level)
-            for level in levels
-            for variant in VARIANTS
-        },
-        replications,
-        workers=workers,
-        experiment=EXPERIMENT_ID,
-    )
-    rows = []
-    for (level, variant), aggregated in results.items():
-        runs = aggregated.runs
-        extras = [dict(r.extras) for r in runs]
-
-        def total(key):
-            return sum(int(e.get(key, 0)) for e in extras)
-
-        rows.append(
-            {
-                "loss_rate": level,
-                "variant": variant,
-                "latency": aggregated.latency.mean,
-                "cost": aggregated.cost.mean,
-                "stale_frac": _mean(
-                    [r.stale_read_fraction for r in runs]
-                ),
-                "incomplete": sum(r.incomplete_queries for r in runs),
-                "inj_losses": total("injected_losses"),
-                "retries": total("retries"),
-                "lease_exp": total("lease_expiries"),
-                "det_p50": _mean(
-                    [float(e.get("detection_p50", "nan")) for e in extras]
-                ),
-                "det_p95": _mean(
-                    [float(e.get("detection_p95", "nan")) for e in extras]
-                ),
-            }
-        )
-
-    checks = _shape_checks(scale, levels, results)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        rows=rows,
-        shape_checks=tuple(checks),
+    churn = ChurnConfig(join_rate=CHURN / 2, fail_rate=CHURN / 2)
+    base = study_base(scale, seed, query_rate=rate, churn=churn)
+    return sweep(
+        EXPERIMENT_ID,
+        TITLE,
+        points=levels,
+        variants=VARIANTS,
+        config_for=partial(_variant_config, base),
+        key=("loss_rate", "variant"),
+        columns=COLUMNS,
+        checks=lambda results: _shape_checks(scale, levels, results),
         notes=(
             "No paper figure exists for faults; this probes the Section "
             "III-C assumption that failures are detected instantly and "
             "repair messages never lost.  'dup-oracle' is the paper's "
             "benign-detection upper bound."
         ),
+        replications=replications,
+        workers=workers,
     )
 
 
-def _stale(result) -> float:
-    return _mean([r.stale_read_fraction for r in result.runs])
-
-
 def _shape_checks(scale, levels, results):
-    checks = []
     lossy = [level for level in levels if level > 0]
     if not lossy:
-        return checks
+        return
     # The level closest to the headline 10%-loss operating point.
     probe = min(lossy, key=lambda level: abs(level - 0.1))
 
     reliable = results[(probe, "dup-reliable")]
-    retries = sum(int(r.extras.get("retries", 0)) for r in reliable.runs)
-    acked = sum(int(r.extras.get("acked", 0)) for r in reliable.runs)
-    checks.append(
-        ShapeCheck(
-            claim=(
-                f"the reliable channel is exercised at loss={probe:g} "
-                "(acks flow and lost transmissions are retried)"
-            ),
-            passed=acked > 0 and retries > 0,
-            detail=f"acked={acked} retries={retries}",
-        )
+    retries = total(reliable, "retries")
+    acked = total(reliable, "acked")
+    yield ShapeCheck(
+        claim=(
+            f"the reliable channel is exercised at loss={probe:g} "
+            "(acks flow and lost transmissions are retried)"
+        ),
+        passed=acked > 0 and retries > 0,
+        detail=f"acked={acked} retries={retries}",
     )
     if scale == "smoke":
         # CI-sized runs see too few silent failures for the stale-read
         # comparison to be statistically meaningful; the full criteria
         # run at quick/bench/paper scales.
-        return checks
+        return
 
-    rel = _stale(results[(probe, "dup-reliable")])
-    orc = _stale(results[(probe, "dup-oracle")])
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "retries + leases keep DUP's stale-read fraction within "
-                f"2x of oracle-repair DUP at loss={probe:g} despite "
-                "silent failures"
-            ),
-            passed=(not math.isnan(rel))
-            and (not math.isnan(orc))
-            and rel <= max(2.0 * orc, orc + 0.02),
-            detail=f"reliable={rel:.4g} oracle={orc:.4g}",
-        )
+    rel = stale_fraction(reliable)
+    orc = stale_fraction(results[(probe, "dup-oracle")])
+    yield ShapeCheck(
+        claim=(
+            "retries + leases keep DUP's stale-read fraction within "
+            f"2x of oracle-repair DUP at loss={probe:g} despite "
+            "silent failures"
+        ),
+        passed=within_2x(rel, orc),
+        detail=f"reliable={rel:.4g} oracle={orc:.4g}",
     )
-    detections = sum(
-        1
-        for r in results[(probe, "dup-reliable")].runs
-        if "detection_p95" in r.extras
+    detections = sum(1 for r in reliable.runs if "detection_p95" in r.extras)
+    p95 = extra_mean(reliable, "detection_p95")
+    yield ShapeCheck(
+        claim=(
+            "silent failures are detected (finite detection-latency "
+            f"p95 at loss={probe:g})"
+        ),
+        passed=detections > 0 and math.isfinite(p95),
+        detail=f"runs_with_detections={detections} p95={p95:.4g}s",
     )
-    p95 = _mean(
-        [
-            float(r.extras.get("detection_p95", "nan"))
-            for r in results[(probe, "dup-reliable")].runs
-        ]
-    )
-    checks.append(
-        ShapeCheck(
-            claim=(
-                "silent failures are detected (finite detection-latency "
-                f"p95 at loss={probe:g})"
-            ),
-            passed=detections > 0 and math.isfinite(p95),
-            detail=f"runs_with_detections={detections} p95={p95:.4g}s",
-        )
-    )
-    return checks

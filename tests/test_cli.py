@@ -655,3 +655,41 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: repro-dup simulate")
         assert err.endswith(f"repro-dup simulate: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--nodes", "64", "--duration", "1000",
+             "--warmup", "100", "--seed", "-1"],
+            ["run", "churn", "--scale", "smoke", "--replications", "1",
+             "--seed", "-1"],
+            ["profile", "churn", "--scale", "smoke", "--seed", "-1"],
+            ["trace", "make", "unused.trace", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"repro-dup {argv[0]}: error: seed must be >= 0, got -1\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_replications_below_one_is_a_usage_error(
+        self, command, count, capsys
+    ):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "churn", "--scale", "smoke",
+                  "--replications", count])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"repro-dup {command}: error: argument --replications: "
+            f"must be >= 1, got {count}\n"
+        )

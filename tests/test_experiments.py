@@ -5,6 +5,9 @@ single-point versions to verify the contracts: registry resolution, row
 structure, shape-check wiring, and rendering.
 """
 
+import pathlib
+import re
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -40,6 +43,15 @@ class TestRegistry:
 
     def test_get_experiment_returns_callable(self):
         assert callable(get_experiment("figure4"))
+
+    def test_design_index_matches_the_registry(self):
+        design = pathlib.Path(__file__).parent.parent / "DESIGN.md"
+        text = design.read_text(encoding="utf-8")
+        index = text.split("## 3. Experiment index", 1)[1].split("\n## ", 1)[0]
+        rows = set(re.findall(r"^\| `([^`]+)` \|", index, re.MULTILINE))
+        registered = set(list_experiments())
+        assert registered - {"all"} <= rows, "ids without a DESIGN.md row"
+        assert rows - {"table1"} <= registered, "DESIGN.md rows not registered"
 
 
 class TestBaseConfig:
