@@ -6,7 +6,7 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale ledger ledger-ab gc-phase perf-smoke profile clean
+.PHONY: test bench bench-scale ledger ledger-ab gc-phase paper-cell perf-smoke profile clean
 
 test:
 	$(PY) -m pytest -q
@@ -40,6 +40,13 @@ ledger-ab:
 # a setup_s row).  make gc-phase WORKLOAD=cold-miss
 gc-phase:
 	python3 scripts/gc_phase.py $(WORKLOAD)
+
+# One Table-I cell in one process: queries, wall, peak RSS, p50/p95/p99
+# and the latency CI.  make paper-cell RATE=100 DURATION=36000
+RATE ?= 100
+DURATION ?= 180000
+paper-cell:
+	$(PY) scripts/paper_cell.py --rate $(RATE) --duration $(DURATION)
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py

@@ -12,15 +12,19 @@ arrival-rate estimate) used by the ablation benchmark to quantify how much
 the policy choice matters.  :class:`AdaptiveInterestPolicy` keeps the
 paper's decision rule but lets each node tune its own threshold from the
 query rate it observes (ROADMAP item 5; the ``dup-adaptive`` scheme).
-:func:`make_interest_policy` builds the one a run configuration (or a
-scheme's override) selects; every engine and scheme goes through it.
+:func:`interest_policy_factory` resolves, once per scheme, the policy
+constructor a run configuration (or a scheme's override) selects.
+
+Both window policies keep a fixed ring of the most recent arrival times,
+never the whole window: a decision needs only the ``(c + 1)``-th most
+recent arrival.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Protocol
+from functools import partial
+from typing import Callable, Protocol
 
 from repro.errors import ConfigError
 
@@ -40,6 +44,13 @@ class InterestPolicy(Protocol):
 class WindowInterestPolicy:
     """The paper's sliding-window threshold policy.
 
+    Only the ``threshold + 1`` most recent arrival times are kept, in a
+    ring pre-filled with ``-inf``: the node is interested exactly when
+    the oldest of them (the ``(threshold + 1)``-th most recent arrival)
+    is still inside the window.  That is "more than ``threshold``
+    arrivals in ``(now - window, now]``" as long as recorded times never
+    decrease, which the engine clock guarantees.
+
     Parameters
     ----------
     window:
@@ -49,7 +60,7 @@ class WindowInterestPolicy:
         ``threshold`` queries arrived within the window.
     """
 
-    __slots__ = ("_window", "_threshold", "_arrivals")
+    __slots__ = ("_window", "_threshold", "_recent", "_next")
 
     def __init__(self, window: float, threshold: int):
         if window <= 0:
@@ -58,28 +69,23 @@ class WindowInterestPolicy:
             raise ConfigError(f"threshold must be >= 0, got {threshold}")
         self._window = float(window)
         self._threshold = int(threshold)
-        self._arrivals: deque[float] = deque()
+        self._recent = [-math.inf] * (self._threshold + 1)
+        self._next = 0  # the oldest slot, overwritten by the next arrival
 
     def record(self, now: float) -> None:
         """Register one query arrival."""
-        self._prune(now)
-        self._arrivals.append(now)
+        slot = self._next
+        self._recent[slot] = now
+        self._next = slot + 1 if slot < self._threshold else 0
 
     def is_interested(self, now: float) -> bool:
         """More than ``threshold`` arrivals in ``(now - window, now]``."""
-        self._prune(now)
-        return len(self._arrivals) > self._threshold
+        return self._recent[self._next] > now - self._window
 
     def count(self, now: float) -> int:
-        """Arrivals currently inside the window."""
-        self._prune(now)
-        return len(self._arrivals)
-
-    def _prune(self, now: float) -> None:
+        """Arrivals inside the window, capped at ``threshold + 1``."""
         horizon = now - self._window
-        arrivals = self._arrivals
-        while arrivals and arrivals[0] <= horizon:
-            arrivals.popleft()
+        return sum(1 for arrival in self._recent if arrival > horizon)
 
     @property
     def window(self) -> float:
@@ -94,7 +100,7 @@ class WindowInterestPolicy:
     def __repr__(self) -> str:
         return (
             f"WindowInterestPolicy(window={self._window}, "
-            f"threshold={self._threshold}, pending={len(self._arrivals)})"
+            f"threshold={self._threshold}, kept={_kept(self._recent)})"
         )
 
 
@@ -182,6 +188,9 @@ class AdaptiveInterestPolicy:
     With ``floor == ceiling == c`` the threshold is pinned at ``c`` and
     every decision matches ``WindowInterestPolicy(window, c)`` exactly —
     the frozen-rate equivalence proven by ``tests/test_differential.py``.
+    Like that policy it keeps a ring of the most recent arrival times,
+    ``ceiling + 1`` of them, and reads the ``(threshold + 1)``-th most
+    recent one.
 
     Parameters
     ----------
@@ -203,7 +212,8 @@ class AdaptiveInterestPolicy:
         "_ceiling",
         "_gain",
         "_smoothing",
-        "_arrivals",
+        "_recent",
+        "_next",
         "_epoch_start",
         "_epoch_count",
         "_rate",
@@ -233,7 +243,8 @@ class AdaptiveInterestPolicy:
         self._ceiling = int(ceiling)
         self._gain = float(gain)
         self._smoothing = float(smoothing)
-        self._arrivals: deque[float] = deque()
+        self._recent = [-math.inf] * (self._ceiling + 1)
+        self._next = 0  # the oldest slot, overwritten by the next arrival
         self._epoch_start = 0.0
         self._epoch_count = 0
         self._rate = 0.0
@@ -242,20 +253,22 @@ class AdaptiveInterestPolicy:
     def record(self, now: float) -> None:
         """Register one query arrival."""
         self._advance(now)
-        self._prune(now)
-        self._arrivals.append(now)
+        slot = self._next
+        self._recent[slot] = now
+        self._next = slot + 1 if slot < self._ceiling else 0
         self._epoch_count += 1
 
     def is_interested(self, now: float) -> bool:
         """More than the current threshold arrivals in ``(now - window, now]``."""
         self._advance(now)
-        self._prune(now)
-        return len(self._arrivals) > self._threshold
+        # A negative index wraps: threshold <= ceiling keeps it in range.
+        recent = self._recent[self._next - self._threshold - 1]
+        return recent > now - self._window
 
     def count(self, now: float) -> int:
-        """Arrivals currently inside the window."""
-        self._prune(now)
-        return len(self._arrivals)
+        """Arrivals inside the window, capped at ``ceiling + 1``."""
+        horizon = now - self._window
+        return sum(1 for arrival in self._recent if arrival > horizon)
 
     def _advance(self, now: float) -> None:
         # Close every whole epoch that ended at or before ``now``.  The
@@ -271,12 +284,6 @@ class AdaptiveInterestPolicy:
 
     def _clamp(self, raw: float) -> int:
         return max(self._floor, min(self._ceiling, int(round(raw))))
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self._window
-        arrivals = self._arrivals
-        while arrivals and arrivals[0] <= horizon:
-            arrivals.popleft()
 
     @property
     def window(self) -> float:
@@ -307,28 +314,37 @@ class AdaptiveInterestPolicy:
         return (
             f"AdaptiveInterestPolicy(window={self._window}, "
             f"floor={self._floor}, ceiling={self._ceiling}, "
-            f"threshold={self._threshold}, rate={self._rate:.4g})"
+            f"threshold={self._threshold}, rate={self._rate:.4g}, "
+            f"kept={_kept(self._recent)})"
         )
 
 
-def make_interest_policy(
+def _kept(recent: list) -> int:
+    """How many ring slots hold an arrival (the rest are still ``-inf``)."""
+    return sum(1 for arrival in recent if arrival != -math.inf)
+
+
+def interest_policy_factory(
     config, override: "str | None" = None
-) -> InterestPolicy:
-    """A fresh per-node interest policy for a run configuration.
+) -> "Callable[[], InterestPolicy]":
+    """A zero-argument constructor of per-node interest policies.
 
     ``config`` is a :class:`~repro.engine.config.SimulationConfig` (any
     object with its interest fields will do).  ``override`` is a
     scheme's ``interest_policy_override``: when set it replaces
     ``config.interest_policy`` (``dup-adaptive`` forces ``"adaptive"``).
+    The dispatch runs once here, so a scheme creating a tracker per node
+    resolves this once and then pays one constructor call per node.
     """
     kind = override or config.interest_policy
     if kind == "window":
-        return WindowInterestPolicy(config.ttl, config.threshold_c)
+        return partial(WindowInterestPolicy, config.ttl, config.threshold_c)
     if kind == "adaptive":
-        return AdaptiveInterestPolicy(
+        return partial(
+            AdaptiveInterestPolicy,
             config.ttl,
             config.threshold_floor,
             config.threshold_ceiling,
             config.adaptive_gain,
         )
-    return EwmaInterestPolicy(config.ttl, config.threshold_c)
+    return partial(EwmaInterestPolicy, config.ttl, config.threshold_c)

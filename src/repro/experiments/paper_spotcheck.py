@@ -5,12 +5,17 @@ maximum degree 4, TTL 3600 s, threshold 6, 180,000 simulated seconds —
 across a lambda sweep, single seed.  This is the full-fidelity
 counterpart of Figure 4 / Table III's lambda rows; expect tens of
 minutes of wall-clock (pure Python, like the original study's runs).
+Every row carries each scheme's p99 latency and the half-width of its
+95 % batch-means latency CI (``ci_<scheme>``); latency samples cost one
+byte per query, so they are kept at every lambda.
 
 Results from one complete run are recorded in EXPERIMENTS.md under
 "paper-scale spot check".
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.engine.config import SimulationConfig
 from repro.engine.parallel import ParallelRunner, TrialSpec
@@ -39,7 +44,6 @@ def run(
                 scheme=scheme,
                 query_rate=rate,
                 seed=seed,
-                keep_latency_samples=rate <= 10.0,  # memory at high rates
             ),
             experiment=EXPERIMENT_ID,
             point=rate,
@@ -62,6 +66,11 @@ def run(
             result = results[(rate, scheme)]
             row[f"latency_{scheme}"] = result.mean_latency
             row[f"cost_{scheme}"] = result.cost_per_query
+            row[f"p99_{scheme}"] = result.latency_percentiles.get(
+                "p99", math.nan
+            )
+            ci = result.latency_ci
+            row[f"ci_{scheme}"] = math.nan if ci is None else ci.half_width
         pcx_cost = results[(rate, "pcx")].cost_per_query
         row["relcost_cup"] = results[(rate, "cup")].cost_per_query / pcx_cost
         row["relcost_dup"] = results[(rate, "dup")].cost_per_query / pcx_cost

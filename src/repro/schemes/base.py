@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.interest import InterestPolicy, make_interest_policy
+from repro.core.interest import InterestPolicy, interest_policy_factory
 from repro.index.entry import IndexVersion
 from repro.net.message import (
     ControlMessage,
@@ -202,6 +202,9 @@ class PathCachingScheme(Scheme):
         #: node -> its interest policy, created on first use by
         #: :meth:`tracker` (only the push schemes measure interest).
         self._trackers: dict[NodeId, InterestPolicy] = {}
+        #: The interest-policy constructor, resolved by the first
+        #: :meth:`tracker` call; schemes that never ask stay at ``None``.
+        self._new_tracker = None
 
     def bind(self, sim: "Simulation") -> None:
         """Attach to a simulation and resolve the typed handler table.
@@ -247,10 +250,14 @@ class PathCachingScheme(Scheme):
         """The node's interest policy instance (lazily created)."""
         tracker = self._trackers.get(node)
         if tracker is None:
-            tracker = make_interest_policy(
-                self.sim.config, self.interest_policy_override
-            )
-            self._trackers[node] = tracker
+            new = self._new_tracker
+            if new is None:
+                # The config dispatch runs once per scheme; every later
+                # node costs one constructor call.
+                new = self._new_tracker = interest_policy_factory(
+                    self.sim.config, self.interest_policy_override
+                )
+            tracker = self._trackers[node] = new()
         return tracker
 
     # ------------------------------------------------------------------ hooks

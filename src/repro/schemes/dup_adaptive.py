@@ -13,7 +13,7 @@ Everything else — subscriber lists, pushes, repair — is inherited
 unchanged; the scheme merely forces the policy kind through the
 ``interest_policy_override`` attribute that
 :meth:`~repro.schemes.base.PathCachingScheme.tracker` hands to
-:func:`~repro.core.interest.make_interest_policy`.  With
+:func:`~repro.core.interest.interest_policy_factory`.  With
 ``threshold_floor == threshold_ceiling == threshold_c`` the run is
 bit-identical to plain ``dup`` (proven by ``tests/test_differential.py``).
 """

@@ -116,7 +116,10 @@ def batch_means_interval(
     Parameters
     ----------
     observations:
-        Per-query observations from a single run, in order.
+        Per-query observations from a single run, in order.  Any
+        sliceable sequence: an ``array`` of integer hop counts is read in
+        place, its integer batch sums divided exactly as float sums of
+        the same values would be.
     batches:
         Number of batches to split into (observations beyond an exact
         multiple are dropped from the tail).
@@ -125,12 +128,12 @@ def batch_means_interval(
     """
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
-    observations = [float(x) for x in observations]
     batch_size = len(observations) // batches
     if batch_size == 0:
         return mean_confidence_interval(observations, confidence)
-    means = []
-    for index in range(batches):
-        chunk = observations[index * batch_size : (index + 1) * batch_size]
-        means.append(sum(chunk) / batch_size)
+    means = [
+        sum(observations[index * batch_size : (index + 1) * batch_size])
+        / batch_size
+        for index in range(batches)
+    ]
     return mean_confidence_interval(means, confidence)

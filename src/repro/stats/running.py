@@ -5,7 +5,8 @@ algorithm for mean and variance; :class:`TimeWeightedStat` integrates a
 piecewise-constant signal over simulated time (used for, e.g., average
 number of subscribed nodes).  :func:`percentile` is the shared
 linear-interpolation quantile estimator used for the tail-latency
-metrics (p50/p95/p99).
+metrics (p50/p95/p99); :func:`percentile_of_counts` is the same
+estimator over a value-count summary of the values.
 """
 
 from __future__ import annotations
@@ -21,20 +22,47 @@ def percentile(values: Sequence[float], q: float) -> float:
     sequence; matches numpy's default ("linear") interpolation so
     results are consistent with offline analysis of exported samples.
     """
+    ordered = sorted(values)
+    return _interpolate(len(ordered), ordered.__getitem__, q)
+
+
+def percentile_of_counts(
+    counts: Sequence[tuple[float, int]], q: float
+) -> float:
+    """:func:`percentile` of a multiset given as ascending value counts.
+
+    ``counts`` lists ``(value, count)`` pairs in increasing value order,
+    every count positive.  The order statistics are read off the running
+    counts, so the result equals ``percentile`` of the expanded values
+    bit for bit without building or sorting them.
+    """
+
+    def order_statistic(index: int):
+        for value, count in counts:
+            if index < count:
+                return value
+            index -= count
+        raise IndexError("order statistic out of range")
+
+    size = sum(count for _, count in counts)
+    return _interpolate(size, order_statistic, q)
+
+
+def _interpolate(size: int, order_statistic, q: float) -> float:
+    """The linear-interpolation percentile of ``size`` ordered values,
+    the ``i``-th (0-based) of which is ``order_statistic(i)``."""
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must lie in [0, 100], got {q}")
-    if not values:
+    if not size:
         return math.nan
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (len(ordered) - 1) * (q / 100.0)
+    rank = (size - 1) * (q / 100.0)
     lower = math.floor(rank)
     upper = math.ceil(rank)
+    low = order_statistic(lower)
     if lower == upper:
-        return float(ordered[int(rank)])
+        return float(low)
     fraction = rank - lower
-    return float(ordered[lower] * (1 - fraction) + ordered[upper] * fraction)
+    return float(low * (1 - fraction) + order_statistic(upper) * fraction)
 
 
 class RunningStat:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.interest import make_interest_policy
+from repro.core.interest import interest_policy_factory
 from repro.engine import Simulation, SimulationConfig
 from repro.index.entry import IndexVersion
 from repro.net.faults import FaultPlan
@@ -533,7 +533,7 @@ def _apply(sim, handle_push, step):
             scheme.tracker(node).record(sim.env.now)
     elif kind == "lapse":
         if node in scheme._trackers:
-            scheme._trackers[node] = make_interest_policy(sim.config)
+            scheme._trackers[node] = interest_policy_factory(sim.config)()
     elif kind == "depart" and node != sim.tree.root:
         sim.tree.splice_out(node)  # lists still name it: a dead target
     elif kind == "push":
