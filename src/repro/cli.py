@@ -691,10 +691,11 @@ def _instrumented_run(
     was not requested.  ``flight_out`` dumps the protocol flight
     recorder as JSONL after the run; ``telemetry_out`` samples the
     tree-evolution timeline every ``timeline_window`` simulated seconds
-    and exports the windowed series.
+    and exports every retained sample.
     """
     from repro.engine.simulation import Simulation
     from repro.metrics.export import export_registry, export_traces, write_jsonl
+    from repro.metrics.windows import timeline_records
 
     # Fail on an unwritable output path now, not after an hours-long run.
     for path in (trace_out, metrics_out, flight_out, telemetry_out):
@@ -719,7 +720,7 @@ def _instrumented_run(
         count = sim.dump_flight(flight_out)
         print(f"wrote {count} flight records to {flight_out}")
     if telemetry_out:
-        count = write_jsonl(telemetry_out, sim.timeline.records())
+        count = write_jsonl(telemetry_out, timeline_records(sim.timeline))
         print(f"wrote {count} timeline records to {telemetry_out}")
     return result, tracer
 

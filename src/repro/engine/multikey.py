@@ -39,13 +39,13 @@ from repro.index.cache import IndexCache
 from repro.index.entry import IndexVersion
 from repro.metrics.counters import CostLedger
 from repro.metrics.latency import LatencyRecorder
-from repro.metrics.windows import TimeBuckets, WindowedReservoir
 from repro.net.message import Message, ReplyMessage
 from repro.net.transport import Transport
 from repro.schemes.registry import make_scheme
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.stats.distributions import Exponential, shared_zipf
+from repro.stats.running import percentile_of_counts
 from repro.topology.chord import ChordRing
 from repro.topology.chord_tree import LazyChordTree
 from repro.workload.arrivals import (
@@ -235,11 +235,9 @@ class MultiKeyScaleSimulation:
       views — O(1) setup, parents materialized only for nodes the
       workload actually touches — instead of eagerly materialized
       O(n log n)-per-key dicts.
-    - Caches are wheel-swept (:class:`_SweptCache`), and latency tails
-      come from bounded streaming estimators
-      (:class:`~repro.metrics.windows.WindowedReservoir` /
-      :class:`~repro.metrics.windows.TimeBuckets`) instead of per-query
-      sample lists.
+    - Caches are wheel-swept (:class:`_SweptCache`), and each shard
+      ships its latencies as ``(hops, count)`` pairs, which add across
+      shards into exact percentiles.
 
     The ring and the key sequence are drawn from the same streams for
     every shard (they depend only on the config), so shard ``i`` of
@@ -317,10 +315,8 @@ class MultiKeyScaleSimulation:
         self.latency = LatencyRecorder(
             clock=lambda: self.env.now,
             warmup=config.warmup,
-            keep_samples=False,
+            keep_samples=config.keep_latency_samples,
         )
-        self.reservoir = WindowedReservoir()
-        self.buckets = TimeBuckets(width=max(config.duration / 64, 1.0))
         self.transport = Transport(
             env=self.env,
             latency=Exponential(config.hop_latency_mean),
@@ -374,12 +370,10 @@ class MultiKeyScaleSimulation:
         return cache
 
     def record_latency(self, key: int, hops: float, issued_at: float) -> None:
-        """Streaming recorders: no per-query allocation survives."""
+        """Record a completed query and count it against its key."""
         self.latency.record(hops, issued_at)
         if issued_at >= self.config.warmup:
             self._queries_per_key[key] += 1
-            self.reservoir.observe(hops)
-            self.buckets.observe(issued_at, hops)
 
     def note_incomplete_query(self) -> None:
         """Interface parity; unreachable without churn."""
@@ -495,9 +489,9 @@ class MultiKeyScaleSimulation:
             "resident_entries": sum(
                 len(cache) for cache in self._caches.values()
             ),
-            "latency_reservoir": self.reservoir,
-            "latency_buckets": self.buckets,
         }
+        if config.keep_latency_samples:
+            extras["latency_counts"] = self.latency.value_counts()
         return SimulationResult(
             config=self.config,
             scheme=(
@@ -617,9 +611,10 @@ def merge_scale_results(results: list[SimulationResult]) -> SimulationResult:
     """Exact cross-shard merge of per-shard :class:`SimulationResult`\\ s.
 
     Counts and hop sums add; the mean and hit rate are recomputed from
-    the merged numerators; latency tails come from merging the shards'
-    streaming reservoirs.  Wall-clock is the *sum* of shard walls (total
-    compute spent), never part of any golden.
+    the merged numerators; the latency percentiles are exact, read off
+    the sum of the shards' ``(hops, count)`` pairs (``nan`` when the
+    config did not keep latency samples).  Wall-clock is the *sum* of
+    shard walls (total compute spent), never part of any golden.
     """
     if not results:
         raise ConfigError("no shard results to merge")
@@ -637,11 +632,13 @@ def merge_scale_results(results: list[SimulationResult]) -> SimulationResult:
         for result in results
         if result.queries
     )
-    reservoir = results[0].extras["latency_reservoir"]
-    buckets = results[0].extras["latency_buckets"]
-    for result in results[1:]:
-        reservoir = reservoir.merge(result.extras["latency_reservoir"])
-        buckets = buckets.merge(result.extras["latency_buckets"])
+    latency_counts: Counter = Counter()
+    shipped = [result.extras.get("latency_counts") for result in results]
+    if None not in shipped:
+        for pairs in shipped:
+            for hops, count in pairs:
+                latency_counts[hops] += count
+    ordered = sorted(latency_counts.items())
     queries_per_key: dict[int, int] = {}
     for result in results:
         queries_per_key.update(result.extras["queries_per_key"])
@@ -669,10 +666,9 @@ def merge_scale_results(results: list[SimulationResult]) -> SimulationResult:
         "resident_entries": sum(
             int(result.extras["resident_entries"]) for result in results
         ),
-        "latency_p50": reservoir.percentile(50),
-        "latency_p95": reservoir.percentile(95),
-        "latency_p99": reservoir.percentile(99),
-        "bucket_count": len(buckets),
+        "latency_p50": percentile_of_counts(ordered, 50),
+        "latency_p95": percentile_of_counts(ordered, 95),
+        "latency_p99": percentile_of_counts(ordered, 99),
     }
     return SimulationResult(
         config=first.config,

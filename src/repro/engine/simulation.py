@@ -660,6 +660,7 @@ class Simulation:
         """
         from repro.engine.tracing import TraceCollector
 
+        self._before_run("enable_tracing")
         if self.tracer is not None:
             return self.tracer
         self.tracer = TraceCollector(
@@ -686,26 +687,23 @@ class Simulation:
     ):
         """Sample the tree-evolution timeline every ``window`` seconds.
 
-        Returns the :class:`~repro.metrics.windows.TreeTimeline`
-        (idempotent; must be called before :meth:`run`).  Memory is
-        bounded by ``max_buckets`` windows per metric regardless of the
-        run length; the timeline is a pure observer and never perturbs
-        the run.
+        Returns a :class:`~repro.sim.monitor.Monitor` carrying the
+        probes of :func:`~repro.metrics.windows.timeline_probes`
+        (idempotent; must be called before :meth:`run`).  Each metric
+        keeps its newest ``max_buckets`` samples regardless of the run
+        length; the timeline is a pure observer and never perturbs the
+        run.
         """
-        from repro.metrics.windows import TreeTimeline
+        from repro.metrics.windows import timeline_probes
+        from repro.sim.monitor import Monitor
 
-        if self._timeline is not None:
-            return self._timeline
-        timeline = TreeTimeline(window=window, max_buckets=max_buckets)
-
-        def loop():
-            while True:
-                yield self.env.timeout(timeline.window)
-                timeline.sample(self)
-
-        self.env.process(loop(), name="tree-timeline")
-        self._timeline = timeline
-        return timeline
+        self._before_run("enable_timeline")
+        if self._timeline is None:
+            timeline = Monitor(self.env, window, max_samples=max_buckets)
+            for name, probe in timeline_probes(self).items():
+                timeline.probe(name, probe)
+            self._timeline = timeline
+        return self._timeline
 
     def dump_flight(self, path) -> int:
         """Dump the flight recorder's ring as JSONL; 0 when unarmed."""
@@ -716,6 +714,7 @@ class Simulation:
     def enable_snapshots(self, interval: float = 600.0) -> None:
         """Sample the metrics registry every ``interval`` simulated
         seconds (must be called before :meth:`run`)."""
+        self._before_run("enable_snapshots")
 
         def loop():
             while True:
@@ -741,21 +740,32 @@ class Simulation:
         Every event node must exist in the topology; events on departed
         (churn) or crashed (silent failure) nodes are skipped.
         """
-        if self._ran:
-            raise RuntimeError("use_trace must precede run()")
+        self._before_run("use_trace")
         self._trace = trace
+
+    def _before_run(self, method: str) -> None:
+        """Refuse an attachment :meth:`run` would never see."""
+        if self._ran:
+            raise RuntimeError(f"{method} must precede run()")
 
     def add_probe(self, name: str, function, interval: float = 600.0):
         """Sample ``function()`` every ``interval`` simulated seconds.
 
         Returns the live :class:`repro.sim.monitor.Series`.  Probes must
         be registered before :meth:`run`; the first call fixes the
-        sampling cadence.
+        sampling cadence, and a later call asking for another one is
+        refused.
         """
         from repro.sim.monitor import Monitor
 
+        self._before_run("add_probe")
         if self._monitor is None:
             self._monitor = Monitor(self.env, interval)
+        elif interval != self._monitor.interval:
+            raise ConfigError(
+                f"probe {name!r} asks for interval {interval}, but the "
+                f"monitor already samples every {self._monitor.interval}"
+            )
         series = self._monitor.probe(name, function)
         # Absorb the probe into the unified registry as a live gauge.
         self.registry.gauge(f"probe.{name}", function)
@@ -769,6 +779,7 @@ class Simulation:
         - ``population`` — overlay size (churn);
         - for DUP schemes, ``subscribed`` and ``dup_tree_size``.
         """
+        self._before_run("add_standard_probes")
         probes = {
             "hit_rate": lambda: self.latency.hit_rate,
             "mean_latency": lambda: self.latency.mean,

@@ -60,7 +60,7 @@ class TelemetryWriter:
         self.written += 1
 
     def write_records(self, records: Iterable[Mapping]) -> int:
-        """Append many records (e.g. ``timeline.records()``)."""
+        """Append many records (e.g. ``timeline_records(timeline)``)."""
         count = 0
         for record in records:
             self.write_record(record)

@@ -67,7 +67,6 @@ def run(
             num_nodes=num_nodes,
             topology="chord",
             scheme=scheme,
-            keep_latency_samples=False,
         )
         shards = default_shard_count(num_keys)
         result = run_scale(

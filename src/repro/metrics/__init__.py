@@ -31,12 +31,7 @@ from repro.metrics.registry import (
     MetricsRegistry,
 )
 from repro.metrics.report import MetricsReport
-from repro.metrics.windows import (
-    TimeBuckets,
-    TreeTimeline,
-    WindowedReservoir,
-    reconstruct_series,
-)
+from repro.metrics.windows import reconstruct_series, timeline_records
 
 __all__ = [
     "CostLedger",
@@ -47,13 +42,11 @@ __all__ = [
     "LatencyRecorder",
     "MetricsRegistry",
     "MetricsReport",
-    "TimeBuckets",
-    "TreeTimeline",
-    "WindowedReservoir",
     "export_messages",
     "export_registry",
     "export_traces",
     "read_jsonl",
     "reconstruct_series",
+    "timeline_records",
     "write_jsonl",
 ]

@@ -128,6 +128,20 @@ class LatencyRecorder:
             raise RuntimeError("samples were not kept; CI unavailable")
         return batch_means_interval(self._samples, batches, confidence)
 
+    def value_counts(self) -> list[tuple[float, int]]:
+        """The samples as ascending ``(latency, count)`` pairs.
+
+        Requires ``keep_samples``.  Counts add across recorders, so
+        sharded runs merge them into exact percentiles with
+        :func:`~repro.stats.running.percentile_of_counts`.
+        """
+        if not self._keep_samples:
+            raise RuntimeError("samples were not kept; counts unavailable")
+        samples = self._samples
+        if self._counts is None or self._counts[0] != len(samples):
+            self._counts = (len(samples), sorted(Counter(samples).items()))
+        return self._counts[1]
+
     def percentile(self, q: float) -> float:
         """The ``q``-th latency percentile (requires ``keep_samples``).
 
@@ -136,10 +150,7 @@ class LatencyRecorder:
         """
         if not self._keep_samples:
             raise RuntimeError("samples were not kept; percentile unavailable")
-        samples = self._samples
-        if self._counts is None or self._counts[0] != len(samples):
-            self._counts = (len(samples), sorted(Counter(samples).items()))
-        return percentile_of_counts(self._counts[1], q)
+        return percentile_of_counts(self.value_counts(), q)
 
     def percentiles(self, qs=(50, 95, 99)) -> dict[str, float]:
         """Tail percentiles keyed ``"p50"``-style (requires samples)."""

@@ -80,41 +80,19 @@ class Histogram:
     Keeps raw samples (one float each) so arbitrary percentiles are
     exact; the paper-scale runs observe one value per query, matching
     the latency recorder's own memory profile.
-
-    ``max_samples`` caps the retained sample list for streaming use
-    (ROADMAP item 1): when the list would exceed the cap, it is
-    deterministically decimated (every second sample dropped, retention
-    stride doubled), so percentiles become approximate while
-    count/mean/min/max stay exact.  The default (``None``) keeps every
-    sample — the behaviour the goldens pin.
     """
 
-    __slots__ = ("name", "max_samples", "_stat", "_samples", "_stride", "_phase")
+    __slots__ = ("name", "_stat", "_samples")
 
-    def __init__(self, name: str, max_samples: Optional[int] = None):
-        if max_samples is not None and max_samples < 2:
-            raise ValueError(
-                f"max_samples must be >= 2, got {max_samples}"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.max_samples = max_samples
         self._stat = RunningStat()
         self._samples: list[float] = []
-        self._stride = 1
-        self._phase = 0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         self._stat.add(value)
-        if self.max_samples is None:
-            self._samples.append(float(value))
-            return
-        if self._phase == 0:
-            self._samples.append(float(value))
-            if len(self._samples) > self.max_samples:
-                self._samples = self._samples[::2]
-                self._stride *= 2
-        self._phase = (self._phase + 1) % self._stride
+        self._samples.append(float(value))
 
     @property
     def count(self) -> int:
@@ -163,14 +141,9 @@ class Histogram:
         would report; mean/variance use the numerically stable pairwise
         merge.
         """
-        merged = Histogram(self.name, self.max_samples)
+        merged = Histogram(self.name)
         merged._stat = self._stat.merge(other._stat)
         merged._samples = [*self._samples, *other._samples]
-        merged._stride = max(self._stride, other._stride)
-        if merged.max_samples is not None:
-            while len(merged._samples) > merged.max_samples:
-                merged._samples = merged._samples[::2]
-                merged._stride *= 2
         return merged
 
     def __repr__(self) -> str:
@@ -223,17 +196,9 @@ class MetricsRegistry:
             raise ValueError(f"gauge {name!r} already has a callback")
         return gauge
 
-    def histogram(
-        self, name: str, max_samples: Optional[int] = None
-    ) -> Histogram:
-        """Get or create the histogram called ``name``.
-
-        ``max_samples`` applies only on first creation; an existing
-        histogram keeps its original retention policy.
-        """
-        return self._get_or_create(
-            name, Histogram, lambda: Histogram(name, max_samples)
-        )
+    def histogram(self, name: str) -> Histogram:
+        """Get or create the histogram called ``name``."""
+        return self._get_or_create(name, Histogram, lambda: Histogram(name))
 
     # -- inspection ----------------------------------------------------------
     @property

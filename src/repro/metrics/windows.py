@@ -1,430 +1,91 @@
-"""Fixed-memory streaming telemetry: reservoirs, time buckets, timeline.
+"""The DUP tree-evolution timeline: probes, JSONL records, reconstruction.
 
-Long sweeps cannot afford the unbounded sample lists the registry's
-histograms and the monitor's series keep by default (ROADMAP item 1).
-This module provides the bounded replacements:
+``Simulation.enable_timeline(window, max_buckets)`` samples the probes
+below once per ``window`` simulated seconds on a
+:class:`~repro.sim.monitor.Monitor` that keeps the newest
+``max_buckets`` samples per metric, so memory is bounded by the window
+count, never the run length.  :func:`timeline_records` exports the
+retained samples as ``--telemetry-out`` JSONL and
+:func:`reconstruct_series` rebuilds one metric's series from them.
 
-* :class:`WindowedReservoir` — exact count/mean/min/max plus a
-  deterministically decimated sample reservoir for approximate
-  percentiles, in O(capacity) memory regardless of stream length.
-* :class:`TimeBuckets` — a mergeable, bounded ring of fixed-width time
-  buckets (count/mean/min/max/last per bucket), evicting the oldest
-  window when full.
-* :class:`TreeTimeline` — the DUP tree-evolution timeline: depth,
-  fanout, population, subscriber count, and interior-node load sampled
-  per window, reconstructible from a ``--telemetry-out`` JSONL export.
-
-Everything here is a pure observer of simulation state: no randomness
-is consumed (decimation is deterministic stride-doubling), so enabling
-a timeline never perturbs a run.
+The probes are pure observers of simulation state and consume no
+randomness, so enabling a timeline never perturbs a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
-
-from repro.errors import ConfigError
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulation import Simulation
+    from repro.sim.monitor import Monitor
 
 
-def decimate(samples: list[float]) -> list[float]:
-    """Drop every second sample (deterministic reservoir shrink)."""
-    return samples[::2]
-
-
-class WindowedReservoir:
-    """Bounded sample reservoir with exact first-order statistics.
-
-    ``count``/``mean``/``minimum``/``maximum`` are exact over the whole
-    stream; ``percentile`` is approximate, computed over a reservoir
-    that keeps every ``stride``-th observation and halves itself
-    (doubling the stride) whenever it would exceed ``capacity``.  The
-    decimation is deterministic, so two identical streams always yield
-    identical reservoirs.
-    """
-
-    __slots__ = (
-        "capacity",
-        "count",
-        "total",
-        "_minimum",
-        "_maximum",
-        "_samples",
-        "_stride",
-        "_phase",
-    )
-
-    def __init__(self, capacity: int = 512):
-        if capacity < 2:
-            raise ConfigError(f"capacity must be >= 2, got {capacity}")
-        self.capacity = int(capacity)
-        self.count = 0
-        self.total = 0.0
-        self._minimum = float("inf")
-        self._maximum = float("-inf")
-        self._samples: list[float] = []
-        self._stride = 1
-        self._phase = 0  # observations since the last retained sample
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self._minimum:
-            self._minimum = value
-        if value > self._maximum:
-            self._maximum = value
-        if self._phase == 0:
-            self._samples.append(value)
-            if len(self._samples) > self.capacity:
-                self._samples = decimate(self._samples)
-                self._stride *= 2
-        self._phase = (self._phase + 1) % self._stride
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    @property
-    def minimum(self) -> float:
-        return self._minimum if self.count else float("nan")
-
-    @property
-    def maximum(self) -> float:
-        return self._maximum if self.count else float("nan")
-
-    @property
-    def samples(self) -> tuple[float, ...]:
-        """The retained (decimated) samples, in arrival order."""
-        return tuple(self._samples)
-
-    @property
-    def stride(self) -> int:
-        """Current decimation stride (1 = every sample retained)."""
-        return self._stride
-
-    def percentile(self, q: float) -> float:
-        """Approximate ``q``-th percentile from the reservoir."""
-        if not self._samples:
-            return float("nan")
-        ordered = sorted(self._samples)
-        if q <= 0:
-            return ordered[0]
-        if q >= 100:
-            return ordered[-1]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        frac = rank - low
-        if low + 1 >= len(ordered):
-            return ordered[-1]
-        return ordered[low] * (1 - frac) + ordered[low + 1] * frac
-
-    def merge(self, other: "WindowedReservoir") -> "WindowedReservoir":
-        """Combine two reservoirs (exact stats stay exact)."""
-        merged = WindowedReservoir(max(self.capacity, other.capacity))
-        merged.count = self.count + other.count
-        merged.total = self.total + other.total
-        merged._minimum = min(self._minimum, other._minimum)
-        merged._maximum = max(self._maximum, other._maximum)
-        merged._samples = list(self._samples) + list(other._samples)
-        merged._stride = max(self._stride, other._stride)
-        while len(merged._samples) > merged.capacity:
-            merged._samples = decimate(merged._samples)
-            merged._stride *= 2
-        return merged
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "retained": len(self._samples),
-            "stride": self._stride,
-        }
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __repr__(self) -> str:
-        return (
-            f"WindowedReservoir(count={self.count}, "
-            f"retained={len(self._samples)}, stride={self._stride})"
-        )
-
-
-@dataclass
-class BucketStats:
-    """Aggregates for one time window."""
-
-    start: float
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-    last: float = float("nan")
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self.last = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def absorb(self, other: "BucketStats") -> None:
-        """Fold another window's aggregates into this one (same start)."""
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        if other.count:
-            self.last = other.last
-
-
-class TimeBuckets:
-    """Mergeable fixed-width time buckets with bounded retention.
-
-    Observations land in the bucket ``floor(time / width)``; at most
-    ``max_buckets`` windows are retained, the oldest evicted first, so
-    memory is bounded by the window count, never the run length.
-    Evictions are counted in :attr:`evicted`.
-    """
-
-    __slots__ = ("width", "max_buckets", "_buckets", "evicted")
-
-    def __init__(self, width: float, max_buckets: int = 256):
-        if width <= 0:
-            raise ConfigError(f"width must be positive, got {width}")
-        if max_buckets < 1:
-            raise ConfigError(
-                f"max_buckets must be positive, got {max_buckets}"
-            )
-        self.width = float(width)
-        self.max_buckets = int(max_buckets)
-        self._buckets: dict[float, BucketStats] = {}
-        self.evicted = 0
-
-    def observe(self, time: float, value: float) -> None:
-        start = (float(time) // self.width) * self.width
-        bucket = self._buckets.get(start)
-        if bucket is None:
-            bucket = BucketStats(start)
-            self._buckets[start] = bucket
-            self._trim()
-        bucket.observe(float(value))
-
-    def _trim(self) -> None:
-        while len(self._buckets) > self.max_buckets:
-            del self._buckets[min(self._buckets)]
-            self.evicted += 1
-
-    @property
-    def buckets(self) -> tuple[BucketStats, ...]:
-        """Retained windows, oldest first."""
-        return tuple(
-            self._buckets[start] for start in sorted(self._buckets)
-        )
-
-    def series(self, stat: str = "mean") -> list[tuple[float, float]]:
-        """``(window_start, stat)`` pairs, oldest first."""
-        return [
-            (bucket.start, getattr(bucket, stat)) for bucket in self.buckets
-        ]
-
-    def merge(self, other: "TimeBuckets") -> "TimeBuckets":
-        """Combine same-width bucket sets (e.g. across trials)."""
-        if other.width != self.width:
-            raise ConfigError(
-                f"cannot merge widths {self.width} and {other.width}"
-            )
-        merged = TimeBuckets(
-            self.width, max(self.max_buckets, other.max_buckets)
-        )
-        for source in (self, other):
-            for bucket in source.buckets:
-                existing = merged._buckets.get(bucket.start)
-                if existing is None:
-                    merged._buckets[bucket.start] = BucketStats(
-                        bucket.start,
-                        bucket.count,
-                        bucket.total,
-                        bucket.minimum,
-                        bucket.maximum,
-                        bucket.last,
-                    )
-                else:
-                    existing.absorb(bucket)
-        merged._trim()
-        merged.evicted += self.evicted + other.evicted
-        return merged
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-    def __repr__(self) -> str:
-        return (
-            f"TimeBuckets(width={self.width}, windows={len(self._buckets)},"
-            f" evicted={self.evicted})"
-        )
-
-
-class TreeTimeline:
-    """The DUP tree-evolution timeline, sampled once per window.
-
-    Metrics (one :class:`TimeBuckets` each):
+def timeline_probes(sim: "Simulation") -> dict[str, Callable[[], float]]:
+    """The tree-shape probes of ``sim``, by metric name.
 
     - ``tree-depth`` — height of the search tree;
-    - ``mean-fanout`` — average child count over interior nodes;
     - ``population`` — nodes currently in the tree;
+    - ``mean-fanout`` — average child count over interior nodes;
     - ``subscribers`` — nodes holding an active subscription (DUP only);
     - ``dup-tree-size`` — nodes in the DUP update tree (DUP only);
     - ``interior-load`` — largest subscriber list held by any single
       node (DUP only) — the per-node propagation burden.
-
-    ``sample(sim)`` is called by the engine's timeline process; tests
-    may also feed metrics directly through :meth:`observe`.
     """
+    tree = sim.tree
+    scheme = sim.scheme
 
-    METRICS = (
-        "tree-depth",
-        "mean-fanout",
-        "population",
-        "subscribers",
-        "dup-tree-size",
-        "interior-load",
-    )
-
-    def __init__(self, window: float = 600.0, max_buckets: int = 256):
-        if window <= 0:
-            raise ConfigError(f"window must be positive, got {window}")
-        self.window = float(window)
-        self.max_buckets = int(max_buckets)
-        self._metrics: dict[str, TimeBuckets] = {}
-        self.samples_taken = 0
-
-    def observe(self, metric: str, time: float, value: float) -> None:
-        buckets = self._metrics.get(metric)
-        if buckets is None:
-            buckets = TimeBuckets(self.window, self.max_buckets)
-            self._metrics[metric] = buckets
-        buckets.observe(time, value)
-
-    def sample(self, sim: "Simulation") -> None:
-        """Take one snapshot of the simulation's tree shape."""
-        now = sim.env.now
-        tree = sim.tree
-        self.observe("tree-depth", now, float(tree.height()))
-        self.observe("population", now, float(len(tree)))
+    def mean_fanout() -> float:
         interiors = [n for n in tree.nodes if not tree.is_leaf(n)]
-        fanout = (
-            sum(tree.degree(n) for n in interiors) / len(interiors)
-            if interiors
-            else 0.0
-        )
-        self.observe("mean-fanout", now, fanout)
-        scheme = sim.scheme
-        if hasattr(scheme, "subscribed_nodes"):
-            self.observe(
-                "subscribers", now, float(len(scheme.subscribed_nodes()))
-            )
-        if hasattr(scheme, "dup_tree_size"):
-            self.observe("dup-tree-size", now, float(scheme.dup_tree_size()))
-        protocol = getattr(scheme, "protocol", None)
-        if protocol is not None:
-            load = max(
+        if not interiors:
+            return 0.0
+        return sum(tree.degree(n) for n in interiors) / len(interiors)
+
+    probes = {
+        "tree-depth": lambda: float(tree.height()),
+        "population": lambda: float(len(tree)),
+        "mean-fanout": mean_fanout,
+    }
+    if hasattr(scheme, "subscribed_nodes"):
+        probes["subscribers"] = lambda: float(len(scheme.subscribed_nodes()))
+    if hasattr(scheme, "dup_tree_size"):
+        probes["dup-tree-size"] = lambda: float(scheme.dup_tree_size())
+    protocol = getattr(scheme, "protocol", None)
+    if protocol is not None:
+        probes["interior-load"] = lambda: float(
+            max(
                 (
                     len(protocol.s_list(node))
                     for node in protocol.nodes_with_state()
                 ),
                 default=0,
             )
-            self.observe("interior-load", now, float(load))
-        self.samples_taken += 1
-
-    @property
-    def metrics(self) -> tuple[str, ...]:
-        return tuple(self._metrics)
-
-    def buckets(self, metric: str) -> TimeBuckets:
-        try:
-            return self._metrics[metric]
-        except KeyError:
-            raise ConfigError(f"unknown timeline metric {metric!r}") from None
-
-    def series(
-        self, metric: str, stat: str = "last"
-    ) -> list[tuple[float, float]]:
-        """``(window_start, stat)`` pairs for one metric."""
-        return self.buckets(metric).series(stat)
-
-    def records(self) -> Iterator[dict]:
-        """JSONL-ready dicts, one per (metric, window)."""
-        for metric in sorted(self._metrics):
-            buckets = self._metrics[metric]
-            for bucket in buckets.buckets:
-                yield {
-                    "type": "timeline",
-                    "metric": metric,
-                    "start": bucket.start,
-                    "end": bucket.start + buckets.width,
-                    "count": bucket.count,
-                    "mean": bucket.mean,
-                    "min": bucket.minimum,
-                    "max": bucket.maximum,
-                    "last": bucket.last,
-                }
-
-    def merge(self, other: "TreeTimeline") -> "TreeTimeline":
-        """Combine timelines from separate trials (same window width)."""
-        if other.window != self.window:
-            raise ConfigError(
-                f"cannot merge windows {self.window} and {other.window}"
-            )
-        merged = TreeTimeline(
-            self.window, max(self.max_buckets, other.max_buckets)
         )
-        for source in (self, other):
-            for metric, buckets in source._metrics.items():
-                existing = merged._metrics.get(metric)
-                if existing is None:
-                    merged._metrics[metric] = buckets.merge(
-                        TimeBuckets(self.window, self.max_buckets)
-                    )
-                else:
-                    merged._metrics[metric] = existing.merge(buckets)
-        merged.samples_taken = self.samples_taken + other.samples_taken
-        return merged
+    return probes
 
-    def __repr__(self) -> str:
-        return (
-            f"TreeTimeline(window={self.window}, "
-            f"metrics={len(self._metrics)}, samples={self.samples_taken})"
-        )
+
+def timeline_records(timeline: "Monitor") -> Iterator[dict]:
+    """JSONL-ready dicts, one per retained (metric, sample)."""
+    for metric in sorted(timeline.names):
+        for sample in timeline.series(metric):
+            yield {
+                "type": "timeline",
+                "metric": metric,
+                "time": sample.time,
+                "value": sample.value,
+            }
 
 
 def reconstruct_series(
-    records: Iterator[dict] | list[dict],
-    metric: str,
-    stat: str = "last",
+    records: Iterable[dict], metric: str
 ) -> list[tuple[float, float]]:
-    """Rebuild a timeline metric's series from exported JSONL records.
+    """Rebuild a timeline metric's ``(time, value)`` series from JSONL.
 
-    The inverse of :meth:`TreeTimeline.records`, used to verify that a
+    The inverse of :func:`timeline_records`, used to verify that a
     ``--telemetry-out`` file reconstructs the in-memory timeline.
     """
     pairs = [
-        (record["start"], record[stat])
+        (record["time"], record["value"])
         for record in records
         if record.get("type") == "timeline" and record.get("metric") == metric
     ]

@@ -10,6 +10,8 @@ The engine exposes this through
 ``Simulation.add_probe(name, fn, interval)``; the experiments use it for
 the convergence plots and the test-suite for temporal assertions (e.g.
 "the subscriber count stabilizes after the first TTL").
+``Simulation.enable_timeline`` runs a second monitor carrying the
+tree-shape probes of :mod:`repro.metrics.windows`.
 """
 
 from __future__ import annotations
@@ -139,9 +141,8 @@ class Monitor:
     env:
         The simulation environment.
     interval:
-        Seconds of simulated time between samples.
-    start_at:
-        Time of the first sample (defaults to one interval in).
+        Seconds of simulated time between samples; the first sample is
+        taken one interval after the first probe is registered.
     max_samples:
         Retention bound for every created series (sliding window of
         the most recent samples).  Defaults to 4096; pass ``None`` for
@@ -154,14 +155,12 @@ class Monitor:
         self,
         env: Environment,
         interval: float,
-        start_at: Optional[float] = None,
         max_samples: Optional[int] = DEFAULT_MAX_SAMPLES,
     ):
         if interval <= 0:
             raise ConfigError(f"interval must be positive, got {interval}")
         self._env = env
         self._interval = float(interval)
-        self._start_at = float(start_at if start_at is not None else interval)
         self._max_samples = max_samples
         self._probes: dict[str, Probe] = {}
         self._series: dict[str, Series] = {}
@@ -187,6 +186,11 @@ class Monitor:
             raise ConfigError(f"unknown probe {name!r}") from None
 
     @property
+    def interval(self) -> float:
+        """Seconds of simulated time between samples."""
+        return self._interval
+
+    @property
     def names(self) -> tuple[str, ...]:
         """All registered probe names."""
         return tuple(self._series)
@@ -198,8 +202,6 @@ class Monitor:
             self._series[name].append(now, float(function()))
 
     def _sampling_loop(self):
-        delay = max(0.0, self._start_at - self._env.now)
-        yield self._env.timeout(delay)
         while True:
-            self.sample_now()
             yield self._env.timeout(self._interval)
+            self.sample_now()

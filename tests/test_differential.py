@@ -219,6 +219,11 @@ class TestQueryPathPinned:
     modulation, a flash crowd's rank flips, the churn guard).  ``shard``
     is one unsharded multi-key engine over 8 keys, ``scale`` the same
     engine cut into shards by ``run_scale``.
+
+    ``shard`` and ``scale`` were re-pinned when the scale engine moved
+    to one exact latency recorder: ``shard`` now carries its
+    ``latency_counts`` pairs and ``scale`` exact p50/p95/p99.  With the
+    latency-tail extras dropped, both fingerprints equal the old ones.
     """
 
     BASE = dict(
@@ -242,10 +247,10 @@ class TestQueryPathPinned:
             "edf2d5392bfae07423560631f6a7fca7fb9481fda4e1f08f1003a7289e30f685"
         ),
         "shard": (
-            "9a3cf44da38971d84a51e2d2b52efabdc3b3e30afc3198275b74fe085e1ff7a5"
+            "396f4bbdebde0ff3e04bc54b534e6c3b257875b5892278335293b43fa182ac96"
         ),
         "scale": (
-            "96845bfa96154c6459dd92159daa139d4bb19429464398f2d56f1c236c1ea51a"
+            "77c7fa44df70366b036f826d6735d28a252dcc711c512dc2fa42d5aeb17b4aae"
         ),
     }
 

@@ -71,12 +71,13 @@ class TestMonitor:
         assert series.times == (10.0, 20.0, 30.0)
         assert series.values == (10.0, 20.0, 30.0)
 
-    def test_start_at(self):
+    def test_cadence_counts_from_the_first_probe(self):
         env = Environment()
-        monitor = Monitor(env, interval=10.0, start_at=5.0)
+        env.run(until=5.0)
+        monitor = Monitor(env, interval=10.0)
         series = monitor.probe("x", lambda: 1.0)
         env.run(until=26.0)
-        assert series.times == (5.0, 15.0, 25.0)
+        assert series.times == (15.0, 25.0)
 
     def test_multiple_probes_share_cadence(self):
         env = Environment()
@@ -220,3 +221,52 @@ class TestEngineIntegration:
         assert tail.minimum() > 0
         spread = (tail.maximum() - tail.minimum()) / max(tail.mean(), 1.0)
         assert spread < 0.6
+
+
+def small_sim() -> Simulation:
+    return Simulation(
+        SimulationConfig(
+            scheme="dup",
+            num_nodes=32,
+            query_rate=1.0,
+            duration=1200.0,
+            warmup=300.0,
+            seed=3,
+        )
+    )
+
+
+class TestAttachAfterRun:
+    """An observer attached after ``run()`` would record nothing, so it
+    is refused (``run()`` itself refuses a second call)."""
+
+    @pytest.mark.parametrize(
+        "attach",
+        [
+            lambda sim: sim.add_probe("x", lambda: 1.0),
+            lambda sim: sim.add_standard_probes(),
+            lambda sim: sim.enable_timeline(),
+            lambda sim: sim.enable_snapshots(),
+            lambda sim: sim.enable_tracing(),
+        ],
+        ids=[
+            "add_probe",
+            "add_standard_probes",
+            "enable_timeline",
+            "enable_snapshots",
+            "enable_tracing",
+        ],
+    )
+    def test_refused_after_run(self, attach, request):
+        sim = small_sim()
+        sim.run()
+        method = request.node.callspec.id
+        with pytest.raises(RuntimeError, match=f"{method} must precede run"):
+            attach(sim)
+
+    def test_probe_interval_mismatch_refused(self):
+        sim = small_sim()
+        sim.add_probe("a", lambda: 1.0, interval=60.0)
+        sim.add_probe("b", lambda: 2.0, interval=60.0)
+        with pytest.raises(ConfigError, match="interval 120.0.*every 60.0"):
+            sim.add_probe("c", lambda: 3.0, interval=120.0)
