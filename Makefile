@@ -6,7 +6,7 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale ledger ledger-ab gc-phase paper-cell perf-smoke profile clean
+.PHONY: test bench bench-scale ledger ledger-ab gc-phase paper-cell frames perf-smoke profile clean
 
 test:
 	$(PY) -m pytest -q
@@ -47,6 +47,11 @@ RATE ?= 100
 DURATION ?= 180000
 paper-cell:
 	$(PY) scripts/paper_cell.py --rate $(RATE) --duration $(DURATION)
+
+# Python frames per hit, per miss hop and per push, read off the three
+# tier-1 frame fences' fixtures (counts, not clocks).  make frames
+frames:
+	$(PY) scripts/frames.py
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py

@@ -40,6 +40,10 @@ class InterestPolicy(Protocol):
         """Whether the node currently qualifies as interested."""
         ...
 
+    def arrive(self, now: float) -> bool:
+        """:meth:`record` then :meth:`is_interested`, in one call."""
+        ...
+
 
 class WindowInterestPolicy:
     """The paper's sliding-window threshold policy.
@@ -81,6 +85,14 @@ class WindowInterestPolicy:
     def is_interested(self, now: float) -> bool:
         """More than ``threshold`` arrivals in ``(now - window, now]``."""
         return self._recent[self._next] > now - self._window
+
+    def arrive(self, now: float) -> bool:
+        """Register one query arrival; then whether the node is interested."""
+        recent = self._recent
+        slot = self._next
+        recent[slot] = now
+        slot = self._next = slot + 1 if slot < self._threshold else 0
+        return recent[slot] > now - self._window
 
     def count(self, now: float) -> int:
         """Arrivals inside the window, capped at ``threshold + 1``."""
@@ -148,6 +160,11 @@ class EwmaInterestPolicy:
     def is_interested(self, now: float) -> bool:
         """Whether the decayed rate maps to > threshold arrivals/window."""
         self._advance(now)
+        return self._rate * self._window > self._threshold
+
+    def arrive(self, now: float) -> bool:
+        """Register one query arrival; then whether the node is interested."""
+        self.record(now)
         return self._rate * self._window > self._threshold
 
     def _advance(self, now: float) -> None:
@@ -262,6 +279,12 @@ class AdaptiveInterestPolicy:
         """More than the current threshold arrivals in ``(now - window, now]``."""
         self._advance(now)
         # A negative index wraps: threshold <= ceiling keeps it in range.
+        recent = self._recent[self._next - self._threshold - 1]
+        return recent > now - self._window
+
+    def arrive(self, now: float) -> bool:
+        """Register one query arrival; then whether the node is interested."""
+        self.record(now)
         recent = self._recent[self._next - self._threshold - 1]
         return recent > now - self._window
 

@@ -97,8 +97,15 @@ class DupProtocol:
         return s_list
 
     def is_subscribed(self, node: NodeId) -> bool:
-        """Whether ``node`` is in its own subscriber list (Figure 3 (A))."""
-        return node in self.s_list(node)
+        """Whether ``node`` is in its own subscriber list (Figure 3 (A)).
+
+        Creates the node's empty list on first access, as :meth:`s_list`
+        does (every query arrival asks: the lookups are inlined).
+        """
+        s_list = self._lists.get(node)
+        if s_list is None:
+            s_list = self._lists[node] = SubscriberList()
+        return node in s_list._items
 
     def in_dup_tree(self, node: NodeId) -> bool:
         """Whether ``node`` forwards pushes (root, or >= 2 subscribers)."""

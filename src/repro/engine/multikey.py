@@ -157,6 +157,9 @@ class _KeySlice:
         """Record a completed query (shared recorder + per-key count)."""
         self._owner.record_latency(self.key, hops, issued_at)
 
+    #: An untraced completion: with no tracer here, every completion.
+    record_hops = record_latency
+
     def note_incomplete_query(self) -> None:
         """Reply lost (cannot happen without churn; kept for interface)."""
         self._owner.note_incomplete_query()
@@ -386,7 +389,9 @@ class MultiKeyScaleSimulation:
             if isinstance(message, ReplyMessage):
                 self.note_incomplete_query()
             return
-        scheme.on_message(destination, message)
+        # Only scheme traffic travels here: index the scheme's typed
+        # handler table instead of climbing through ``on_message``.
+        scheme._handlers[message.TYPE_ID](destination, message)
 
     # -- processes -----------------------------------------------------------
     def _sweep_loop(self):

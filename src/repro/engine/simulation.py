@@ -8,8 +8,8 @@ two metrics into a :class:`~repro.engine.results.SimulationResult`.
 It also serves as the narrow facade schemes program against: clock
 (``env``), topology (``tree``, ``parent``, ``is_root``, ``alive``),
 messaging (``transport``), state (``cache``, ``lookup``, ``store``),
-metrics (``record_latency``, ``ledger``, ``registry``), and tracing
-(``trace_begin``, ``trace_annotate``).
+metrics (``record_latency``, ``record_hops``, ``ledger``, ``registry``),
+and tracing (``trace_begin``, ``trace_annotate``).
 
 Observability is wired here: every run owns a
 :class:`~repro.metrics.registry.MetricsRegistry` fronting the cost
@@ -102,8 +102,10 @@ class Simulation:
             keep_samples=config.keep_latency_samples,
         )
         # Recorder handle bound once: every completed query goes through
-        # it, so skip the attribute chase per call.
-        self._latency_record = self.latency.record
+        # it, so skip the attribute chase per call.  Schemes call it
+        # directly for an untraced query (``record_latency`` is the
+        # traced path, which also closes the trace).
+        self.record_hops = self.latency.record
         # -- flight recorder: a pure observer (no RNG, no events), so a
         # run with it armed is bit-identical to one without.  Armed by
         # config or process-wide by REPRO_FLIGHT.
@@ -440,7 +442,7 @@ class Simulation:
 
         ``trace_id`` closes the query's trace when tracing is enabled.
         """
-        self._latency_record(hops, issued_at)
+        self.record_hops(hops, issued_at)
         if self.tracer is not None and trace_id is not None:
             self.tracer.complete(trace_id, hops)
 
@@ -463,9 +465,12 @@ class Simulation:
                 return
             self._past_warmup = True
         self._reads += 1
+        # The authority's ``_current`` is read directly (no property
+        # frame): this runs once per served query.
+        authority = self.authority
         if (
-            self.authority is not None
-            and version.version < self.authority.current.version
+            authority is not None
+            and version.version < authority._current.version
         ):
             self._stale_reads += 1
 
@@ -808,10 +813,12 @@ class Simulation:
         admit = self._inbox_admit
         if admit is not None and not admit(destination, message):
             return  # queued for later service (or shed) by the inbox
-        if message.TYPE_ID < 4 and self.reliable is None:
+        type_id = message.TYPE_ID
+        if type_id < 4 and self.reliable is None:
             # Scheme traffic (query/reply/control/push) with no ack
-            # layer: nothing in ``_dispatch_now`` applies to it.
-            self.scheme.on_message(destination, message)
+            # layer: nothing in ``_dispatch_now`` applies to it, so the
+            # scheme's typed handler table is indexed here.
+            self.scheme._handlers[type_id](destination, message)
         else:
             self._dispatch_now(destination, message)
 

@@ -105,8 +105,10 @@ class MessageLog:
 
         Uses the transport's observer tap, so logs stack with the trace
         collector and with each other; call :meth:`detach` to stop
-        recording.
+        recording.  Raises ``RuntimeError`` once ``sim`` has run: hops
+        already in flight would reach their handler without the log.
         """
+        sim._before_run("MessageLog.attach")
         log = cls(limit)
 
         def observe(event: TransportEvent) -> None:

@@ -117,6 +117,8 @@ class Authority:
         self._push_lead = float(push_lead)
         self._callback = on_new_version
         self._value = value
+        #: The engine's per-read staleness check reads this directly;
+        #: :attr:`current` is the checked public view.
         self._current: Optional[IndexVersion] = None
         self._next_version = int(initial_version)
         self._stopped = False

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import Counter
 from typing import Callable
 
 from repro.stats.confidence import ConfidenceInterval, batch_means_interval
-from repro.stats.running import RunningStat, percentile_of_counts
+from repro.stats.running import percentile_of_counts
 
 
 class LatencyRecorder:
@@ -40,7 +41,11 @@ class LatencyRecorder:
         self._clock = clock
         self._warmup = float(warmup)
         self._keep_samples = keep_samples
-        self._stat = RunningStat()
+        # Count, running mean (Welford's update) and maximum, kept here
+        # rather than in a ``RunningStat``: one frame fewer per query.
+        self._count = 0
+        self._mean = 0.0
+        self._max = -math.inf
         self._samples = array("B")
         #: ``(len(samples), sorted (value, count) pairs)`` of the last
         #: percentile query, reused while no sample has been added.
@@ -63,7 +68,11 @@ class LatencyRecorder:
         if issued_at < self._warmup:
             self._warmup_queries += 1
             return
-        self._stat.add(latency_hops)
+        value = float(latency_hops)
+        count = self._count = self._count + 1
+        self._mean += (value - self._mean) / count
+        if value > self._max:
+            self._max = value
         if latency_hops == 0:
             self._hits += 1
         if self._keep_samples:
@@ -77,7 +86,7 @@ class LatencyRecorder:
     @property
     def count(self) -> int:
         """Completed post-warm-up queries."""
-        return self._stat.count
+        return self._count
 
     @property
     def warmup_queries(self) -> int:
@@ -86,8 +95,8 @@ class LatencyRecorder:
 
     @property
     def mean(self) -> float:
-        """Average query latency in hops."""
-        return self._stat.mean
+        """Average query latency in hops (``nan`` before any query)."""
+        return self._mean if self._count else math.nan
 
     @property
     def hits(self) -> int:
@@ -102,19 +111,19 @@ class LatencyRecorder:
     @property
     def total_hops(self) -> float:
         """Sum of recorded latencies (for exact cross-shard merging)."""
-        return self._stat.mean * self._stat.count if self._stat.count else 0.0
+        return self._mean * self._count if self._count else 0.0
 
     @property
     def hit_rate(self) -> float:
         """Fraction of queries served from the local cache."""
-        if self._stat.count == 0:
+        if self._count == 0:
             return float("nan")
-        return self._hits / self._stat.count
+        return self._hits / self._count
 
     @property
     def maximum(self) -> float:
-        """Worst observed latency."""
-        return self._stat.maximum
+        """Worst observed latency (``nan`` before any query)."""
+        return self._max if self._count else math.nan
 
     def confidence_interval(
         self, confidence: float = 0.95, batches: int = 20

@@ -143,7 +143,8 @@ class Transport:
         self._handler = handler
 
     def use_injector(self, injector: Optional["object"]) -> None:
-        """Install (or clear) the fault injector."""
+        """Install (or clear) the fault injector (like an observer, it
+        sees only the hops sent after it was installed)."""
         self._injector = injector
 
     @property
@@ -158,7 +159,9 @@ class Transport:
         Observers stack: each registered callable sees every event, in
         registration order, before the delivery handler runs.  Returns
         the observer so call sites can keep the handle for
-        :meth:`remove_observer`.
+        :meth:`remove_observer`.  A hop sent while no observer and no
+        injector was installed goes straight to the handler, so an
+        observer added later sees only the hops sent after it.
         """
         self._observers.append(observer)
         return observer
@@ -231,11 +234,13 @@ class Transport:
             # The latency is taken at the same point of the sequence as
             # in the instrumented path, so runs stay bit-identical.
             # defer() pushes one flat heap record per delivery: no
-            # Timeout, no callbacks list.
+            # Timeout, no callbacks list, and the record holds the bound
+            # handler itself (no ``_deliver`` frame: it would find no
+            # injector and no observer to consult).
             delays = self._delays
             self._env.defer(
                 delays.pop() if delays else self._next_delay(),
-                self._deliver,
+                self._handler,
                 destination,
                 message,
             )

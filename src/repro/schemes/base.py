@@ -232,6 +232,7 @@ class PathCachingScheme(Scheme):
         self._alive = sim.alive
         self._send = sim.transport.send
         self._record_latency = sim.record_latency
+        self._record_hops = sim.record_hops
         self._note_read = sim.note_read
         # A hook the class does not override is skipped outright (the
         # query paths test for ``None``); an unoverridden lookup or store
@@ -292,7 +293,12 @@ class PathCachingScheme(Scheme):
         payloads = None if arrival is None else arrival(node, None)
         version = self._lookup(node)
         if version is not None:
-            self._record_latency(0, issued_at, trace_id)
+            # An untraced hit goes straight to the recorder; a traced one
+            # takes the facade, which also closes the trace.
+            if trace_id is None:
+                self._record_hops(0, issued_at)
+            else:
+                self._record_latency(0, issued_at, trace_id)
             self._note_read(version)
             # A cache hit leaves no packet to piggyback on: hard-state
             # control payloads travel explicitly, soft-state ones lapse.
@@ -396,9 +402,12 @@ class PathCachingScheme(Scheme):
         self._store_reply(node, reply.version)
         position = reply.position
         if position == 0:
-            self._record_latency(
-                reply.request_hops, reply.issued_at, reply.trace_id
-            )
+            if reply.trace_id is None:
+                self._record_hops(reply.request_hops, reply.issued_at)
+            else:
+                self._record_latency(
+                    reply.request_hops, reply.issued_at, reply.trace_id
+                )
             self._note_read(reply.version)
             return
         # :meth:`_forward_reply`'s common case, inline: the next hop down

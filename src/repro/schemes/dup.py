@@ -69,7 +69,9 @@ class DupScheme(PathCachingScheme):
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        self._is_root = sim.is_root
+        # The root check on every arrival reads the tree's own ``_root``
+        # (failover moves it in place; the tree object is never replaced).
+        self._tree = sim.tree
         self._recorder = getattr(sim, "recorder", None)
         if self.overload is not None:
             self._max_subscribers = self.overload.plan.max_subscribers
@@ -115,8 +117,8 @@ class DupScheme(PathCachingScheme):
         tracker = self._trackers.get(node)
         if tracker is None:
             tracker = self.tracker(node)
-        tracker.record(now)
-        if self._is_root(node):
+        if node == self._tree._root:
+            tracker.record(now)
             return []
         # The interest/subscription checks must run before the local-query
         # early return below: ``is_subscribed`` lazily creates the node's
@@ -124,7 +126,7 @@ class DupScheme(PathCachingScheme):
         # lease loops walking ``nodes_with_state``) keys off when that
         # entry first appeared.
         protocol = self.protocol
-        if not tracker.is_interested(now) or protocol.is_subscribed(node):
+        if not tracker.arrive(now) or protocol.is_subscribed(node):
             return []
         if self._flap_gate is not None and self._flap_gate(node):
             # Flap damping: a suppressed peer's subscription attempts

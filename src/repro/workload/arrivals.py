@@ -108,7 +108,11 @@ class QuerySource:
             node = self._selector.first_alive(self._next_rank, self._eligible)
             if node is not None:
                 self._issue(node)
-        self.schedule_next()
+        # :meth:`schedule_next`, inline: one frame fewer per arrival.
+        gap = self._next_gap()
+        if self._modulation is not None:
+            gap /= self._modulation(self._env._now)
+        self._env.defer(gap, self._fire)
 
 
 def make_arrival_process(

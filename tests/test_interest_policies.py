@@ -298,6 +298,39 @@ class TestAdaptiveMetamorphic:
             assert floor <= policy.threshold <= ceiling
 
 
+class TestArrive:
+    """``arrive(now)`` is ``record(now)`` then ``is_interested(now)``:
+    the same decisions and the same state, bit for bit, on every
+    policy (the DUP arrival hook calls it once per non-root arrival)."""
+
+    POLICIES = {
+        "window": lambda: WindowInterestPolicy(window=16.0, threshold=2),
+        "ewma": lambda: EwmaInterestPolicy(window=16.0, threshold=2),
+        "adaptive": lambda: AdaptiveInterestPolicy(
+            window=16.0, floor=0, ceiling=5, gain=2.0
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    @given(steps=_history)
+    @settings(max_examples=100, deadline=None)
+    def test_arrive_is_record_then_probe(self, kind, steps):
+        fused, split = self.POLICIES[kind](), self.POLICIES[kind]()
+        t = 0.0
+        for op, gap in steps:
+            t += gap * 0.25
+            if op == "record":
+                split.record(t)
+                assert fused.arrive(t) == split.is_interested(t)
+            else:
+                assert fused.is_interested(t) == split.is_interested(t)
+            assert repr(fused) == repr(split)
+        slots = type(fused).__slots__
+        assert [getattr(fused, n) for n in slots] == [
+            getattr(split, n) for n in slots
+        ]
+
+
 class TestEnvelopeHelper:
     def test_figure2_depth_four(self):
         # Depth 4 gives 1.5/(2*4) = 18.75%; the paper's single-subscriber

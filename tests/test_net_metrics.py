@@ -176,6 +176,24 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             recorder.record(-1, issued_at=0.0)
 
+    def test_in_place_welford_is_running_stat(self):
+        # The recorder keeps its own count, mean and maximum: every
+        # reading must equal RunningStat's over the same values exactly.
+        from repro.stats.running import RunningStat
+
+        recorder = LatencyRecorder(clock=FakeClock())
+        assert np.isnan(recorder.mean) and np.isnan(recorder.maximum)
+        assert recorder.total_hops == 0.0
+        stat = RunningStat()
+        values = np.random.default_rng(5).geometric(0.7, 2000) - 1
+        for value in values.tolist() + [0.5, 2.25, 0]:
+            recorder.record(value, issued_at=1.0)
+            stat.add(value)
+        assert recorder.count == stat.count
+        assert recorder.mean == stat.mean
+        assert recorder.maximum == stat.maximum
+        assert recorder.total_hops == stat.mean * stat.count
+
 
 class TestTransport:
     def make_transport(self, env, latency=None):

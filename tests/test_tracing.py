@@ -106,6 +106,19 @@ class TestMessageLog:
         assert len(log) == recorded
         log.detach()  # idempotent
 
+    def test_attach_after_run_is_refused(self):
+        sim = Simulation(
+            SimulationConfig(
+                scheme="pcx", num_nodes=16, duration=600.0, warmup=0.0
+            )
+        )
+        sim.run()
+        with pytest.raises(
+            RuntimeError, match="MessageLog.attach must precede run"
+        ):
+            MessageLog.attach(sim)
+        assert sim.transport.observers == ()
+
 
 class TestTransportObserver:
     def test_stacked_observers_in_order(self):
@@ -155,6 +168,24 @@ class TestTransportObserver:
             if e.message.category is Category.REPLY
         ]
         assert reply_hops == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+
+    def test_observer_sees_only_hops_sent_after_it(self):
+        # A hop sent with no observer attached goes straight to the
+        # engine's dispatch: an observer added while it is in flight
+        # sees every later hop but not that one's delivery.
+        sim = chain_sim("pcx")
+        sim.scheme.on_local_query(5)  # the 5 -> 4 request hop, in flight
+        events = []
+        sim.transport.add_observer(events.append)
+        sim.env.run(until=5.0)
+        delivered = [
+            (e.message.category, e.destination)
+            for e in events
+            if e.kind == "deliver"
+        ]
+        assert (Category.QUERY, 4) not in delivered
+        assert len(delivered) == 9
+        assert sum(e.kind == "send" for e in events) == 9
 
     def test_drop_event_counts(self):
         sim = chain_sim("pcx")
