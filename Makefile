@@ -6,7 +6,7 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale ledger ledger-ab gc-phase paper-cell frames perf-smoke profile clean
+.PHONY: test bench bench-scale ledger ledger-ab gc-phase paper-cell frames census perf-smoke profile clean
 
 test:
 	$(PY) -m pytest -q
@@ -52,6 +52,12 @@ paper-cell:
 # tier-1 frame fences' fixtures (counts, not clocks).  make frames
 frames:
 	$(PY) scripts/frames.py
+
+# One row per src/ module: lines, importers by area, and whether the
+# ledger warm-up loads it; rewrites the table in docs/architecture.md
+# (CI fails while it is stale: python scripts/census.py --check).
+census:
+	python3 scripts/census.py --write
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py

@@ -59,7 +59,10 @@ NodeId = int
 
 #: Config fields this engine does not implement.  A config that sets any
 #: of them is refused, naming them all, rather than run without them.
+#: ``root_queries``: every key's authority already answers its own
+#: queries here (at zero hops), so the flag could change nothing.
 _UNSUPPORTED = (
+    "root_queries",
     "churn",
     "faults",
     "retry_budget",

@@ -16,7 +16,6 @@
 from repro.schemes.base import PathCachingScheme, Scheme
 from repro.schemes.cup import CupScheme
 from repro.schemes.cup_ideal import CupIdealScheme
-from repro.schemes.cup_popularity import CupPopularityScheme
 from repro.schemes.dup import DupScheme
 from repro.schemes.dup_invalidate import DupInvalidateScheme
 from repro.schemes.nocache import NoCacheScheme
@@ -26,7 +25,6 @@ from repro.schemes.registry import available_schemes, make_scheme
 
 __all__ = [
     "CupIdealScheme",
-    "CupPopularityScheme",
     "CupScheme",
     "DupInvalidateScheme",
     "DupScheme",

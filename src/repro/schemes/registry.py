@@ -8,7 +8,6 @@ from repro.errors import ConfigError
 from repro.schemes.base import Scheme
 from repro.schemes.cup import CupScheme
 from repro.schemes.cup_ideal import CupIdealScheme
-from repro.schemes.cup_popularity import CupPopularityScheme
 from repro.schemes.dup import DupScheme
 from repro.schemes.dup_adaptive import DupAdaptiveScheme
 from repro.schemes.dup_balanced import DupBalancedScheme
@@ -21,7 +20,6 @@ _REGISTRY: dict[str, Callable[[], Scheme]] = {
     PcxScheme.name: PcxScheme,
     CupScheme.name: CupScheme,
     CupIdealScheme.name: CupIdealScheme,
-    CupPopularityScheme.name: CupPopularityScheme,
     DupScheme.name: DupScheme,
     DupAdaptiveScheme.name: DupAdaptiveScheme,
     DupBalancedScheme.name: DupBalancedScheme,

@@ -1,13 +1,12 @@
-"""Focused tests on the three CUP variants' distinguishing mechanics.
+"""Focused tests on the two CUP variants' distinguishing mechanics.
 
-The reproduction ships three readings of CUP (see ``repro/schemes``):
-``cup-popularity`` (raw branch-traffic gating), ``cup`` (soft-state
-registrations riding queries — the faithful baseline), and ``cup-ideal``
-(hard-state transitive registration).  These tests pin down the exact
-behavioural differences the ablation measures in aggregate.
+The reproduction ships two readings of CUP (see ``repro/schemes``):
+``cup`` (soft-state registrations riding queries — the faithful
+baseline) and ``cup-ideal`` (hard-state transitive registration).  PCX,
+which registers nothing, anchors the ladder below them.  These tests pin
+down the exact behavioural differences the ablation measures in
+aggregate.
 """
-
-import pytest
 
 from repro.engine import Simulation, SimulationConfig
 from repro.net.message import Category
@@ -111,10 +110,10 @@ class TestIdealRegistration:
 
 class TestVariantOrdering:
     def test_latencies_ordered_on_shared_workload(self):
-        # popularity >= soft-state >= ideal, on an identical random
-        # workload at a size where the differences are visible.
+        # no registration (pcx) >= soft-state >= ideal, on an identical
+        # random workload at a size where the differences are visible.
         results = {}
-        for scheme in ("cup-popularity", "cup", "cup-ideal"):
+        for scheme in ("pcx", "cup", "cup-ideal"):
             config = SimulationConfig(
                 scheme=scheme,
                 num_nodes=256,
@@ -124,5 +123,5 @@ class TestVariantOrdering:
                 seed=6,
             )
             results[scheme] = Simulation(config).run().mean_latency
-        assert results["cup-popularity"] >= results["cup"] * 0.95
+        assert results["pcx"] >= results["cup"] * 0.95
         assert results["cup"] >= results["cup-ideal"] * 0.95

@@ -328,9 +328,6 @@ class TestMissPathPinned:
         "cup-ideal": (
             "3dcf269dbfbd7cf3f7680352875d8556739bb8d83610082ecc1284d55e4f39cf"
         ),
-        "cup-popularity": (
-            "76a675b566f103784ecb0b429634b1a30811526e9129ce9f1f3cc780e9a90b43"
-        ),
         "dup": (
             "4c23478fb180069ec3b134e1a34595381c2c4f6e774e526a894a0c0a3c581e16"
         ),
@@ -366,7 +363,11 @@ class TestMissPathPinned:
     def test_every_scheme_is_pinned(self):
         from repro.schemes.registry import available_schemes
 
-        assert set(available_schemes()) < set(self.PINNED)
+        # Equality, not a subset: a deleted scheme's digest must go too.
+        assert set(self.PINNED) == set(available_schemes()) | {
+            "pcx-no-piggyback",
+            "pcx-traced",
+        }
 
     def test_scheme_fingerprints_unchanged(self):
         from repro.engine.simulation import Simulation

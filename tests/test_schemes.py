@@ -311,49 +311,6 @@ class TestCupIdeal:
             assert sim.ledger.hops(Category.PUSH) > before
 
 
-class TestCupPopularity:
-    def test_no_pushes_without_branch_traffic(self):
-        sim = chain_sim("cup-popularity", threshold_c=1)
-        # One full-walk query: every branch counter gets exactly 1 ( = c).
-        sim.scheme.on_local_query(5)
-        settle(sim)
-        sim.env.run(until=3600.0)
-        assert sim.ledger.hops(Category.PUSH) == 0
-
-    def test_pushes_follow_observed_misses(self):
-        sim = chain_sim("cup-popularity", threshold_c=1)
-        for _ in range(3):
-            for node in (1, 2, 3, 4, 5):
-                sim.cache(node).clear()
-            sim.scheme.on_local_query(5)
-            settle(sim)
-        assert sim.scheme.branch_is_popular(4, 5)
-        push_before = sim.ledger.hops(Category.PUSH)
-        sim.env.run(until=3600.0)
-        assert sim.ledger.hops(Category.PUSH) == push_before + 5
-
-    def test_chain_collapses_when_pushes_work(self):
-        # The degenerate feedback loop: pushes remove the misses that
-        # justify them, so the chain dies after one quiet window.
-        sim = chain_sim("cup-popularity", threshold_c=1)
-        for _ in range(3):
-            for node in (1, 2, 3, 4, 5):
-                sim.cache(node).clear()
-            sim.scheme.on_local_query(5)
-            settle(sim)
-        sim.env.run(until=3540.0 * 3)
-        push_mark = sim.ledger.hops(Category.PUSH)
-        sim.env.run(until=3540.0 * 4)
-        assert sim.ledger.hops(Category.PUSH) == push_mark
-
-    def test_zero_control_cost(self):
-        sim = chain_sim("cup-popularity", threshold_c=1)
-        for _ in range(4):
-            sim.scheme.on_local_query(5)
-            settle(sim)
-        assert sim.ledger.hops(Category.CONTROL) == 0
-
-
 class TestDupInvalidate:
     def test_invalidation_drops_cache(self):
         sim = chain_sim("dup-invalidate", threshold_c=1)
