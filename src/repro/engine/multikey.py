@@ -10,12 +10,13 @@ shared.
 :class:`MultiKeyScaleSimulation` is the one multi-key engine.  Every key
 gets a :class:`~repro.topology.chord_tree.LazyChordTree` (parents follow
 the ring's next hops, computed on first use), its own scheme instance
-bound to a per-key facade slice, and its own authority; queries pick a
-key by a Zipf law over keys and an origin node by the paper's Zipf law
-over nodes.  Left at ``shard_index=0, shard_count=1`` one instance runs
-every key; :func:`run_scale` cuts the key ranking into rank shards, runs
-them on any number of workers, and merges the shard results exactly.
-Metrics aggregate across keys; per-key query counts are in the extras.
+bound to a per-key :class:`~repro.schemes.host.SchemeHost`, and its own
+authority; queries pick a key by a Zipf law over keys and an origin node
+by the paper's Zipf law over nodes.  Left at ``shard_index=0,
+shard_count=1`` one instance runs every key; :func:`run_scale` cuts the
+key ranking into rank shards, runs them on any number of workers, and
+merges the shard results exactly.  Metrics aggregate across keys;
+per-key query counts are in the extras.
 
 Churn is out of scope here (each key's tree would need its own repair
 sequencing), and so are faults, the reliable channel, standbys, the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import partial
 from typing import Optional
 
 from repro.core.soa import ExpiryWheel
@@ -39,8 +41,9 @@ from repro.index.cache import IndexCache
 from repro.index.entry import IndexVersion
 from repro.metrics.counters import CostLedger
 from repro.metrics.latency import LatencyRecorder
-from repro.net.message import Message, ReplyMessage
+from repro.net.message import Message
 from repro.net.transport import Transport
+from repro.schemes.host import SchemeHost
 from repro.schemes.registry import make_scheme
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
@@ -76,108 +79,35 @@ _UNSUPPORTED = (
 )
 
 
-class _KeySlice:
-    """The per-key facade a scheme instance is bound to.
-
-    Implements the same narrow interface as
-    :class:`repro.engine.simulation.Simulation` but scoped to one key's
-    tree and authority, while sharing the clock, transport, caches, and
-    metric recorders with every other key of the engine.
-    """
-
-    #: Interface parity: the multi-key engine has no reliable channel
-    #: (schemes fall back to plain transport sends) and no tracer.
-    reliable = tracer = None
+class _KeySlice(SchemeHost):
+    """One key's scheme host: its own tree and authority over the clock,
+    transport, caches and latency recorder every key of the engine
+    shares.  All it adds to the layer-free host is the key's post-warm-up
+    query count."""
 
     def __init__(self, owner: "MultiKeyScaleSimulation", key: int, tree):
-        self._owner = owner
-        self.key = key
-        self.tree = tree
-        self.authority: Optional[Authority] = None
-        # Shared with every other key of the owner: the clock, the
-        # transport and its cost ledger, and the run configuration.
-        self.env: Environment = owner.env
-        self.transport: Transport = owner.transport
-        self.config: SimulationConfig = owner.config
-        self.ledger: CostLedger = owner.ledger
-        # The overlay is static, so the root and the ring's membership
-        # set are read once; the owner's cache dict is read directly.
-        self._root = tree.root
-        self._members = owner.ring.members
-        self._caches = owner._caches
-        #: Whether ``node`` is in the overlay (static here).
-        self.alive = self._members.__contains__
+        super().__init__(
+            env=owner.env,
+            config=owner.config,
+            transport=owner.transport,
+            ledger=owner.ledger,
+            tree=tree,
+            key=key,
+            # The overlay is static: every ring member is in every tree.
+            parent=tree.parent,
+            alive=owner.ring.members.__contains__,
+            record_hops=self._record_counted,
+            caches=owner._caches,
+            new_cache=owner._new_cache,
+        )
+        self._record = owner.latency.record
+        self._warmup = owner.config.warmup
+        self.queries = 0
 
-    # -- per-key topology -------------------------------------------------------
-    def is_root(self, node: NodeId) -> bool:
-        """Whether ``node`` is this key's authority."""
-        return node == self._root
-
-    def parent(self, node: NodeId) -> Optional[NodeId]:
-        """Parent on this key's search tree."""
-        if node not in self._members:
-            return None
-        return self.tree.parent(node)
-
-    def functioning(self, node: NodeId) -> bool:
-        """Interface parity: no fault injection here, so alive == working."""
-        return node in self._members
-
-    def note_read(self, version: IndexVersion) -> None:
-        """Interface parity: staleness tracking is single-key only."""
-
-    def suspect_peer(self, reporter: NodeId, suspect: NodeId) -> None:
-        """Interface parity: no failures here, so suspicions are moot."""
-
-    def cache(self, node: NodeId) -> IndexCache:
-        """The node's (shared, multi-key) cache."""
-        return self._owner.cache(node)
-
-    def lookup(self, node: NodeId) -> Optional[IndexVersion]:
-        """A valid copy of this key's index at ``node``."""
-        if node == self._root:
-            if self.authority is None:
-                return None
-            return self.authority.current
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = self._owner.cache(node)
-        return cache.get(self.key, self.env._now)
-
-    def store(self, node: NodeId, version: IndexVersion) -> None:
-        """Cache ``version`` at ``node`` now (a reply passing through)."""
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = self._owner.cache(node)
-        cache.put(version, self.env._now)
-
-    def record_latency(
-        self,
-        hops: float,
-        issued_at: float,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        """Record a completed query (shared recorder + per-key count)."""
-        self._owner.record_latency(self.key, hops, issued_at)
-
-    #: An untraced completion: with no tracer here, every completion.
-    record_hops = record_latency
-
-    def note_incomplete_query(self) -> None:
-        """Reply lost (cannot happen without churn; kept for interface)."""
-        self._owner.note_incomplete_query()
-
-    def trace_annotate(
-        self,
-        trace_id: Optional[int],
-        node: NodeId,
-        event: str,
-        detail: str = "",
-    ) -> None:
-        """Interface parity: annotations are dropped (no tracer here)."""
-
-    def forget_node(self, node: NodeId) -> None:  # pragma: no cover - no churn
-        """Interface parity with the single-key engine."""
+    def _record_counted(self, hops: float, issued_at: float) -> None:
+        self._record(hops, issued_at)
+        if issued_at >= self._warmup:
+            self.queries += 1
 
 
 class _SweptCache(IndexCache):
@@ -195,7 +125,7 @@ class _SweptCache(IndexCache):
 
     __slots__ = ("_wheel", "_node")
 
-    def __init__(self, node: NodeId, wheel: ExpiryWheel):
+    def __init__(self, wheel: ExpiryWheel, node: NodeId):
         super().__init__()
         self._node = node
         self._wheel = wheel
@@ -251,7 +181,9 @@ class MultiKeyScaleSimulation:
     streams are namespaced by rank range, making each shard a pure
     function of ``(config, num_keys, shard)`` — the parallel runner can
     execute shards in any order on any worker count without changing a
-    single draw.
+    single draw.  An unsharded run draws the bare stream names instead,
+    so at one key it is bit-identical to ``Simulation`` on the same
+    config with ``root_queries=True`` (``tests/test_engine_parity.py``).
     """
 
     def __init__(
@@ -261,9 +193,6 @@ class MultiKeyScaleSimulation:
         key_zipf_theta: float = 0.8,
         shard_index: int = 0,
         shard_count: int = 1,
-        ring: Optional[ChordRing] = None,
-        keys: Optional[list[int]] = None,
-        sweep_interval: Optional[float] = None,
     ):
         config.validate()
         if num_keys < 1:
@@ -289,20 +218,13 @@ class MultiKeyScaleSimulation:
                 "scale simulation does not support "
                 f"{', '.join(unsupported)}; run them on Simulation"
             )
-        if sweep_interval is not None and sweep_interval <= 0:
-            # A zero period would spin the sweeper without advancing
-            # the clock; a negative one cannot be scheduled at all.
-            raise ConfigError(
-                f"sweep_interval must be positive, got {sweep_interval}"
-            )
         self.config = config
         self.num_keys = num_keys
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.streams = RandomStreams(config.seed)
         self.env = Environment()
-        if ring is None or keys is None:
-            ring, keys = _ring_and_keys(config, num_keys)
+        ring, keys = _ring_and_keys(config, num_keys)
         self.ring = ring
         self._keys = keys
 
@@ -331,15 +253,9 @@ class MultiKeyScaleSimulation:
         )
         self.transport.bind(self._dispatch)
         self.wheel = ExpiryWheel()
-        self._sweep_interval = (
-            sweep_interval
-            if sweep_interval is not None
-            else max(config.ttl / 2, 1.0)
-        )
+        self._new_cache = partial(_SweptCache, self.wheel)
         self._caches: dict[NodeId, _SweptCache] = {}
         self._swept_entries = 0
-        self._incomplete = 0
-        self._queries_per_key: dict[int, int] = {}
 
         self.slices: dict[int, _KeySlice] = {}
         self.schemes: dict[int, object] = {}
@@ -351,7 +267,6 @@ class MultiKeyScaleSimulation:
             scheme.bind(slice_)
             self.slices[key] = slice_
             self.schemes[key] = scheme
-            self._queries_per_key[key] = 0
 
         self._node_selector = ZipfNodeSelector(
             self.ring.node_ids,
@@ -361,46 +276,35 @@ class MultiKeyScaleSimulation:
         self._ran = False
 
     def _stream(self, name: str):
-        """A shard-local stream, namespaced by owned rank range."""
+        """A shard-local stream.
+
+        Unsharded, it is the stream of that name ``Simulation`` draws;
+        a shard namespaces it by its owned rank range.
+        """
+        if self.shard_count == 1:
+            return self.streams.get(name)
         return self.streams.get(
             f"scale/{self.rank_lo}-{self.rank_hi}/{name}"
         )
 
-    # -- shared services (the per-key slices delegate here) -----------------
-    def cache(self, node: NodeId) -> IndexCache:
-        """One wheel-swept cache per node, shared by the shard's keys."""
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = _SweptCache(node, self.wheel)
-            self._caches[node] = cache
-        return cache
-
-    def record_latency(self, key: int, hops: float, issued_at: float) -> None:
-        """Record a completed query and count it against its key."""
-        self.latency.record(hops, issued_at)
-        if issued_at >= self.config.warmup:
-            self._queries_per_key[key] += 1
-
-    def note_incomplete_query(self) -> None:
-        """Interface parity; unreachable without churn."""
-        self._incomplete += 1
-
     def _dispatch(self, destination: NodeId, message: Message) -> None:
-        scheme = self.schemes.get(message.key)
-        if scheme is None:  # pragma: no cover - defensive
-            self.transport.drop()
-            if isinstance(message, ReplyMessage):
-                self.note_incomplete_query()
-            return
-        # Only scheme traffic travels here: index the scheme's typed
-        # handler table instead of climbing through ``on_message``.
-        scheme._handlers[message.TYPE_ID](destination, message)
+        # Only scheme traffic travels here, each message under the key
+        # of the scheme that sent it: index that scheme's typed handler
+        # table instead of climbing through ``on_message``.
+        self.schemes[message.key]._handlers[message.TYPE_ID](
+            destination, message
+        )
 
     # -- processes -----------------------------------------------------------
     def _sweep_loop(self):
-        """Vectorized TTL reclamation: one flatnonzero pass per period."""
+        """Vectorized TTL reclamation: one flatnonzero pass per period.
+
+        The period only decides when expired entries leave memory: a
+        read evicts an expired copy anyway, so no result depends on it.
+        """
+        interval = max(self.config.ttl / 2, 1.0)
         while True:
-            yield self.env.timeout(self._sweep_interval)
+            yield self.env.timeout(interval)
             now = self.env.now
             due = self.wheel.pop_due(now)
             if not due:
@@ -441,7 +345,7 @@ class MultiKeyScaleSimulation:
             key = keys[next_key_rank()]
             if node == slices[key].tree.root:
                 # The authority answers its own queries locally.
-                self.record_latency(key, 0, self.env.now)
+                slices[key].record_hops(0, self.env.now)
             else:
                 schemes[key].on_local_query(node)
 
@@ -486,7 +390,7 @@ class MultiKeyScaleSimulation:
             "total_hops": self.latency.total_hops,
             "queries_per_key": dict(
                 sorted(
-                    self._queries_per_key.items(),
+                    ((key, slice_.queries) for key, slice_ in slices.items()),
                     key=lambda item: -item[1],
                 )
             ),
@@ -513,7 +417,9 @@ class MultiKeyScaleSimulation:
             hit_rate=self.latency.hit_rate,
             hop_breakdown=dict(self.ledger.breakdown()),
             dropped_messages=self.transport.dropped,
-            incomplete_queries=self._incomplete,
+            incomplete_queries=sum(
+                slice_._incomplete for slice_ in slices.values()
+            ),
             final_population=len(self.ring),
             wall_seconds=wall,
             extras=extras,
@@ -568,7 +474,6 @@ def _execute_scale_shard(spec) -> tuple[SimulationResult, None]:
         key_zipf_theta=point["key_zipf_theta"],
         shard_index=point["shard_index"],
         shard_count=point["shard_count"],
-        sweep_interval=point.get("sweep_interval"),
     )
     return sim.run(), None
 
@@ -579,7 +484,6 @@ def run_scale(
     key_zipf_theta: float = 0.8,
     shard_count: Optional[int] = None,
     workers: "int | str | None" = 1,
-    sweep_interval: Optional[float] = None,
 ) -> SimulationResult:
     """Run a sharded multi-key simulation and merge shard results.
 
@@ -601,7 +505,6 @@ def run_scale(
                 "key_zipf_theta": key_zipf_theta,
                 "shard_index": index,
                 "shard_count": shard_count,
-                "sweep_interval": sweep_interval,
             },
             scheme=config.scheme,
             replication=index,

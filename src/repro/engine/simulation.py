@@ -5,11 +5,11 @@ authority, and workload from a :class:`~repro.engine.config.SimulationConfig`,
 runs the event loop for the configured horizon, and collects the paper's
 two metrics into a :class:`~repro.engine.results.SimulationResult`.
 
-It also serves as the narrow facade schemes program against: clock
-(``env``), topology (``tree``, ``parent``, ``is_root``, ``alive``),
-messaging (``transport``), state (``cache``, ``lookup``, ``store``),
-metrics (``record_latency``, ``record_hops``, ``ledger``, ``registry``),
-and tracing (``trace_begin``, ``trace_annotate``).
+It is the :class:`~repro.schemes.host.SchemeHost` its scheme is bound
+to, overriding only what its layers add: an injector-aware
+``functioning``, stale-read tracking (``note_read``), the suspicion
+path into Section III-C repair (``suspect_peer``), and tracing
+(``enable_tracing``).
 
 Observability is wired here: every run owns a
 :class:`~repro.metrics.registry.MetricsRegistry` fronting the cost
@@ -32,7 +32,6 @@ from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
 from repro.errors import ConfigError
 from repro.index.authority import Authority, StandbyPool
-from repro.index.cache import IndexCache
 from repro.index.entry import IndexVersion
 from repro.metrics.counters import CostLedger
 from repro.metrics.latency import LatencyRecorder
@@ -49,6 +48,7 @@ from repro.net.message import (
 from repro.net.overload import OverloadManager, build_manager
 from repro.net.reliable import ReliableChannel
 from repro.net.transport import Transport, TransportEvent
+from repro.schemes.host import SchemeHost
 from repro.schemes.registry import make_scheme
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
@@ -72,7 +72,7 @@ from repro.workload.storms import StormEngine
 NodeId = int
 
 
-class Simulation:
+class Simulation(SchemeHost):
     """One end-to-end simulation run (build once, :meth:`run` once)."""
 
     def __init__(self, config: SimulationConfig):
@@ -80,18 +80,8 @@ class Simulation:
         self.config = config
         self.streams = RandomStreams(config.seed)
         self.env = Environment()
-        self.tree, self.key = self._build_topology()
-        # Facade: ``parent(node)`` is the parent on the index search tree
-        # (``None`` at the root and for nodes outside the tree);
-        # ``alive(node)`` is whether ``node`` is part of the overlay, the
-        # schemes' view, in which a silently failed node stays a member
-        # until some survivor detects the crash (schemes keep sending to
-        # it and the transport blackholes the traffic).  Both are the
-        # tree's parent map's own C methods: the mutators edit that map
-        # in place and never replace it.
-        self.parent = self.tree._parent.get
-        self.alive = self.tree._parent.__contains__
-        self.ledger = CostLedger(
+        tree, key = self._build_topology()
+        ledger = CostLedger(
             clock=lambda: self.env.now,
             warmup=config.warmup,
             count_keepalive=config.count_keepalive,
@@ -101,15 +91,9 @@ class Simulation:
             warmup=config.warmup,
             keep_samples=config.keep_latency_samples,
         )
-        # Recorder handle bound once: every completed query goes through
-        # it, so skip the attribute chase per call.  Schemes call it
-        # directly for an untraced query (``record_latency`` is the
-        # traced path, which also closes the trace).
-        self.record_hops = self.latency.record
         # -- flight recorder: a pure observer (no RNG, no events), so a
         # run with it armed is bit-identical to one without.  Armed by
         # config or process-wide by REPRO_FLIGHT.
-        self.recorder: Optional[flightrec.FlightRecorder] = None
         if config.flight_recorder or flightrec.ENABLED:
             self.recorder = flightrec.FlightRecorder(
                 clock=lambda: self.env.now,
@@ -133,15 +117,31 @@ class Simulation:
                 clock=lambda: self.env.now,
                 recorder=self.recorder,
             )
-        self.transport = Transport(
+        transport = Transport(
             env=self.env,
             latency=Exponential(config.hop_latency_mean),
             rng=self.streams.get("latency"),
-            ledger=self.ledger,
+            ledger=ledger,
             injector=self.injector,
         )
-        self.transport.bind(self._dispatch)
-        self.reliable: Optional[ReliableChannel] = None
+        transport.bind(self._dispatch)
+        # ``parent`` and ``alive`` are the tree's parent map's own C
+        # methods: the mutators edit that map in place and never replace
+        # it.  ``alive`` is the schemes' view, in which a silently failed
+        # node stays a member until some survivor detects the crash
+        # (schemes keep sending to it and the transport blackholes the
+        # traffic).  Untraced completions go straight to the recorder.
+        super().__init__(
+            env=self.env,
+            config=config,
+            transport=transport,
+            ledger=ledger,
+            tree=tree,
+            key=key,
+            parent=tree._parent.get,
+            alive=tree._parent.__contains__,
+            record_hops=self.latency.record,
+        )
         if config.retry_budget > 0:
             self.reliable = ReliableChannel(
                 env=self.env,
@@ -180,12 +180,9 @@ class Simulation:
         # DUP scheme wires its flap-damping gate off ``sim.sessions``);
         # an absent or inert plan leaves the attribute None and the run
         # bit-identical to a build without the layer.
-        self.sessions: Optional[SessionEngine] = None
         if config.sessions is not None and config.sessions.enabled:
             self.sessions = SessionEngine(self, config.sessions)
-        self._caches: dict[NodeId, IndexCache] = {}
         self._past_warmup = config.warmup <= 0.0
-        self._incomplete = 0
         self._reads = 0
         self._stale_reads = 0
         self._suspicions = 0
@@ -202,7 +199,6 @@ class Simulation:
         )
         self.scheme = make_scheme(config.scheme)
         self.scheme.bind(self)
-        self.authority: Optional[Authority] = None
         # -- authority failover: standbys chosen breadth-first from the
         # root, so the most promotable nodes sit closest to it.
         self.standby_pool: Optional[StandbyPool] = None
@@ -219,7 +215,6 @@ class Simulation:
         self._timeline = None
         self._trace = None
         self._ran = False
-        self.tracer = None
         self.registry = MetricsRegistry(clock=lambda: self.env.now)
         self._register_standard_metrics()
 
@@ -381,11 +376,7 @@ class Simulation:
             )
         return chosen
 
-    # -- facade used by schemes ------------------------------------------------
-    def is_root(self, node: NodeId) -> bool:
-        """Whether ``node`` is the current authority (tree root)."""
-        return node == self.tree.root
-
+    # -- the host members the layers change ---------------------------------
     def functioning(self, node: NodeId) -> bool:
         """Whether ``node`` is alive *and* actually responding.
 
@@ -396,59 +387,6 @@ class Simulation:
         if node not in self.tree:
             return False
         return self.injector is None or not self.injector.is_dead(node)
-
-    def cache(self, node: NodeId) -> IndexCache:
-        """The node's index cache (created lazily)."""
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = IndexCache()
-            self._caches[node] = cache
-        return cache
-
-    def lookup(self, node: NodeId) -> Optional[IndexVersion]:
-        """A valid index copy at ``node``, if any.
-
-        The root serves its authoritative (never expiring) copy; everyone
-        else consults the local TTL cache.
-        """
-        if node == self.tree._root:
-            if self.authority is None:
-                return None
-            return self.authority.current
-        # Inlined self.cache(node): this is the hottest facade call, and
-        # the lazy creation must stay so per-node lookup stats are
-        # identical whichever path created the cache.
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = IndexCache()
-            self._caches[node] = cache
-        return cache.get(self.key, self.env._now)
-
-    def store(self, node: NodeId, version: IndexVersion) -> None:
-        """Cache ``version`` at ``node`` now (a reply passing through)."""
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = IndexCache()
-            self._caches[node] = cache
-        cache.put(version, self.env._now)
-
-    def record_latency(
-        self,
-        hops: float,
-        issued_at: float,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        """Record one completed query's request latency.
-
-        ``trace_id`` closes the query's trace when tracing is enabled.
-        """
-        self.record_hops(hops, issued_at)
-        if self.tracer is not None and trace_id is not None:
-            self.tracer.complete(trace_id, hops)
-
-    def note_incomplete_query(self) -> None:
-        """A query's reply was lost to churn; it never completes."""
-        self._incomplete += 1
 
     def note_read(self, version: IndexVersion) -> None:
         """A query was answered with ``version``; track staleness.
@@ -635,28 +573,7 @@ class Simulation:
             return
         self.suspect_peer(reporter, suspect)
 
-    # -- tracing facade ------------------------------------------------------
-    def trace_begin(self, node: NodeId) -> Optional[int]:
-        """Open a trace for a query issued now at ``node``.
-
-        Returns ``None`` when tracing is disabled (the default) or the
-        query falls into the warm-up.
-        """
-        if self.tracer is None:
-            return None
-        return self.tracer.begin(node)
-
-    def trace_annotate(
-        self,
-        trace_id: Optional[int],
-        node: NodeId,
-        event: str,
-        detail: str = "",
-    ) -> None:
-        """Record a scheme decision point on a trace (no-op untraced)."""
-        if self.tracer is not None and trace_id is not None:
-            self.tracer.annotate(trace_id, node, event, detail)
-
+    # -- tracing ------------------------------------------------------------
     def enable_tracing(self, keep: int = 100_000):
         """Attach a :class:`~repro.engine.tracing.TraceCollector`.
 
@@ -727,10 +644,6 @@ class Simulation:
                 self.registry.record_snapshot()
 
         self.env.process(loop(), name="metrics-snapshots")
-
-    def forget_node(self, node: NodeId) -> None:
-        """Drop per-node engine state after departure/failure."""
-        self._caches.pop(node, None)
 
     def allocate_node_id(self) -> NodeId:
         """A fresh node id for a joining node."""

@@ -7,15 +7,15 @@ being cached at every hop.  :class:`PathCachingScheme` implements that
 engine once; the push schemes override the *hooks* to add interest
 tracking, piggybacked control payloads, and update propagation.
 
-The scheme talks to the simulation through the narrow facade the engine
-exposes (see :class:`repro.engine.simulation.Simulation`): clock, tree,
-transport, per-node caches, the authority, and the metric recorders.
+The scheme talks to its engine through :class:`repro.schemes.host.SchemeHost`
+alone: clock, tree, transport, per-node caches, the authority, the
+metric recorders, and the optional layers.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.interest import InterestPolicy, interest_policy_factory
 from repro.index.entry import IndexVersion
@@ -26,9 +26,7 @@ from repro.net.message import (
     QueryMessage,
     ReplyMessage,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.simulation import Simulation
+from repro.schemes.host import SchemeHost
 
 NodeId = int
 
@@ -52,7 +50,7 @@ class Scheme(abc.ABC):
     interest_policy_override: "str | None" = None
 
     def __init__(self) -> None:
-        self.sim: "Simulation | None" = None
+        self.sim: "SchemeHost | None" = None
         #: The engine's overload manager, or ``None`` when the overload
         #: layer is disabled (set by :meth:`bind`).  Schemes consult it
         #: for circuit-breaker gates and graceful-degradation caps.
@@ -66,10 +64,10 @@ class Scheme(abc.ABC):
         #: :meth:`PathCachingScheme.bind`; empty until bound.
         self._handlers: tuple = ()
 
-    def bind(self, sim: "Simulation") -> None:
-        """Attach the scheme to a simulation (called once by the engine)."""
+    def bind(self, sim: SchemeHost) -> None:
+        """Attach the scheme to its host (called once by the engine)."""
         self.sim = sim
-        self.overload = getattr(sim, "overload", None)
+        self.overload = sim.overload
 
     def _trace_note(self, node: NodeId, event: str, detail: str = "") -> None:
         """Annotate the trace of the message currently being processed."""
@@ -206,8 +204,8 @@ class PathCachingScheme(Scheme):
         #: :meth:`tracker` call; schemes that never ask stay at ``None``.
         self._new_tracker = None
 
-    def bind(self, sim: "Simulation") -> None:
-        """Attach to a simulation and resolve the typed handler table.
+    def bind(self, sim: SchemeHost) -> None:
+        """Attach to a host and resolve the typed handler table.
 
         The table is indexed by :attr:`~repro.net.message.Message.TYPE_ID`
         and holds the handler *bound methods*, resolved once here so the

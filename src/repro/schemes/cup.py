@@ -122,7 +122,7 @@ class CupScheme(PathCachingScheme):
                     # the child simply stays cold and re-registers with
                     # its next query once load (and the table) drains.
                     self._rejected_subscribers += 1
-                    recorder = getattr(self.sim, "recorder", None)
+                    recorder = self.sim.recorder
                     if recorder is not None:
                         recorder.record(
                             "reject-subscriber",

@@ -72,11 +72,11 @@ class DupScheme(PathCachingScheme):
         # The root check on every arrival reads the tree's own ``_root``
         # (failover moves it in place; the tree object is never replaced).
         self._tree = sim.tree
-        self._recorder = getattr(sim, "recorder", None)
+        self._recorder = sim.recorder
         if self.overload is not None:
             self._max_subscribers = self.overload.plan.max_subscribers
             self._breakers = self.overload.plan.breakers_enabled
-        sessions = getattr(sim, "sessions", None)
+        sessions = sim.sessions
         if sessions is not None and sessions.plan.damping_enabled:
             self._flap_gate = sessions.suppressed
         self.protocol = DupProtocol(is_root=sim.is_root)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import TopologyError
 from repro.topology.chord import ChordRing
 from repro.topology.tree import SearchTree
 
@@ -23,41 +22,15 @@ from repro.topology.tree import SearchTree
 def chord_search_tree(ring: ChordRing, key: int) -> SearchTree:
     """Build the index search tree for ``key`` over a Chord ring.
 
-    Parameters
-    ----------
-    ring:
-        The Chord overlay.
-    key:
-        Any identifier; its owner (``ring.successor(key)``) becomes the
-        tree root / authority node.
-
-    Returns
-    -------
-    SearchTree
-        Tree over the ring's node ids whose edges are next-hop pointers
-        toward the authority node.
+    Every node's parent is its next hop toward ``key``
+    (``ring.next_hop``, the relation :class:`LazyChordTree` memoizes);
+    the owner ``ring.successor(key)`` is the root / authority node.  The
+    tree lists its nodes, and each node's children, in ring order.
     """
-    root = ring.successor(key)
-    tree = SearchTree(root=root)
-    pending = [node for node in ring.node_ids if node != root]
-    # Insert nodes in path order: walk each node's route and attach any
-    # not-yet-present prefix from the tree boundary downward.
-    for node in pending:
-        if node in tree:
-            continue
-        path = ring.lookup_path(node, key)
-        # Find the first node of the path already in the tree; everything
-        # before it must be attached (in reverse, parent before child).
-        boundary = next(
-            index for index, hop in enumerate(path) if hop in tree
-        )
-        for index in range(boundary - 1, -1, -1):
-            tree.add_leaf(path[index + 1], path[index])
-    if len(tree) != len(ring):
-        raise TopologyError(  # pragma: no cover - defensive
-            "chord tree does not span the ring"
-        )
-    return tree
+    next_hop = ring.next_hop
+    return SearchTree.from_parents(
+        ring.successor(key), {node: next_hop(node, key) for node in ring}
+    )
 
 
 #: Marks "no memo entry" where ``None`` is a legitimate memoized value.
@@ -67,14 +40,14 @@ _UNSET = object()
 class LazyChordTree:
     """The search tree of a key, materialized one parent at a time.
 
-    :func:`chord_search_tree` walks every node's full lookup route up
-    front — O(n log n) work and an n-entry dict *per key*, which at
-    10^5 nodes x 10^3 keys is minutes of setup and hundreds of MB for
-    edges that mostly never carry a message.  This view computes the
-    identical tree lazily: ``parent(node)`` is ``ring.next_hop(node,
-    key)`` (the defining edge relation of the eager builder), memoized
-    on first use, so setup is O(1) and total work is proportional to
-    the nodes the workload actually touches.
+    :func:`chord_search_tree` asks every node for its next hop up
+    front — an n-entry dict *per key*, which at 10^5 nodes x 10^3 keys
+    is minutes of setup and hundreds of MB for edges that mostly never
+    carry a message.  This view computes the identical tree lazily:
+    ``parent(node)`` is ``ring.next_hop(node, key)`` (the defining edge
+    relation of the eager builder), memoized on first use, so setup is
+    O(1) and total work is proportional to the nodes the workload
+    actually touches.
 
     The tree is static (the scale tier runs without churn), so the memo
     never invalidates.  Only the read interface the query/dissemination

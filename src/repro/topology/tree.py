@@ -16,7 +16,10 @@ III-C):
   node).
 - :meth:`remove_leaf` — a leaving/failed edge node simply disappears.
 
-All operations maintain the parent/children maps consistently;
+The tree is its parent map: building one (a generator's block of
+leaves, a Chord ring's next hops) fills that map alone, and the child
+lists are derived from it the first time something reads or reshapes
+them.  From then on every operation maintains both maps consistently;
 :meth:`validate` checks the invariants and is exercised heavily by the
 property-based tests.
 """
@@ -36,7 +39,8 @@ class SearchTree:
     def __init__(self, root: NodeId):
         self._root = root
         self._parent: dict[NodeId, Optional[NodeId]] = {root: None}
-        self._children: dict[NodeId, list[NodeId]] = {root: []}
+        # node -> its children: None until _child_map derives it.
+        self._children: Optional[dict[NodeId, list[NodeId]]] = None
         self._version = 0
         # node -> tuple path (node .. root), filled lazily by _path() and
         # cleared by _mutated() on every structural change.
@@ -57,6 +61,24 @@ class SearchTree:
         """
         return self._version
 
+    def _child_map(self) -> dict[NodeId, list[NodeId]]:
+        """node -> its children, derived from the parent map on first use.
+
+        Until the first reshape, each node's children are the nodes
+        naming it as parent, in the parent map's order: exactly the
+        lists an :meth:`add_leaf` loop would have built.  The appends
+        extend a derived map and leave an underived one alone; every
+        other mutator derives it first and then edits it in place.
+        """
+        kids = self._children
+        if kids is None:
+            kids = {node: [] for node in self._parent}
+            for node, parent in self._parent.items():
+                if parent is not None:
+                    kids[parent].append(node)
+            self._children = kids
+        return kids
+
     def _path(self, node: NodeId) -> tuple[NodeId, ...]:
         """Memoised path ``node .. root`` (cached ancestor suffixes reused)."""
         path = self._paths.get(node)
@@ -76,14 +98,31 @@ class SearchTree:
         return path
 
     # -- construction -----------------------------------------------------
+    @classmethod
+    def from_parents(
+        cls, root: NodeId, parents: dict[NodeId, Optional[NodeId]]
+    ) -> "SearchTree":
+        """The tree whose parent map is ``parents`` (taken over, not copied).
+
+        ``parents`` maps every node to its parent, and ``root`` to
+        ``None``.  The tree iterates its nodes, and lists each node's
+        children, in the map's own order: a Chord tree built in ring
+        order keeps ring order, root included.
+        """
+        tree = cls(root)
+        tree._parent = parents
+        return tree
+
     def add_leaf(self, parent: NodeId, node: NodeId) -> None:
         """Attach ``node`` as a new child of ``parent``."""
         self._require(parent)
         if node in self._parent:
             raise TopologyError(f"node {node} already in tree")
         self._parent[node] = parent
-        self._children[node] = []
-        self._children[parent].append(node)
+        kids = self._children
+        if kids is not None:
+            kids[node] = []
+            kids[parent].append(node)
         self._mutated()
 
     def add_leaves(self, parents: Sequence[NodeId], first: NodeId) -> None:
@@ -106,11 +145,12 @@ class SearchTree:
             # Outside the tree, a parent must be an earlier block node.
             if above not in parent_map and not 0 <= above - first < offset:
                 raise NodeNotFoundError(f"node {above} not in tree")
-        children = self._children
-        for node, above in zip(new, parents):
-            parent_map[node] = above
-            children[node] = []
-            children[above].append(node)
+        parent_map.update(zip(new, parents))
+        kids = self._children
+        if kids is not None:
+            for node, above in zip(new, parents):
+                kids[node] = []
+                kids[above].append(node)
         self._version += len(new)
         if self._paths:
             self._paths.clear()
@@ -132,10 +172,11 @@ class SearchTree:
             raise TopologyError(
                 f"({upper}, {lower}) is not an edge of the tree"
             )
-        siblings = self._children[upper]
+        kids = self._child_map()
+        siblings = kids[upper]
         siblings[siblings.index(lower)] = node
         self._parent[node] = upper
-        self._children[node] = [lower]
+        kids[node] = [lower]
         self._parent[lower] = node
         self._mutated()
 
@@ -144,12 +185,13 @@ class SearchTree:
         self._require(node)
         if node == self._root:
             raise TopologyError("cannot remove the root")
-        if self._children[node]:
+        kids = self._child_map()
+        if kids[node]:
             raise TopologyError(f"node {node} is not a leaf")
         parent = self._parent[node]
-        self._children[parent].remove(node)
+        kids[parent].remove(node)
         del self._parent[node]
-        del self._children[node]
+        del kids[node]
         self._mutated()
 
     def splice_out(self, node: NodeId) -> NodeId:
@@ -164,15 +206,16 @@ class SearchTree:
             raise TopologyError(
                 "cannot splice out the root; use replace_root instead"
             )
+        kids = self._child_map()
         parent = self._parent[node]
-        siblings = self._children[parent]
+        siblings = kids[parent]
         index = siblings.index(node)
-        orphans = self._children[node]
+        orphans = kids[node]
         siblings[index : index + 1] = orphans
         for orphan in orphans:
             self._parent[orphan] = parent
         del self._parent[node]
-        del self._children[node]
+        del kids[node]
         self._mutated()
         return parent
 
@@ -184,11 +227,12 @@ class SearchTree:
         if new_root in self._parent:
             raise TopologyError(f"node {new_root} already in tree")
         old_root = self._root
-        children = self._children.pop(old_root)
+        kids = self._child_map()
+        children = kids.pop(old_root)
         del self._parent[old_root]
         self._root = new_root
         self._parent[new_root] = None
-        self._children[new_root] = children
+        kids[new_root] = children
         for child in children:
             self._parent[child] = new_root
         self._mutated()
@@ -219,16 +263,17 @@ class SearchTree:
         self._require(old)
         if new in self._parent:
             raise TopologyError(f"node {new} already in tree")
+        kids = self._child_map()
         parent = self._parent.pop(old)
-        children = self._children.pop(old)
+        children = kids.pop(old)
         self._parent[new] = parent
-        self._children[new] = children
+        kids[new] = children
         for child in children:
             self._parent[child] = new
         if parent is None:
             self._root = new
         else:
-            siblings = self._children[parent]
+            siblings = kids[parent]
             siblings[siblings.index(old)] = new
         self._mutated()
 
@@ -260,17 +305,17 @@ class SearchTree:
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
         """Children of ``node`` in insertion order."""
         self._require(node)
-        return tuple(self._children[node])
+        return tuple(self._child_map()[node])
 
     def degree(self, node: NodeId) -> int:
         """Number of children of ``node``."""
         self._require(node)
-        return len(self._children[node])
+        return len(self._child_map()[node])
 
     def is_leaf(self, node: NodeId) -> bool:
         """Whether ``node`` has no children."""
         self._require(node)
-        return not self._children[node]
+        return not self._child_map()[node]
 
     def depth(self, node: NodeId) -> int:
         """Number of hops from ``node`` up to the root."""
@@ -327,11 +372,12 @@ class SearchTree:
     def descendants(self, node: NodeId) -> Iterator[NodeId]:
         """All strict descendants, depth-first."""
         self._require(node)
-        stack = list(self._children[node])
+        kids = self._child_map()
+        stack = list(kids[node])
         while stack:
             current = stack.pop()
             yield current
-            stack.extend(self._children[current])
+            stack.extend(kids[current])
 
     def subtree_size(self, node: NodeId) -> int:
         """Number of nodes in ``node``'s subtree (including itself)."""
@@ -339,7 +385,7 @@ class SearchTree:
 
     def leaves(self) -> Iterator[NodeId]:
         """All leaf nodes."""
-        for node, children in self._children.items():
+        for node, children in self._child_map().items():
             if not children:
                 yield node
 
@@ -371,14 +417,15 @@ class SearchTree:
             if parent is None:
                 if node != self._root:
                     raise TopologyError(f"second root {node}")
-                continue
-            if parent not in self._parent:
+            elif parent not in self._parent:
                 raise TopologyError(f"dangling parent {parent} of {node}")
-            if node not in self._children[parent]:
+        kids = self._child_map()
+        for node, parent in self._parent.items():
+            if parent is not None and node not in kids[parent]:
                 raise TopologyError(
                     f"{node} missing from children of {parent}"
                 )
-        for node, children in self._children.items():
+        for node, children in kids.items():
             if len(set(children)) != len(children):
                 raise TopologyError(f"duplicate children of {node}")
             for child in children:
@@ -390,7 +437,7 @@ class SearchTree:
         seen = {self._root}
         stack = [self._root]
         while stack:
-            for child in self._children[stack.pop()]:
+            for child in kids[stack.pop()]:
                 if child in seen:
                     raise TopologyError(f"cycle through {child}")
                 seen.add(child)

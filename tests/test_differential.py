@@ -224,6 +224,9 @@ class TestQueryPathPinned:
     to one exact latency recorder: ``shard`` now carries its
     ``latency_counts`` pairs and ``scale`` exact p50/p95/p99.  With the
     latency-tail extras dropped, both fingerprints equal the old ones.
+    ``shard`` was re-pinned again when unsharded runs moved to the bare
+    stream names ``Simulation`` draws (``tests/test_engine_parity.py``);
+    ``scale``, whose shards keep their rank-range names, did not move.
     """
 
     BASE = dict(
@@ -247,7 +250,7 @@ class TestQueryPathPinned:
             "edf2d5392bfae07423560631f6a7fca7fb9481fda4e1f08f1003a7289e30f685"
         ),
         "shard": (
-            "396f4bbdebde0ff3e04bc54b534e6c3b257875b5892278335293b43fa182ac96"
+            "9f33e6abd108d220e989236ef76966ccdcf4aba9c5ffc512b4ea0f43de952c51"
         ),
         "scale": (
             "77c7fa44df70366b036f826d6735d28a252dcc711c512dc2fa42d5aeb17b4aae"

@@ -259,27 +259,6 @@ class TestScaleEngine:
                 self._scale_config(), num_keys=4, shard_count=8
             )
 
-    @pytest.mark.parametrize("sweep_interval", [0, 0.0, -1.0])
-    def test_scale_rejects_non_positive_sweep_interval(self, sweep_interval):
-        # Zero used to hang the run (the sweeper re-armed at the same
-        # instant for ever); a negative value died mid-run.
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ConfigError, match="sweep_interval"):
-            MultiKeyScaleSimulation(
-                self._scale_config(),
-                num_keys=8,
-                sweep_interval=sweep_interval,
-            )
-        with pytest.raises(ExperimentError) as raised:
-            run_scale(
-                self._scale_config(),
-                num_keys=8,
-                workers=1,
-                sweep_interval=sweep_interval,
-            )
-        assert isinstance(raised.value.__cause__, ConfigError)
-
     @pytest.mark.parametrize(
         "changes",
         [
@@ -325,15 +304,6 @@ class TestScaleEngine:
             churn=ChurnConfig(),
         )
         assert MultiKeyScaleSimulation(config, num_keys=4).run().queries > 0
-
-    def test_scale_accepts_positive_sweep_interval(self):
-        default = run_scale(self._scale_config(), num_keys=8, workers=1)
-        swept = run_scale(
-            self._scale_config(), num_keys=8, workers=1, sweep_interval=60.0
-        )
-        # Sweeping only reclaims expired entries: results do not move.
-        assert swept.queries == default.queries
-        assert swept.mean_latency == default.mean_latency
 
 
 class TestKeepLatencySamples:

@@ -382,6 +382,34 @@ class TestAddLeaves:
         assert paper_tree._paths == memo
 
 
+class TestDerivedChildren:
+    """Child lists are derived from the parent map on first use, and are
+    the lists a map kept up to date from the start would hold."""
+
+    def test_building_a_tree_derives_nothing(self):
+        tree = random_search_tree(64, 4, np.random.default_rng(2))
+        assert tree._children is None
+        assert tree.children(tree.root)
+        assert tree._children is not None
+
+    @given(tree_and_block())
+    @settings(max_examples=100, deadline=None)
+    def test_derived_late_equals_kept_from_the_start(self, scenario):
+        size, seed, first, parents = scenario
+        late = random_search_tree(size, 3, np.random.default_rng(seed))
+        kept = random_search_tree(size, 3, np.random.default_rng(seed))
+        kept.children(kept.root)
+        for tree in (late, kept):
+            tree.add_leaves(parents, first)
+            tree.add_leaf(parents[0], first + len(parents))
+        assert late._children is None
+        assert snapshot(late) == snapshot(kept)
+        for tree in (late, kept):
+            tree.splice_out(first)
+            tree.validate()
+        assert snapshot(late) == snapshot(kept)
+
+
 @st.composite
 def tree_and_operations(draw):
     """A random tree followed by a random sequence of mutations."""
