@@ -4,10 +4,11 @@
 and finds every due record with one vectorized
 ``np.flatnonzero(expiry <= now)`` pass per sweep, instead of one timer
 object per cache entry.  Records are *hints*: the wheel never cancels,
-and callers re-validate on pop (a refreshed cache entry simply leaves a
-stale hint that the re-validation drops).  Its one customer is
-:class:`repro.engine.multikey.MultiKeyScaleSimulation`, whose wheel-swept
-caches push one hint per store.
+and callers re-validate on pop (a refreshed entry simply leaves a stale
+hint that the re-validation drops).  Nothing under ``src/`` uses it any
+more: the scale engine sweeps each key's copy table whole.  The
+ledger's tracer imports it by name, so it stays until the fast-path
+re-pin deletes it (ROADMAP item 1).
 
 Deterministic and allocation-frugal; nothing here draws randomness.
 """
@@ -25,8 +26,7 @@ class ExpiryWheel:
     returns the due ``(a, b)`` tags in insertion order.  Records are
     never cancelled or updated in place — a renewed entry just pushes a
     fresh record, and the caller drops the superseded hint when it pops
-    (lazy invalidation).  ``a``/``b`` are opaque int tags; the cache
-    sweep files the node in ``a`` and leaves ``b`` at 0.
+    (lazy invalidation).  ``a``/``b`` are opaque int tags.
     """
 
     __slots__ = ("_times", "_a", "_b", "_size")

@@ -4,15 +4,15 @@ The paper's evaluation fixes a single index at one authority ("the index
 is maintained at the root node") — a clean isolation of one propagation
 tree.  Real deployments serve many keys at once: each key hashes to its
 own authority on the DHT, giving every key its own search tree over the
-*same* node population, with caches, transport, and cost accounting
-shared.
+*same* node population, with transport and cost accounting shared.
 
 :class:`MultiKeyScaleSimulation` is the one multi-key engine.  Every key
 gets a :class:`~repro.topology.chord_tree.LazyChordTree` (parents follow
 the ring's next hops, computed on first use), its own scheme instance
-bound to a per-key :class:`~repro.schemes.host.SchemeHost`, and its own
-authority; queries pick a key by a Zipf law over keys and an origin node
-by the paper's Zipf law over nodes.  Left at ``shard_index=0,
+bound to a per-key :class:`~repro.schemes.host.SchemeHost`, its own
+authority and its own copy table (every node's copy of that key);
+queries pick a key by a Zipf law over keys and an origin node by the
+paper's Zipf law over nodes.  Left at ``shard_index=0,
 shard_count=1`` one instance runs every key; :func:`run_scale` cuts the
 key ranking into rank shards, runs them on any number of workers, and
 merges the shard results exactly.  Metrics aggregate across keys;
@@ -29,16 +29,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from functools import partial
 from typing import Optional
 
-from repro.core.soa import ExpiryWheel
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
 from repro.errors import ConfigError
 from repro.index.authority import Authority
-from repro.index.cache import IndexCache
-from repro.index.entry import IndexVersion
 from repro.metrics.counters import CostLedger
 from repro.metrics.latency import LatencyRecorder
 from repro.net.message import Message
@@ -80,12 +76,14 @@ _UNSUPPORTED = (
 
 
 class _KeySlice(SchemeHost):
-    """One key's scheme host: its own tree and authority over the clock,
-    transport, caches and latency recorder every key of the engine
+    """One key's scheme host: its own tree, authority and copy table over
+    the clock, transport and latency recorder every key of the engine
     shares.  All it adds to the layer-free host is the key's post-warm-up
     query count."""
 
-    def __init__(self, owner: "MultiKeyScaleSimulation", key: int, tree):
+    def __init__(
+        self, owner: "MultiKeyScaleSimulation", key: int, tree, alive, record
+    ):
         super().__init__(
             env=owner.env,
             config=owner.config,
@@ -93,14 +91,11 @@ class _KeySlice(SchemeHost):
             ledger=owner.ledger,
             tree=tree,
             key=key,
-            # The overlay is static: every ring member is in every tree.
             parent=tree.parent,
-            alive=owner.ring.members.__contains__,
+            alive=alive,
             record_hops=self._record_counted,
-            caches=owner._caches,
-            new_cache=owner._new_cache,
         )
-        self._record = owner.latency.record
+        self._record = record
         self._warmup = owner.config.warmup
         self.queries = 0
 
@@ -108,35 +103,6 @@ class _KeySlice(SchemeHost):
         self._record(hops, issued_at)
         if issued_at >= self._warmup:
             self.queries += 1
-
-
-class _SweptCache(IndexCache):
-    """An :class:`IndexCache` that files every store on an expiry wheel.
-
-    The single-key engines evict lazily on :meth:`IndexCache.get`; at
-    scale that leaves every entry nobody re-reads resident until the end
-    of the run.  Each successful store pushes an ``(expires_at, node)``
-    hint to the engine's shared :class:`~repro.core.soa.ExpiryWheel`;
-    the sweep loop pops due hints and runs the cache's vectorized
-    :meth:`~repro.index.cache.IndexCache.sweep`.  Refreshes simply push
-    a newer hint — the superseded one pops later and finds nothing
-    expired (lazy invalidation), so behaviour is unchanged.
-    """
-
-    __slots__ = ("_wheel", "_node")
-
-    def __init__(self, wheel: ExpiryWheel, node: NodeId):
-        super().__init__()
-        self._node = node
-        self._wheel = wheel
-
-    def put(self, version: IndexVersion, now: float) -> bool:
-        changed = super().put(version, now)
-        if changed:
-            copy = self.peek(version.key)
-            if copy is not None:
-                self._wheel.push(copy.expires_at, self._node)
-        return changed
 
 
 def default_shard_count(num_keys: int) -> int:
@@ -157,8 +123,8 @@ class MultiKeyScaleSimulation:
     across *all* keys, and churn and the resilience layers must be off.
 
     The multi-key workload decomposes exactly by key: a query for key
-    ``k`` touches only ``k``'s search tree, authority, and cache
-    entries.  This engine exploits that to run *rank shards* — each
+    ``k`` touches only ``k``'s search tree, authority, and copy
+    table.  This engine exploits that to run *rank shards* — each
     shard owns a contiguous range of the global key-popularity ranking
     and simulates only its keys:
 
@@ -171,9 +137,9 @@ class MultiKeyScaleSimulation:
       views — O(1) setup, parents materialized only for nodes the
       workload actually touches — instead of eagerly materialized
       O(n log n)-per-key dicts.
-    - Caches are wheel-swept (:class:`_SweptCache`), and each shard
-      ships its latencies as ``(hops, count)`` pairs, which add across
-      shards into exact percentiles.
+    - Every key's copy table is swept whole once per period, and each
+      shard ships its latencies as ``(hops, count)`` pairs, which add
+      across shards into exact percentiles.
 
     The ring and the key sequence are drawn from the same streams for
     every shard (they depend only on the config), so shard ``i`` of
@@ -252,17 +218,18 @@ class MultiKeyScaleSimulation:
             ledger=self.ledger,
         )
         self.transport.bind(self._dispatch)
-        self.wheel = ExpiryWheel()
-        self._new_cache = partial(_SweptCache, self.wheel)
-        self._caches: dict[NodeId, _SweptCache] = {}
         self._swept_entries = 0
 
         self.slices: dict[int, _KeySlice] = {}
         self.schemes: dict[int, object] = {}
+        # Bound once for every key: the overlay is static, so every ring
+        # member is in every key's tree, and one recorder serves them all.
+        alive = self.ring.members.__contains__
+        record = self.latency.record
         for rank in range(self.rank_lo, self.rank_hi):
             key = keys[rank]
             tree = LazyChordTree(self.ring, key)
-            slice_ = _KeySlice(self, key, tree)
+            slice_ = _KeySlice(self, key, tree, alive, record)
             scheme = make_scheme(config.scheme)
             scheme.bind(slice_)
             self.slices[key] = slice_
@@ -297,25 +264,18 @@ class MultiKeyScaleSimulation:
 
     # -- processes -----------------------------------------------------------
     def _sweep_loop(self):
-        """Vectorized TTL reclamation: one flatnonzero pass per period.
+        """TTL reclamation: every key's copy table swept once per period.
 
-        The period only decides when expired entries leave memory: a
-        read evicts an expired copy anyway, so no result depends on it.
+        The period only decides when expired copies leave memory: a read
+        evicts an expired copy anyway, so no result depends on it.
         """
         interval = max(self.config.ttl / 2, 1.0)
+        tables = [slice_.copies for slice_ in self.slices.values()]
         while True:
             yield self.env.timeout(interval)
             now = self.env.now
-            due = self.wheel.pop_due(now)
-            if not due:
-                continue
-            touched: dict[int, None] = {}
-            for node, _ in due:
-                touched[node] = None
-            for node in touched:
-                cache = self._caches.get(node)
-                if cache is not None:
-                    self._swept_entries += cache.sweep(now)
+            for table in tables:
+                self._swept_entries += table.sweep(now)
 
     # -- running ---------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -399,7 +359,7 @@ class MultiKeyScaleSimulation:
             "parents_touched": parents_touched,
             "swept_entries": self._swept_entries,
             "resident_entries": sum(
-                len(cache) for cache in self._caches.values()
+                len(slice_.copies) for slice_ in slices.values()
             ),
         }
         if config.keep_latency_samples:

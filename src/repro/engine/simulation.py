@@ -1,6 +1,6 @@
 """Wiring of one simulation run.
 
-:class:`Simulation` builds the topology, transport, caches, scheme,
+:class:`Simulation` builds the topology, transport, copy table, scheme,
 authority, and workload from a :class:`~repro.engine.config.SimulationConfig`,
 runs the event loop for the configured horizon, and collects the paper's
 two metrics into a :class:`~repro.engine.results.SimulationResult`.
@@ -482,7 +482,7 @@ class Simulation(SchemeHost):
         snapshot = {
             "parent": self.parent(node),
             "scheme": self.scheme.snapshot_for_rejoin(node),
-            "cache": self._caches.get(node),
+            "copy": self.copies.peek(node),
         }
         self.fail_silently(node)
         return snapshot
@@ -510,13 +510,14 @@ class Simulation(SchemeHost):
             parent = snapshot.get("parent")
             if parent is None or not self.functioning(parent):
                 parent = self.tree.root
-        cache = snapshot.get("cache")
-        if cache is not None and node not in self._caches:
-            # The failure repair dropped the cache; the restarted process
-            # still has its copy on disk.  Version monotonicity holds:
-            # IndexCache.put rejects regressions, so a stale restored
-            # copy is superseded by the next fresher reply.
-            self._caches[node] = cache
+        copy = snapshot.get("copy")
+        if copy is not None:
+            # When the failure repair dropped the copy, the restarted
+            # process still has it on disk, stored when it was.  Version
+            # monotonicity holds: IndexCache.put rejects regressions, so
+            # a stale restored copy is superseded by the next fresher
+            # reply.
+            self.copies.restore(node, copy)
         self.scheme.on_node_rejoined(
             node, parent, snapshot.get("scheme"), suppressed
         )

@@ -1,4 +1,4 @@
-"""Per-node TTL index cache with per-entry timers.
+"""TTL index-copy tables with per-copy timers.
 
 The paper's weak-consistency model (Section I/II): "There is a
 Time-To-Live (TTL) timer associated with the index.  The index will be
@@ -9,6 +9,11 @@ authority issued the version.  This realizes both PCX drawbacks the paper
 lists: a copy is unusable after its timer runs out even if the index never
 changed, and a copy may serve *stale* data when the authority re-issued
 before the timer expired.
+
+The unit of cache state is therefore one copy: one ``(node, key)`` pair.
+An :class:`IndexCache` is a table of such copies, one per *slot*.  The
+engines keep one table per index and slot each copy under the node that
+holds it; used on its own, a table files a copy under its data key.
 
 Pushes refresh the timer (the push schemes deliver a new version one
 minute before the previous one's timer would run out, so subscribers never
@@ -65,7 +70,12 @@ class CachedCopy:
 
 
 class IndexCache:
-    """A node's local cache of index copies, keyed by data key."""
+    """Cached index copies, one per slot (a holder node, or a data key).
+
+    ``put(version, now)`` files the copy under ``version.key``; the
+    engines pass the holder node as ``slot`` instead, so one table holds
+    every node's copy of one index.
+    """
 
     __slots__ = ("_entries", "stats")
 
@@ -73,40 +83,45 @@ class IndexCache:
         self._entries: dict[int, CachedCopy] = {}
         self.stats = CacheStats()
 
-    def get(self, key: int, now: float) -> Optional[IndexVersion]:
-        """Return the cached valid version of ``key`` at ``now``, if any.
+    def get(self, slot: int, now: float) -> Optional[IndexVersion]:
+        """Return the valid version filed under ``slot`` at ``now``, if any.
 
         Expired copies are evicted as a side effect.
         """
         stats = self.stats
         stats.lookups += 1
-        copy = self._entries.get(key)
+        copy = self._entries.get(slot)
         if copy is None:
             return None
         # Inlined copy.is_valid(now): this is the hit-path check of every
         # query in the system.
         version = copy.version
         if now >= copy.stored_at + version.ttl:
-            del self._entries[key]
+            del self._entries[slot]
             stats.evictions += 1
             return None
         stats.hits += 1
         return version
 
-    def peek(self, key: int) -> Optional[CachedCopy]:
+    def peek(self, slot: int) -> Optional[CachedCopy]:
         """Return the stored copy without validity check or stats."""
-        return self._entries.get(key)
+        return self._entries.get(slot)
 
-    def put(self, version: IndexVersion, now: float) -> bool:
-        """Store ``version``, starting (or restarting) this cache's timer.
+    def put(
+        self, version: IndexVersion, now: float, slot: Optional[int] = None
+    ) -> bool:
+        """Store ``version`` under ``slot`` (default: its data key),
+        starting (or restarting) that copy's timer.
 
-        Returns ``True`` when the cache changed.  An older version never
+        Returns ``True`` when the table changed.  An older version never
         replaces a newer one; re-storing the already-cached version
         refreshes its timer (that is how pushes keep subscribers warm).
         """
         if not isinstance(version, IndexVersion):
             raise CacheError(f"not an IndexVersion: {version!r}")
-        current = self._entries.get(version.key)
+        if slot is None:
+            slot = version.key
+        current = self._entries.get(slot)
         if current is not None:
             # Inlined current.is_valid(now), as in ``get``: every push
             # hop stores here.
@@ -119,64 +134,69 @@ class IndexCache:
                     current.stored_at = now
                     self.stats.refreshes += 1
                     return True
-        self._entries[version.key] = CachedCopy(version, now)
+        self._entries[slot] = CachedCopy(version, now)
         self.stats.stores += 1
         return True
+
+    def restore(self, slot: int, copy: CachedCopy) -> None:
+        """Re-file ``copy`` as it was (its own ``stored_at``) unless
+        ``slot`` already holds one."""
+        self._entries.setdefault(slot, copy)
 
     def sweep(self, now: float) -> int:
         """Evict every expired copy in one pass; returns the count.
 
-        The single-key engines evict lazily inside :meth:`get` (the
+        The single-key engine evicts lazily inside :meth:`get` (the
         check is already on the hit path); the multi-key scale engine
-        holds thousands of entries per node and sweeps them together —
-        one vectorized deadline comparison instead of per-key timer
-        events.  Evictions are charged to stats exactly as lazy ones
-        are, so a swept cache and a lazily-evicted cache agree on every
-        counter the results report.
+        sweeps every key's table once per period — one vectorized
+        deadline comparison instead of per-copy timer events.  Evictions
+        are charged to stats exactly as lazy ones are, so a swept table
+        and a lazily-evicted one agree on every counter the results
+        report.
         """
         entries = self._entries
         if not entries:
             return 0
         if len(entries) <= 32:
-            # Below numpy's call-overhead break-even a plain scan wins;
-            # the scale engine sweeps per-node caches this small on
-            # every expiry-wheel hint.
-            dead = [key for key, copy in entries.items() if copy.expires_at <= now]
-            for key in dead:
-                del entries[key]
+            # Below numpy's call-overhead break-even a plain scan wins.
+            dead = [
+                slot for slot, copy in entries.items() if copy.expires_at <= now
+            ]
+            for slot in dead:
+                del entries[slot]
             self.stats.evictions += len(dead)
             return len(dead)
-        keys = list(entries)
+        slots = list(entries)
         deadlines = np.fromiter(
-            (entries[key].expires_at for key in keys),
+            (entries[slot].expires_at for slot in slots),
             dtype=np.float64,
-            count=len(keys),
+            count=len(slots),
         )
         expired = np.flatnonzero(deadlines <= now)
         for index in expired:
-            del entries[keys[index]]
+            del entries[slots[index]]
         count = int(expired.size)
         self.stats.evictions += count
         return count
 
-    def invalidate(self, key: int) -> bool:
-        """Drop any cached copy of ``key``; returns whether one existed."""
-        if key in self._entries:
-            del self._entries[key]
+    def invalidate(self, slot: int) -> bool:
+        """Drop the copy filed under ``slot``; returns whether one existed."""
+        if slot in self._entries:
+            del self._entries[slot]
             self.stats.evictions += 1
             return True
         return False
 
     def clear(self) -> None:
-        """Drop everything (used when a node re-joins after failure)."""
+        """Drop every copy."""
         self.stats.evictions += len(self._entries)
         self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: int) -> bool:
-        return key in self._entries
+    def __contains__(self, slot: int) -> bool:
+        return slot in self._entries
 
     def __repr__(self) -> str:
         return f"IndexCache(entries={len(self._entries)}, {self.stats})"

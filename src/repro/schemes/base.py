@@ -8,7 +8,7 @@ engine once; the push schemes override the *hooks* to add interest
 tracking, piggybacked control payloads, and update propagation.
 
 The scheme talks to its engine through :class:`repro.schemes.host.SchemeHost`
-alone: clock, tree, transport, per-node caches, the authority, the
+alone: clock, tree, transport, the index's copy table, the authority, the
 metric recorders, and the optional layers.
 """
 

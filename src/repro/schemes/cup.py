@@ -149,8 +149,7 @@ class CupScheme(PathCachingScheme):
         self._push_registered(self.sim.tree.root, version)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
-        sim = self.sim
-        sim.cache(node).put(message.version, sim.env.now)
+        self.sim.store(node, message.version)
         self._push_registered(
             node, message.version, trace_id=message.trace_id
         )

@@ -100,8 +100,7 @@ class CupIdealScheme(PathCachingScheme):
         self._push_to_children(self.sim.tree.root, version)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
-        sim = self.sim
-        sim.cache(node).put(message.version, sim.env.now)
+        self.sim.store(node, message.version)
         if not self.wants_updates(node):
             # Lazy de-registration: this push was wasted on us.
             self._registered_up.discard(node)

@@ -48,6 +48,15 @@ class DupScheme(PathCachingScheme):
     #: messages and pushes ride the reliable channel when one is enabled.
     reliable_delivery = True
 
+    #: Crash-restart reconciliation counters.  Class defaults until the
+    #: first reconcile, so that a bound instance keeps 27 attributes:
+    #: at 30, CPython 3.11 gives it a real ``__dict__`` in place of its
+    #: inline values (one more tracked object per scheme, and a dict
+    #: lookup behind every attribute read).
+    _rejoin_reconciles = 0
+    _rejoin_kept = 0
+    _rejoin_excised = 0
+
     def __init__(self) -> None:
         super().__init__()
         self.protocol: DupProtocol | None = None
@@ -63,9 +72,6 @@ class DupScheme(PathCachingScheme):
         #: Flap-damping gate (``node -> bool``) installed by ``bind``
         #: when the fluctuation layer arms damping; ``None`` otherwise.
         self._flap_gate = None
-        self._rejoin_reconciles = 0
-        self._rejoin_kept = 0
-        self._rejoin_excised = 0
 
     def bind(self, sim) -> None:
         super().bind(sim)
@@ -73,6 +79,10 @@ class DupScheme(PathCachingScheme):
         # (failover moves it in place; the tree object is never replaced).
         self._tree = sim.tree
         self._recorder = sim.recorder
+        # An unoverridden push store goes straight to the facade, as an
+        # unoverridden reply store does (``dup-invalidate`` overrides).
+        if type(self)._store_push is DupScheme._store_push:
+            self._store_push = sim.store
         if self.overload is not None:
             self._max_subscribers = self.overload.plan.max_subscribers
             self._breakers = self.overload.plan.breakers_enabled
@@ -342,7 +352,7 @@ class DupScheme(PathCachingScheme):
 
     def _store_push(self, node: NodeId, version) -> None:
         """What a received push leaves in the node's cache."""
-        self.sim.cache(node).put(version, self._env._now)
+        self.sim.store(node, version)
 
     def _push_current(self, node: NodeId, targets: list[NodeId]) -> None:
         """Push the node's current valid copy to newly added subscribers."""

@@ -45,7 +45,7 @@ class DupInvalidateScheme(DupScheme):
     def _store_push(self, node: NodeId, version) -> None:
         if isinstance(version, _InvalidationMarker):
             # Drop the local copy; the next query will re-fetch.
-            self.sim.cache(node).invalidate(self.sim.key)
+            self.sim.copies.invalidate(node)
         else:
             # Immediate push of a concrete version (explicit-subscribe
             # bootstrap) still delivers data.

@@ -1,8 +1,9 @@
 """The host a scheme is bound to: everything a scheme reads off its engine.
 
 Both engines are hosts: :class:`~repro.engine.simulation.Simulation`, and
-the scale engine's per-key host, which shares the clock, transport,
-caches and latency recorder with every other key.  The defaults are the
+the scale engine's per-key host, which shares the clock, transport and
+latency recorder with every other key.  Each host owns one copy table
+for its index, slotted by the node holding the copy.  The defaults are the
 layer-free host: no optional layer, every member node working, reads
 unchecked for staleness, suspicions moot.  ``Simulation`` overrides only
 what its layers add; ``tests/test_host_surface.py`` fails if a scheme
@@ -46,8 +47,6 @@ class SchemeHost:
         parent: Callable[[NodeId], Optional[NodeId]],
         alive: Callable[[NodeId], bool],
         record_hops: Callable[[float, float], None],
-        caches: Optional[dict] = None,
-        new_cache: Optional[Callable[[NodeId], IndexCache]] = None,
     ):
         self.env = env
         self.config = config
@@ -65,13 +64,8 @@ class SchemeHost:
         self.reliable = None
         self.tracer = None
         self.authority = None
-        #: node -> its index cache, created on first use by ``new_cache``
-        #: (a plain, lazily evicting :class:`IndexCache` when ``None``).
-        #: The scale engine's keys share one dict: a node holds one cache.
-        self._caches: dict[NodeId, IndexCache] = (
-            {} if caches is None else caches
-        )
-        self._new_cache = new_cache
+        #: Every node's TTL copy of this index, filed under the node.
+        self.copies = IndexCache()
         self._incomplete = 0
 
     # -- topology ------------------------------------------------------------
@@ -85,42 +79,22 @@ class SchemeHost:
         return self.alive(node)
 
     # -- per-node state ------------------------------------------------------
-    def cache(self, node: NodeId) -> IndexCache:
-        """The node's index cache (created lazily)."""
-        cache = self._caches.get(node)
-        if cache is None:
-            new = self._new_cache
-            cache = IndexCache() if new is None else new(node)
-            self._caches[node] = cache
-        return cache
-
     def lookup(self, node: NodeId) -> Optional[IndexVersion]:
         """A valid index copy at ``node``: the root's authoritative copy,
-        or the node's TTL cache."""
+        or the node's TTL copy."""
         if node == self.tree._root:
             if self.authority is None:
                 return None
             return self.authority.current
-        # Inlined self.cache(node): this is the hottest host call, and the
-        # lazy creation must stay so per-node lookup stats are identical
-        # whichever path created the cache.
-        cache = self._caches.get(node)
-        if cache is None:
-            new = self._new_cache
-            cache = IndexCache() if new is None else new(node)
-            self._caches[node] = cache
-        return cache.get(self.key, self.env._now)
+        return self.copies.get(node, self.env._now)
 
     def store(self, node: NodeId, version: IndexVersion) -> None:
-        """Cache ``version`` at ``node`` now (a reply passing through)."""
-        cache = self._caches.get(node)
-        if cache is None:
-            cache = self.cache(node)
-        cache.put(version, self.env._now)
+        """Cache ``version`` at ``node`` now (a reply or push arriving)."""
+        self.copies.put(version, self.env._now, node)
 
     def forget_node(self, node: NodeId) -> None:
         """Drop per-node host state after a departure or failure."""
-        self._caches.pop(node, None)
+        self.copies.invalidate(node)
 
     # -- metrics -------------------------------------------------------------
     def record_latency(

@@ -27,5 +27,5 @@ class PushAllScheme(PathCachingScheme):
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
         sim = self.sim
-        sim.cache(node).put(message.version, sim.env.now)
+        sim.store(node, message.version)
         self._fan_out(node, sim.tree.children(node), message.version)

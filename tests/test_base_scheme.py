@@ -44,7 +44,7 @@ class TestQueryPath:
         sim.scheme.on_local_query(5)
         sim.env.run(until=2.0)
         for node in (1, 2, 3, 4, 5):
-            assert sim.cache(node).peek(sim.key) is not None
+            assert sim.copies.peek(node) is not None
 
     def test_served_midway_when_intermediate_warm(self):
         sim = chain_sim()
@@ -76,8 +76,8 @@ class TestReplyRerouting:
         # The reply rerouted around the missing hop; the query completed.
         assert sim.latency.count == 1
         assert sim.latency.samples[0] == 5.0
-        assert sim.cache(4).peek(sim.key) is not None
-        assert sim.cache(5).peek(sim.key) is not None
+        assert sim.copies.peek(4) is not None
+        assert sim.copies.peek(5) is not None
 
     def test_reply_dropped_when_origin_departed(self):
         sim = chain_sim(n=6)

@@ -34,7 +34,7 @@ def full_miss_walks(sim, node, count, settle=5.0):
     """Issue ``count`` queries from ``node`` with all caches cleared."""
     for _ in range(count):
         for cached in range(1, 6):
-            sim.cache(cached).clear()
+            sim.copies.invalidate(cached)
         sim.scheme.on_local_query(node)
         sim.env.run(until=sim.env.now + settle)
 

@@ -88,7 +88,7 @@ def test_frames_per_miss_hop():
     assert sim.latency.count == 1 and sim.latency.mean == NODES - 1
     # Path caching: every hop of the descent now holds the index.
     assert all(
-        sim.cache(node).peek(sim.key).version is sim.authority.current
+        sim.copies.peek(node).version is sim.authority.current
         for node in range(1, NODES)
     )
     per_hop = len(names) / (requests + replies)

@@ -1,5 +1,6 @@
 """Tests of the multi-key simulation engine."""
 
+import gc
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.engine import Simulation, SimulationConfig
 from repro.engine.multikey import (
     MultiKeyScaleSimulation,
+    _ring_and_keys,
     merge_scale_results,
     run_scale,
 )
@@ -94,10 +96,11 @@ class TestCrossKeyIsolation:
     def test_caches_hold_multiple_keys(self):
         sim = MultiKeyScaleSimulation(multikey_config(), num_keys=4)
         sim.run()
+        tables = [slice_.copies for slice_ in sim.slices.values()]
         multi = [
             node
-            for node, cache in sim._caches.items()
-            if len(cache) >= 2
+            for node in sim.ring.node_ids
+            if sum(node in table for table in tables) >= 2
         ]
         assert multi  # some node cached more than one index
 
@@ -343,3 +346,30 @@ class TestKeepLatencySamples:
         assert dropped.latency_percentiles == {}
         assert dropped.latency_ci is None
         assert kept.mean_latency == dropped.mean_latency
+
+
+class TestObjectCount:
+    """The scale engine's memory fence: a count, not a clock.
+
+    The GC-tracked objects a finished run still holds, per parent the
+    run touched.  With one cache object per touched node (the object,
+    its entry dict and its stats, each key's copies inside) this read
+    4.48; with one copy table per key it reads 3.10.
+    """
+
+    #: Fails at one cache object per node; passes at one table per key.
+    OBJECTS_PER_TOUCHED_PARENT = 3.3
+
+    def test_objects_per_touched_parent(self):
+        config = multikey_config(
+            num_nodes=16_384, duration=2400.0, warmup=1200.0, seed=3
+        )
+        _ring_and_keys(config, 32)  # the memoised world is not the run's
+        gc.collect()
+        before = len(gc.get_objects())
+        sim = MultiKeyScaleSimulation(config, num_keys=32)
+        result = sim.run()
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        per_parent = held / result.extras["parents_touched"]
+        assert per_parent <= self.OBJECTS_PER_TOUCHED_PARENT, per_parent

@@ -102,7 +102,7 @@ class TestPcx:
         sim = chain_sim("pcx")
         sim.scheme.on_local_query(5)
         settle(sim)
-        sim.cache(5).clear()
+        sim.copies.invalidate(5)
         sim.scheme.on_local_query(5)
         settle(sim)
         # Node 4 still has the copy: one hop up.
@@ -222,7 +222,7 @@ class TestDup:
         # query is a full miss).
         for _ in range(3):
             for node in (1, 2, 3, 4, 5):
-                sim.cache(node).clear()
+                sim.copies.invalidate(node)
             sim.scheme.on_local_query(5)
             settle(sim)
         assert sim.scheme.is_interested(4)
@@ -239,7 +239,7 @@ class TestCup:
         sim = chain_sim("cup", threshold_c=2)
         for _ in range(3):
             for node in (1, 2, 3, 4, 5):
-                sim.cache(node).clear()
+                sim.copies.invalidate(node)
             sim.scheme.on_local_query(5)
             settle(sim)
         # After 3 full misses node 5 is interested; the last request
@@ -255,7 +255,7 @@ class TestCup:
         sim = chain_sim("cup", threshold_c=1)
         for _ in range(3):
             sim.scheme.on_local_query(5)
-            sim.cache(5).clear()
+            sim.copies.invalidate(5)
             settle(sim)
         assert sim.ledger.hops(Category.CONTROL) == 0
 
@@ -265,7 +265,7 @@ class TestCup:
         sim = chain_sim("cup", threshold_c=1)
         for _ in range(3):
             for node in (1, 2, 3, 4, 5):
-                sim.cache(node).clear()
+                sim.copies.invalidate(node)
             sim.scheme.on_local_query(5)
             settle(sim)
         sim.env.run(until=3600.0)  # first refresh: push arrives, cache warm
@@ -286,7 +286,7 @@ class TestCup:
         settle(sim)
         # Node 5's miss is served at node 4; the interest bit must not
         # continue past the serving node as an explicit message.
-        sim.cache(5).clear()
+        sim.copies.invalidate(5)
         sim.scheme.on_local_query(5)
         settle(sim)
         assert sim.ledger.hops(Category.CONTROL) == 0
@@ -297,7 +297,7 @@ class TestCupIdeal:
         sim = chain_sim("cup-ideal", threshold_c=2)
         for _ in range(3):
             for node in (1, 2, 3, 4, 5):
-                sim.cache(node).clear()
+                sim.copies.invalidate(node)
             sim.scheme.on_local_query(5)
             settle(sim)
         assert sim.scheme.is_registered_up(5)
@@ -318,7 +318,7 @@ class TestDupInvalidate:
         assert sim.scheme.protocol.is_subscribed(5)
         # Next cycle's push is an invalidation: node 5's copy vanishes.
         sim.env.run(until=7150.0)
-        assert sim.cache(5).get(sim.key, sim.env.now) is None
+        assert sim.copies.get(5, sim.env.now) is None
 
     def test_query_after_invalidation_refetches(self):
         sim = chain_sim("dup-invalidate", threshold_c=1)
@@ -428,7 +428,7 @@ def _oracle_handle_push(scheme, node, message):
     before the fusion: ``is_subscribed`` -> ``is_interested`` ->
     ``push_targets``, each fetching the node's list on its own."""
     sim = scheme.sim
-    sim.cache(node).put(message.version, sim.env.now)
+    sim.store(node, message.version)
     if scheme.protocol.is_subscribed(node) and not scheme.is_interested(node):
         scheme._record("unsubscribe", node=node, detail="interest-lapse")
         result = scheme.protocol.drop_subscription(node)

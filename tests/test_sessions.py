@@ -453,6 +453,53 @@ class TestCrashRestartAmnesia:
         assert sim.scheme.rejoin_reconciles == 1
 
 
+class TestCrashRestartKeepsItsCopy:
+    """A restarted node's index copy is the one it had on disk.
+
+    PCX on the amnesia chain: node 4 fetches a copy, crashes, and a
+    survivor's suspicion runs the failure repair, which splices it out
+    and drops its copy.  The restart files the very same copy again,
+    with the timer it started when the pre-crash reply arrived; the
+    next fresher reply still supersedes it.
+    """
+
+    def _restarted(self):
+        sim = amnesia_sim(scheme="pcx")
+        sim.env.run(until=10.0)
+        sim.scheme.on_local_query(4)
+        sim.env.run(until=11.0)  # the reply is back (ms hops)
+        held = sim.lookup(4)
+        assert held is sim.authority.current
+        snapshot = sim.crash_node(4)
+        sim.suspect_peer(3, 4)
+        assert 4 not in sim.tree  # repaired: spliced out, copy dropped
+        sim.env.run(until=1000.0)
+        sim.rejoin_node(4, snapshot)
+        assert 4 in sim.tree
+        return sim, held
+
+    def test_rejoin_restores_the_copy_with_its_pre_crash_timer(self):
+        sim, held = self._restarted()
+        ttl = sim.config.ttl
+        assert sim.lookup(4) is held
+        # Stored in (10, 11): valid until then + ttl, not rejoin + ttl.
+        sim.env.run(until=10.0 + ttl)
+        assert sim.lookup(4) is held
+        sim.env.run(until=11.0 + ttl)
+        assert sim.lookup(4) is None
+
+    def test_a_fresher_reply_supersedes_the_restored_copy(self):
+        sim, held = self._restarted()
+        sim.env.run(until=sim.config.ttl)  # the authority re-issued
+        fresher = sim.authority.current
+        assert fresher.version > held.version
+        assert sim.lookup(4) is held  # stale, but its timer still runs
+        sim.store(4, fresher)
+        assert sim.lookup(4) is fresher
+        sim.store(4, held)  # an older reply never regresses it
+        assert sim.lookup(4) is fresher
+
+
 class TestDiurnalModulation:
     def test_modulation_curve(self):
         plan = SessionPlan(diurnal_amplitude=0.5, diurnal_period=100.0)
