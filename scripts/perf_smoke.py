@@ -15,7 +15,8 @@ shows *where* the time went, not just that it went.
 A second leg guards the telemetry layer's zero-perturbation contract:
 the figure4 smoke experiment is run with the protocol flight recorder
 disabled and then enabled, and both canonical outputs must be
-bit-identical to the committed ``tests/goldens/figure4_smoke.json``.
+bit-identical to the committed ``golden/figure4_smoke`` pin
+(``tests/pins/golden.json``).
 An armed recorder that drifts a single float fails here before it can
 corrupt a science run.
 
@@ -44,15 +45,18 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
+REPO = pathlib.Path(__file__).parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
 from repro import flightrec  # noqa: E402
 from repro.experiments import figure4_arrival_rate  # noqa: E402
+# The pin store's own canonicalizer, so the gate and the golden test can
+# never disagree about formatting.
+from tests.pins import canonical, load  # noqa: E402
 
-REPO = pathlib.Path(__file__).parent.parent
 BENCH_RECORD = REPO / "benchmarks" / "results" / "BENCH_figure4.json"
 PROFILE_OUT = REPO / "perf_smoke_profile.txt"
-GOLDEN = REPO / "tests" / "goldens" / "figure4_smoke.json"
+GOLDEN = "figure4_smoke"
 RATES = (0.1, 1.0, 3.0, 10.0, 30.0)
 
 
@@ -104,25 +108,14 @@ def _write_profile() -> None:
     print(f"perf-smoke: profile written to {PROFILE_OUT}", file=sys.stderr)
 
 
-def _canonical() -> "callable":
-    """The golden canonicalizer, loaded from the test module itself so
-    the gate and the test can never disagree about formatting."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "_golden_canonical", REPO / "tests" / "test_goldens.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.canonical
+def _matches_golden(result) -> bool:
+    return json.loads(canonical(result)) == load("golden")[GOLDEN]
 
 
 def _telemetry_overhead_leg() -> int:
     """Recorder off and recorder on must both match the smoke golden."""
     from repro.experiments import get_experiment
 
-    canonical = _canonical()
-    expected = GOLDEN.read_text(encoding="utf-8")
     for armed in (False, True):
         previous = flightrec.set_enabled(armed)
         start = time.perf_counter()
@@ -134,10 +127,10 @@ def _telemetry_overhead_leg() -> int:
             flightrec.set_enabled(previous)
         wall = time.perf_counter() - start
         label = "on" if armed else "off"
-        if canonical(result) != expected:
+        if not _matches_golden(result):
             print(
                 f"perf-smoke: telemetry leg FAILED — recorder={label} "
-                f"run drifted from {GOLDEN.name}",
+                f"run drifted from golden/{GOLDEN}",
                 file=sys.stderr,
             )
             return 1
@@ -159,8 +152,6 @@ def _overload_off_identity_leg() -> int:
     from repro.experiments import figure4_arrival_rate as fig4
     from repro.net.overload import OverloadPlan
 
-    canonical = _canonical()
-    expected = GOLDEN.read_text(encoding="utf-8")
     original = fig4.base_config
 
     def with_disabled_overload(scale, **kwargs):
@@ -175,10 +166,10 @@ def _overload_off_identity_leg() -> int:
     finally:
         fig4.base_config = original
     wall = time.perf_counter() - start
-    if canonical(result) != expected:
+    if not _matches_golden(result):
         print(
             "perf-smoke: overload leg FAILED — a disabled overload plan "
-            f"drifted the run from {GOLDEN.name}",
+            f"drifted the run from golden/{GOLDEN}",
             file=sys.stderr,
         )
         return 1
@@ -193,8 +184,6 @@ def _fluctuation_off_identity_leg() -> int:
     from repro.experiments import figure4_arrival_rate as fig4
     from repro.workload.sessions import SessionPlan
 
-    canonical = _canonical()
-    expected = GOLDEN.read_text(encoding="utf-8")
     original = fig4.base_config
 
     def with_inert_sessions(scale, **kwargs):
@@ -209,10 +198,10 @@ def _fluctuation_off_identity_leg() -> int:
     finally:
         fig4.base_config = original
     wall = time.perf_counter() - start
-    if canonical(result) != expected:
+    if not _matches_golden(result):
         print(
             "perf-smoke: fluctuation leg FAILED — an inert session plan "
-            f"drifted the run from {GOLDEN.name}",
+            f"drifted the run from golden/{GOLDEN}",
             file=sys.stderr,
         )
         return 1

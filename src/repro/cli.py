@@ -284,31 +284,65 @@ def _add_groups(parser: argparse.ArgumentParser, *titles: str) -> None:
         _add_flags(group, [row[0] for row in _TABLE[title]])
 
 
+#: The flags that switch each layer (each path prefix) on.
+_SWITCHES = {
+    "churn": "--churn-rate",
+    "faults": "--loss-rate, --duplicate-rate, --silent-failures or "
+    "--partition-at",
+    "partition": "--partition-at",
+    "storm": "--storm",
+    "overload": "--service-rate, --max-subscribers, --breaker-threshold "
+    "or --coalesce-gap",
+    "sessions": "--mean-session, --diurnal-amplitude or --regional-rate",
+}
+
+
+def _refuse_set(args: argparse.Namespace, flags: Sequence[str],
+                why: str) -> None:
+    """Refuse the first of ``flags`` set off its default: ``why`` it
+    would change nothing."""
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != args.parser.get_default(dest):
+            raise ConfigError(f"{flag} has no effect: {why}")
+
+
 def _config_from_args(
     args: argparse.Namespace, flags: Sequence[str] = tuple(_ROWS), **fixed
 ) -> SimulationConfig:
     """The one ``SimulationConfig`` the table flags in ``args`` describe.
 
     Values group by the dotted prefix of their path; each plan is built
-    from its group and kept only when enabled (``None`` otherwise).
-    Three inputs are derived: ``--partition-at`` > 0 opens one
-    ``PartitionWindow``; each ``--storm`` is one ``StormPhase`` that
-    starts at the warm-up and lasts the rest of the run unless told
-    otherwise; ``--churn-rate`` joins and leaves at the same rate.
-    ``fixed`` sets fields outright.
+    from its group and kept only when enabled (``None`` otherwise), and
+    a flag set in a group whose plan stays off is refused.  Three inputs
+    are derived: ``--partition-at`` > 0 opens one ``PartitionWindow``;
+    each ``--storm`` is one ``StormPhase`` that starts at the warm-up
+    and lasts the rest of the run unless told otherwise;
+    ``--churn-rate`` joins and leaves at the same rate.  ``fixed`` sets
+    fields outright.
     """
     groups: dict = {}
+    owners: dict = {}
     for flag in flags:
         dest = flag[2:].replace("-", "_")
         if hasattr(args, dest):
             prefix, _, name = _ROWS[flag][1].rpartition(".")
             groups.setdefault(prefix, {})[name] = getattr(args, dest)
+            owners.setdefault(prefix, []).append(flag)
+
+    def on(enabled: bool, prefix: str) -> bool:
+        """``enabled``, once a layer left off refuses its flags set."""
+        if not enabled:
+            _refuse_set(args, owners[prefix], f"the {prefix} layer is off "
+                        f"(it needs {_SWITCHES[prefix]})")
+        return enabled
+
     fields = {**groups.pop("", {}), **fixed}
     partition = groups.pop("partition", None)
-    if partition and partition["start"] > 0:
+    if partition and on(partition["start"] > 0, "partition"):
         groups["faults"]["partitions"] = (PartitionWindow(**partition),)
     storm = groups.pop("storm", None)
-    if storm and storm["kind"]:
+    if storm and on(bool(storm["kind"]), "storm"):
         kinds = storm.pop("kind")
         storm["start"] = storm["start"] or fields["warmup"]
         storm["duration"] = storm["duration"] or max(
@@ -321,7 +355,7 @@ def _config_from_args(
         groups["churn"]["leave_rate"] = groups["churn"]["join_rate"]
     for prefix, values in groups.items():
         plan = _CLASSES[prefix](**values)
-        fields[prefix] = plan if plan.enabled else None
+        fields[prefix] = plan if on(plan.enabled, prefix) else None
     return SimulationConfig(**fields)
 
 
@@ -801,9 +835,14 @@ def _command_trace(args: argparse.Namespace) -> int:
             f"({trace.mean_rate():.3g}/s) to {args.path}"
         )
         return 0
-    trace = QueryTrace.load(args.path)
     # The trace is the workload: the flags that shape `trace make`
     # (--rate, --duration, --theta, --arrival) stay out of the config.
+    _refuse_set(
+        args, ("--rate", "--duration", "--theta", "--arrival"),
+        "the synthetic workload is off in a replay (the trace is the "
+        "workload)",
+    )
+    trace = QueryTrace.load(args.path)
     config = _config_from_args(
         args,
         ("--scheme", "--nodes", "--seed"),

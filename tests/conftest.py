@@ -8,21 +8,8 @@ from repro.core.maintenance import DupMaintenance
 from repro.core.protocol import DupProtocol
 from repro.topology.tree import SearchTree
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--update-goldens",
-        action="store_true",
-        default=False,
-        help="rewrite tests/goldens/*.json from the current run "
-        "instead of comparing against them",
-    )
-
-
-@pytest.fixture
-def update_goldens(request) -> bool:
-    """Whether golden files should be rewritten rather than asserted."""
-    return request.config.getoption("--update-goldens")
+#: The pin store's ``--repin`` option, hooks and ``pins`` fixture.
+pytest_plugins = ["tests.pins"]
 
 
 class SyncDupDriver:

@@ -1,126 +1,65 @@
-"""Golden-file regression tests for the experiment pipeline.
+"""Golden regression tests for the experiment pipeline.
 
 Every experiment run is a pure function of its configuration and root
-seed, so the full output of a smoke-scale run can be pinned as a checked
-in JSON golden: any change to the simulation kernel, the schemes, the
-seed derivation, or the metrics plumbing that moves a single number
-fails here first, with a readable diff.
-
-When a change *intentionally* moves the numbers (and the diff has been
-reviewed), regenerate with::
-
-    PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
+seed, so the full output of a smoke-scale run is pinned whole as a
+``golden/<name>`` entry of the pin store (``tests/pins.py``): any change
+to the simulation kernel, the schemes, the seed derivation, or the
+metrics plumbing that moves a single number fails here first, with a
+readable diff.
 
 The goldens are recorded with the serial engine; because the parallel
 engine is bit-identical by construction, the same goldens must hold
 under any ``REPRO_WORKERS`` setting — CI's workers=2 matrix leg proves
-it on every push.
+it on every push.  The scale rows carry no wall-clock or RSS numbers,
+so ``scale_smoke`` pins the sharded engine bit-for-bit too.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import pathlib
+import shutil
+
+import pytest
 
 from repro.experiments import get_experiment
+from tests.pins import PIN_DIR, PinStore, canonical, dumps, load
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
-
-
-def canonical(result) -> str:
-    """Stable JSON text of an ExperimentResult's observable output."""
-
-    def clean(value):
-        if isinstance(value, float):
-            if math.isnan(value):
-                return "NaN"
-            if math.isinf(value):
-                return "Infinity" if value > 0 else "-Infinity"
-            # Full precision: the golden pins bit-identical floats.
-            return float.hex(value)
-        if isinstance(value, dict):
-            return {str(k): clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        return value
-
-    record = {
-        "experiment_id": result.experiment_id,
-        "title": result.title,
-        "rows": [clean(dict(row)) for row in result.rows],
-        "shape_checks": [
-            {"claim": check.claim, "passed": check.passed}
-            for check in result.shape_checks
-        ],
-    }
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+#: Each golden's experiment and the arguments beyond the smoke scale.
+GOLDENS = {
+    "adaptive_smoke": ("adaptive", {}),
+    "figure4_smoke": ("figure4", {"rates": (1.0, 10.0)}),
+    "fluctuation_smoke": ("fluctuation", {}),
+    "overload_smoke": ("overload", {}),
+    "partition_smoke": ("partition", {}),
+    "resilience_smoke": ("resilience", {}),
+    "scale_smoke": ("scale", {}),
+}
 
 
-def check_golden(result, name: str, update: bool) -> None:
-    path = GOLDEN_DIR / f"{name}.json"
-    text = canonical(result)
-    if update or not path.exists():
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        return
-    expected = path.read_text(encoding="utf-8")
-    if text != expected:
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden(name, pins):
+    experiment, kwargs = GOLDENS[name]
+    result = get_experiment(experiment)(
+        scale="smoke", replications=1, seed=1, **kwargs
+    )
+    try:
+        pins.check({f"golden/{name}": json.loads(canonical(result))})
+    except pytest.fail.Exception:
         # Flush the protocol flight recorder (when one is armed, e.g.
         # CI's REPRO_FLIGHT leg) so the drifted run leaves a post-mortem.
         from repro import flightrec
 
         flightrec.dump_anomaly(f"golden-mismatch-{name}")
-    assert text == expected, (
-        f"{name} output drifted from its golden; if the change is "
-        f"intended, rerun with --update-goldens and review the diff of "
-        f"{path}"
-    )
+        raise
 
 
-class TestGoldens:
-    def test_figure4_smoke_matches_golden(self, update_goldens):
-        result = get_experiment("figure4")(
-            scale="smoke", replications=1, seed=1, rates=(1.0, 10.0)
-        )
-        check_golden(result, "figure4_smoke", update_goldens)
-
-    def test_resilience_smoke_matches_golden(self, update_goldens):
-        result = get_experiment("resilience")(
-            scale="smoke", replications=1, seed=1
-        )
-        check_golden(result, "resilience_smoke", update_goldens)
-
-    def test_partition_smoke_matches_golden(self, update_goldens):
-        result = get_experiment("partition")(
-            scale="smoke", replications=1, seed=1
-        )
-        check_golden(result, "partition_smoke", update_goldens)
-
-    def test_overload_smoke_matches_golden(self, update_goldens):
-        result = get_experiment("overload")(
-            scale="smoke", replications=1, seed=1
-        )
-        check_golden(result, "overload_smoke", update_goldens)
-
-    def test_adaptive_smoke_matches_golden(self, update_goldens):
-        result = get_experiment("adaptive")(
-            scale="smoke", replications=1, seed=1
-        )
-        check_golden(result, "adaptive_smoke", update_goldens)
-
-    def test_fluctuation_smoke_matches_golden(self, update_goldens):
-        result = get_experiment("fluctuation")(
-            scale="smoke", replications=1, seed=1
-        )
-        check_golden(result, "fluctuation_smoke", update_goldens)
-
-    def test_scale_smoke_matches_golden(self, update_goldens):
-        # The scale rows carry no wall-clock or RSS numbers (those live
-        # in BENCH_scale.json), so this golden is machine-independent
-        # and pins the sharded engine bit-for-bit — including its
-        # worker-count invariance, via CI's REPRO_WORKERS matrix.
-        result = get_experiment("scale")(
-            scale="smoke", replications=1, seed=1
-        )
-        check_golden(result, "scale_smoke", update_goldens)
+def test_missing_golden_fails_and_is_not_written(tmp_path):
+    shutil.copytree(PIN_DIR, tmp_path, dirs_exist_ok=True)
+    goldens = load("golden", tmp_path)
+    del goldens["scale_smoke"]
+    (tmp_path / "golden.json").write_text(dumps(goldens), encoding="utf-8")
+    store = PinStore(tmp_path, repin=["golden/*"])
+    with pytest.raises(pytest.fail.Exception, match="golden/scale_smoke"):
+        test_golden("scale_smoke", store)
+    store.write()
+    assert "scale_smoke" not in load("golden", tmp_path)

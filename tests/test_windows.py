@@ -110,14 +110,7 @@ class TestTimelineUnderChurn:
     from its JSONL export, with memory bounded by the window count even
     when the run spans far more windows than the retention cap."""
 
-    #: SHA-256 of the retained ``(time, value)`` pairs of every metric
-    #: on this run, pinned from the per-window ``last`` values of the
-    #: bucketed timeline the Monitor took over from.
-    SERIES_DIGEST = (
-        "57f31357659545fd959ff008d8242d600e183908e709bf1cde8cd25e5ebdf3a2"
-    )
-
-    def test_timeline_bounded_and_reconstructible(self, tmp_path):
+    def test_timeline_bounded_and_reconstructible(self, tmp_path, pins):
         sim = churny_sim()
         # 7200 s / 60 s window = 120 samples >> 16 retained.
         timeline = sim.enable_timeline(window=60.0, max_buckets=16)
@@ -139,8 +132,14 @@ class TestTimelineUnderChurn:
                            timeline.series(name).values))
             for name in timeline.names
         }
+        # The pin is the SHA-256 of the retained ``(time, value)`` pairs
+        # of every metric, taken from the per-window ``last`` values of
+        # the bucketed timeline the Monitor took over from.
         text = json.dumps(series, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.SERIES_DIGEST
+        pins.check({
+            "series/timeline-under-churn":
+                hashlib.sha256(text.encode()).hexdigest()
+        })
 
     def test_enable_timeline_is_idempotent(self):
         sim = churny_sim()
