@@ -51,11 +51,14 @@ import sys
 from typing import Optional, Sequence
 
 from repro.engine import SimulationConfig, run_simulation
-from repro.engine.config import ARRIVALS, INTEREST_POLICIES, TOPOLOGIES
+from repro.core.interest import AdaptivePlan
+from repro.engine.config import INTEREST_POLICIES, TOPOLOGIES
 from repro.errors import ConfigError
 from repro.experiments import get_experiment, list_experiments
+from repro.index.authority import ReplicationPlan
 from repro.net.faults import FaultPlan, PartitionWindow
 from repro.net.overload import OverloadPlan
+from repro.net.reliable import RetryPlan
 from repro.schemes import available_schemes
 from repro.workload.churn import ChurnConfig
 from repro.workload.sessions import SessionPlan
@@ -72,8 +75,8 @@ _TABLE = {
         ("--nodes", "num_nodes", None),
         ("--degree", "max_degree", None),
         ("--rate", "query_rate", "queries/second network-wide"),
-        ("--arrival", "arrival", None),
-        ("--pareto-alpha", "pareto_alpha", None),
+        ("--arrival", "pareto.arrival", None),
+        ("--pareto-alpha", "pareto.alpha", None),
         ("--theta", "zipf_theta", None),
         ("--threshold", "threshold_c", None),
         ("--ttl", "ttl", None),
@@ -94,12 +97,12 @@ _TABLE = {
         ("--silent-failures", "faults.silent_failures",
          "crashed nodes blackhole traffic until suspected instead of "
          "being oracle-announced to the scheme"),
-        ("--retry-budget", "retry_budget",
+        ("--retry-budget", "retry.budget",
          "retransmissions per reliable delivery for hard-state "
          "schemes (0 disables the reliable channel)"),
         ("--ack-timeout", "ack_timeout",
          "initial ack timeout in simulated seconds (default: 2)"),
-        ("--retry-timeout-cap", "retry_timeout_cap",
+        ("--retry-timeout-cap", "retry.timeout_cap",
          "ceiling on the exponential retry backoff in simulated "
          "seconds (0: uncapped)"),
         ("--lease-ttl", "lease_ttl",
@@ -110,13 +113,13 @@ _TABLE = {
          "how long the partition lasts before healing (default: 300)"),
         ("--partition-components", "partition.components",
          "how many components the partition splits into (default: 2)"),
-        ("--standbys", "authority_standbys",
+        ("--standbys", "replication.standbys",
          "authority standbys receiving replicated version state "
          "(0 disables replication and failover)"),
-        ("--failover-timeout", "failover_timeout",
+        ("--failover-timeout", "replication.failover_timeout",
          "authority silence a standby tolerates before promoting "
          "itself (default: 120)"),
-        ("--authority-crash-at", "authority_crash_at",
+        ("--authority-crash-at", "replication.crash_at",
          "deliberately crash the authority at this simulated time "
          "(0: never; needs --standbys >= 1)"),
         ("--audit-interval", "audit_interval",
@@ -195,39 +198,50 @@ _TABLE = {
          "per-node interest estimator: the paper's sliding window, "
          "the EWMA ablation, or the self-tuning adaptive policy "
          "(dup-adaptive forces 'adaptive' regardless)"),
-        ("--threshold-floor", "threshold_floor",
+        ("--threshold-floor", "adaptive.floor",
          "adaptive policy: lower bound on the per-node threshold"),
-        ("--threshold-ceiling", "threshold_ceiling",
+        ("--threshold-ceiling", "adaptive.ceiling",
          "adaptive policy: upper bound on the per-node threshold"),
-        ("--adaptive-gain", "adaptive_gain",
+        ("--adaptive-gain", "adaptive.gain",
          "adaptive policy: threshold per observed query-per-window "
          "(a node seeing r queries/TTL settles near round(gain * r))"),
     ),
 }
 _ROWS = {row[0]: row for rows in _TABLE.values() for row in rows}
 
-#: The dataclass each path prefix names.  ``partition``, ``storm`` and
-#: ``churn`` are the derived inputs :func:`_config_from_args` assembles.
+#: The dataclass each path prefix names.  ``partition``, ``storm``,
+#: ``churn``, ``adaptive`` and ``pareto`` are the derived inputs
+#: :func:`_config_from_args` assembles; ``pareto`` has no class.
 _CLASSES = {
     "": SimulationConfig,
     "faults": FaultPlan,
+    "retry": RetryPlan,
+    "replication": ReplicationPlan,
     "overload": OverloadPlan,
     "sessions": SessionPlan,
     "churn": ChurnConfig,
     "partition": PartitionWindow,
     "storm": StormPhase,
+    "adaptive": AdaptivePlan,
 }
 _CHOICES = {
     "scheme": available_schemes(),
-    "arrival": ARRIVALS,
     "topology": TOPOLOGIES,
-    "interest_policy": INTEREST_POLICIES,
+    "interest_policy": (*INTEREST_POLICIES, "adaptive"),
     "storm.kind": STORM_KINDS,
 }
+#: The Pareto tail index ``--arrival pareto`` takes by default.
+_PARETO_ALPHA = 1.05
 #: Where a derived input's flag departs from its field: the fields with
-#: no default (0 reads "unset": no partition, the warm-up, the rest of
-#: the run), --storm-rank-flips's 8 and the repeatable --storm.
+#: no default (0 reads "unset": no retries, no standbys, no partition,
+#: the warm-up, the rest of the run), --storm-rank-flips's 8, the
+#: repeatable --storm, and the arrival flags, which have no field.
 _DERIVED = {
+    "pareto.arrival": {"default": "exponential",
+                       "choices": ("exponential", "pareto")},
+    "pareto.alpha": {"type": float, "default": _PARETO_ALPHA},
+    "retry.budget": {"default": 0},
+    "replication.standbys": {"default": 0},
     "partition.start": {"default": 0.0},
     "partition.duration": {"default": 300.0},
     "storm.kind": {"action": "append", "metavar": "KIND"},
@@ -241,6 +255,8 @@ _DERIVED = {
 def _field_kwargs(path: str) -> dict:
     """``add_argument`` keywords for the dataclass field ``path`` names."""
     prefix, _, name = path.rpartition(".")
+    if prefix not in _CLASSES:
+        return _DERIVED[path]
     field = next(
         f for f in dataclasses.fields(_CLASSES[prefix]) if f.name == name
     )
@@ -289,11 +305,15 @@ _SWITCHES = {
     "churn": "--churn-rate",
     "faults": "--loss-rate, --duplicate-rate, --silent-failures or "
     "--partition-at",
+    "retry": "--retry-budget",
+    "replication": "--standbys",
     "partition": "--partition-at",
     "storm": "--storm",
     "overload": "--service-rate, --max-subscribers, --breaker-threshold "
     "or --coalesce-gap",
     "sessions": "--mean-session, --diurnal-amplitude or --regional-rate",
+    "adaptive": "--interest-policy adaptive or --scheme dup-adaptive",
+    "pareto": "--arrival pareto",
 }
 
 
@@ -314,12 +334,15 @@ def _config_from_args(
 
     Values group by the dotted prefix of their path; each plan is built
     from its group and kept only when enabled (``None`` otherwise), and
-    a flag set in a group whose plan stays off is refused.  Three inputs
-    are derived: ``--partition-at`` > 0 opens one ``PartitionWindow``;
-    each ``--storm`` is one ``StormPhase`` that starts at the warm-up
-    and lasts the rest of the run unless told otherwise;
-    ``--churn-rate`` joins and leaves at the same rate.  ``fixed`` sets
-    fields outright.
+    a flag set in a group whose plan stays off is refused; a non-zero
+    ``--retry-budget`` or ``--standbys`` switches its plan on.  Five
+    inputs are derived: ``--partition-at`` > 0 opens one
+    ``PartitionWindow``; each ``--storm`` is one ``StormPhase`` that
+    starts at the warm-up and lasts the rest of the run unless told
+    otherwise; ``--churn-rate`` joins and leaves at the same rate;
+    ``--interest-policy adaptive`` (or ``--scheme dup-adaptive``) makes
+    the ``AdaptivePlan`` of the bound flags the policy; ``--arrival
+    pareto`` sets ``pareto_alpha``.  ``fixed`` sets fields outright.
     """
     groups: dict = {}
     owners: dict = {}
@@ -351,6 +374,20 @@ def _config_from_args(
         fields["storms"] = StormPlan(
             tuple(StormPhase(kind, **storm) for kind in kinds)
         )
+    adaptive = groups.pop("adaptive", None)
+    if adaptive and on(
+        fields["interest_policy"] == "adaptive"
+        or fields["scheme"] == "dup-adaptive",
+        "adaptive",
+    ):
+        fields["interest_policy"] = AdaptivePlan(**adaptive)
+    pareto = groups.pop("pareto", None)
+    if pareto and on(pareto["arrival"] == "pareto", "pareto"):
+        fields["pareto_alpha"] = pareto.get("alpha", _PARETO_ALPHA)
+    for prefix, switch in (("retry", "budget"), ("replication", "standbys")):
+        values = groups.pop(prefix, None)
+        if values and on(values[switch] != 0, prefix):
+            fields[prefix] = _CLASSES[prefix](**values)
     if "churn" in groups:
         groups["churn"]["leave_rate"] = groups["churn"]["join_rate"]
     for prefix, values in groups.items():

@@ -23,6 +23,7 @@ recent arrival.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Protocol
 
@@ -247,12 +248,7 @@ class AdaptiveInterestPolicy:
     ):
         if window <= 0:
             raise ConfigError(f"window must be positive, got {window}")
-        if floor < 0:
-            raise ConfigError(f"floor must be >= 0, got {floor}")
-        if ceiling < floor:
-            raise ConfigError(f"ceiling must be >= floor, got {ceiling} < {floor}")
-        if gain < 0:
-            raise ConfigError(f"gain must be >= 0, got {gain}")
+        AdaptivePlan(floor, ceiling, gain)  # validates the bounds and gain
         if not 0 < smoothing <= 1:
             raise ConfigError(f"smoothing must be in (0, 1], got {smoothing}")
         self._window = float(window)
@@ -347,27 +343,59 @@ def _kept(recent: list) -> int:
     return sum(1 for arrival in recent if arrival != -math.inf)
 
 
+@dataclass(frozen=True)
+class AdaptivePlan:
+    """The adaptive policy as a run configuration's ``interest_policy``.
+
+    ``floor`` and ``ceiling`` bound the per-node threshold, and a node
+    seeing ``r`` queries per TTL settles near ``round(gain * r)`` within
+    them (:class:`AdaptiveInterestPolicy`).  With ``floor == ceiling ==
+    threshold_c`` the policy is bit-identical to the static window one.
+    """
+
+    floor: int = 2
+    ceiling: int = 10
+    gain: float = 0.5
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` on any invalid parameter."""
+        if self.floor < 0:
+            raise ConfigError(f"floor must be >= 0, got {self.floor}")
+        if self.ceiling < self.floor:
+            raise ConfigError(
+                f"ceiling must be >= floor, got {self.ceiling} < {self.floor}"
+            )
+        if self.gain < 0:
+            raise ConfigError(f"gain must be >= 0, got {self.gain}")
+
+
 def interest_policy_factory(
-    config, override: "str | None" = None
+    config, override: "AdaptivePlan | None" = None
 ) -> "Callable[[], InterestPolicy]":
     """A zero-argument constructor of per-node interest policies.
 
     ``config`` is a :class:`~repro.engine.config.SimulationConfig` (any
     object with its interest fields will do).  ``override`` is a
-    scheme's ``interest_policy_override``: when set it replaces
-    ``config.interest_policy`` (``dup-adaptive`` forces ``"adaptive"``).
-    The dispatch runs once here, so a scheme creating a tracker per node
-    resolves this once and then pays one constructor call per node.
+    scheme's ``interest_policy_override`` (``dup-adaptive``'s is
+    ``AdaptivePlan()``): it replaces ``config.interest_policy`` unless
+    that is an :class:`AdaptivePlan` already.  The dispatch runs once
+    here, so a scheme creating a tracker per node resolves this once and
+    then pays one constructor call per node.
     """
-    kind = override or config.interest_policy
-    if kind == "window":
+    policy = config.interest_policy
+    if override is not None and not isinstance(policy, AdaptivePlan):
+        policy = override
+    if policy == "window":
         return partial(WindowInterestPolicy, config.ttl, config.threshold_c)
-    if kind == "adaptive":
+    if isinstance(policy, AdaptivePlan):
         return partial(
             AdaptiveInterestPolicy,
             config.ttl,
-            config.threshold_floor,
-            config.threshold_ceiling,
-            config.adaptive_gain,
+            policy.floor,
+            policy.ceiling,
+            policy.gain,
         )
     return partial(EwmaInterestPolicy, config.ttl, config.threshold_c)

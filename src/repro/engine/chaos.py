@@ -31,6 +31,7 @@ from typing import Optional
 
 from repro.engine.config import SimulationConfig
 from repro.errors import ConfigError
+from repro.index.authority import ReplicationPlan
 from repro.net.faults import FaultPlan, PartitionWindow
 from repro.net.overload import OverloadPlan
 from repro.workload.sessions import SessionPlan
@@ -161,23 +162,23 @@ class ChaosScenario:
                 ),
             )
 
-        if self.crash_offset is not None:
-            crash_at = config.warmup + self.crash_offset
-            if crash_at >= config.duration:
-                raise ConfigError(
-                    f"scenario {self.name!r}: authority crash at "
-                    f"{crash_at:g}s, past the horizon "
-                    f"({config.duration:g}s)"
-                )
-            changes["authority_crash_at"] = crash_at
         if self.standbys > 0:
-            changes["authority_standbys"] = max(
-                config.authority_standbys, self.standbys
+            own = config.replication or ReplicationPlan(
+                self.standbys, self.failover_timeout
             )
-            changes["failover_timeout"] = (
-                self.failover_timeout
-                if config.authority_standbys == 0
-                else min(config.failover_timeout, self.failover_timeout)
+            crash_at = own.crash_at
+            if self.crash_offset is not None:
+                crash_at = config.warmup + self.crash_offset
+                if crash_at >= config.duration:
+                    raise ConfigError(
+                        f"scenario {self.name!r}: authority crash at "
+                        f"{crash_at:g}s, past the horizon "
+                        f"({config.duration:g}s)"
+                    )
+            changes["replication"] = ReplicationPlan(
+                max(own.standbys, self.standbys),
+                min(own.failover_timeout, self.failover_timeout),
+                crash_at,
             )
         if self.audit_interval > 0:
             changes["audit_interval"] = (

@@ -14,16 +14,19 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.interest import AdaptivePlan
 from repro.errors import ConfigError
+from repro.index.authority import ReplicationPlan
 from repro.net.faults import FaultPlan
 from repro.net.overload import OverloadPlan
+from repro.net.reliable import RetryPlan
 from repro.workload.churn import ChurnConfig
 from repro.workload.sessions import SessionPlan
 from repro.workload.storms import StormPlan
 
 TOPOLOGIES = ("random-tree", "chord", "can", "balanced", "chain", "star")
-ARRIVALS = ("exponential", "pareto")
-INTEREST_POLICIES = ("window", "ewma", "adaptive")
+#: The ``interest_policy`` names; an :class:`AdaptivePlan` is the third.
+INTEREST_POLICIES = ("window", "ewma")
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,14 @@ class SimulationConfig:
         Overlay size ``n`` (paper default 4096, range 256-16384).
     max_degree:
         Maximum children per search-tree node ``D`` (default 4, range
-        2-10).
+        2-10).  Only the random-tree and balanced topologies have a
+        degree to set; the others refuse any value but 4.
     query_rate:
         Network-wide mean query arrival rate ``lambda`` in queries per
         second (default 1, range 0.01-100).
-    arrival:
-        ``"exponential"`` (default) or ``"pareto"`` inter-arrival times.
     pareto_alpha:
-        Pareto tail index (paper uses 1.05 and 1.20).
+        Tail index of Pareto inter-arrival times (the paper uses 1.05
+        and 1.20); ``None``, the default, draws exponential gaps.
     zipf_theta:
         Query placement skew (paper sweeps [0.5, 4]; Table I's default
         column is partly illegible, we use the customary 0.95).
@@ -68,17 +71,10 @@ class SimulationConfig:
         (trees derived from real DHT routing paths), or a regular shape
         for tests.
     interest_policy:
-        ``"window"`` (the paper's), ``"ewma"`` (ablation), or
-        ``"adaptive"`` (per-node self-tuning threshold; the policy the
-        ``dup-adaptive`` scheme selects regardless of this field).
-    threshold_floor / threshold_ceiling:
-        Hard bounds on the adaptive policy's per-node threshold.  With
-        ``floor == ceiling == threshold_c`` the adaptive policy is
-        bit-identical to the static window policy.
-    adaptive_gain:
-        Scales the adaptive policy's observed per-window query rate
-        into a threshold (a node seeing ``r`` queries per TTL settles
-        near ``round(adaptive_gain * r)``, clamped to the bounds).
+        ``"window"`` (the paper's), ``"ewma"`` (ablation), or an
+        :class:`~repro.core.interest.AdaptivePlan` (per-node self-tuning
+        threshold).  The ``dup-adaptive`` scheme runs ``AdaptivePlan()``
+        unless this field holds a plan of its own.
     warmup:
         Metrics (latency and cost) ignore everything before this time.
     seed:
@@ -100,8 +96,6 @@ class SimulationConfig:
         instead of deferring it to ride the node's next outgoing request
         (the paper allows both; deferred piggybacking is the default and
         the eager variant is an ablation).
-    count_keepalive:
-        Whether keep-alive traffic counts toward query cost.
     keep_latency_samples:
         Retain per-query latencies for confidence intervals and
         percentiles (one byte per query while every latency is below
@@ -116,45 +110,28 @@ class SimulationConfig:
     faults:
         Optional :class:`~repro.net.faults.FaultPlan` injecting message
         loss, duplication, delay jitter, and silent failures.
-    retry_budget:
-        Retransmissions per delivery on the reliable channel DUP's
-        control messages and pushes use (0 disables the channel).
+    retry:
+        Optional :class:`~repro.net.reliable.RetryPlan`: the reliable
+        channel DUP's control messages and pushes use (None disables
+        it).
     ack_timeout:
         Initial ack timeout of the reliable channel in simulated
-        seconds; attempt ``k`` waits ``ack_timeout * retry_backoff**k``.
-    retry_backoff:
-        Exponential backoff factor for retransmission timeouts.
+        seconds; attempt ``k`` waits ``ack_timeout * 2**k``.  Without a
+        retry plan it still times the suspicion of a silently crashed
+        peer.
     lease_ttl:
         Lease duration for soft-state subscriptions in simulated
-        seconds (0 disables leases).
-    lease_refresh_interval:
-        How often lease refreshes travel upstream (0 means
-        ``lease_ttl / 3``).
-    authority_standbys:
-        Number of standby nodes the authority replicates its version
-        state to (0 disables replication and failover).  Standbys are
-        chosen breadth-first from the root at start-up; on an authority
-        crash the first functioning standby promotes itself, re-roots
-        the tree, and resumes version rotation.
-    failover_timeout:
-        How long a standby tolerates authority silence (no heartbeat,
-        no replication) before promoting itself; heartbeats flow at a
-        third of this.  Only meaningful with ``authority_standbys > 0``.
-    authority_crash_at:
-        Deliberately crash the authority at this simulated time (0
-        disables).  Under ``silent_failures`` the crash blackholes the
-        root until standby detection fires; otherwise promotion is
-        oracle-immediate.  Requires ``authority_standbys >= 1``.
+        seconds (0 disables leases); refreshes travel upstream every
+        ``lease_ttl / 3``.
+    replication:
+        Optional :class:`~repro.index.authority.ReplicationPlan`: the
+        authority's standbys, their failover timeout and a deliberate
+        authority crash (None disables replication and failover).
     audit_interval:
         Cadence of the runtime consistency auditor
         (:mod:`repro.core.auditor`), which re-checks the DUP tree
         invariants and repairs divergence left behind by partitions and
         failovers (0 disables; only DUP-family schemes are audited).
-    retry_timeout_cap:
-        Upper bound on any single retransmission timeout of the
-        reliable channel (0, the default, leaves the exponential
-        backoff uncapped).  With a cap, attempt ``k`` waits
-        ``min(ack_timeout * retry_backoff**k, retry_timeout_cap)``.
     overload:
         Optional :class:`~repro.net.overload.OverloadPlan`: bounded
         priority-classed per-node inboxes with deterministic shedding,
@@ -178,23 +155,19 @@ class SimulationConfig:
         fault injector if the fault plan does not already have one).
     flight_recorder:
         Arm the protocol flight recorder (:mod:`repro.flightrec`): a
-        bounded ring buffer of structured protocol events (tree
+        ring buffer of the last 4096 structured protocol events (tree
         mutations, subscriptions, lease expiries, failovers, audit
         repairs, partitions) dumped as JSONL on anomaly or on demand.
         Off by default; the ``REPRO_FLIGHT`` environment variable arms
         it process-wide.  The recorder is a pure observer — a run with
         it armed is bit-identical to the same run without.
-    flight_capacity:
-        Ring-buffer size of the flight recorder (events retained;
-        per-kind counts are kept for the whole run regardless).
     """
 
     scheme: str = "dup"
     num_nodes: int = 4096
     max_degree: int = 4
     query_rate: float = 1.0
-    arrival: str = "exponential"
-    pareto_alpha: float = 1.05
+    pareto_alpha: Optional[float] = None
     zipf_theta: float = 0.95
     threshold_c: int = 6
     ttl: float = 3600.0
@@ -202,35 +175,25 @@ class SimulationConfig:
     hop_latency_mean: float = 0.1
     duration: float = 180_000.0
     topology: str = "random-tree"
-    interest_policy: str = "window"
-    threshold_floor: int = 2
-    threshold_ceiling: int = 10
-    adaptive_gain: float = 0.5
+    interest_policy: "str | AdaptivePlan" = "window"
     warmup: float = 3600.0
     seed: int = 1
     root_queries: bool = False
     piggyback: bool = True
     immediate_push: bool = True
     eager_subscribe: bool = False
-    count_keepalive: bool = False
     keep_latency_samples: bool = True
     churn: Optional[ChurnConfig] = field(default=None)
     faults: Optional[FaultPlan] = field(default=None)
-    retry_budget: int = 0
+    retry: Optional[RetryPlan] = field(default=None)
     ack_timeout: float = 2.0
-    retry_backoff: float = 2.0
     lease_ttl: float = 0.0
-    lease_refresh_interval: float = 0.0
-    authority_standbys: int = 0
-    failover_timeout: float = 120.0
-    authority_crash_at: float = 0.0
+    replication: Optional[ReplicationPlan] = field(default=None)
     audit_interval: float = 0.0
-    retry_timeout_cap: float = 0.0
     overload: Optional[OverloadPlan] = field(default=None)
     storms: Optional[StormPlan] = field(default=None)
     sessions: Optional[SessionPlan] = field(default=None)
     flight_recorder: bool = False
-    flight_capacity: int = 4096
 
     def __post_init__(self) -> None:
         self.validate()
@@ -247,11 +210,7 @@ class SimulationConfig:
             raise ConfigError(
                 f"query_rate must be positive, got {self.query_rate}"
             )
-        if self.arrival not in ARRIVALS:
-            raise ConfigError(
-                f"arrival must be one of {ARRIVALS}, got {self.arrival!r}"
-            )
-        if self.arrival == "pareto" and self.pareto_alpha <= 1:
+        if self.pareto_alpha is not None and self.pareto_alpha <= 1:
             raise ConfigError(
                 "pareto_alpha must exceed 1 so the mean rate exists; "
                 f"got {self.pareto_alpha}"
@@ -288,85 +247,48 @@ class SimulationConfig:
             raise ConfigError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
             )
-        if self.interest_policy not in INTEREST_POLICIES:
+        if self.max_degree != 4 and self.topology not in (
+            "random-tree", "balanced"
+        ):
             raise ConfigError(
-                f"interest_policy must be one of {INTEREST_POLICIES}, "
-                f"got {self.interest_policy!r}"
+                f"max_degree ({self.max_degree}) has no effect on the "
+                f"{self.topology} topology: only random-tree and balanced "
+                "trees take a degree"
             )
-        if self.threshold_floor < 0:
+        if isinstance(self.interest_policy, AdaptivePlan):
+            self.interest_policy.validate()
+        elif self.interest_policy not in INTEREST_POLICIES:
             raise ConfigError(
-                f"threshold_floor must be >= 0, got {self.threshold_floor}"
-            )
-        if self.threshold_ceiling < self.threshold_floor:
-            raise ConfigError(
-                f"threshold_ceiling ({self.threshold_ceiling}) must be >= "
-                f"threshold_floor ({self.threshold_floor})"
-            )
-        if self.adaptive_gain < 0:
-            raise ConfigError(
-                f"adaptive_gain must be >= 0, got {self.adaptive_gain}"
+                f"interest_policy must be one of {INTEREST_POLICIES} or an "
+                f"AdaptivePlan, got {self.interest_policy!r}"
             )
         if self.faults is not None:
             self.faults.validate()
-        if self.retry_budget < 0:
-            raise ConfigError(
-                f"retry_budget must be >= 0, got {self.retry_budget}"
-            )
         if self.ack_timeout <= 0:
             raise ConfigError(
                 f"ack_timeout must be positive, got {self.ack_timeout}"
             )
-        if self.retry_backoff < 1:
-            raise ConfigError(
-                f"retry_backoff must be >= 1, got {self.retry_backoff}"
-            )
+        if self.retry is not None:
+            self.retry.validate()
+            if 0 < self.retry.timeout_cap < self.ack_timeout:
+                raise ConfigError(
+                    f"retry.timeout_cap ({self.retry.timeout_cap}) must be "
+                    f">= ack_timeout ({self.ack_timeout})"
+                )
         if self.lease_ttl < 0:
             raise ConfigError(
                 f"lease_ttl must be >= 0, got {self.lease_ttl}"
             )
-        if self.lease_refresh_interval < 0:
-            raise ConfigError(
-                "lease_refresh_interval must be >= 0, got "
-                f"{self.lease_refresh_interval}"
-            )
-        if 0 < self.lease_ttl <= self.lease_refresh_interval:
-            raise ConfigError(
-                "lease_refresh_interval must be smaller than lease_ttl "
-                f"({self.lease_refresh_interval} >= {self.lease_ttl})"
-            )
-        if self.authority_standbys < 0:
-            raise ConfigError(
-                "authority_standbys must be >= 0, got "
-                f"{self.authority_standbys}"
-            )
-        if self.authority_standbys >= self.num_nodes:
-            raise ConfigError(
-                f"authority_standbys ({self.authority_standbys}) must be "
-                f"smaller than the overlay ({self.num_nodes} nodes)"
-            )
-        if self.failover_timeout <= 0:
-            raise ConfigError(
-                "failover_timeout must be positive, got "
-                f"{self.failover_timeout}"
-            )
-        if self.authority_crash_at < 0:
-            raise ConfigError(
-                "authority_crash_at must be >= 0, got "
-                f"{self.authority_crash_at}"
-            )
+        if self.replication is not None:
+            self.replication.validate()
+            if self.replication.standbys >= self.num_nodes:
+                raise ConfigError(
+                    f"replication.standbys ({self.replication.standbys}) must "
+                    f"be fewer than the overlay ({self.num_nodes} nodes)"
+                )
         if self.audit_interval < 0:
             raise ConfigError(
                 f"audit_interval must be >= 0, got {self.audit_interval}"
-            )
-        if self.retry_timeout_cap < 0:
-            raise ConfigError(
-                "retry_timeout_cap must be >= 0, got "
-                f"{self.retry_timeout_cap}"
-            )
-        if 0 < self.retry_timeout_cap < self.ack_timeout:
-            raise ConfigError(
-                f"retry_timeout_cap ({self.retry_timeout_cap}) must be "
-                f">= ack_timeout ({self.ack_timeout})"
             )
         if self.overload is not None:
             self.overload.validate()
@@ -374,19 +296,20 @@ class SimulationConfig:
             self.storms.validate()
         if self.sessions is not None:
             self.sessions.validate()
-        if self.flight_capacity < 1:
+        if (
+            self.churn is not None
+            and self.churn.allow_root_failure
+            and self.replication is None
+        ):
             raise ConfigError(
-                f"flight_capacity must be >= 1, got {self.flight_capacity}"
+                "churn.allow_root_failure crashes the authority, so it "
+                "needs a replication plan for a successor to exist"
             )
-        wants_root_crash = self.authority_crash_at > 0 or (
-            self.churn is not None and self.churn.allow_root_failure
-        )
-        if wants_root_crash and self.authority_standbys < 1:
-            raise ConfigError(
-                "crashing the authority (authority_crash_at or "
-                "churn.allow_root_failure) needs authority_standbys >= 1 "
-                "so a successor exists"
-            )
+
+    @property
+    def arrival(self) -> str:
+        """The arrival law: ``"pareto"`` once ``pareto_alpha`` is set."""
+        return "exponential" if self.pareto_alpha is None else "pareto"
 
     def replace(self, **changes) -> "SimulationConfig":
         """A copy with the given fields changed (validated)."""

@@ -64,10 +64,9 @@ _UNSUPPORTED = (
     "root_queries",
     "churn",
     "faults",
-    "retry_budget",
+    "retry",
     "audit_interval",
-    "authority_standbys",
-    "authority_crash_at",
+    "replication",
     "overload",
     "storms",
     "sessions",
@@ -202,9 +201,7 @@ class MultiKeyScaleSimulation:
         )
 
         self.ledger = CostLedger(
-            clock=lambda: self.env.now,
-            warmup=config.warmup,
-            count_keepalive=config.count_keepalive,
+            clock=lambda: self.env.now, warmup=config.warmup
         )
         self.latency = LatencyRecorder(
             clock=lambda: self.env.now,

@@ -82,9 +82,7 @@ class Simulation(SchemeHost):
         self.env = Environment()
         tree, key = self._build_topology()
         ledger = CostLedger(
-            clock=lambda: self.env.now,
-            warmup=config.warmup,
-            count_keepalive=config.count_keepalive,
+            clock=lambda: self.env.now, warmup=config.warmup
         )
         self.latency = LatencyRecorder(
             clock=lambda: self.env.now,
@@ -96,8 +94,7 @@ class Simulation(SchemeHost):
         # config or process-wide by REPRO_FLIGHT.
         if config.flight_recorder or flightrec.ENABLED:
             self.recorder = flightrec.FlightRecorder(
-                clock=lambda: self.env.now,
-                capacity=config.flight_capacity,
+                clock=lambda: self.env.now
             )
             flightrec.LAST = self.recorder
         # -- fault layer: only constructed when a plan asks for it, so a
@@ -142,18 +139,14 @@ class Simulation(SchemeHost):
             alive=tree._parent.__contains__,
             record_hops=self.latency.record,
         )
-        if config.retry_budget > 0:
+        retry = config.retry
+        if retry is not None:
             self.reliable = ReliableChannel(
                 env=self.env,
                 transport=self.transport,
-                retry_budget=config.retry_budget,
+                retry_budget=retry.budget,
                 base_timeout=config.ack_timeout,
-                backoff=config.retry_backoff,
-                timeout_cap=(
-                    config.retry_timeout_cap
-                    if config.retry_timeout_cap > 0
-                    else math.inf
-                ),
+                timeout_cap=retry.timeout_cap or math.inf,
                 on_give_up=self._on_delivery_give_up,
                 functioning=self.functioning,
             )
@@ -202,11 +195,12 @@ class Simulation(SchemeHost):
         # -- authority failover: standbys chosen breadth-first from the
         # root, so the most promotable nodes sit closest to it.
         self.standby_pool: Optional[StandbyPool] = None
-        if config.authority_standbys > 0:
+        replication = config.replication
+        if replication is not None:
             self.standby_pool = StandbyPool(
                 env=self.env,
-                standbys=self._choose_standbys(config.authority_standbys),
-                failover_timeout=config.failover_timeout,
+                standbys=self._choose_standbys(replication.standbys),
+                failover_timeout=replication.failover_timeout,
                 recorder=self.recorder,
             )
         self._failover_at: Optional[float] = None
@@ -565,7 +559,9 @@ class Simulation(SchemeHost):
             if key in self._pending_suspicions:
                 return
             self._pending_suspicions.add(key)
-            timeout = self.config.ack_timeout * (self.config.retry_budget + 1)
+            retry = self.config.retry
+            budget = 0 if retry is None else retry.budget
+            timeout = self.config.ack_timeout * (budget + 1)
             self.env.defer(timeout, self._timeout_suspicion, *key)
 
     def _timeout_suspicion(self, reporter: NodeId, suspect: NodeId) -> None:
@@ -951,7 +947,8 @@ class Simulation(SchemeHost):
         guarded = (
             churning
             or self.injector is not None
-            or config.authority_crash_at > 0
+            or (config.replication is not None
+                and config.replication.crash_at > 0)
         )
 
         def eligible_origin(node: NodeId) -> bool:
@@ -1093,10 +1090,9 @@ class Simulation(SchemeHost):
             )
             registry.gauge("audit.repairs", lambda: float(auditor.repairs))
             registry.gauge("audit.sweeps", lambda: float(auditor.sweeps))
-        if self.config.authority_crash_at > 0:
-            self.env.defer(
-                self.config.authority_crash_at, self._crash_authority
-            )
+        replication = self.config.replication
+        if replication is not None and replication.crash_at > 0:
+            self.env.defer(replication.crash_at, self._crash_authority)
         if self.storms is not None:
             self.storms.install()
         if self.sessions is not None:

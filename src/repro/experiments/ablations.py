@@ -139,7 +139,6 @@ def run_interest_policy(
                 seed=seed,
                 scheme="dup",
                 query_rate=rate,
-                arrival="pareto",
                 pareto_alpha=1.05,
                 interest_policy=policy,
             )

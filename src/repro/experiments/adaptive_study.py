@@ -61,9 +61,6 @@ TITLE = "Adaptive & balanced DUP variants under overload storms"
 VARIANTS = ("dup", "dup-adaptive", "dup-balanced", "cup", "pcx")
 DUP_FAMILY = ("dup", "dup-adaptive", "dup-balanced")
 
-#: Adaptive-threshold bounds around the stock threshold_c, and its gain.
-ADAPTIVE = dict(threshold_floor=2, threshold_ceiling=10, adaptive_gain=0.5)
-
 COLUMNS = {
     "latency": latency,
     "p99": lambda a: percentile(a, "p99"),
@@ -98,8 +95,6 @@ def _variant_config(base, variant: str, intensity: float):
     )
     if variant in DUP_FAMILY:
         config = storm_retries(config)
-    if variant == "dup-adaptive":
-        config = config.replace(**ADAPTIVE)
     return config
 
 

@@ -17,6 +17,7 @@ from repro.engine.runner import replicate_many
 from repro.errors import ExperimentError
 from repro.experiments.spec import ExperimentResult, ShapeCheck
 from repro.net.overload import OverloadPlan
+from repro.net.reliable import RetryPlan
 from repro.workload.storms import StormPhase, StormPlan
 
 #: The paper's three compared schemes, in presentation order.
@@ -95,7 +96,7 @@ def dup_reliable(base: SimulationConfig, **changes) -> SimulationConfig:
     """
     return base.replace(
         scheme="dup",
-        retry_budget=RETRY_BUDGET,
+        retry=RetryPlan(RETRY_BUDGET),
         ack_timeout=ACK_TIMEOUT,
         lease_ttl=base.ttl / 2.0,
         **changes,
@@ -195,7 +196,7 @@ def storm_overload(**changes) -> OverloadPlan:
 def storm_retries(config: SimulationConfig) -> SimulationConfig:
     """``config`` with the storm studies' reliable channel switched on."""
     return config.replace(
-        retry_budget=3, ack_timeout=2.0, retry_timeout_cap=16.0
+        retry=RetryPlan(3, timeout_cap=16.0), ack_timeout=2.0
     )
 
 

@@ -39,7 +39,6 @@ def run(
             (alpha, rate): base_config(
                 scale,
                 seed=seed,
-                arrival="pareto",
                 pareto_alpha=alpha,
                 query_rate=rate,
             )

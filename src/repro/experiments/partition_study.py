@@ -173,7 +173,7 @@ def _shape_checks(durations, results):
     late = [
         r for r in oracle
         if float(r.extras.get("failover_at", "nan"))
-        != r.config.authority_crash_at
+        != r.config.replication.crash_at
     ]
     shown = (late or oracle)[0]
     yield ShapeCheck(
@@ -184,7 +184,7 @@ def _shape_checks(durations, results):
         passed=not late,
         detail=(
             f"failover_at={float(shown.extras.get('failover_at', 'nan'))}"
-            f" crash_at={shown.config.authority_crash_at}"
+            f" crash_at={shown.config.replication.crash_at}"
         ),
     )
 

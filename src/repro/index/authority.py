@@ -246,6 +246,39 @@ class Authority:
             self._issue()
 
 
+@dataclass(frozen=True)
+class ReplicationPlan:
+    """Authority replication and failover (``SimulationConfig.replication``).
+
+    The authority replicates its version state to ``standbys`` nodes
+    (>= 1), chosen breadth-first from the root; on its crash the first
+    functioning one promotes itself (:class:`StandbyPool`).  A standby
+    tolerates ``failover_timeout`` of authority silence; heartbeats flow
+    at a third of it.  ``crash_at`` > 0 crashes the authority then:
+    under ``silent_failures`` the root blackholes until a standby
+    detects it, otherwise promotion is oracle-immediate.
+    """
+
+    standbys: int
+    failover_timeout: float = 120.0
+    crash_at: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` on any invalid parameter."""
+        if self.standbys < 1:
+            raise ConfigError(f"standbys must be >= 1, got {self.standbys}")
+        if self.failover_timeout <= 0:
+            raise ConfigError(
+                "failover_timeout must be positive, got "
+                f"{self.failover_timeout}"
+            )
+        if self.crash_at < 0:
+            raise ConfigError(f"crash_at must be >= 0, got {self.crash_at}")
+
+
 class StandbyPool:
     """Tracks the authority's k standbys and decides when one promotes.
 
@@ -274,10 +307,6 @@ class StandbyPool:
     ):
         if not standbys:
             raise ConfigError("StandbyPool needs at least one standby")
-        if failover_timeout <= 0:
-            raise ConfigError(
-                f"failover_timeout must be positive, got {failover_timeout}"
-            )
         self._env = env
         self._recorder = recorder
         self._ranked: tuple[NodeId, ...] = tuple(standbys)

@@ -23,22 +23,16 @@ class CostLedger:
     warmup:
         Hops charged before this time are tallied separately and excluded
         from the reported cost.
-    count_keepalive:
-        Whether keep-alive hops count toward query cost.  The paper's
-        metric covers "query related messages"; keep-alives are part of
-        the underlying overlay maintenance and are identical across
-        schemes, so they are excluded by default (but still tracked).
+
+    Keep-alive hops never count toward query cost.  The paper's metric
+    covers "query related messages"; keep-alives are part of the
+    underlying overlay maintenance and are identical across schemes, so
+    they are tracked (:meth:`hops`, :meth:`breakdown`) but excluded.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        warmup: float = 0.0,
-        count_keepalive: bool = False,
-    ):
+    def __init__(self, clock: Callable[[], float], warmup: float = 0.0):
         self._clock = clock
         self._warmup = float(warmup)
-        self._count_keepalive = count_keepalive
         self._hops: dict[Category, int] = {cat: 0 for cat in Category}
         self._warmup_hops: dict[Category, int] = {cat: 0 for cat in Category}
         # Latched once the clock passes the warm-up: simulation time only
@@ -70,7 +64,7 @@ class CostLedger:
         """Total post-warm-up hops that count toward query cost."""
         total = 0
         for category, hops in self._hops.items():
-            if category is Category.KEEPALIVE and not self._count_keepalive:
+            if category is Category.KEEPALIVE:
                 continue
             total += hops
         return total

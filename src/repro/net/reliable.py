@@ -10,7 +10,7 @@ delivery semantics the protocol can live with:
 - every send is tagged with a delivery id and acknowledged by the
   receiving *engine* (one charged control hop per ack);
 - an unacked delivery is retransmitted after a per-delivery timeout that
-  backs off exponentially (``base_timeout * backoff ** attempt``), each
+  doubles on every attempt (``base_timeout * 2 ** attempt``), each
   retransmission charged honestly to the cost ledger;
 - after ``retry_budget`` retransmissions the sender gives up and raises
   a *dead-peer suspicion* via ``on_give_up`` — the engine routes it into
@@ -32,12 +32,39 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.errors import ConfigError
 from repro.net.message import AckMessage, Message
 from repro.net.transport import Transport
 from repro.sim.core import Environment
 
 NodeId = int
 GiveUpCallback = Callable[[NodeId, NodeId, Message], None]
+
+
+@dataclass(frozen=True)
+class RetryPlan:
+    """The reliable channel of one run (``SimulationConfig.retry``).
+
+    ``budget`` retransmissions per delivery before the sender gives up
+    (>= 1).  ``timeout_cap`` bounds any single retransmission timeout:
+    attempt ``k`` waits ``min(ack_timeout * 2**k, timeout_cap)`` (0, the
+    default, leaves the backoff uncapped).
+    """
+
+    budget: int
+    timeout_cap: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` on any invalid parameter."""
+        if self.budget < 1:
+            raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        if self.timeout_cap < 0:
+            raise ConfigError(
+                f"timeout_cap must be >= 0, got {self.timeout_cap}"
+            )
 
 
 @dataclass
@@ -64,12 +91,10 @@ class ReliableChannel:
         Maximum retransmissions per delivery before giving up.
     base_timeout:
         Initial ack timeout in simulated seconds; attempt ``k`` waits
-        ``base_timeout * backoff ** k``.
-    backoff:
-        Exponential backoff factor (>= 1).
+        ``base_timeout * 2 ** k``.
     timeout_cap:
         Upper bound on any single retransmission timeout; attempt ``k``
-        waits ``min(base_timeout * backoff ** k, timeout_cap)``.  The
+        waits ``min(base_timeout * 2 ** k, timeout_cap)``.  The
         default (infinity) preserves pure exponential backoff.
     on_give_up:
         ``on_give_up(sender, destination, message)`` invoked when a
@@ -88,7 +113,6 @@ class ReliableChannel:
         transport: Transport,
         retry_budget: int,
         base_timeout: float,
-        backoff: float = 2.0,
         timeout_cap: float = math.inf,
         on_give_up: Optional[GiveUpCallback] = None,
         functioning: Optional[Callable[[NodeId], bool]] = None,
@@ -98,8 +122,6 @@ class ReliableChannel:
             raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
         if base_timeout <= 0:
             raise ValueError(f"base_timeout must be > 0, got {base_timeout}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {backoff}")
         if timeout_cap < base_timeout:
             raise ValueError(
                 f"timeout_cap ({timeout_cap}) must be >= base_timeout "
@@ -109,7 +131,6 @@ class ReliableChannel:
         self._transport = transport
         self._budget = retry_budget
         self._base_timeout = base_timeout
-        self._backoff = backoff
         self._timeout_cap = timeout_cap
         self._on_give_up = on_give_up
         self._functioning = functioning
@@ -157,7 +178,7 @@ class ReliableChannel:
             sender=pending.sender,
         )
         timeout = min(
-            self._base_timeout * self._backoff**pending.attempts,
+            self._base_timeout * 2.0**pending.attempts,
             self._timeout_cap,
         )
         self._env.defer(

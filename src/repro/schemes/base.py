@@ -44,10 +44,10 @@ class Scheme(abc.ABC):
     #: state self-repairs within a TTL.
     reliable_delivery: bool = False
 
-    #: Interest-policy kind this scheme forces whatever
-    #: ``config.interest_policy`` says (``dup-adaptive``: ``"adaptive"``);
-    #: ``None`` follows the configuration.
-    interest_policy_override: "str | None" = None
+    #: The adaptive plan this scheme runs unless ``config.interest_policy``
+    #: is an ``AdaptivePlan`` of its own (``dup-adaptive``:
+    #: ``AdaptivePlan()``); ``None`` follows the configuration.
+    interest_policy_override = None
 
     def __init__(self) -> None:
         self.sim: "SchemeHost | None" = None

@@ -579,9 +579,7 @@ class DupScheme(PathCachingScheme):
 
     def _lease_refresh_loop(self):
         sim = self.sim
-        interval = (
-            sim.config.lease_refresh_interval or self._leases.ttl / 3.0
-        )
+        interval = self._leases.ttl / 3.0
         while True:
             yield sim.env.timeout(interval)
             for node in self.protocol.nodes_with_state():

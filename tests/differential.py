@@ -10,9 +10,9 @@ must match bit-for-bit for the runs to be declared equivalent.
 
 Used by ``tests/test_differential.py`` to prove the PR-8 reductions:
 
-- ``dup-adaptive`` with a frozen rate (``threshold_floor ==
-  threshold_ceiling == c``) collapses to plain ``dup`` at the matching
-  static ``c``;
+- ``dup-adaptive`` with a frozen rate (``AdaptivePlan(floor=c,
+  ceiling=c)``) collapses to plain ``dup`` at the matching static
+  ``c``;
 - ``dup-balanced`` whose fanout cap never binds is bit-identical to
   plain ``dup`` under the same overload plan;
 

@@ -19,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.schemes.base as scheme_base
-from repro.core.interest import AdaptiveInterestPolicy, WindowInterestPolicy
+from repro.core.interest import (
+    AdaptiveInterestPolicy,
+    AdaptivePlan,
+    WindowInterestPolicy,
+)
 from repro.engine.config import SimulationConfig
 from repro.engine.simulation import Simulation
 from repro.metrics.latency import LatencyRecorder
@@ -282,7 +286,7 @@ class TestTrackerConstruction:
         scheme, calls = self._run(
             monkeypatch, "dup-adaptive", interest_policy="window"
         )
-        assert [override for _, override in calls] == ["adaptive"]
+        assert [override for _, override in calls] == [AdaptivePlan()]
         assert all(
             type(tracker) is AdaptiveInterestPolicy
             for tracker in scheme._trackers.values()

@@ -182,11 +182,11 @@ def test_help_is_byte_identical(pins):
 # constructor raise with the SimulationConfig it was handed, and the
 # digest, pinned as cli-config/<argv name>, is the sha256 of that
 # config's repr.  The pins were taken with the same seam before the
-# config surface was generated from the dataclasses.  Only the REPINNED
-# argvs differ from those first pins: --ack-timeout, --failover-timeout
-# and --retry-timeout-cap used to be dropped unless --retry-budget /
-# --standbys was also set.  A flag whose layer a bare argv leaves off is
-# a usage error (DORMANT), so it has no argv in the matrix.
+# config surface was generated from the dataclasses, and re-pinned when
+# the gated scalars folded into plans.  The REPINNED argvs differed from
+# those first pins: --ack-timeout used to be dropped unless --retry-budget
+# was also set.  A flag whose layer a bare argv leaves off is a usage
+# error (DORMANT), so it has no argv in the matrix.
 
 
 class Captured(Exception):
@@ -251,7 +251,6 @@ VALUES = {
 
 #: What a flag needs beside it to be valid at all.
 NEEDS = {
-    "--authority-crash-at": ["--standbys", "2"],
     "--mean-session": ["--mean-downtime", "120"],
     "--regional-rate": ["--mean-downtime", "120"],
 }
@@ -306,11 +305,16 @@ COMBOS = {
     "--damp-reuse 1.5 --damp-penalty 2 --damp-half-life 200",
     "interest": "--interest-policy adaptive --threshold-floor 3 "
     "--threshold-ceiling 8 --adaptive-gain 0.7",
+    "adaptive scheme": "--scheme dup-adaptive --threshold-ceiling 8",
     "flight": "--flight-out flight.jsonl",
 }
 
 #: Flags a bare argv leaves inert, and the layer each one needs on.
 DORMANT = {
+    "--pareto-alpha": "pareto",
+    "--retry-timeout-cap": "retry",
+    **dict.fromkeys(["--failover-timeout", "--authority-crash-at"],
+                    "replication"),
     **dict.fromkeys(["--partition-duration", "--partition-components"],
                     "partition"),
     **dict.fromkeys(["--inbox-capacity", "--breaker-cooldown"], "overload"),
@@ -320,6 +324,8 @@ DORMANT = {
                      "--downtime-sigma", "--diurnal-period",
                      "--regional-radius", "--damp-suppress", "--damp-reuse",
                      "--damp-penalty", "--damp-half-life"], "sessions"),
+    **dict.fromkeys(["--threshold-floor", "--threshold-ceiling",
+                     "--adaptive-gain"], "adaptive"),
 }
 
 #: Each subcommand's argv prefix, the config flags it takes, the combos
@@ -328,7 +334,7 @@ SUBCOMMANDS = {
     "simulate": (
         ["simulate"],
         CORE + ["--arrival", "--pareto-alpha", "--churn-rate"] + LAYERS,
-        COMBOS,
+        {**COMBOS, "pareto": "--arrival pareto --pareto-alpha 1.2"},
         DORMANT,
     ),
     "observe": (["observe"], CORE + RESILIENCE, RESILIENCE_COMBOS, DORMANT),
@@ -401,16 +407,11 @@ def config_digests(tmp_path_factory) -> dict:
 
 
 #: Argvs whose config intentionally differs from the first pins: the
-#: flag now reaches its field without the --retry-budget / --standbys
-#: gate.  Each maps to the field and the value it must carry.
+#: flag now reaches its field without the --retry-budget gate.  Each
+#: maps to the field and the value it must carry.
 REPINNED = {
-    f"{name} {flag}": (field, value)
+    f"{name} --ack-timeout": ("ack_timeout", 5.0)
     for name in ("simulate", "observe", "chaos")
-    for flag, field, value in (
-        ("--ack-timeout", "ack_timeout", 5.0),
-        ("--failover-timeout", "failover_timeout", 60.0),
-        ("--retry-timeout-cap", "retry_timeout_cap", 10.0),
-    )
 }
 
 
@@ -479,8 +480,13 @@ class TestUsageErrors:
                 "duration (3600.0) must exceed warmup (7200.0)",
             ),
             (
-                ["--retry-timeout-cap", "1"],
-                "retry_timeout_cap (1.0) must be >= ack_timeout (2.0)",
+                ["--retry-budget", "2", "--retry-timeout-cap", "1"],
+                "retry.timeout_cap (1.0) must be >= ack_timeout (2.0)",
+            ),
+            (
+                ["--topology", "chord", "--degree", "6"],
+                "max_degree (6) has no effect on the chord topology: only "
+                "random-tree and balanced trees take a degree",
             ),
         ],
     )

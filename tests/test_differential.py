@@ -18,6 +18,7 @@ from tests.differential import (
     fingerprint_digest,
     metric_fingerprint,
 )
+from repro.core.interest import AdaptivePlan
 from repro.engine import SimulationConfig, run_replications
 from repro.net.overload import OverloadPlan
 from repro.schemes.registry import available_schemes
@@ -44,8 +45,7 @@ class TestAdaptiveReduction:
             assert_equivalent(
                 smoke_config(
                     "dup-adaptive",
-                    threshold_floor=c,
-                    threshold_ceiling=c,
+                    interest_policy=AdaptivePlan(floor=c, ceiling=c),
                 ),
                 smoke_config("dup", threshold_c=c),
                 context=f"frozen adaptive vs static c={c}",
@@ -53,19 +53,19 @@ class TestAdaptiveReduction:
 
     def test_frozen_rate_matches_under_faults_and_churn(self):
         from repro.net.faults import FaultPlan
+        from repro.net.reliable import RetryPlan
         from repro.workload.churn import ChurnConfig
 
         overrides = dict(
             faults=FaultPlan(loss_rate=0.05),
-            retry_budget=3,
+            retry=RetryPlan(3),
             lease_ttl=300.0,
             churn=ChurnConfig(join_rate=0.002, leave_rate=0.002),
         )
         assert_equivalent(
             smoke_config(
                 "dup-adaptive",
-                threshold_floor=6,
-                threshold_ceiling=6,
+                interest_policy=AdaptivePlan(floor=6, ceiling=6),
                 **overrides,
             ),
             smoke_config("dup", threshold_c=6, **overrides),
@@ -74,9 +74,7 @@ class TestAdaptiveReduction:
 
     def test_moving_threshold_diverges(self):
         left, right = assert_divergent(
-            smoke_config(
-                "dup-adaptive", threshold_floor=2, threshold_ceiling=10
-            ),
+            smoke_config("dup-adaptive"),
             smoke_config("dup", threshold_c=6),
             context="adaptive with open bounds",
         )
@@ -139,9 +137,7 @@ class TestNewSchemesParallelEquivalence:
         return [metric_fingerprint(r) for r in summary.runs]
 
     def test_dup_adaptive_workers_1_vs_4(self):
-        config = smoke_config(
-            "dup-adaptive", threshold_floor=2, threshold_ceiling=10
-        )
+        config = smoke_config("dup-adaptive")
         assert self.fingerprints(config, 1) == self.fingerprints(config, 4)
 
     def test_dup_balanced_workers_1_vs_4(self):
@@ -185,13 +181,14 @@ RUN = dict(num_nodes=256, duration=7200.0, warmup=1800.0, query_rate=2.0)
 
 def churn_config(case: str) -> SimulationConfig:
     from repro.net.faults import FaultPlan
+    from repro.net.reliable import RetryPlan
     from repro.workload.churn import ChurnConfig
 
     overrides = dict(churn=ChurnConfig(0.05, 0.025, 0.025))
     if case == "dup-silent-loss":
         overrides.update(
             faults=FaultPlan(silent_failures=True, loss_rate=0.02),
-            retry_budget=3,
+            retry=RetryPlan(3),
             lease_ttl=300.0,
         )
     return SimulationConfig(
@@ -214,7 +211,7 @@ def query_run(case: str):
         return run_scale(config, 16, 0.8, workers=1)
     overrides = {
         "dup": dict(),
-        "pareto": dict(scheme="cup", arrival="pareto", pareto_alpha=1.2),
+        "pareto": dict(scheme="cup", pareto_alpha=1.2),
         "diurnal": dict(
             sessions=SessionPlan(diurnal_amplitude=0.5, diurnal_period=3600.0)
         ),

@@ -16,6 +16,7 @@ from repro.engine import (
 )
 from repro.engine.runner import sweep
 from repro.errors import ConfigError, ExperimentError
+from repro.index.authority import ReplicationPlan
 from repro.net.faults import FaultPlan
 from repro.workload import ChurnConfig
 from repro.workload.churn import ChurnEvent, ChurnProcess
@@ -55,7 +56,7 @@ class TestConfig:
             ("num_nodes", 1),
             ("max_degree", 0),
             ("query_rate", 0.0),
-            ("arrival", "weibull"),
+            ("pareto_alpha", 0.5),
             ("zipf_theta", -0.5),
             ("threshold_c", -1),
             ("ttl", 0.0),
@@ -63,6 +64,7 @@ class TestConfig:
             ("hop_latency_mean", 0.0),
             ("topology", "mesh"),
             ("interest_policy", "magic"),
+            ("interest_policy", "adaptive"),
             ("warmup", -1.0),
         ],
     )
@@ -76,7 +78,7 @@ class TestConfig:
 
     def test_pareto_needs_alpha_above_one(self):
         with pytest.raises(ConfigError):
-            small(arrival="pareto", pareto_alpha=1.0)
+            small(pareto_alpha=1.0)
 
     def test_describe_mentions_scheme(self):
         assert "dup" in small(scheme="dup").describe()
@@ -302,7 +304,7 @@ def eligibility_world(
             seed=seed,
             churn=churn,
             faults=faults,
-            authority_standbys=standbys,
+            replication=ReplicationPlan(standbys) if standbys else None,
         )
     )
     sim.start()
@@ -311,7 +313,7 @@ def eligibility_world(
 
 SILENT = FaultPlan(silent_failures=True)
 
-#: (faults, authority_standbys, allow_root_failure)
+#: (faults, standbys, allow_root_failure)
 WORLDS = (
     (None, 0, False),
     (None, 2, True),

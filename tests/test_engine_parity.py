@@ -37,7 +37,7 @@ VARIANTS = {
     "ewma": {"interest_policy": "ewma"},
     "no-piggyback": {"piggyback": False},
     "eager": {"eager_subscribe": True},
-    "pareto": {"arrival": "pareto"},
+    "pareto": {"pareto_alpha": 1.05},
 }
 
 

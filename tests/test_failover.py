@@ -5,8 +5,14 @@ import pytest
 from repro.engine import Simulation, SimulationConfig
 from repro.engine.chaos import SCENARIOS, ChaosScenario, get_scenario
 from repro.errors import ConfigError, TopologyError
-from repro.index.authority import Authority, AuthorityState, StandbyPool
+from repro.index.authority import (
+    Authority,
+    AuthorityState,
+    ReplicationPlan,
+    StandbyPool,
+)
 from repro.net.faults import FaultPlan, PartitionWindow
+from repro.net.reliable import RetryPlan
 from repro.sim.core import Environment
 from repro.topology.tree import SearchTree
 from repro.workload.churn import ChurnConfig
@@ -177,7 +183,7 @@ class TestPromoteToRoot:
 class TestFailoverConfig:
     def test_crash_requires_standbys(self):
         with pytest.raises(ConfigError):
-            SimulationConfig(authority_crash_at=100.0)
+            ReplicationPlan(standbys=0, crash_at=100.0)
 
     def test_root_churn_requires_standbys(self):
         with pytest.raises(ConfigError):
@@ -189,7 +195,7 @@ class TestFailoverConfig:
 
     def test_standbys_must_fit_the_overlay(self):
         with pytest.raises(ConfigError):
-            SimulationConfig(num_nodes=4, authority_standbys=4)
+            SimulationConfig(num_nodes=4, replication=ReplicationPlan(4))
 
 
 # -- chaos scenarios ---------------------------------------------------------
@@ -214,8 +220,9 @@ class TestChaosScenarios:
         config = get_scenario("blackout").apply(
             SimulationConfig(**self.BASE)
         )
-        assert config.authority_standbys == 2
-        assert config.authority_crash_at == 900.0 + 330.0
+        assert config.replication == ReplicationPlan(
+            standbys=2, failover_timeout=120.0, crash_at=900.0 + 330.0
+        )
         assert config.audit_interval == 150.0
         plan = config.faults
         assert plan.loss_rate == 0.10
@@ -267,7 +274,7 @@ class TestChaosScenarios:
 
 
 class TestFailoverIntegration:
-    def run_sim(self, **overrides):
+    def run_sim(self, crash_at=0.0, **overrides):
         defaults = dict(
             scheme="dup",
             num_nodes=48,
@@ -278,8 +285,7 @@ class TestFailoverIntegration:
             warmup=600.0,
             threshold_c=2,
             seed=11,
-            authority_standbys=2,
-            failover_timeout=120.0,
+            replication=ReplicationPlan(2, crash_at=crash_at),
         )
         defaults.update(overrides)
         sim = Simulation(SimulationConfig(**defaults))
@@ -287,7 +293,7 @@ class TestFailoverIntegration:
         return sim, result
 
     def test_oracle_crash_promotes_immediately(self):
-        sim, result = self.run_sim(authority_crash_at=1500.0)
+        sim, result = self.run_sim(crash_at=1500.0)
         assert result.extras["failover_promoted"] >= 0
         assert result.extras["failover_at"] == 1500.0
         assert sim.tree.root == result.extras["failover_promoted"]
@@ -302,12 +308,12 @@ class TestFailoverIntegration:
         # standby from detecting the silent authority crash (detection
         # rides heartbeat silence, not any single delivery).
         sim, result = self.run_sim(
-            authority_crash_at=1500.0,
+            crash_at=1500.0,
             faults=FaultPlan(
                 loss_by_category={"control": 0.4},
                 silent_failures=True,
             ),
-            retry_budget=4,
+            retry=RetryPlan(4),
             ack_timeout=2.0,
             lease_ttl=300.0,
         )

@@ -9,6 +9,7 @@ from repro.engine import Simulation, SimulationConfig
 from repro.errors import ConfigError
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.message import Category, ControlMessage, QueryMessage, Subscribe
+from repro.net.reliable import RetryPlan
 from repro.sim.rng import RandomStreams
 from repro.workload.churn import ChurnConfig
 
@@ -196,7 +197,6 @@ class TestTimeoutSuspicion:
         sim = chain_sim(
             "pcx",
             faults=FaultPlan(silent_failures=True),
-            retry_budget=0,
             ack_timeout=2.0,
         )
         sim.fail_silently(3)
@@ -226,7 +226,7 @@ def _resilient_config(seed=1):
             extra_delay_mean=0.01,
             silent_failures=True,
         ),
-        retry_budget=3,
+        retry=RetryPlan(3),
         ack_timeout=2.0,
         lease_ttl=300.0,
     )

@@ -23,6 +23,7 @@ import gc
 import sys
 
 from repro.engine import Simulation, SimulationConfig
+from repro.index.authority import ReplicationPlan
 from repro.net.message import Category, QueryMessage
 from repro.stats.distributions import Exponential
 from repro.workload.arrivals import ArrivalProcess, QuerySource
@@ -153,7 +154,6 @@ class TestRootCheckFollowsFailover:
         warmup=0.0,
         threshold_c=1,
         seed=3,
-        authority_standbys=1,
     )
 
     def _arrivals(self, sim, node, count=3):
@@ -166,7 +166,9 @@ class TestRootCheckFollowsFailover:
 
     def test_the_promoted_root_never_subscribes(self):
         sim = Simulation(
-            SimulationConfig(**self.CONFIG, authority_crash_at=100.0)
+            SimulationConfig(
+                **self.CONFIG, replication=ReplicationPlan(1, crash_at=100.0)
+            )
         )
         sim.start()
         old_root = sim.tree.root

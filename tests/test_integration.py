@@ -96,10 +96,10 @@ class TestWorkloadEffects:
 
     def test_pareto_bursts_improve_pcx(self):
         smooth = run_simulation(
-            micro(scheme="pcx", arrival="pareto", pareto_alpha=1.6)
+            micro(scheme="pcx", pareto_alpha=1.6)
         )
         bursty = run_simulation(
-            micro(scheme="pcx", arrival="pareto", pareto_alpha=1.05)
+            micro(scheme="pcx", pareto_alpha=1.05)
         )
         assert bursty.mean_latency <= smooth.mean_latency * 1.1
 

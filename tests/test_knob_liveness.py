@@ -1,10 +1,12 @@
 """Knob liveness: every engine honours or refuses every config field.
 
-Each scalar :class:`~repro.engine.config.SimulationConfig` field is
-declared below with a non-default value, the enabling context it needs
-(the other fields that switch its layer on), and its verdict on each
-engine.  The field is set on top of its context, and the run is
-compared with the context alone:
+Each scalar :class:`~repro.engine.config.SimulationConfig` field, and
+each field of the retry, replication and adaptive-policy plans (as
+``plan.field``), is declared below with a non-default value, the
+context that makes it bind (if any, with its reason), and its verdict
+on each engine.  A plan field is set on the plan its context holds, or
+else on the plan switched on as in ``PLANS``.  The run is compared with
+the one before the field was set:
 
 - ``moves``: what the run did moves.  Some fingerprint field other than
   what the run reports about itself (``REPORTED``) differs.
@@ -18,9 +20,9 @@ compared with the context alone:
 The base run is a clean 256-node, 7 200 s ``dup`` run at seed 3; the
 scale engine runs it as ``MultiKeyScaleSimulation(config, 1)`` on a
 Chord overlay.  A field with no declaration fails
-:func:`test_every_field_is_declared`, so no knob lands silent.  The five
-plan objects and ``scheme`` are out of scope here.  A field that no
-context can move is a passenger, and it goes.
+:func:`test_every_field_is_declared`, so no knob lands silent.  The
+other plan objects and ``scheme`` are out of scope here.  A field that
+no context can move is a passenger, and it goes.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ import dataclasses
 import pytest
 
 from repro import flightrec
+from repro.core.interest import AdaptivePlan
 from repro.engine import Simulation, SimulationConfig
 from repro.engine.multikey import MultiKeyScaleSimulation
 from repro.errors import ConfigError
+from repro.index.authority import ReplicationPlan
 from repro.net.faults import FaultPlan
+from repro.net.reliable import RetryPlan
 from tests.differential import diff_fields, metric_fingerprint
 
 BASE = dict(scheme="dup", num_nodes=256, duration=7200.0, warmup=1800.0, seed=3)
@@ -46,35 +51,40 @@ ENGINES = {
     ),
 }
 
-#: Fields this test leaves out: the scheme selector, and the plans.
-NOT_KNOBS = {"scheme", "churn", "faults", "overload", "storms", "sessions"}
+#: Fields this test leaves out: the scheme selector, and the plans (the
+#: three in ``PLANS`` are walked field by field).
+NOT_KNOBS = {"scheme", "churn", "faults", "retry", "replication",
+             "overload", "storms", "sessions"}
+
+#: The plans whose fields are declared, each as it is switched on when
+#: the context leaves it off.
+PLANS = {
+    "retry": RetryPlan(budget=3),
+    "replication": ReplicationPlan(standbys=1),
+    "interest_policy": AdaptivePlan(),
+}
 
 #: What a run reports about itself rather than what it did.
 REPORTED = {"extras", "latency_ci", "latency_percentiles"}
 
 MOVES, REPORTS, OBSERVER, REFUSED = "moves", "reports", "observer", "refused"
 
-# -- enabling contexts ---------------------------------------------------------
-PARETO = {"arrival": "pareto"}
-ADAPTIVE = {"interest_policy": "adaptive"}
-#: From the default floor of 2 the adaptive threshold seldom climbs at
-#: this size, so a ceiling moves only the reported ``threshold_max``.
-#: From a floor of 0, a ceiling of 1 binds.
-ADAPTIVE_FROM_ZERO = {"interest_policy": "adaptive", "threshold_floor": 0}
-STANDBY = {"authority_standbys": 1}
-CRASH = {"authority_standbys": 1, "authority_crash_at": 3600.0}
-LOSSY = {"retry_budget": 3, "faults": FaultPlan(loss_rate=0.2)}
-LEASES = {"lease_ttl": 1800.0}
-RANDOM_TREE = {"topology": "random-tree"}
-RECORDING = {"flight_recorder": True}
+# -- contexts: each makes its field bind ---------------------------------------
+#: Loss: the retry budget, its cap and the ack timeout pace only the
+#: retransmission of lost deliveries.
+LOSSY = {"faults": FaultPlan(loss_rate=0.2), "retry": RetryPlan(budget=3)}
+#: A crash: the failover timeout times its detection.
+CRASH = {"replication": ReplicationPlan(standbys=1, crash_at=3600.0)}
+#: A floor of 0: from the default 2 the threshold seldom climbs at this
+#: size, so a ceiling moves only the reported ``threshold_max``.
+FROM_ZERO = {"interest_policy": AdaptivePlan(floor=0)}
 
 #: field -> (value, context, verdict on Simulation, verdict on scale).
 KNOBS = {
     "num_nodes": (200, {}, MOVES, MOVES),
-    "max_degree": (6, RANDOM_TREE, MOVES, REFUSED),
+    "max_degree": (6, {}, MOVES, REFUSED),
     "query_rate": (2.0, {}, MOVES, MOVES),
-    "arrival": ("pareto", {}, MOVES, MOVES),
-    "pareto_alpha": (1.2, PARETO, MOVES, MOVES),
+    "pareto_alpha": (1.2, {}, MOVES, MOVES),
     "zipf_theta": (0.5, {}, MOVES, MOVES),
     "threshold_c": (2, {}, MOVES, MOVES),
     "ttl": (1800.0, {}, MOVES, MOVES),
@@ -83,29 +93,25 @@ KNOBS = {
     "duration": (6480.0, {}, MOVES, MOVES),
     "topology": ("balanced", {}, MOVES, REFUSED),
     "interest_policy": ("ewma", {}, MOVES, MOVES),
-    "threshold_floor": (4, ADAPTIVE, MOVES, MOVES),
-    "threshold_ceiling": (1, ADAPTIVE_FROM_ZERO, MOVES, MOVES),
-    "adaptive_gain": (0.9, ADAPTIVE, MOVES, MOVES),
+    "interest_policy.floor": (4, {}, MOVES, MOVES),
+    "interest_policy.ceiling": (1, FROM_ZERO, MOVES, MOVES),
+    "interest_policy.gain": (0.9, {}, MOVES, MOVES),
     "warmup": (900.0, {}, MOVES, MOVES),
     "seed": (4, {}, MOVES, MOVES),
     "root_queries": (True, {}, MOVES, REFUSED),
     "piggyback": (False, {}, MOVES, MOVES),
     "immediate_push": (False, {}, MOVES, MOVES),
     "eager_subscribe": (True, {}, MOVES, MOVES),
-    "count_keepalive": (True, STANDBY, MOVES, REFUSED),
     "keep_latency_samples": (False, {}, REPORTS, REPORTS),
-    "retry_budget": (2, {}, MOVES, REFUSED),
+    "retry.budget": (2, LOSSY, MOVES, REFUSED),
+    "retry.timeout_cap": (3.0, LOSSY, MOVES, REFUSED),
     "ack_timeout": (1.0, LOSSY, MOVES, REFUSED),
-    "retry_backoff": (3.0, LOSSY, MOVES, REFUSED),
-    "retry_timeout_cap": (3.0, LOSSY, MOVES, REFUSED),
     "lease_ttl": (1800.0, {}, MOVES, MOVES),
-    "lease_refresh_interval": (100.0, LEASES, MOVES, MOVES),
-    "authority_standbys": (1, {}, MOVES, REFUSED),
-    "failover_timeout": (60.0, CRASH, MOVES, REFUSED),
-    "authority_crash_at": (3600.0, STANDBY, MOVES, REFUSED),
+    "replication.standbys": (2, {}, MOVES, REFUSED),
+    "replication.failover_timeout": (60.0, CRASH, MOVES, REFUSED),
+    "replication.crash_at": (3600.0, {}, MOVES, REFUSED),
     "audit_interval": (600.0, {}, REPORTS, REFUSED),
     "flight_recorder": (True, {}, OBSERVER, REFUSED),
-    "flight_capacity": (16, RECORDING, OBSERVER, REFUSED),
 }
 
 _RUNS: dict[tuple[str, str], tuple] = {}
@@ -131,7 +137,27 @@ def recorder_off_by_default(monkeypatch):
 
 def test_every_field_is_declared():
     fields = {field.name for field in dataclasses.fields(SimulationConfig)}
+    fields |= {
+        f"{plan}.{field.name}"
+        for plan, default in PLANS.items()
+        for field in dataclasses.fields(default)
+    }
     assert set(KNOBS) == fields - NOT_KNOBS
+
+
+def with_field(config: SimulationConfig, name: str, value):
+    """``(before, after)``: ``config`` with the plan of ``name`` switched
+    on, and that again with ``name`` set to ``value``."""
+    plan, _, field = name.rpartition(".")
+    if not plan:
+        return config, config.replace(**{name: value})
+    own = getattr(config, plan)
+    if not isinstance(own, type(PLANS[plan])):
+        own = PLANS[plan]
+        config = config.replace(**{plan: own})
+    return config, config.replace(
+        **{plan: dataclasses.replace(own, **{field: value})}
+    )
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -139,13 +165,13 @@ def test_every_field_is_declared():
 def test_field_is_honoured_or_refused(engine, name):
     value, context, *verdicts = KNOBS[name]
     verdict = verdicts[0] if engine == "simulation" else verdicts[1]
-    before = SimulationConfig(**{**BASE, **ENGINES[engine][0], **context})
-    assert getattr(before, name) != value, "the declared value is a no-op"
-    after = before.replace(**{name: value})
+    config = SimulationConfig(**{**BASE, **ENGINES[engine][0], **context})
     if verdict == REFUSED:
         with pytest.raises(ConfigError):
-            ENGINES[engine][1](after)
+            ENGINES[engine][1](with_field(config, name, value)[1])
         return
+    before, after = with_field(config, name, value)
+    assert after != before, "the declared value is a no-op"
     base, base_events = run(engine, before)
     moved, moved_events = run(engine, after)
     changed = set(diff_fields(base, moved))
@@ -156,3 +182,11 @@ def test_field_is_honoured_or_refused(engine, name):
         assert changed and changed <= REPORTED, changed
     else:
         assert changed - REPORTED, f"only {sorted(changed)} moved"
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_max_degree_on_chord_is_refused(engine):
+    # Chord's tree follows its finger tables: no degree to bound.
+    config = SimulationConfig(**BASE, topology="chord")
+    with pytest.raises(ConfigError, match="max_degree"):
+        ENGINES[engine][1](config.replace(max_degree=6))

@@ -13,8 +13,10 @@ from repro.engine.multikey import (
     run_scale,
 )
 from repro.errors import ConfigError
+from repro.index.authority import ReplicationPlan
 from repro.net.faults import FaultPlan
 from repro.net.overload import OverloadPlan
+from repro.net.reliable import RetryPlan
 from repro.schemes.registry import available_schemes
 from repro.stats.running import percentile
 from repro.workload import ChurnConfig
@@ -266,10 +268,9 @@ class TestScaleEngine:
         "changes",
         [
             {"faults": FaultPlan(loss_rate=0.4)},
-            {"retry_budget": 3},
+            {"retry": RetryPlan(3)},
             {"audit_interval": 100.0},
-            {"authority_standbys": 2},
-            {"authority_standbys": 2, "authority_crash_at": 2400.0},
+            {"replication": ReplicationPlan(2, crash_at=2400.0)},
             {"overload": OverloadPlan(service_rate=1.0, inbox_capacity=2)},
             {
                 "storms": StormPlan(

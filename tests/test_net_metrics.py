@@ -85,11 +85,6 @@ class TestCostLedger:
         ledger.charge(Category.QUERY, 1)
         assert ledger.total_hops == 1
 
-    def test_keepalive_included_when_asked(self):
-        ledger = CostLedger(clock=FakeClock(), count_keepalive=True)
-        ledger.charge(Category.KEEPALIVE, 10)
-        assert ledger.total_hops == 10
-
     def test_cost_per_query(self):
         ledger = CostLedger(clock=FakeClock())
         ledger.charge(Category.QUERY, 10)

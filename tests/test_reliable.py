@@ -5,7 +5,7 @@ import pytest
 from repro.engine import Simulation, SimulationConfig
 from repro.net.faults import FaultPlan
 from repro.net.message import Category
-from repro.net.reliable import ReliableChannel
+from repro.net.reliable import ReliableChannel, RetryPlan
 from repro.sim.core import Environment
 
 
@@ -48,15 +48,11 @@ class TestChannelValidation:
             ReliableChannel(env, None, retry_budget=-1, base_timeout=1.0)
         with pytest.raises(ValueError):
             ReliableChannel(env, None, retry_budget=1, base_timeout=0.0)
-        with pytest.raises(ValueError):
-            ReliableChannel(
-                env, None, retry_budget=1, base_timeout=1.0, backoff=0.5
-            )
 
 
 class TestLosslessOperation:
     def test_every_send_acked_without_retries(self):
-        sim = chain_sim("dup", retry_budget=3, ack_timeout=2.0)
+        sim = chain_sim("dup", retry=RetryPlan(3), ack_timeout=2.0)
         assert sim.reliable is not None
         subscribe_node_5(sim)
         assert sim.reliable.acked > 0
@@ -68,7 +64,7 @@ class TestLosslessOperation:
 
     def test_acks_are_charged_control_hops(self):
         plain = chain_sim("dup")
-        reliable = chain_sim("dup", retry_budget=3, ack_timeout=2.0)
+        reliable = chain_sim("dup", retry=RetryPlan(3), ack_timeout=2.0)
         subscribe_node_5(plain)
         subscribe_node_5(reliable)
         extra = reliable.ledger.hops(Category.CONTROL) - plain.ledger.hops(
@@ -78,7 +74,7 @@ class TestLosslessOperation:
 
     def test_tree_state_identical_to_unreliable_run(self):
         plain = chain_sim("dup")
-        reliable = chain_sim("dup", retry_budget=3, ack_timeout=2.0)
+        reliable = chain_sim("dup", retry=RetryPlan(3), ack_timeout=2.0)
         subscribe_node_5(plain)
         subscribe_node_5(reliable)
         for node in range(6):
@@ -91,7 +87,7 @@ class TestRetries:
     def test_lost_control_recovered_by_retransmission(self):
         sim = chain_sim(
             "dup",
-            retry_budget=4,
+            retry=RetryPlan(4),
             ack_timeout=1.0,
             faults=FaultPlan(loss_by_category={"control": 0.5}),
             seed=7,
@@ -113,7 +109,7 @@ class TestRetries:
     def test_duplicates_acked_but_processed_once(self):
         sim = chain_sim(
             "dup",
-            retry_budget=4,
+            retry=RetryPlan(4),
             ack_timeout=1.0,
             faults=FaultPlan(duplicate_rate=1.0),
         )
@@ -134,7 +130,7 @@ class TestGiveUp:
     def test_exhausted_budget_raises_suspicion_and_repairs(self):
         sim = chain_sim(
             "dup",
-            retry_budget=2,
+            retry=RetryPlan(2),
             ack_timeout=1.0,
             faults=FaultPlan(silent_failures=True),
         )
@@ -155,7 +151,7 @@ class TestGiveUp:
     def test_dead_sender_timers_cancelled(self):
         sim = chain_sim(
             "dup",
-            retry_budget=3,
+            retry=RetryPlan(3),
             ack_timeout=1.0,
             faults=FaultPlan(loss_by_category={"control": 1.0}),
         )

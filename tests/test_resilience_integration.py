@@ -19,6 +19,7 @@ from repro.core import check_dup_invariants
 from repro.engine import Simulation, SimulationConfig
 from repro.errors import ProtocolError
 from repro.net.faults import FaultPlan
+from repro.net.reliable import RetryPlan
 
 LEASE_TTL = 600.0
 
@@ -37,7 +38,7 @@ def lossy_sim(**overrides):
         faults=FaultPlan(
             loss_by_category={"control": 0.4}, silent_failures=True
         ),
-        retry_budget=5,
+        retry=RetryPlan(5),
         ack_timeout=1.0,
         lease_ttl=LEASE_TTL,
     )
@@ -213,7 +214,7 @@ class TestFalseSuspicion:
         # A suspicion against a healthy peer must only cost local state:
         # the next lease refresh arrives with an unknown subject and is
         # treated as a subscribe, healing the path.
-        sim = lossy_sim(faults=None, retry_budget=0)
+        sim = lossy_sim(faults=None, retry=None)
         subscribe(sim, 5, 3)
         sim.suspect_peer(4, 5)
         assert 5 in sim.tree  # overlay untouched

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+from repro.core.interest import AdaptivePlan
 from repro.engine import SimulationConfig
 from repro.schemes.registry import available_schemes
 from tests.differential import run_fingerprint
@@ -45,7 +46,7 @@ REDUCTIONS = {
 
 #: scheme -> (the scheme it aliases, the config fields it stands for).
 ALIASES = {
-    "dup-adaptive": ("dup", {"interest_policy": "adaptive"}),
+    "dup-adaptive": ("dup", {"interest_policy": AdaptivePlan()}),
 }
 
 

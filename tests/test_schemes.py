@@ -15,6 +15,7 @@ from repro.engine import Simulation, SimulationConfig
 from repro.index.entry import IndexVersion
 from repro.net.faults import FaultPlan
 from repro.net.message import Category, PushMessage
+from repro.net.reliable import RetryPlan
 from repro.schemes.registry import available_schemes, make_scheme
 from repro.errors import ConfigError
 
@@ -344,7 +345,7 @@ class TestDupInvalidate:
         sim = chain_sim(
             "dup-invalidate",
             threshold_c=1,
-            retry_budget=2,
+            retry=RetryPlan(2),
             ack_timeout=1.0,
             faults=FaultPlan(silent_failures=True),
         )
@@ -372,7 +373,7 @@ class TestDupInvalidate:
         sim = chain_sim(
             "dup-invalidate",
             threshold_c=1,
-            retry_budget=1,
+            retry=RetryPlan(1),
             ack_timeout=1.0,
             flight_recorder=True,
         )

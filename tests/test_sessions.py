@@ -17,6 +17,7 @@ from repro.engine import Simulation, SimulationConfig
 from repro.engine.chaos import get_scenario
 from repro.errors import ConfigError
 from repro.net.faults import FaultPlan
+from repro.net.reliable import RetryPlan
 from repro.workload.churn import ChurnConfig, ChurnProcess
 from repro.workload.sessions import FlapDamper, SessionEngine, SessionPlan
 
@@ -244,7 +245,7 @@ class TestFlapChaos:
     def test_flap_storm_keeps_auditor_clean_and_trips_damping(self):
         config = get_scenario("flap").apply(
             sessions_config(
-                retry_budget=4,
+                retry=RetryPlan(4),
                 ack_timeout=2.0,
                 lease_ttl=300.0,
                 seed=7,
@@ -327,7 +328,7 @@ class TestRegionalBursts:
         config = get_scenario("regional").apply(
             sessions_config(
                 sessions=self.PLAN,
-                retry_budget=4,
+                retry=RetryPlan(4),
                 ack_timeout=2.0,
                 lease_ttl=300.0,
             )
@@ -356,7 +357,7 @@ def amnesia_sim(**overrides):
         seed=1,
         piggyback=False,
         faults=FaultPlan(silent_failures=True),
-        retry_budget=5,
+        retry=RetryPlan(5),
         ack_timeout=1.0,
         lease_ttl=600.0,
     )

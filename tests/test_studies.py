@@ -156,7 +156,7 @@ def test_oracle_failover_check_reads_every_run(late, monkeypatch):
         result = synthetic(spec)
         if spec.point[-1] != "dup-oracle":
             return result
-        at = spec.config.authority_crash_at
+        at = spec.config.replication.crash_at
         if late and spec.replication == 1:
             at += 30.0
         return dataclasses.replace(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Simulation, SimulationConfig
 from repro.engine.tracing import MessageLog, TraceCollector
+from repro.index.authority import ReplicationPlan
 from repro.net.message import Category, QueryMessage
 from repro.workload.churn import ChurnConfig
 
@@ -422,9 +423,9 @@ class TestTracingAcrossFailoverAndRepair:
             warmup=600.0,
             threshold_c=2,
             seed=11,
-            authority_standbys=2,
-            failover_timeout=120.0,
-            authority_crash_at=1500.0,
+            replication=ReplicationPlan(
+                standbys=2, failover_timeout=120.0, crash_at=1500.0
+            ),
         )
         sim = Simulation(config)
         tracer = sim.enable_tracing()
