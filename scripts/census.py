@@ -5,7 +5,8 @@
 ``python scripts/census.py --write``  rewrite it in docs/architecture.md
                                       (``make census``)
 ``python scripts/census.py --check``  exit 1 when the committed table is
-                                      stale (a CI step)
+                                      stale or a verdict is missing (a
+                                      CI step)
 
 One row per module under ``src/repro``: its line count, how many files
 of each area (``src``, ``tests``, ``examples``, ``scripts``,
@@ -24,6 +25,12 @@ region, then lists ``sys.modules``.  Deleting code from a loaded module
 changes how many objects exist when the warm-up ends, and that can move
 the generation-1 pass that frees the warm-up's garbage into the timed
 constructor (``make gc-phase``).  Deleting an unloaded module cannot.
+
+``--check`` also reads the document's "## Verdicts" section.  A module
+that no ``src`` module imports, except its own package's ``__init__``
+re-exporting it, must be named (dotted, in backticks) by one of that
+section's bullets.  Packages and the ``repro.cli`` entry point are
+exempt.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import argparse
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -40,6 +48,8 @@ SRC = ROOT / "src"
 AREAS = ("src", "tests", "examples", "scripts", "benchmarks")
 DOC = ROOT / "docs" / "architecture.md"
 BEGIN, END = "<!-- census:begin -->", "<!-- census:end -->"
+#: Reached through ``[project.scripts]``, not by an import.
+ENTRY_POINT = "repro.cli"
 
 _WARM_UP = """
 import sys
@@ -97,32 +107,68 @@ def imported_modules(path, known, exports) -> set[str]:
     return found
 
 
-def census() -> list[tuple]:
-    """``(module, lines, {area: importers}, warm)`` rows, sorted."""
-    known = modules()
+def importers(known) -> dict[str, dict[str, list[pathlib.Path]]]:
+    """``{module: {area: files importing it}}`` for every known module."""
     exports = {
         name: _exports(path)
         for name, path in known.items()
         if path.name == "__init__.py"
     }
-    importers = {name: dict.fromkeys(AREAS, 0) for name in known}
+    found = {name: {area: [] for area in AREAS} for name in known}
     by_path = {path: name for name, path in known.items()}
     for area in AREAS:
         base = SRC / "repro" if area == "src" else ROOT / area
         for path in sorted(base.rglob("*.py")):
             for module in imported_modules(path, known, exports):
                 if by_path.get(path) != module:
-                    importers[module][area] += 1
+                    found[module][area].append(path)
+    return found
+
+
+def census() -> list[tuple]:
+    """``(module, lines, {area: importers}, warm)`` rows, sorted."""
+    known = modules()
+    counts = {
+        name: {area: len(paths) for area, paths in areas.items()}
+        for name, areas in importers(known).items()
+    }
     warm = set(_warm_modules())
     return [
         (
             name,
             len(path.read_text().splitlines()),
-            importers[name],
+            counts[name],
             name in warm,
         )
         for name, path in known.items()
     ]
+
+
+def _judged(doc: str) -> set[str]:
+    """The dotted names the "## Verdicts" bullets of ``doc`` mention."""
+    section = doc.partition("\n## Verdicts\n")[2].split("\n## ", 1)[0]
+    bullets, inside = [], False
+    for line in section.splitlines():
+        inside = line.startswith("- ") or (inside and line.startswith("  "))
+        if inside:
+            bullets.append(line)
+    return set(re.findall(r"`(repro(?:\.\w+)*)`", "\n".join(bullets)))
+
+
+def unjudged(doc: str) -> list[str]:
+    """Modules no other ``src`` module reaches that ``doc`` gives no verdict."""
+    known = modules()
+    by_path = {path: name for name, path in known.items()}
+    judged = _judged(doc)
+    missing = []
+    for name, areas in importers(known).items():
+        if known[name].name == "__init__.py" or name == ENTRY_POINT:
+            continue
+        package = name.rpartition(".")[0]
+        users = {by_path[path] for path in areas["src"]} - {package}
+        if not users and name not in judged:
+            missing.append(name)
+    return missing
 
 
 def _warm_modules() -> list[str]:
@@ -183,13 +229,22 @@ def main(argv=None) -> int:
     if args.write:
         DOC.write_text(fresh)
         return 0
+    failed = False
     if fresh != doc:
         print(
             f"{DOC.relative_to(ROOT)} is stale: run `make census`",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = True
+    for name in unjudged(doc):
+        print(
+            f"{DOC.relative_to(ROOT)}: `{name}` has no `src` importer "
+            "besides its package's re-export, and no bullet under "
+            "\"## Verdicts\" names it",
+            file=sys.stderr,
+        )
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -206,6 +206,7 @@ class Simulation(SchemeHost):
         self._failover_at: Optional[float] = None
         self.auditor = None
         self._monitor = None
+        self._snapshot_interval: Optional[float] = None
         self._timeline = None
         self._trace = None
         self._ran = False
@@ -632,8 +633,21 @@ class Simulation(SchemeHost):
 
     def enable_snapshots(self, interval: float = 600.0) -> None:
         """Sample the metrics registry every ``interval`` simulated
-        seconds (must be called before :meth:`run`)."""
+        seconds (must be called before :meth:`run`).
+
+        A repeat call at the same interval is a no-op; one asking for
+        another interval is refused, as :meth:`add_probe` refuses it.
+        """
         self._before_run("enable_snapshots")
+        if self._snapshot_interval is not None:
+            if interval != self._snapshot_interval:
+                raise ConfigError(
+                    f"enable_snapshots asks for interval {interval}, but "
+                    "the registry is already sampled every "
+                    f"{self._snapshot_interval}"
+                )
+            return
+        self._snapshot_interval = interval
 
         def loop():
             while True:

@@ -8,9 +8,9 @@ of time."
 
 :class:`KeepAliveTracker` implements the authority side: it records beacon
 arrival times per hosting node and reports hosts whose last beacon is older
-than the timeout.  The simulation engine wires expirations to
-:meth:`repro.index.authority.Authority.force_update` in the keep-alive
-example/experiment.
+than the timeout.  The engines do not run it: ``examples/churn_resilience.py``
+wires its expirations to :meth:`repro.index.authority.Authority.force_update`
+in its authority drill.
 """
 
 from __future__ import annotations

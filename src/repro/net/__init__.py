@@ -22,7 +22,6 @@ from repro.net.message import (
     ControlMessage,
     CupRegister,
     CupUnregister,
-    KeepAliveMessage,
     LeaseRefresh,
     Message,
     PushMessage,
@@ -43,7 +42,6 @@ __all__ = [
     "CupUnregister",
     "FaultInjector",
     "FaultPlan",
-    "KeepAliveMessage",
     "LeaseRefresh",
     "Message",
     "PushMessage",

@@ -341,18 +341,6 @@ class AckMessage(Message):
 
 
 @dataclass(slots=True)
-class KeepAliveMessage(Message):
-    """Host liveness beacon sent to the authority node."""
-
-    TYPE_ID = 5
-
-    sender: NodeId
-
-    def __post_init__(self) -> None:
-        self.category = Category.KEEPALIVE
-
-
-@dataclass(slots=True)
 class AuthorityHeartbeat(Message):
     """Authority liveness beacon sent to each standby between issues.
 

@@ -13,7 +13,6 @@ The kernel is deliberately minimal but complete for this project's needs:
 - :class:`Process` — wraps a generator; itself an event that fires when the
   generator returns (its value is the generator's return value).
 - :class:`Interrupt` — exception thrown into an interrupted process.
-- :class:`AnyOf` / :class:`AllOf` — event composition.
 
 Example
 -------
@@ -30,8 +29,6 @@ Example
 """
 
 from repro.sim.core import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -42,8 +39,6 @@ from repro.sim.monitor import Monitor, Series
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",

@@ -36,7 +36,7 @@ lookups on the :mod:`heapq` module.
 from __future__ import annotations
 
 from heapq import heappush, heappop
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ProcessError, SchedulingError, SimulationError
 
@@ -109,18 +109,6 @@ class Event:
         self._value = exception
         self.env._schedule(self, NORMAL)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
-    # -- misc -----------------------------------------------------------
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not halt the run."""
-        self._defused = True
 
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
@@ -297,74 +285,6 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composition events."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events of different environments")
-        if not self._events:
-            self.succeed(self._collect())
-            return
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {
-            event: event._value
-            for event in self._events
-            if event.triggered and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _maybe_fail(self, event: Event) -> bool:
-        if not event._ok:
-            event._defused = True
-            if not self.triggered:
-                self.fail(event._value)
-            return True
-        return False
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any of the given events triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if self._maybe_fail(event):
-            return
-        self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers once all of the given events have triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if self._maybe_fail(event):
-            return
-        self._count += 1
-        if self._count == len(self._events):
-            self.succeed(self._collect())
-
-
 class Environment:
     """The simulation environment: virtual clock plus event loop.
 
@@ -438,14 +358,6 @@ class Environment:
             (self._now + delay, NORMAL, self._eid, function, args),
         )
         self._eid += 1
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event triggering when any of ``events`` does."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event triggering when all of ``events`` have."""
-        return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

@@ -22,18 +22,11 @@ constant number of binary searches (see :meth:`ChordRing._finger_toward`).
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import NodeNotFoundError, TopologyError
-
-
-def chord_hash(label: str, bits: int) -> int:
-    """Deterministic ``bits``-bit hash of a string label (SHA-1 based)."""
-    digest = hashlib.sha1(label.encode("utf-8")).digest()
-    return int.from_bytes(digest, "big") % (1 << bits)
 
 
 class ChordRing:
@@ -97,14 +90,6 @@ class ChordRing:
             distinct, first_seen = np.unique(draws, return_index=True)
         cutoff = np.partition(first_seen, n - 1)[n - 1]
         return cls(distinct[first_seen <= cutoff], bits=bits)
-
-    @classmethod
-    def from_labels(
-        cls, labels: Iterable[str], bits: int = 32
-    ) -> "ChordRing":
-        """A ring whose node ids are SHA-1 hashes of string labels."""
-        ids = {chord_hash(label, bits) for label in labels}
-        return cls(ids, bits=bits)
 
     # -- basic queries ---------------------------------------------------
     @property

@@ -69,7 +69,6 @@ class TestPublicMethodDocstrings:
             "repro.topology.can.CanOverlay",
             "repro.index.cache.IndexCache",
             "repro.index.authority.Authority",
-            "repro.dissemination.platform.DisseminationPlatform",
             "repro.sim.core.Environment",
         ],
     )

@@ -259,75 +259,3 @@ class TestKeepAliveTracker:
             KeepAliveTracker(env, timeout=0.0)
         with pytest.raises(ConfigError):
             KeepAliveTracker(env, timeout=5.0, check_interval=0.0)
-
-
-class TestHostRegistry:
-    def make(self, ttl=100.0, push_lead=10.0, timeout=30.0):
-        from repro.index.registry import HostRegistry
-
-        env = Environment()
-        versions = []
-        authority = Authority(
-            env, key=1, ttl=ttl, push_lead=push_lead,
-            on_new_version=versions.append,
-        )
-        registry = HostRegistry(
-            env, authority, keepalive_timeout=timeout, check_interval=5.0
-        )
-        env.run(until=0.0)  # initial version issued
-        return env, authority, registry, versions
-
-    def test_register_reissues_index(self):
-        env, authority, registry, versions = self.make()
-        assert registry.register_host(7)
-        assert authority.current.value == (7,)
-        assert registry.update_count == 1
-        assert not registry.register_host(7)  # idempotent
-        assert registry.update_count == 1
-
-    def test_unregister_reissues(self):
-        env, authority, registry, versions = self.make()
-        registry.register_host(7)
-        registry.register_host(9)
-        assert registry.unregister_host(7)
-        assert authority.current.value == (9,)
-        assert not registry.unregister_host(7)
-
-    def test_value_is_sorted_host_set(self):
-        env, authority, registry, _ = self.make()
-        registry.register_host(9)
-        registry.register_host(3)
-        assert registry.current_value() == (3, 9)
-        assert authority.current.value == (3, 9)
-
-    def test_silent_host_removed_and_reissued(self):
-        env, authority, registry, versions = self.make(timeout=30.0)
-
-        def beacons(env):
-            # Host 7 beacons for 100 s then goes silent; host 9 forever.
-            while True:
-                if env.now <= 100.0:
-                    registry.beacon(7)
-                registry.beacon(9)
-                yield env.timeout(10.0)
-
-        env.process(beacons(env))
-        env.run(until=200.0)
-        assert registry.hosts == {9}
-        assert authority.current.value == (9,)
-
-    def test_beacon_from_unknown_host_registers(self):
-        env, authority, registry, _ = self.make()
-        registry.beacon(42)
-        assert 42 in registry.hosts
-        assert authority.current.value == (42,)
-
-    def test_updates_propagate_through_schedule(self):
-        env, authority, registry, versions = self.make(
-            ttl=100.0, push_lead=10.0, timeout=1000.0
-        )
-        registry.register_host(1)
-        env.run(until=95.0)
-        # t=0 initial, t~0 forced (register), then rescheduled at +90.
-        assert [v.version for v in versions] == [0, 1, 2]
-        assert versions[-1].value == (1,)

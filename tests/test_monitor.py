@@ -270,3 +270,17 @@ class TestAttachAfterRun:
         sim.add_probe("b", lambda: 2.0, interval=60.0)
         with pytest.raises(ConfigError, match="interval 120.0.*every 60.0"):
             sim.add_probe("c", lambda: 3.0, interval=120.0)
+
+    def test_repeat_snapshots_sample_once(self):
+        sim = small_sim()
+        sim.enable_snapshots(interval=300.0)
+        sim.enable_snapshots(interval=300.0)
+        sim.run()
+        times = [snapshot["time"] for snapshot in sim.registry.snapshots]
+        assert times == [300.0, 600.0, 900.0, 1200.0]
+
+    def test_snapshot_interval_mismatch_refused(self):
+        sim = small_sim()
+        sim.enable_snapshots(interval=60.0)
+        with pytest.raises(ConfigError, match="interval 120.0.*every 60.0"):
+            sim.enable_snapshots(interval=120.0)

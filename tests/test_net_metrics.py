@@ -1,5 +1,7 @@
 """Unit tests for messages, transport, and the metric recorders."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.net import (
     Subscribe,
     Transport,
 )
+from repro.net import message as message_types
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.sim import Environment
 from repro.sim.rng import RandomStreams
@@ -59,6 +62,22 @@ class TestMessages:
         assert PushMessage(key=1, version=None, sender=2).category is Category.PUSH
         control = ControlMessage(key=1, payloads=[Subscribe(3)], sender=2)
         assert control.category is Category.CONTROL
+
+
+    def test_type_ids_are_distinct_and_slots_0_to_3_are_scheme_dispatched(self):
+        # Simulation._dispatch hands ``TYPE_ID < 4`` to the scheme's
+        # handler table and consumes every other type itself.
+        owners = {}
+        for cls in vars(message_types).values():
+            if inspect.isclass(cls) and "TYPE_ID" in vars(cls):
+                assert cls.TYPE_ID not in owners, (cls, owners[cls.TYPE_ID])
+                owners[cls.TYPE_ID] = cls
+        assert [owners.get(slot) for slot in range(4)] == [
+            QueryMessage,
+            ReplyMessage,
+            ControlMessage,
+            PushMessage,
+        ]
 
 
 class TestCostLedger:

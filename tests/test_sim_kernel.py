@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProcessError, SchedulingError, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim import Environment, Event, Interrupt
 
 
 class TestEnvironmentBasics:
@@ -337,38 +337,6 @@ class TestEvents:
         env.process(late_waiter(env, first))
         env.run()
         assert results == [(5.0, "early")]
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        results = []
-
-        def waiter(env):
-            got = yield AnyOf(env, [env.timeout(5.0, "slow"), env.timeout(1.0, "fast")])
-            results.append((env.now, sorted(got.values())))
-
-        env.process(waiter(env))
-        env.run()
-        assert results[0][0] == 1.0
-        assert "fast" in results[0][1]
-
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-        results = []
-
-        def waiter(env):
-            got = yield AllOf(env, [env.timeout(5.0, "slow"), env.timeout(1.0, "fast")])
-            results.append((env.now, sorted(got.values())))
-
-        env.process(waiter(env))
-        env.run()
-        assert results == [(5.0, ["fast", "slow"])]
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-        condition = AllOf(env, [])
-        assert condition.triggered
 
 
 class TestKernelProperties:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import NodeNotFoundError, TopologyError
 from repro.topology import ChordRing, chord_search_tree
-from repro.topology.chord import chord_hash
 
 
 # -- reference routing: Chord by its definition ------------------------------
@@ -166,15 +165,6 @@ class TestChordRing:
         ring = ChordRing([2, 8], bits=4)
         with pytest.raises(NodeNotFoundError):
             ring.lookup_path(5, 0)
-
-    def test_from_labels_deterministic(self):
-        first = ChordRing.from_labels(["a", "b", "c"], bits=16)
-        second = ChordRing.from_labels(["a", "b", "c"], bits=16)
-        assert first.node_ids == second.node_ids
-
-    def test_chord_hash_range(self):
-        for label in ("x", "yy", "zzz"):
-            assert 0 <= chord_hash(label, 8) < 256
 
     def test_random_ring_distinct_ids(self):
         ring = ChordRing.random(100, np.random.default_rng(3), bits=16)
