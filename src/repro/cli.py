@@ -690,20 +690,25 @@ def _command_list(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    from repro.engine.parallel import (
-        resolve_workers,
-        set_default_event_sink,
-        set_default_progress,
-    )
+    from repro.engine.parallel import resolve_workers, set_default_event_sink
     from repro.engine.telemetry import TelemetryWriter
     from repro.errors import ExperimentError
     from repro.experiments.registry import format_failure_table, run_all
 
     runner = get_experiment(args.experiment)
     workers = resolve_workers(args.workers)
+    writer = TelemetryWriter(args.telemetry_out) if args.telemetry_out else None
 
-    def progress(line: str) -> None:
-        print(line, file=sys.stderr, flush=True)
+    def sink(event) -> None:
+        if event.kind == "trial-done":
+            print(
+                f"[{event.done}/{event.total}] {event.trial} "
+                f"done in {event.wall_seconds:.1f}s",
+                file=sys.stderr,
+                flush=True,
+            )
+        if writer is not None:
+            writer(event)
 
     kwargs = dict(
         scale=args.scale,
@@ -714,9 +719,7 @@ def _command_run(args: argparse.Namespace) -> int:
     failures: list = []
     if args.keep_going and runner is run_all:
         kwargs.update(keep_going=True, failures=failures)
-    writer = TelemetryWriter(args.telemetry_out) if args.telemetry_out else None
-    previous = set_default_progress(progress)
-    previous_sink = set_default_event_sink(writer)
+    previous_sink = set_default_event_sink(sink)
     try:
         outcome = runner(**kwargs)
     except ExperimentError as error:
@@ -725,7 +728,6 @@ def _command_run(args: argparse.Namespace) -> int:
         failures.extend(getattr(error, "trial_failures", ()) or ())
         outcome = []
     finally:
-        set_default_progress(previous)
         set_default_event_sink(previous_sink)
         if writer is not None:
             for failure in failures:

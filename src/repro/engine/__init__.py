@@ -8,7 +8,6 @@ from repro.engine.parallel import (
     TrialSpec,
     resolve_workers,
     set_default_event_sink,
-    set_default_progress,
 )
 from repro.engine.telemetry import TelemetryWriter, render_top
 from repro.engine.results import ComparisonResult, ReplicatedResult, SimulationResult
@@ -43,6 +42,5 @@ __all__ = [
     "run_scale",
     "run_simulation",
     "set_default_event_sink",
-    "set_default_progress",
     "sweep",
 ]

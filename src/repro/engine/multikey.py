@@ -417,7 +417,7 @@ def _ring_and_keys(
     return world
 
 
-def _execute_scale_shard(spec) -> tuple[SimulationResult, None]:
+def _execute_scale_shard(spec) -> SimulationResult:
     """Worker-side shard executor for the parallel runner.
 
     ``spec.point`` carries the shard descriptor; the ring is rebuilt (or
@@ -432,7 +432,7 @@ def _execute_scale_shard(spec) -> tuple[SimulationResult, None]:
         shard_index=point["shard_index"],
         shard_count=point["shard_count"],
     )
-    return sim.run(), None
+    return sim.run()
 
 
 def run_scale(

@@ -7,18 +7,23 @@ randomness is a pure function of its derived seed
 distributes trials across a process pool and reassembles the results in
 trial order, so the merged output is **bit-identical** to a serial run
 regardless of worker count or scheduling: a worker never mutates shared
-state, it only returns a picklable :class:`SimulationResult` plus a
-frozen copy of its run's :class:`~repro.metrics.registry.MetricsRegistry`.
+state, it only returns its trial's picklable :class:`SimulationResult`.
 
 ``workers=1`` bypasses the pool entirely and executes trials inline in
-submission order — exactly the historical serial code path.  Worker
-failures are propagated to the caller as :class:`ExperimentError` naming
-the failing experiment, sweep point, scheme, replication, and seed.
+submission order.  The first failing trial aborts the sweep with an
+:class:`ExperimentError` naming the failing experiment, sweep point,
+scheme, replication, and seed.
+
+Progress travels as one stream of :class:`ProgressEvent` records, one
+per finished (or failed) trial, to the runner's ``event_sink`` or the
+process-wide default (:func:`set_default_event_sink`).  The CLI's
+stderr progress line and its ``--telemetry-out`` JSONL are two sinks of
+that one stream.
 
 Worker-count resolution (:func:`resolve_workers`):
 
 - an explicit integer is used as-is;
-- ``"auto"`` (the CLI default) uses every available core;
+- ``"auto"`` (the CLI default) uses every core this process may run on;
 - ``None`` (the library default) consults the ``REPRO_WORKERS``
   environment variable — the CI matrix sets ``REPRO_WORKERS=2`` to drive
   the whole tier-1 suite through the pool path — and falls back to
@@ -32,33 +37,15 @@ import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NoReturn, Optional, Sequence
 
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
 from repro.engine.simulation import Simulation
 from repro.errors import ExperimentError
-from repro.metrics.registry import FrozenMetrics
 
 #: Environment variable consulted when no worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
-
-_default_progress: Optional[Callable[[str], None]] = None
-
-
-def set_default_progress(
-    callback: Optional[Callable[[str], None]],
-) -> Optional[Callable[[str], None]]:
-    """Install a process-wide progress sink; returns the previous one.
-
-    The CLI points this at stderr so sweeps report per-point completion
-    without threading a callback through every experiment signature.
-    ``None`` silences progress (the default, keeping test output clean).
-    """
-    global _default_progress
-    previous = _default_progress
-    _default_progress = callback
-    return previous
 
 
 @dataclass(frozen=True)
@@ -122,14 +109,22 @@ def set_default_event_sink(
 ) -> Optional[Callable[[ProgressEvent], None]]:
     """Install a process-wide :class:`ProgressEvent` sink.
 
-    The structured sibling of :func:`set_default_progress`: the CLI's
-    ``--telemetry-out`` points this at a JSONL writer, and ``repro-dup
-    top`` renders the same stream live.  Returns the previous sink.
+    The CLI's ``run`` points this at one sink that prints the stderr
+    progress line and, with ``--telemetry-out``, appends the event to a
+    JSONL writer (which ``repro-dup top`` renders).  ``None`` (the
+    default) drops events.  Returns the previous sink.
     """
     global _default_event_sink
     previous = _default_event_sink
     _default_event_sink = callback
     return previous
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (affinity and cpusets respected)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return max(1, os.cpu_count() or 1)
 
 
 def resolve_workers(workers: "int | str | None" = None) -> int:
@@ -141,7 +136,7 @@ def resolve_workers(workers: "int | str | None" = None) -> int:
         workers = env
     if isinstance(workers, str):
         if workers.lower() == "auto":
-            return max(1, os.cpu_count() or 1)
+            return _usable_cpus()
         try:
             workers = int(workers)
         except ValueError:
@@ -179,19 +174,14 @@ class TrialSpec:
         return " ".join(parts)
 
 
-def _execute(spec: TrialSpec) -> tuple[SimulationResult, Optional[FrozenMetrics]]:
-    """Worker-side entry point: run one trial, return picklable payloads."""
-    sim = Simulation(spec.config)
-    result = sim.run()
-    return result, sim.registry.freeze()
+def _execute(spec: TrialSpec) -> SimulationResult:
+    """Worker-side entry point: run one trial, return its result."""
+    return Simulation(spec.config).run()
 
 
-#: Worker-side executor signature: spec in, (result, frozen metrics) out.
-#: Custom executors must be module-level callables (the pool pickles them
-#: by reference) and may return ``None`` metrics when they collect none.
-TrialExecutor = Callable[
-    [TrialSpec], tuple[SimulationResult, Optional[FrozenMetrics]]
-]
+#: Worker-side executor signature: spec in, result out.  Custom executors
+#: must be module-level callables (the pool pickles them by reference).
+TrialExecutor = Callable[[TrialSpec], SimulationResult]
 
 
 class ParallelRunner:
@@ -201,23 +191,12 @@ class ParallelRunner:
     ----------
     workers:
         Worker-count request (see :func:`resolve_workers`).
-    progress:
-        Per-trial completion callback receiving one formatted line; when
-        omitted, the process-wide default installed via
-        :func:`set_default_progress` is used.
     experiment:
-        Label stamped onto progress lines and failure messages for specs
-        that do not carry their own.
+        Label stamped onto progress events and failure messages for
+        specs that do not carry their own.
     event_sink:
         Per-trial :class:`ProgressEvent` callback; when omitted, the
         process-wide default from :func:`set_default_event_sink` is used.
-    keep_going:
-        When true, a failing trial is recorded in :attr:`failures`
-        instead of aborting the sweep; the surviving results are still
-        returned in spec order.  The default (false) preserves the
-        historical fail-fast contract: the first failure raises
-        :class:`ExperimentError` (with the recorded failures attached as
-        its ``trial_failures`` attribute).
     execute:
         Worker-side executor invoked per spec (see :data:`TrialExecutor`).
         Defaults to running ``Simulation(spec.config)``; the sharded
@@ -226,28 +205,22 @@ class ParallelRunner:
         simulations.  Must be picklable (a module-level function) for
         the pool path.
 
-    After :meth:`run_trials` returns, :attr:`metrics` holds the merged
-    :class:`FrozenMetrics` of every trial (pool path only; the serial
-    path adds no instrumentation overhead, exactly like the historical
-    runner) and :attr:`failures` the :class:`TrialFailure` table.
+    The first failing trial raises :class:`ExperimentError`, with the
+    :attr:`failures` table (one :class:`TrialFailure`) attached as its
+    ``trial_failures`` attribute.
     """
 
     def __init__(
         self,
         workers: "int | str | None" = None,
-        progress: Optional[Callable[[str], None]] = None,
         experiment: str = "",
         event_sink: Optional[Callable[[ProgressEvent], None]] = None,
-        keep_going: bool = False,
         execute: Optional[TrialExecutor] = None,
     ):
         self.workers = resolve_workers(workers)
-        self._progress = progress
         self._event_sink = event_sink
         self._execute_fn = execute if execute is not None else _execute
         self.experiment = experiment
-        self.keep_going = keep_going
-        self.metrics: Optional[FrozenMetrics] = None
         self.failures: list[TrialFailure] = []
         self._started_at = 0.0
         self._busy_seconds = 0.0
@@ -278,26 +251,16 @@ class ParallelRunner:
                     replication=spec.replication,
                 )
             return spec
-        if isinstance(spec, SimulationConfig):
-            return TrialSpec(config=spec, experiment=self.experiment)
-        raise ExperimentError(
-            f"expected TrialSpec or SimulationConfig, got {type(spec).__name__}"
-        )
+        raise ExperimentError(f"expected TrialSpec, got {type(spec).__name__}")
 
     def _run_serial(self, specs: Sequence[TrialSpec]) -> list[SimulationResult]:
         results = []
         done = 0
         for spec in specs:
             try:
-                if self._execute_fn is _execute:
-                    # Historical inline path: no freeze() overhead when
-                    # nobody will merge metrics.
-                    result = Simulation(spec.config).run()
-                else:
-                    result = self._execute_fn(spec)[0]
+                result = self._execute_fn(spec)
             except Exception as error:
                 self._fail(spec, error, done, len(specs))
-                continue
             results.append(result)
             done += 1
             self._report(done, len(specs), spec, result)
@@ -306,7 +269,6 @@ class ParallelRunner:
     def _run_pool(self, specs: Sequence[TrialSpec]) -> list[SimulationResult]:
         workers = min(self.workers, len(specs))
         slots: list[Optional[SimulationResult]] = [None] * len(specs)
-        frozen: list[Optional[FrozenMetrics]] = [None] * len(specs)
         done = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
@@ -325,26 +287,20 @@ class ParallelRunner:
                         error = future.exception()
                         if error is not None:
                             self._fail(spec, error, done, len(specs))
-                            continue
-                        result, metrics = future.result()
-                        slots[index], frozen[index] = result, metrics
+                        result = slots[index] = future.result()
                         done += 1
                         self._report(done, len(specs), spec, result)
             except BaseException:
                 for future in pending:
                     future.cancel()
                 raise
-        parts = [part for part in frozen if part is not None]
-        # Custom executors may return no metrics at all (e.g. the scale
-        # shard runner); leave the merged view unset in that case.
-        self.metrics = FrozenMetrics.merge(parts) if parts else None
-        return [result for result in slots if result is not None]
+        return slots
 
     # -- failures ------------------------------------------------------------
     def _fail(
         self, spec: TrialSpec, error: BaseException, done: int, total: int
-    ) -> None:
-        """Record (or raise on) one failed trial."""
+    ) -> NoReturn:
+        """Record one failed trial and abort the sweep."""
         failure = TrialFailure(
             experiment=spec.experiment or self.experiment,
             trial=spec.describe(),
@@ -359,12 +315,11 @@ class ParallelRunner:
             wall_seconds=math.nan,
             error=failure.error,
         )
-        if not self.keep_going:
-            wrapped = ExperimentError(
-                f"worker failed on {spec.describe()}: {error!r}"
-            )
-            wrapped.trial_failures = tuple(self.failures)
-            raise wrapped from error
+        wrapped = ExperimentError(
+            f"worker failed on {spec.describe()}: {error!r}"
+        )
+        wrapped.trial_failures = tuple(self.failures)
+        raise wrapped from error
 
     # -- progress ------------------------------------------------------------
     def _report(
@@ -388,15 +343,6 @@ class ParallelRunner:
             flap_suppressed=float(
                 extras.get("flap_suppressed_now", math.nan)
             ),
-        )
-        progress = (
-            self._progress if self._progress is not None else _default_progress
-        )
-        if progress is None:
-            return
-        progress(
-            f"[{done}/{total}] {spec.describe()} "
-            f"done in {result.wall_seconds:.1f}s"
         )
 
     def _emit_event(
@@ -453,24 +399,3 @@ class ParallelRunner:
                 error=error,
             )
         )
-
-
-def run_trials(
-    specs: Iterable[TrialSpec],
-    workers: "int | str | None" = None,
-    progress: Optional[Callable[[str], None]] = None,
-    experiment: str = "",
-    event_sink: Optional[Callable[[ProgressEvent], None]] = None,
-    keep_going: bool = False,
-    execute: Optional[TrialExecutor] = None,
-) -> list[SimulationResult]:
-    """Convenience wrapper: one-shot :class:`ParallelRunner` execution."""
-    runner = ParallelRunner(
-        workers=workers,
-        progress=progress,
-        experiment=experiment,
-        event_sink=event_sink,
-        keep_going=keep_going,
-        execute=execute,
-    )
-    return runner.run_trials(specs)

@@ -577,11 +577,18 @@ class Simulation(SchemeHost):
 
         Must be called before :meth:`run`; returns the collector.  Every
         post-warm-up query then yields a reconstructed end-to-end trace.
+        A repeat call with the same ``keep`` returns the same collector;
+        one asking for another ``keep`` is refused.
         """
         from repro.engine.tracing import TraceCollector
 
         self._before_run("enable_tracing")
         if self.tracer is not None:
+            if keep != self.tracer.keep:
+                raise ConfigError(
+                    f"enable_tracing asks to keep {keep} traces, but the "
+                    f"collector already keeps {self.tracer.keep}"
+                )
             return self.tracer
         self.tracer = TraceCollector(
             clock=lambda: self.env.now,
@@ -608,22 +615,33 @@ class Simulation(SchemeHost):
         """Sample the tree-evolution timeline every ``window`` seconds.
 
         Returns a :class:`~repro.sim.monitor.Monitor` carrying the
-        probes of :func:`~repro.metrics.windows.timeline_probes`
-        (idempotent; must be called before :meth:`run`).  Each metric
-        keeps its newest ``max_buckets`` samples regardless of the run
-        length; the timeline is a pure observer and never perturbs the
-        run.
+        probes of :func:`~repro.metrics.windows.timeline_probes` (must be
+        called before :meth:`run`).  Each metric keeps its newest
+        ``max_buckets`` samples regardless of the run length; the
+        timeline is a pure observer and never perturbs the run.  A
+        repeat call with the same arguments returns the same monitor;
+        one asking for another window or bucket count is refused.
         """
         from repro.metrics.windows import timeline_probes
         from repro.sim.monitor import Monitor
 
         self._before_run("enable_timeline")
-        if self._timeline is None:
-            timeline = Monitor(self.env, window, max_samples=max_buckets)
-            for name, probe in timeline_probes(self).items():
-                timeline.probe(name, probe)
-            self._timeline = timeline
-        return self._timeline
+        timeline = self._timeline
+        if timeline is not None:
+            held = (timeline.interval, timeline.max_samples)
+            if (window, max_buckets) != held:
+                raise ConfigError(
+                    f"enable_timeline asks for window {window} with "
+                    f"{max_buckets} buckets, but the timeline already "
+                    f"samples every {timeline.interval} with "
+                    f"{timeline.max_samples} buckets"
+                )
+            return timeline
+        timeline = Monitor(self.env, window, max_samples=max_buckets)
+        for name, probe in timeline_probes(self).items():
+            timeline.probe(name, probe)
+        self._timeline = timeline
+        return timeline
 
     def dump_flight(self, path) -> int:
         """Dump the flight recorder's ring as JSONL; 0 when unarmed."""

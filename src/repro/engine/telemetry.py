@@ -2,9 +2,9 @@
 
 The parallel engine emits one structured
 :class:`~repro.engine.parallel.ProgressEvent` per finished (or failed)
-trial.  :class:`TelemetryWriter` streams those events — plus optional
-tree-evolution timeline records — to an append-only JSONL file, flushed
-per line so a live run can be tailed.  :func:`render_top` folds the same
+trial.  :class:`TelemetryWriter` streams those events (and, at the end
+of a sweep, its failure table) to an append-only JSONL file, flushed per
+line so a live run can be tailed.  :func:`render_top` folds the same
 stream back into a one-screen dashboard (per-experiment progress, ETA,
 worker utilization, rolling latency/cost gauges) for the ``repro-dup
 top`` subcommand.
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from repro.metrics.export import _clean
 
 
 class TelemetryWriter:
-    """Append-only JSONL sink for progress events and timeline records.
+    """Append-only JSONL sink for progress events and failure records.
 
     Usable directly as the parallel engine's event sink::
 
@@ -58,14 +58,6 @@ class TelemetryWriter:
         self._handle.write("\n")
         self._handle.flush()
         self.written += 1
-
-    def write_records(self, records: Iterable[Mapping]) -> int:
-        """Append many records (e.g. ``timeline_records(timeline)``)."""
-        count = 0
-        for record in records:
-            self.write_record(record)
-            count += 1
-        return count
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""

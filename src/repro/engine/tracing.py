@@ -1,183 +1,34 @@
-"""End-to-end query tracing and structured message logging.
+"""End-to-end query tracing.
 
-Two observability tools live here, both built on the transport's public
-observer tap (:meth:`repro.net.transport.Transport.add_observer`):
-
-- :class:`MessageLog` — a bounded ring buffer of every delivered message
-  (time, destination, category, key fields).  The tool for answering
-  "what actually happened on the wire between t=7080 and t=7090?"
-  without scattering print statements through the schemes.
-- :class:`TraceCollector` — reconstructs each query's **full causal
-  chain** as a :class:`QueryTrace`: the issue event, every request hop
-  up the search tree, the serving node, every reply hop back down,
-  the control continuations (subscribe / substitute / register), and
-  the pushes they trigger.  Each hop is a timed :class:`HopSpan`
-  attributed to the search-tree level it landed on; schemes annotate
-  decision points (subscriptions, substitutions, push decisions)
-  through ``Simulation.trace_annotate``.
+:class:`TraceCollector` is built on the transport's public observer tap
+(:meth:`repro.net.transport.Transport.add_observer`).  It reconstructs
+each query's **full causal chain** as a :class:`QueryTrace`: the issue
+event, every request hop up the search tree, the serving node, every
+reply hop back down, the control continuations (subscribe / substitute
+/ register), and the pushes they trigger.  Each hop is a timed
+:class:`HopSpan` attributed to the search-tree level it landed on;
+schemes annotate decision points (subscriptions, substitutions, push
+decisions) through ``Simulation.trace_annotate``.
 
 The collector turns the paper's two opaque aggregates (mean latency,
 mean cost) into attributable quantities: tail percentiles (p50/p95/p99)
 over per-query latencies and hop counts broken down by tree level, so a
 regression or a win can be located *where* in the tree it happened.
 
-Enable via ``MessageLog.attach(sim)`` / ``Simulation.enable_tracing()``
-before ``run()``.
+Enable via ``Simulation.enable_tracing()`` before ``run()``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from repro.net.message import (
-    Category,
-    ControlMessage,
-    Message,
-    PushMessage,
-    QueryMessage,
-    ReplyMessage,
-)
+from repro.net.message import Category
 from repro.net.transport import TransportEvent
 from repro.stats.running import percentile
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.simulation import Simulation
-
 NodeId = int
-
-
-@dataclass(frozen=True)
-class LoggedMessage:
-    """One delivered message, flattened for inspection."""
-
-    time: float
-    destination: NodeId
-    category: str
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return (
-            f"t={self.time:.3f} -> {self.destination} "
-            f"[{self.category}] {self.kind} {self.detail}"
-        )
-
-
-def _describe(message: Message) -> tuple[str, str]:
-    if isinstance(message, QueryMessage):
-        return "query", f"origin={message.origin} hops={message.hops}"
-    if isinstance(message, ReplyMessage):
-        return (
-            "reply",
-            f"to={message.destination} request_hops={message.request_hops}",
-        )
-    if isinstance(message, PushMessage):
-        version = getattr(message.version, "version", message.version)
-        return "push", f"from={message.sender} version={version}"
-    if isinstance(message, ControlMessage):
-        payloads = ",".join(type(p).__name__ for p in message.payloads)
-        return "control", f"from={message.sender} payloads=[{payloads}]"
-    return type(message).__name__.lower(), ""
-
-
-class MessageLog:
-    """A bounded log of delivered messages.
-
-    Parameters
-    ----------
-    limit:
-        Maximum retained entries (oldest evicted first).
-    """
-
-    def __init__(self, limit: int = 100_000):
-        if limit < 1:
-            raise ValueError(f"limit must be positive, got {limit}")
-        self._entries: deque[LoggedMessage] = deque(maxlen=limit)
-        self._total = 0
-        self._observer = None
-
-    # -- attachment ---------------------------------------------------------
-    @classmethod
-    def attach(cls, sim: "Simulation", limit: int = 100_000) -> "MessageLog":
-        """Attach a new log to ``sim``'s transport (before ``run()``).
-
-        Uses the transport's observer tap, so logs stack with the trace
-        collector and with each other; call :meth:`detach` to stop
-        recording.  Raises ``RuntimeError`` once ``sim`` has run: hops
-        already in flight would reach their handler without the log.
-        """
-        sim._before_run("MessageLog.attach")
-        log = cls(limit)
-
-        def observe(event: TransportEvent) -> None:
-            if event.kind == "deliver":
-                log.record(event.time, event.destination, event.message)
-
-        log._observer = sim.transport.add_observer(observe)
-        log._transport = sim.transport
-        return log
-
-    def detach(self) -> None:
-        """Stop recording (undo :meth:`attach`)."""
-        if self._observer is not None:
-            self._transport.remove_observer(self._observer)
-            self._observer = None
-
-    def record(
-        self, time: float, destination: NodeId, message: Message
-    ) -> None:
-        """Append one delivery."""
-        kind, detail = _describe(message)
-        self._entries.append(
-            LoggedMessage(
-                time=time,
-                destination=destination,
-                category=message.category.value,
-                kind=kind,
-                detail=detail,
-            )
-        )
-        self._total += 1
-
-    # -- queries -----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[LoggedMessage]:
-        return iter(self._entries)
-
-    @property
-    def total_recorded(self) -> int:
-        """All-time count (including evicted entries)."""
-        return self._total
-
-    def between(self, start: float, end: float) -> list[LoggedMessage]:
-        """Entries with ``start <= time <= end``."""
-        return [e for e in self._entries if start <= e.time <= end]
-
-    def of_category(
-        self, category: Category | str, since: float = 0.0
-    ) -> list[LoggedMessage]:
-        """Entries of one category, optionally after ``since``."""
-        name = category.value if isinstance(category, Category) else category
-        return [
-            e for e in self._entries if e.category == name and e.time >= since
-        ]
-
-    def to_node(self, node: NodeId) -> list[LoggedMessage]:
-        """Entries delivered to ``node``."""
-        return [e for e in self._entries if e.destination == node]
-
-    def summary(self) -> dict[str, int]:
-        """Delivery counts by category (over retained entries)."""
-        return dict(Counter(e.category for e in self._entries))
-
-    def tail(self, count: int = 20) -> str:
-        """The last ``count`` entries, rendered."""
-        recent = list(self._entries)[-count:]
-        return "\n".join(str(entry) for entry in recent)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +192,6 @@ class TraceCollector:
         # Aggregates that survive eviction.
         self._latencies: list[float] = []
         self._level_hops: Counter = Counter()
-        self._category_hops: Counter = Counter()
         self._completed = 0
         self._incomplete = 0
         self._untraced = 0
@@ -439,7 +289,6 @@ class TraceCollector:
             span.status = "delivered"
             if self._depth_of is not None and span.destination is not None:
                 span.level = self._depth_of(span.destination)
-            self._category_hops[span.category] += 1
             if span.category == Category.QUERY.value and span.level is not None:
                 self._level_hops[span.level] += 1
             return
@@ -491,6 +340,11 @@ class TraceCollector:
         return len(self._open)
 
     @property
+    def keep(self) -> int:
+        """Maximum finished traces retained."""
+        return self._keep
+
+    @property
     def untraced(self) -> int:
         """Queries skipped by the warm-up gate."""
         return self._untraced
@@ -512,10 +366,6 @@ class TraceCollector:
         """Delivered request hops attributed to destination tree depth."""
         return dict(sorted(self._level_hops.items()))
 
-    def hops_by_category(self) -> dict[str, int]:
-        """Delivered traced hops by message category."""
-        return dict(self._category_hops)
-
     def summary(self) -> dict[str, object]:
         """One-glance counts and tails (used by the CLI)."""
         return {
@@ -531,30 +381,3 @@ class TraceCollector:
             f"TraceCollector(completed={self._completed}, "
             f"incomplete={self._incomplete}, open={self.open_count})"
         )
-
-
-def merge_summaries(summaries) -> dict[str, object]:
-    """Combine per-run :meth:`TraceCollector.summary` dicts.
-
-    Counts (``completed``/``incomplete``/``open`` and the nested
-    ``hops_by_level`` attribution) are summed; percentile fields, which
-    cannot be combined from summaries alone, are dropped — re-derive them
-    from the merged raw latencies when tails across runs are needed.
-    Used when a parallel sweep's per-worker trace summaries are folded
-    into one report.
-    """
-    merged: dict[str, object] = {
-        "completed": 0,
-        "incomplete": 0,
-        "open": 0,
-        "hops_by_level": {},
-    }
-    levels: dict[int, int] = merged["hops_by_level"]
-    for summary in summaries:
-        for key in ("completed", "incomplete", "open"):
-            merged[key] += int(summary.get(key, 0))
-        for level, hops in dict(summary.get("hops_by_level", {})).items():
-            level = int(level)
-            levels[level] = levels.get(level, 0) + int(hops)
-    merged["hops_by_level"] = dict(sorted(levels.items()))
-    return merged

@@ -16,7 +16,6 @@ exporters for offline analysis (:mod:`repro.metrics.export`).
 
 from repro.metrics.counters import CostLedger
 from repro.metrics.export import (
-    export_messages,
     export_registry,
     export_traces,
     read_jsonl,
@@ -25,7 +24,6 @@ from repro.metrics.export import (
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.registry import (
     Counter,
-    FrozenMetrics,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -36,13 +34,11 @@ from repro.metrics.windows import reconstruct_series, timeline_records
 __all__ = [
     "CostLedger",
     "Counter",
-    "FrozenMetrics",
     "Gauge",
     "Histogram",
     "LatencyRecorder",
     "MetricsRegistry",
     "MetricsReport",
-    "export_messages",
     "export_registry",
     "export_traces",
     "read_jsonl",

@@ -7,9 +7,7 @@ mixed streams stay self-describing:
   :meth:`repro.engine.tracing.QueryTrace.to_dict` and
   ``docs/observability.md`` for the full schema);
 - ``{"type": "snapshot", "time": ..., "values": {...}}`` — one metrics
-  registry snapshot;
-- ``{"type": "message", ...}`` — one delivered message from a
-  :class:`repro.engine.tracing.MessageLog`.
+  registry snapshot.
 
 Everything is plain ``json.dumps``-able (ints, floats, strings, None);
 ``nan``/``inf`` are serialized as ``null`` so any JSON reader can load
@@ -23,7 +21,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.tracing import MessageLog, TraceCollector
+    from repro.engine.tracing import TraceCollector
     from repro.metrics.registry import MetricsRegistry
 
 
@@ -87,12 +85,7 @@ def export_traces(
 
 def registry_records(registry: "MetricsRegistry") -> Iterator[dict]:
     """Yield the registry's snapshots (or one current snapshot if none
-    were recorded) as JSONL-ready dicts.
-
-    Accepts either a live :class:`~repro.metrics.registry.MetricsRegistry`
-    or a :class:`~repro.metrics.registry.FrozenMetrics` (e.g. the merged
-    payload of a parallel sweep) — both expose ``snapshots`` and
-    ``snapshot()``."""
+    were recorded) as JSONL-ready dicts."""
     snapshots = registry.snapshots or (registry.snapshot(),)
     for snapshot in snapshots:
         yield {"type": "snapshot", **snapshot}
@@ -105,21 +98,3 @@ def export_registry(registry: "MetricsRegistry", path: str) -> int:
     was not enabled.  Returns the number of snapshots written.
     """
     return write_jsonl(path, registry_records(registry))
-
-
-def message_records(log: "MessageLog") -> Iterator[dict]:
-    """Yield a message log's retained entries as JSONL-ready dicts."""
-    for entry in log:
-        yield {
-            "type": "message",
-            "time": entry.time,
-            "destination": entry.destination,
-            "category": entry.category,
-            "kind": entry.kind,
-            "detail": entry.detail,
-        }
-
-
-def export_messages(log: "MessageLog", path: str) -> int:
-    """Dump a message log to ``path`` (one delivery per line)."""
-    return write_jsonl(path, message_records(log))

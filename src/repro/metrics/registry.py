@@ -17,8 +17,7 @@ for offline analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.stats.running import RunningStat, percentile
 
@@ -128,24 +127,6 @@ class Histogram:
             **{f"p{q:g}": self.percentile(q) for q in qs},
         }
 
-    @property
-    def samples(self) -> tuple[float, ...]:
-        """An immutable copy of the raw observations."""
-        return tuple(self._samples)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram combining this one's samples with ``other``'s.
-
-        Raw samples are concatenated, so percentiles (which sort) and
-        extrema are exactly what a single histogram fed both sample sets
-        would report; mean/variance use the numerically stable pairwise
-        merge.
-        """
-        merged = Histogram(self.name)
-        merged._stat = self._stat.merge(other._stat)
-        merged._samples = [*self._samples, *other._samples]
-        return merged
-
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count})"
 
@@ -243,121 +224,8 @@ class MetricsRegistry:
         """All recorded snapshots, in time order."""
         return tuple(self._snapshots)
 
-    def freeze(self) -> "FrozenMetrics":
-        """A picklable, mergeable copy of the registry's current state.
-
-        Live gauges are sampled once; histograms keep their raw samples;
-        any recorded snapshot series rides along.  Worker processes ship
-        frozen registries back to the parent, which merges them with
-        :meth:`FrozenMetrics.merge`.
-        """
-        series: dict[str, tuple[float, ...]] = {}
-        histograms: dict[str, tuple[float, ...]] = {}
-        for name in self.names:
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                histograms[name] = instrument.samples
-            else:
-                series[name] = (float(instrument.value),)
-        return FrozenMetrics(
-            time=self._clock(),
-            series=series,
-            histograms=histograms,
-            snapshots=tuple(self._snapshots),
-        )
-
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(instruments={len(self._instruments)}, "
             f"snapshots={len(self._snapshots)})"
-        )
-
-
-@dataclass(frozen=True)
-class FrozenMetrics:
-    """Immutable registry state, safe to pickle across process boundaries.
-
-    ``series`` holds one final value per trial for every counter/gauge
-    (a single-trial freeze has length-1 tuples); ``histograms`` holds the
-    concatenated raw samples; ``snapshots`` the recorded time series.
-    The JSONL exporter accepts a frozen registry wherever it accepts a
-    live one (both expose ``snapshots`` and ``snapshot()``).
-    """
-
-    time: float
-    series: Mapping[str, tuple[float, ...]]
-    histograms: Mapping[str, tuple[float, ...]]
-    snapshots: tuple[Mapping[str, object], ...] = ()
-    trials: int = 1
-
-    @classmethod
-    def merge(cls, parts: Sequence["FrozenMetrics"]) -> "FrozenMetrics":
-        """Combine per-trial registries into one cross-trial view.
-
-        Counter/gauge series and histogram samples are concatenated in
-        ``parts`` order (deterministic regardless of which worker ran
-        which trial, because the caller orders ``parts`` by trial index);
-        snapshot series are likewise concatenated.
-        """
-        if not parts:
-            raise ValueError("need at least one FrozenMetrics to merge")
-        series: dict[str, tuple[float, ...]] = {}
-        histograms: dict[str, tuple[float, ...]] = {}
-        snapshots: list[Mapping[str, object]] = []
-        for part in parts:
-            for name, values in part.series.items():
-                series[name] = series.get(name, ()) + tuple(values)
-            for name, samples in part.histograms.items():
-                histograms[name] = histograms.get(name, ()) + tuple(samples)
-            snapshots.extend(part.snapshots)
-        return cls(
-            time=max(part.time for part in parts),
-            series=series,
-            histograms=histograms,
-            snapshots=tuple(snapshots),
-            trials=sum(part.trials for part in parts),
-        )
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        """Per-metric cross-trial statistics (count/mean/min/max, and
-        percentiles for histogram-backed metrics)."""
-        out: dict[str, dict[str, float]] = {}
-        for name, values in self.series.items():
-            stat = RunningStat()
-            stat.extend(values)
-            out[name] = {
-                "count": stat.count,
-                "mean": stat.mean,
-                "min": stat.minimum,
-                "max": stat.maximum,
-            }
-        for name, samples in self.histograms.items():
-            stat = RunningStat()
-            stat.extend(samples)
-            out[name] = {
-                "count": stat.count,
-                "mean": stat.mean,
-                "min": stat.minimum,
-                "max": stat.maximum,
-                **{f"p{q:g}": percentile(samples, q) for q in (50, 95, 99)},
-            }
-        return out
-
-    def snapshot(self) -> dict[str, object]:
-        """One flattened snapshot (export-compatible with the live
-        registry): per-trial means for series, summaries for histograms."""
-        summary = self.summary()
-        values: dict[str, object] = {}
-        for name in sorted(summary):
-            if name in self.histograms:
-                values[name] = summary[name]
-            else:
-                values[name] = summary[name]["mean"]
-        return {"time": self.time, "values": values, "trials": self.trials}
-
-    def __repr__(self) -> str:
-        return (
-            f"FrozenMetrics(trials={self.trials}, "
-            f"series={len(self.series)}, histograms={len(self.histograms)}, "
-            f"snapshots={len(self.snapshots)})"
         )

@@ -191,6 +191,11 @@ class Monitor:
         return self._interval
 
     @property
+    def max_samples(self) -> Optional[int]:
+        """Samples each series keeps (``None``: unbounded)."""
+        return self._max_samples
+
+    @property
     def names(self) -> tuple[str, ...]:
         """All registered probe names."""
         return tuple(self._series)

@@ -4,11 +4,13 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 
 import pytest
 
 from repro.cli import main
+from repro.metrics.export import read_jsonl
 
 
 class TestList:
@@ -90,18 +92,36 @@ class TestSimulate:
 
 
 class TestRun:
-    def test_run_single_experiment(self, capsys):
+    def test_run_single_experiment(self, tmp_path, capsys):
         # table2 with default sweep is too slow for a unit test; use the
         # smallest registered experiment shape by calling through the CLI
-        # on quick scale with one replication.
-        code = main(
-            ["run", "ablation-interest", "--scale", "quick",
-             "--replications", "1"]
-        )
-        output = capsys.readouterr().out
-        assert "ablation-interest" in output
-        assert "shape checks:" in output
-        assert code in (0, 1)  # shape outcome, not a crash
+        # on quick scale with one replication, serially and on a pool.
+        # Each finished trial prints one stderr line and writes one
+        # progress record: two sinks of the same event.
+        line = re.compile(r"\[(\d+)/(\d+)\] (.+) done in \d+\.\ds")
+        for workers in ("1", "2"):
+            path = tmp_path / f"sweep-{workers}.jsonl"
+            code = main(
+                ["run", "ablation-interest", "--scale", "quick",
+                 "--replications", "1", "--workers", workers,
+                 "--telemetry-out", str(path)]
+            )
+            captured = capsys.readouterr()
+            assert "ablation-interest" in captured.out
+            assert "shape checks:" in captured.out
+            assert code in (0, 1)  # shape outcome, not a crash
+            progress = [
+                line.fullmatch(text)
+                for text in captured.err.splitlines()
+                if text.startswith("[")
+            ]
+            assert progress and all(progress)
+            total = len(progress)
+            assert [int(m[1]) for m in progress] == list(range(1, total + 1))
+            assert {int(m[2]) for m in progress} == {total}
+            records = read_jsonl(str(path))
+            assert [r["type"] for r in records] == ["progress"] * total
+            assert [r["trial"] for r in records] == [m[3] for m in progress]
 
     def test_run_unknown_experiment(self):
         from repro.errors import ExperimentError

@@ -284,3 +284,17 @@ class TestAttachAfterRun:
         sim.enable_snapshots(interval=60.0)
         with pytest.raises(ConfigError, match="interval 120.0.*every 60.0"):
             sim.enable_snapshots(interval=120.0)
+
+    def test_timeline_window_mismatch_refused(self):
+        sim = small_sim()
+        sim.enable_timeline(window=600.0)
+        with pytest.raises(ConfigError, match="window 60.0.*every 600.0"):
+            sim.enable_timeline(window=60.0)
+        with pytest.raises(ConfigError, match="with 8 buckets.*with 256"):
+            sim.enable_timeline(window=600.0, max_buckets=8)
+
+    def test_tracing_keep_mismatch_refused(self):
+        sim = small_sim()
+        sim.enable_tracing(keep=50)
+        with pytest.raises(ConfigError, match="keep 10 traces.*keeps 50"):
+            sim.enable_tracing(keep=10)

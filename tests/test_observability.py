@@ -13,7 +13,7 @@ from repro.metrics import (
     read_jsonl,
     write_jsonl,
 )
-from repro.metrics.export import export_messages, export_registry
+from repro.metrics.export import export_registry
 from repro.stats import percentile
 from repro.stats.confidence import ConfidenceInterval
 
@@ -207,21 +207,6 @@ class TestJsonlExport:
         assert record["type"] == "snapshot"
         assert record["time"] == 9.0
         assert record["values"]["n"] == 3
-
-    def test_message_log_export(self, tmp_path):
-        from repro.engine.tracing import MessageLog
-
-        sim = Simulation(small_config("pcx", num_nodes=8, topology="chain"))
-        sim.start()
-        log = MessageLog.attach(sim)
-        sim.scheme.on_local_query(7)
-        sim.env.run(until=5.0)
-        path = tmp_path / "messages.jsonl"
-        count = export_messages(log, str(path))
-        assert count == len(log) > 0
-        records = read_jsonl(str(path))
-        assert all(r["type"] == "message" for r in records)
-        assert records[0]["category"] == "query"
 
 
 class TestTraceExportAcceptance:

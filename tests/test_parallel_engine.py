@@ -3,7 +3,7 @@
 The load-bearing guarantee: a sweep run with N workers is bit-identical
 to the same sweep run serially, because every trial's randomness is a
 pure function of its derived seed and workers return only picklable
-payloads that are merged back in submission order.  ``wall_seconds`` is
+results that are reassembled in submission order.  ``wall_seconds`` is
 host wall-clock and therefore excluded from every fingerprint.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 import pytest
 
@@ -22,13 +21,10 @@ from repro.engine import (
     compare_schemes,
     resolve_workers,
     run_replications,
-    set_default_progress,
 )
-from repro.engine.parallel import WORKERS_ENV, run_trials
-from repro.engine.tracing import merge_summaries
+from repro.engine.parallel import WORKERS_ENV
 from repro.errors import ExperimentError
 from repro.experiments import get_experiment
-from repro.metrics.registry import FrozenMetrics, Histogram, MetricsRegistry
 from repro.sim.rng import RandomStreams, derive_trial_seed
 
 SMOKE = dict(
@@ -81,7 +77,14 @@ class TestResolveWorkers:
     def test_auto_uses_cores(self):
         import os
 
-        assert resolve_workers("auto") == max(1, os.cpu_count() or 1)
+        assert resolve_workers("auto") == len(os.sched_getaffinity(0))
+
+    def test_auto_counts_usable_cpus_not_host_cpus(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers("auto") == 1
 
     def test_none_defaults_to_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -138,8 +141,8 @@ class TestSerialParallelEquivalence:
             )
             for index, seed in enumerate((11, 7, 29, 2))
         ]
-        serial = run_trials(specs, workers=1)
-        pooled = run_trials(specs, workers=4)
+        serial = ParallelRunner(workers=1).run_trials(specs)
+        pooled = ParallelRunner(workers=4).run_trials(specs)
         assert [r.config.seed for r in serial] == [11, 7, 29, 2]
         assert [fingerprint(r) for r in serial] == [
             fingerprint(r) for r in pooled
@@ -197,45 +200,10 @@ class TestFigure4Equivalence:
         ]
 
 
-# -- progress and failure propagation -----------------------------------------
+# -- failure propagation ------------------------------------------------------
 
 
 class TestProgressAndFailures:
-    def test_progress_lines_name_every_trial(self):
-        lines = []
-        config = SimulationConfig(scheme="dup", seed=1, **SMOKE)
-        runner = ParallelRunner(
-            workers=2, progress=lines.append, experiment="probe"
-        )
-        runner.run_trials(
-            [
-                TrialSpec(config=config, experiment="probe", point=1.0),
-                TrialSpec(
-                    config=config.replace(seed=2),
-                    experiment="probe",
-                    point=2.0,
-                    replication=1,
-                ),
-            ]
-        )
-        assert len(lines) == 2
-        assert any("point=1.0" in line and "seed=1" in line for line in lines)
-        assert all(line.startswith("[") for line in lines)
-
-    def test_default_progress_sink_is_used_and_restored(self):
-        lines = []
-
-        def sink(line):
-            lines.append(line)
-
-        previous = set_default_progress(sink)
-        try:
-            config = SimulationConfig(scheme="dup", seed=1, **SMOKE)
-            ParallelRunner(workers=1).run_trials([config])
-        finally:
-            assert set_default_progress(previous) is sink
-        assert len(lines) == 1
-
     def test_worker_failure_names_the_trial(self):
         good = SimulationConfig(scheme="dup", seed=1, **SMOKE)
         bad = good.replace(seed=9)
@@ -248,7 +216,7 @@ class TestProgressAndFailures:
         ]
         for workers in (1, 2):
             with pytest.raises(ExperimentError) as excinfo:
-                run_trials(specs, workers=workers)
+                ParallelRunner(workers=workers).run_trials(specs)
             message = str(excinfo.value)
             assert "boom" in message
             assert "point=1.5" in message
@@ -257,74 +225,3 @@ class TestProgressAndFailures:
     def test_rejects_non_spec_input(self):
         with pytest.raises(ExperimentError):
             ParallelRunner(workers=1).run_trials(["not a spec"])
-
-
-# -- mergeable payloads -------------------------------------------------------
-
-
-class TestFrozenMetrics:
-    def test_freeze_round_trips_through_export(self):
-        from repro.metrics.export import registry_records
-
-        registry = MetricsRegistry()
-        registry.counter("queries").inc(3)
-        registry.histogram("latency").observe(1.0)
-        registry.histogram("latency").observe(3.0)
-        frozen = registry.freeze()
-        records = list(registry_records(frozen))
-        assert records, "frozen registries must stay exportable"
-
-    def test_merge_concatenates_in_order(self):
-        parts = []
-        for value in (1.0, 2.0, 3.0):
-            registry = MetricsRegistry()
-            registry.histogram("latency").observe(value)
-            parts.append(registry.freeze())
-        merged = FrozenMetrics.merge(parts)
-        assert merged.trials == 3
-        assert merged.histograms["latency"] == (1.0, 2.0, 3.0)
-
-    def test_merged_percentiles_match_serial(self):
-        serial = Histogram("latency")
-        left, right = Histogram("latency"), Histogram("latency")
-        for i, value in enumerate(float(v) for v in range(1, 21)):
-            serial.observe(value)
-            (left if i % 2 == 0 else right).observe(value)
-        merged = left.merge(right)
-        assert merged.percentile(50) == serial.percentile(50)
-        assert merged.percentile(95) == serial.percentile(95)
-        assert merged.minimum == serial.minimum
-        assert merged.maximum == serial.maximum
-        assert merged.count == serial.count
-        assert merged.mean == pytest.approx(serial.mean)
-
-    def test_merge_summaries_sums_counts(self):
-        a = {
-            "completed": 2,
-            "incomplete": 1,
-            "open": 0,
-            "hops_by_level": {1: 4},
-        }
-        b = {
-            "completed": 3,
-            "incomplete": 0,
-            "open": 2,
-            "hops_by_level": {1: 1, 2: 5},
-        }
-        merged = merge_summaries([a, b])
-        assert merged["completed"] == 5
-        assert merged["incomplete"] == 1
-        assert merged["open"] == 2
-        assert merged["hops_by_level"] == {1: 5, 2: 5}
-
-    def test_pool_run_collects_merged_metrics(self):
-        config = SimulationConfig(scheme="dup", seed=1, **SMOKE)
-        runner = ParallelRunner(workers=2)
-        runner.run_trials([config, config.replace(seed=2)])
-        assert runner.metrics is not None
-        assert runner.metrics.trials == 2
-        summary = runner.metrics.summary()
-        assert summary, "merged metrics must summarize"
-        for stats in summary.values():
-            assert stats["count"] >= 1
-            assert not math.isnan(stats["mean"])

@@ -15,7 +15,7 @@ from repro.engine import (
     render_top,
     set_default_event_sink,
 )
-from repro.engine.parallel import ProgressEvent, run_trials
+from repro.engine.parallel import ProgressEvent
 from repro.errors import ExperimentError
 from repro.metrics.export import read_jsonl
 
@@ -88,29 +88,17 @@ class TestProgressEvents:
 
 class TestKeepGoing:
     def test_strict_default_still_raises_with_failures_attached(self):
+        events = []
         specs = [make_specs(1)[0], broken_spec()]
         for workers in (1, 2):
+            runner = ParallelRunner(workers=workers, event_sink=events.append)
             with pytest.raises(ExperimentError) as excinfo:
-                run_trials(specs, workers=workers)
+                runner.run_trials(specs)
             failures = excinfo.value.trial_failures
             assert len(failures) == 1
             assert failures[0].experiment == "boom"
             assert "seed=9" in failures[0].trial
-
-    def test_keep_going_records_and_returns_survivors(self):
-        events = []
-        specs = [make_specs(1)[0], broken_spec(), make_specs(1, "again")[0]]
-        for workers in (1, 2):
-            runner = ParallelRunner(
-                workers=workers, keep_going=True, event_sink=events.append
-            )
-            results = runner.run_trials(specs)
-            assert len(results) == 2
-            assert len(runner.failures) == 1
-            failure = runner.failures[0]
-            assert failure.experiment == "boom"
-            assert "no-such-scheme" in failure.error.replace("'", "")
-            assert failure.to_record()["type"] == "trial-failure"
+            assert "no-such-scheme" in failures[0].error.replace("'", "")
         failed_events = [e for e in events if e.kind == "trial-failed"]
         assert len(failed_events) == 2  # one per workers lane
         assert all(e.error for e in failed_events)
@@ -138,11 +126,10 @@ class TestTelemetryWriter:
     def test_streams_events_and_failures_as_jsonl(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         with TelemetryWriter(str(path)) as writer:
-            runner = ParallelRunner(
-                workers=1, keep_going=True, event_sink=writer
-            )
-            runner.run_trials([make_specs(1)[0], broken_spec()])
-            for failure in runner.failures:
+            runner = ParallelRunner(workers=1, event_sink=writer)
+            with pytest.raises(ExperimentError) as excinfo:
+                runner.run_trials([make_specs(1)[0], broken_spec()])
+            for failure in excinfo.value.trial_failures:
                 writer.write_record(failure.to_record())
         records = read_jsonl(str(path))
         kinds = [record["type"] for record in records]

@@ -1,9 +1,9 @@
-"""Tests of the message log, transport observers, and query tracing."""
+"""Tests of transport observers and query tracing."""
 
 import pytest
 
 from repro.engine import Simulation, SimulationConfig
-from repro.engine.tracing import MessageLog, TraceCollector
+from repro.engine.tracing import TraceCollector
 from repro.index.authority import ReplicationPlan
 from repro.net.message import Category, QueryMessage
 from repro.workload.churn import ChurnConfig
@@ -25,100 +25,6 @@ def chain_sim(scheme="dup", **overrides):
     sim.start()
     sim.env.run(until=0.0)
     return sim
-
-
-class TestMessageLog:
-    def test_records_query_and_reply(self):
-        sim = chain_sim("pcx")
-        log = MessageLog.attach(sim)
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=5.0)
-        assert log.summary() == {"query": 5, "reply": 5}
-        kinds = {entry.kind for entry in log}
-        assert kinds == {"query", "reply"}
-
-    def test_entries_carry_details(self):
-        sim = chain_sim("pcx")
-        log = MessageLog.attach(sim)
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=5.0)
-        first = next(iter(log))
-        assert "origin=5" in first.detail
-        assert first.destination == 4
-        assert "query" in str(first)
-
-    def test_push_and_control_logged(self):
-        sim = chain_sim("dup")
-        log = MessageLog.attach(sim)
-        # subscribe recipe: miss, hit, miss-with-subscription
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=3550.0)
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=3650.0)
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=7200.0)  # push cycle at 7080
-        categories = log.summary()
-        assert categories.get("push", 0) >= 1
-        pushes = log.of_category(Category.PUSH)
-        assert pushes[-1].destination == 5
-        assert "version=" in pushes[-1].detail
-
-    def test_between_and_to_node(self):
-        sim = chain_sim("pcx")
-        log = MessageLog.attach(sim)
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=5.0)
-        assert len(log.between(0.0, 5.0)) == len(log)
-        assert log.between(100.0, 200.0) == []
-        assert all(e.destination == 3 for e in log.to_node(3))
-
-    def test_ring_buffer_eviction(self):
-        log = MessageLog(limit=3)
-        from repro.net.message import QueryMessage
-
-        for index in range(5):
-            log.record(float(index), index, QueryMessage(key=1, origin=0))
-        assert len(log) == 3
-        assert log.total_recorded == 5
-        assert [e.time for e in log] == [2.0, 3.0, 4.0]
-
-    def test_tail_renders(self):
-        sim = chain_sim("pcx")
-        log = MessageLog.attach(sim)
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=5.0)
-        text = log.tail(3)
-        assert text.count("\n") == 2
-
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            MessageLog(limit=0)
-
-    def test_detach_stops_recording(self):
-        sim = chain_sim("pcx")
-        log = MessageLog.attach(sim)
-        sim.scheme.on_local_query(5)
-        sim.env.run(until=5.0)
-        recorded = len(log)
-        assert recorded > 0
-        log.detach()
-        sim.scheme.on_local_query(4)
-        sim.env.run(until=10.0)
-        assert len(log) == recorded
-        log.detach()  # idempotent
-
-    def test_attach_after_run_is_refused(self):
-        sim = Simulation(
-            SimulationConfig(
-                scheme="pcx", num_nodes=16, duration=600.0, warmup=0.0
-            )
-        )
-        sim.run()
-        with pytest.raises(
-            RuntimeError, match="MessageLog.attach must precede run"
-        ):
-            MessageLog.attach(sim)
-        assert sim.transport.observers == ()
 
 
 class TestTransportObserver:
