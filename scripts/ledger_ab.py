@@ -10,10 +10,13 @@ Host timings on a shared machine drift by tens of percent for minutes
 at a time and some metrics are bimodal, so two single runs say nothing.
 This is the procedure a performance claim is judged by instead:
 
-- ``REV`` is exported into a temporary directory (removed on exit; the
+- ``REV`` and the working tree (uncommitted edits and untracked files
+  included, ignored files not) are exported side by side into one
+  temporary directory, under names of equal length (removed on exit; the
   repository itself is only read), so each side runs the
-  ``BENCHMARK.json`` contract command on its own committed benchmark
-  code and ``src/``;
+  ``BENCHMARK.json`` contract command on its own benchmark code and
+  ``src/`` from a fresh checkout whose path differs from the other's in
+  one name only;
 - pair ``i`` runs both sides with seed ``i``, one child at a time, and
   the side that goes first flips every pair;
 - per end-to-end metric it prints both medians with their quartiles,
@@ -47,7 +50,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -64,10 +69,10 @@ import compare  # noqa: E402
 GAIN_PAIRS = 10
 
 
-def export(rev: str, target: pathlib.Path) -> None:
+def export(rev: str, target: pathlib.Path, repo: pathlib.Path = ROOT) -> None:
     """Unpack the committed files of ``rev`` into ``target``."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        ["git", "-C", str(repo), "archive", "--format=tar", rev],
         check=True,
         capture_output=True,
     ).stdout
@@ -76,6 +81,35 @@ def export(rev: str, target: pathlib.Path) -> None:
             tar.extractall(target, filter="data")
         else:  # pragma: no cover - interpreters before the filter API
             tar.extractall(target)
+
+
+def export_worktree(target: pathlib.Path, repo: pathlib.Path = ROOT) -> None:
+    """Copy the working tree's tracked and untracked files, as they are
+    now and minus what git ignores, into ``target``."""
+    listed = subprocess.run(
+        ["git", "-C", str(repo), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        check=True,
+        capture_output=True,
+    ).stdout
+    for name in sorted({os.fsdecode(n) for n in listed.split(b"\0") if n}):
+        source = repo / name
+        if not source.exists():
+            continue  # deleted, not yet committed
+        destination = target / name
+        destination.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, destination)
+
+
+def checkouts(
+    parent: pathlib.Path, rev: str, repo: pathlib.Path = ROOT
+) -> tuple[pathlib.Path, pathlib.Path]:
+    """Export ``rev`` and the working tree as siblings under ``parent``,
+    named so that both paths have the same length; ``(base, change)``."""
+    base, change = parent / "base", parent / "work"
+    export(rev, base, repo)
+    export_worktree(change, repo)
+    return base, change
 
 
 def contract(command: list[str], checkout: pathlib.Path) -> dict:
@@ -303,9 +337,8 @@ def main(argv=None) -> int:
         "1" if args.trace else "0",
     ]
     with tempfile.TemporaryDirectory(prefix="ledger-ab-") as scratch:
-        base = pathlib.Path(scratch)
-        export(args.base, base)
-        summaries = run_pairs(command, base, ROOT, args.pairs)
+        base, change = checkouts(pathlib.Path(scratch), args.base)
+        summaries = run_pairs(command, base, change, args.pairs)
     print(f"{args.workload}: {args.base} (base) vs working tree (change), {args.pairs} pairs")
     table, passed = (render_trace if args.trace else render)(spec, summaries)
     print(table)

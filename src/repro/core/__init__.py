@@ -12,9 +12,9 @@ This package implements Section III of the paper:
   computation.
 - :mod:`repro.core.maintenance` — Section III-C: node arrival, departure,
   and the five failure cases.
-- :mod:`repro.core.tree_state` — a global invariant checker used by the
-  test-suite to verify protocol correctness after arbitrary event
-  sequences.
+- :mod:`repro.core.tree_state` — the one invariant oracle: every
+  violation of the global DUP state, for the tests, the ledger driver
+  and the runtime auditor.
 """
 
 from repro.core.interest import (
@@ -25,7 +25,7 @@ from repro.core.interest import (
 from repro.core.leases import LeaseTable
 from repro.core.protocol import DupProtocol, StepResult
 from repro.core.subscriber_list import SubscriberList
-from repro.core.tree_state import check_dup_invariants, push_reachable
+from repro.core.tree_state import check_dup_invariants, violations
 
 __all__ = [
     "DupProtocol",
@@ -36,5 +36,5 @@ __all__ = [
     "SubscriberList",
     "WindowInterestPolicy",
     "check_dup_invariants",
-    "push_reachable",
+    "violations",
 ]

@@ -1,22 +1,20 @@
 """Runtime anti-entropy auditor for the DUP tree invariants.
 
-The property tests (``tests/test_dup_tree_invariants.py``) check four
-structural invariants of the DUP state after synthetic histories: branch
-uniqueness, push acyclicity, interior shape, and exact push coverage.
-Under partitions, silent failures, and authority failover those
+Under partitions, silent failures, and authority failover the DUP tree
 invariants can be violated *at runtime* — a subscribe lost at the cut
 leaves a dangling entry, tree surgery during a partition strands a
 subscriber outside its pusher's branch, a failover races an in-flight
-substitute into a duplicate pusher.  This module promotes the test-time
-invariants into a periodic **audit-and-repair** pass:
+substitute into a duplicate pusher.  This module turns the one invariant
+oracle, :func:`repro.core.tree_state.violations`, into a periodic
+**audit-and-repair** pass:
 
-- **detect** — each :meth:`ConsistencyAuditor.sweep` re-derives the push
-  graph from the live protocol state and records every invariant
-  violation as a :class:`Violation`.  Because control payloads are in
-  flight between sweeps (a node is briefly "subscribed but unreachable"
-  while its subscribe climbs the tree), a finding only *confirms* when
-  the same violation persists across two consecutive sweeps — a single
-  sighting is a suspicion, not a divergence;
+- **detect** — each :meth:`ConsistencyAuditor.sweep` asks the oracle for
+  the violations of the live protocol state and keeps the seven kinds it
+  can repair (:data:`KINDS`).  Because control payloads are in flight
+  between sweeps (a node is briefly "subscribed but unreachable" while
+  its subscribe climbs the tree), a finding only *confirms* when the same
+  violation persists across two consecutive sweeps — a single sighting is
+  a suspicion, not a divergence;
 - **repair** — each confirmed violation is answered with the protocol's
   own primitives: a local ``unsubscribe`` step (whose upstream
   continuations travel as real charged control messages) to excise bad
@@ -27,6 +25,9 @@ invariants into a periodic **audit-and-repair** pass:
   clean one) and, for disruptions announced via :meth:`note_disruption`
   (partition heals, failovers), the *time to reconvergence* from the
   disruption to the first clean sweep after it.
+
+The oracle's other kinds (``broken-path``, ``unplaced-state``) have no
+repair here, so a sweep neither counts nor answers them.
 
 The auditor is an omniscient observer but a **local repairer**: it reads
 global state (as the test oracles do), yet every repair is expressed as
@@ -39,50 +40,30 @@ builds without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.protocol import DupProtocol
-from repro.errors import TopologyError
+from repro.core.tree_state import Violation, violations
 from repro.net.message import RefreshSubscribe, Unsubscribe
 from repro.topology.tree import SearchTree
 
 NodeId = int
 EmitUpstream = Callable[[NodeId, object], None]
-Repair = Callable[[], None]
 
-#: Violation kinds a sweep can report, in check order.
-KINDS = (
-    "dangling-entry",
-    "stray-entry",
-    "branch-conflict",
-    "push-cycle",
-    "split-brain",
-    "dead-end",
-    "orphan",
-)
+#: How a confirmed violation of each repairable kind is answered, in the
+#: oracle's report order (which is also the repair order).
+_REPAIRS: dict[str, Callable[["ConsistencyAuditor", Violation], None]] = {
+    "dangling-entry": lambda a, v: a._excise(v.node, v.subject, rewalk=False),
+    "stray-entry": lambda a, v: a._excise(v.node, v.subject, rewalk=True),
+    "branch-conflict": lambda a, v: a._excise(v.node, v.subject, rewalk=True),
+    "push-cycle": lambda a, v: a._excise(v.node, v.subject, rewalk=True),
+    "split-brain": lambda a, v: a._excise(v.subject, v.node, rewalk=False),
+    "dead-end": lambda a, v: a._cut_dead_end(v.node, v.pushers),
+    "orphan": lambda a, v: a._do_rewalk(v.node),
+}
 
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by a sweep.
-
-    ``node`` is where the bad state lives (the list holder for entry
-    violations, the unsupplied subscriber for orphans); ``subject`` is
-    the offending entry/peer when one exists (it keys confirmation
-    across sweeps together with ``kind`` and ``node``); ``detail`` is a
-    human-readable description.
-    """
-
-    kind: str
-    node: NodeId
-    subject: Optional[NodeId] = None
-    detail: str = ""
-
-    @property
-    def key(self) -> tuple:
-        """Identity for cross-sweep confirmation."""
-        return (self.kind, self.node, self.subject)
+#: Violation kinds a sweep repairs and counts, in check order.
+KINDS = tuple(_REPAIRS)
 
 
 class ConsistencyAuditor:
@@ -165,17 +146,15 @@ class ConsistencyAuditor:
         fresh suspicions wait for the next sweep.
         """
         self.sweeps += 1
-        candidates: list[tuple[Violation, Repair]] = []
-        self._collect_entry_checks(candidates)
-        self._collect_push_checks(candidates)
-
-        seen = {violation.key for violation, _ in candidates}
-        streaks = {
-            key: self._suspicions.get(key, 0) + 1 for key in seen
-        }
+        found = [
+            v
+            for v in violations(self._protocol, self._tree)
+            if v.kind in _REPAIRS
+        ]
+        streaks = {v.key: self._suspicions.get(v.key, 0) + 1 for v in found}
         self._suspicions = streaks
         confirmed: list[Violation] = []
-        for violation, repair in candidates:
+        for violation in found:
             if streaks[violation.key] < self._confirm_sweeps:
                 continue
             confirmed.append(violation)
@@ -187,7 +166,8 @@ class ConsistencyAuditor:
                     subject=violation.subject,
                     detail=f"{violation.kind}: {violation.detail}",
                 )
-            repair()
+            self.repairs += 1
+            _REPAIRS[violation.kind](self, violation)
             if self._recorder is not None:
                 self._recorder.record(
                     "audit-repair",
@@ -213,205 +193,6 @@ class ConsistencyAuditor:
             self._open_disruptions.clear()
         return confirmed
 
-    # -- entry-level checks -------------------------------------------------
-    def _collect_entry_checks(
-        self, out: list[tuple[Violation, Repair]]
-    ) -> None:
-        """Dangling, stray (wrong-branch), and inconsistent entries.
-
-        Because every control payload walks the search-tree path hop by
-        hop, a consistent state is *per-hop consistent*: the entry node
-        ``n`` holds for branch child ``c`` equals what ``c`` currently
-        advertises upstream.  Any other entry is a relic of lost or
-        raced control traffic — exactly the divergence a partition
-        leaves behind — and excising the mismatching entry (never the
-        advertised one) is what makes the repair convergent: a stranded
-        subscriber's re-walk re-creates the advertised entry, not the
-        relic.
-        """
-        tree = self._tree
-        protocol = self._protocol
-        for node in protocol.nodes_with_state():
-            if node not in tree:
-                continue  # awaiting failure detection; not repairable here
-            for member in tuple(protocol.s_list(node)):
-                if member == node:
-                    continue
-                if member not in tree:
-                    out.append(
-                        (
-                            Violation(
-                                "dangling-entry",
-                                node,
-                                member,
-                                f"{node} lists departed node {member}",
-                            ),
-                            self._excise(node, member, rewalk=False),
-                        )
-                    )
-                    continue
-                if node == tree.root:
-                    # Every non-root node hangs under some branch of the
-                    # root; no branch constraint applies beyond that.
-                    continue
-                try:
-                    branch = tree.child_branch(node, member)
-                except TopologyError:
-                    out.append(
-                        (
-                            Violation(
-                                "stray-entry",
-                                node,
-                                member,
-                                f"{member} no longer routes through {node}",
-                            ),
-                            self._excise(node, member, rewalk=True),
-                        )
-                    )
-                    continue
-                advertised = protocol.advertisement(branch)
-                if advertised != member:
-                    out.append(
-                        (
-                            Violation(
-                                "branch-conflict",
-                                node,
-                                member,
-                                f"{node} lists {member} on branch "
-                                f"{branch}, which advertises "
-                                f"{advertised}",
-                            ),
-                            self._excise(node, member, rewalk=True),
-                        )
-                    )
-
-    # -- push-graph checks --------------------------------------------------
-    def _collect_push_checks(
-        self, out: list[tuple[Violation, Repair]]
-    ) -> None:
-        """Cycles, duplicate pushers, dead-end leaves, orphans."""
-        protocol = self._protocol
-        tree = self._tree
-        root = tree.root
-
-        # Rebuild the push graph exactly as the delivery code walks it.
-        edges: list[tuple[NodeId, NodeId]] = []
-        frontier = [root]
-        visited = {root}
-        while frontier:
-            sender = frontier.pop()
-            if sender != root and not protocol.in_dup_tree(sender):
-                continue
-            for target in protocol.push_targets(sender):
-                edges.append((sender, target))
-                if target not in visited:
-                    visited.add(target)
-                    frontier.append(target)
-
-        outgoing: dict[NodeId, list[NodeId]] = {}
-        pushers: dict[NodeId, list[NodeId]] = {}
-        for sender, target in edges:
-            outgoing.setdefault(sender, []).append(target)
-            pushers.setdefault(target, []).append(sender)
-
-        # Cycles: iterative DFS with back-edge detection; each back edge
-        # is cut at its sender and the stranded target re-walked.
-        cut: set[tuple[NodeId, NodeId]] = set()
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: dict[NodeId, int] = {}
-        for start in list(outgoing):
-            if color.get(start, WHITE) != WHITE:
-                continue
-            stack = [(start, iter(outgoing.get(start, ())))]
-            color[start] = GREY
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    state = color.get(child, WHITE)
-                    if state == GREY:
-                        out.append(
-                            (
-                                Violation(
-                                    "push-cycle",
-                                    node,
-                                    child,
-                                    f"push edge {node} -> {child} closes "
-                                    "a cycle",
-                                ),
-                                self._excise(node, child, rewalk=True),
-                            )
-                        )
-                        cut.add((node, child))
-                        continue
-                    if state == WHITE:
-                        color[child] = GREY
-                        stack.append(
-                            (child, iter(outgoing.get(child, ())))
-                        )
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-
-        # Split brain: a node fed by more than one pusher receives every
-        # update twice — the signature of a promotion racing a repair.
-        for target, sources in pushers.items():
-            keep = [s for s in sources if (s, target) not in cut]
-            for extra in keep[1:]:
-                out.append(
-                    (
-                        Violation(
-                            "split-brain",
-                            target,
-                            extra,
-                            f"{target} is pushed to by both {keep[0]} "
-                            f"and {extra}",
-                        ),
-                        self._excise(extra, target, rewalk=False),
-                    )
-                )
-
-        # Dead ends: a push-graph leaf that is not itself subscribed
-        # consumes updates nobody asked it to hold.
-        senders = set(outgoing)
-        for target, sources in pushers.items():
-            if target in senders or protocol.is_subscribed(target):
-                continue
-            if any((s, target) in cut for s in sources):
-                continue  # already handled by the cycle repair
-            out.append(
-                (
-                    Violation(
-                        "dead-end",
-                        target,
-                        None,
-                        f"push dead-ends at {target}, which is not "
-                        "subscribed",
-                    ),
-                    self._cut_dead_end(target, tuple(sources)),
-                )
-            )
-
-        # Orphans: subscribed nodes the push graph never reaches.
-        reached = {t for _, t in edges}
-        for node in protocol.nodes_with_state():
-            if node == root or node not in tree:
-                continue
-            if protocol.is_subscribed(node) and node not in reached:
-                out.append(
-                    (
-                        Violation(
-                            "orphan",
-                            node,
-                            None,
-                            f"subscriber {node} is unreachable by pushes",
-                        ),
-                        self._rewalk_thunk(node),
-                    )
-                )
-
     # -- repairs ------------------------------------------------------------
     def _stranded(self, member: NodeId) -> Optional[NodeId]:
         """The live party whose update supply hangs off ``member``.
@@ -434,8 +215,8 @@ class ConsistencyAuditor:
             current = protocol.advertisement(current)
         return None
 
-    def _excise(self, node: NodeId, member: NodeId, rewalk: bool) -> Repair:
-        """A repair dropping ``member`` from ``node``'s list.
+    def _excise(self, node: NodeId, member: NodeId, rewalk: bool) -> None:
+        """Drop ``member`` from ``node``'s list.
 
         The unsubscribe is processed at ``node`` itself (the auditor's
         finding *is* the node's local knowledge) and its continuations
@@ -443,45 +224,28 @@ class ConsistencyAuditor:
         subscriber stranded behind the excised entry (if any) then
         re-establishes its virtual path.
         """
-
-        def repair() -> None:
-            self.repairs += 1
-            result = self._protocol.step(node, Unsubscribe(member))
-            for payload in result.upstream:
-                self._emit(node, payload)
-            if rewalk:
-                stranded = self._stranded(member)
-                if stranded is not None:
-                    self._do_rewalk(stranded)
-
-        return repair
+        result = self._protocol.step(node, Unsubscribe(member))
+        for payload in result.upstream:
+            self._emit(node, payload)
+        if rewalk:
+            stranded = self._stranded(member)
+            if stranded is not None:
+                self._do_rewalk(stranded)
 
     def _cut_dead_end(
         self, target: NodeId, sources: tuple[NodeId, ...]
-    ) -> Repair:
-        """A repair removing a dead-end push leaf from all its pushers."""
-
-        def repair() -> None:
-            self.repairs += 1
-            for sender in sources:
-                result = self._protocol.step(sender, Unsubscribe(target))
-                for payload in result.upstream:
-                    self._emit(sender, payload)
-            # The dead end may still relay for a legitimate subscriber:
-            # re-walk whoever is stranded behind it so that path
-            # survives the cut.
-            stranded = self._stranded(target)
-            if stranded is not None and stranded != target:
-                self._do_rewalk(stranded)
-
-        return repair
-
-    def _rewalk_thunk(self, node: NodeId) -> Repair:
-        def repair() -> None:
-            self.repairs += 1
-            self._do_rewalk(node)
-
-        return repair
+    ) -> None:
+        """Remove a dead-end push leaf from all its pushers."""
+        for sender in sources:
+            result = self._protocol.step(sender, Unsubscribe(target))
+            for payload in result.upstream:
+                self._emit(sender, payload)
+        # The dead end may still relay for a legitimate subscriber:
+        # re-walk whoever is stranded behind it so that path survives
+        # the cut.
+        stranded = self._stranded(target)
+        if stranded is not None and stranded != target:
+            self._do_rewalk(stranded)
 
     def _do_rewalk(self, node: NodeId) -> None:
         """Re-establish ``node``'s update supply (Section III-C repair)."""

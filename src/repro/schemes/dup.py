@@ -21,6 +21,7 @@ from typing import Optional
 from repro.core.leases import LeaseTable
 from repro.core.maintenance import DupMaintenance
 from repro.core.protocol import DupProtocol, StepResult
+from repro.core.tree_state import push_edges
 from repro.net.message import (
     Category,
     ControlMessage,
@@ -637,19 +638,8 @@ class DupScheme(PathCachingScheme):
 
     def dup_tree_size(self) -> int:
         """Number of nodes involved in update propagation."""
-        reachable = {self.sim.tree.root}
-        frontier = [self.sim.tree.root]
-        while frontier:
-            sender = frontier.pop()
-            if sender != self.sim.tree.root and not self.protocol.in_dup_tree(
-                sender
-            ):
-                continue
-            for target in self.protocol.push_targets(sender):
-                if target not in reachable:
-                    reachable.add(target)
-                    frontier.append(target)
-        return len(reachable)
+        root = self.sim.tree.root
+        return len({root, *(t for _, t in push_edges(self.protocol, root))})
 
     def threshold_bounds(self) -> Optional[tuple[int, int]]:
         """(min, max) effective interest threshold across live trackers.

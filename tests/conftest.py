@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.maintenance import DupMaintenance
 from repro.core.protocol import DupProtocol
+from repro.core.tree_state import push_edges, violations
 from repro.topology.tree import SearchTree
 
 #: The pin store's ``--repin`` option, hooks and ``pins`` fixture.
@@ -74,35 +75,11 @@ class SyncDupDriver:
 
     def push_recipients(self) -> set[int]:
         """Every node a push from the root reaches."""
-        root = self.tree.root
-        reached: set[int] = set()
-        frontier = [root]
-        while frontier:
-            sender = frontier.pop()
-            if sender != root and not self.protocol.in_dup_tree(sender):
-                continue
-            for target in self.protocol.push_targets(sender):
-                if target not in reached:
-                    reached.add(target)
-                    frontier.append(target)
-        return reached
+        return {t for _, t in push_edges(self.protocol, self.tree.root)}
 
     def push_hops(self) -> int:
         """Hop cost of one full push round (1 per DUP-tree edge)."""
-        root = self.tree.root
-        hops = 0
-        seen: set[int] = set()
-        frontier = [root]
-        while frontier:
-            sender = frontier.pop()
-            if sender != root and not self.protocol.in_dup_tree(sender):
-                continue
-            for target in self.protocol.push_targets(sender):
-                hops += 1
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return hops
+        return len(push_edges(self.protocol, self.tree.root))
 
     # -- internals ----------------------------------------------------------
     def _emit(self, from_node: int, payload: object) -> None:
@@ -125,6 +102,29 @@ class SyncDupDriver:
                 continuations.extend(result.upstream)
             pending = continuations
             current = parent
+
+
+#: The invariant oracle's kinds behind each structural property.
+BRANCH_UNIQUENESS = (
+    "dangling-entry",
+    "stray-entry",
+    "branch-conflict",
+    "broken-path",
+)
+ACYCLIC = ("push-cycle",)
+INTERIOR_SHAPE = ("dead-end",)
+EXACT_COVERAGE = ("dead-end", "orphan", "interest-mismatch")
+
+
+def assert_clean(driver: SyncDupDriver, *kinds: str) -> None:
+    """The invariant oracle finds no violation of ``kinds`` (none at all
+    when no kind is named) in the driver's state."""
+    found = [
+        f"{v.kind}: {v.detail}"
+        for v in violations(driver.protocol, driver.tree, driver.interested)
+        if not kinds or v.kind in kinds
+    ]
+    assert not found, found
 
 
 @pytest.fixture

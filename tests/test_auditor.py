@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.auditor import ConsistencyAuditor
+from repro.core.tree_state import violations
 from repro.net.message import RefreshSubscribe, Unsubscribe
 from repro.topology.tree import SearchTree
 
@@ -255,3 +256,42 @@ class TestEmitPayloads:
         )
         auditor.sweep()
         assert emitted == [(3, RefreshSubscribe(3))]
+
+
+class TestKnownGap:
+    """Broken virtual paths the oracle reports and the sweep leaves alone.
+
+    No repair answers ``broken-path`` (see ``docs/robustness.md``, "Known
+    gap"): pushes still reach every subscriber here, so none of the
+    sweep's seven kinds fires.
+    """
+
+    def broken_paths(self, driver):
+        return {
+            (v.node, v.subject)
+            for v in violations(driver.protocol, driver.tree)
+            if v.kind == "broken-path"
+        }
+
+    def assert_unrepaired(self, driver, expected):
+        assert self.broken_paths(driver) == expected
+        auditor = make_auditor(driver)
+        assert auditor.sweep() == []
+        assert auditor.repairs == 0
+        assert self.broken_paths(driver) == expected
+
+    def test_root_lists_two_subscribers_on_one_branch(self):
+        driver = make_driver()
+        # 3 and 4 both hang under branch 1; nobody between lists either.
+        for node in (3, 4):
+            driver.protocol.s_list(node).add(node)
+            driver.protocol.s_list(0).add(node)
+        self.assert_unrepaired(driver, {(3, 2), (0, 4), (4, 1)})
+
+    def test_pushed_subscriber_missing_from_its_parent(self):
+        driver = make_driver()
+        # The root pushes straight at 3, whose parent 2 lists nothing.
+        driver.protocol.s_list(3).add(3)
+        driver.protocol.s_list(0).add(3)
+        assert 3 in driver.push_recipients()
+        self.assert_unrepaired(driver, {(3, 2)})

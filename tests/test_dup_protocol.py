@@ -8,8 +8,9 @@ assert step by step.
 
 import pytest
 
-from repro.core import SubscriberList, check_dup_invariants, push_reachable
+from repro.core import SubscriberList, check_dup_invariants
 from repro.core.protocol import DupProtocol
+from repro.core.tree_state import push_edges, violations
 from repro.errors import ProtocolError, SubscriptionError
 from repro.net.message import RefreshSubscribe, Subscribe, Substitute, Unsubscribe
 
@@ -245,6 +246,20 @@ class TestProtocolEdgeCases:
         result = protocol.step(0, Subscribe(9))
         assert result.new_subscribers == [9]
 
+    def test_non_root_new_subscriber_reported(self):
+        # A relay that gains a subscriber pushes it the current copy at
+        # once; its own subscription needs no such push.
+        protocol = DupProtocol(is_root=lambda n: n == 0)
+        assert protocol.step(5, Subscribe(9)).new_subscribers == [9]
+        assert protocol.ensure_subscribed(5).new_subscribers == []
+
+    def test_two_entry_node_advertises_itself(self):
+        protocol = DupProtocol(is_root=lambda n: n == 0)
+        protocol.step(5, Subscribe(9))
+        assert protocol.advertisement(5) == 9
+        protocol.step(5, Subscribe(8))
+        assert protocol.advertisement(5) == 5
+
     def test_drop_node_removes_state(self):
         protocol = DupProtocol(is_root=lambda n: n == 0)
         protocol.step(5, Subscribe(9))
@@ -258,33 +273,36 @@ class TestProtocolEdgeCases:
         assert set(protocol.s_list(5)) == {9, 8}
 
 
+def assert_rejected(protocol, tree, kind):
+    """The checker raises, and the oracle names ``kind`` among its findings."""
+    with pytest.raises(ProtocolError):
+        check_dup_invariants(protocol, tree)
+    assert kind in {v.kind for v in violations(protocol, tree)}
+
+
 class TestInvariantChecker:
     def test_detects_foreign_subscriber(self, figure2_tree):
         protocol = DupProtocol(is_root=lambda n: n == figure2_tree.root)
         protocol.s_list(4).add(6)  # 6 is not a descendant of 4
-        with pytest.raises(ProtocolError):
-            check_dup_invariants(protocol, figure2_tree)
+        assert_rejected(protocol, figure2_tree, "stray-entry")
 
     def test_detects_branch_collision(self, figure2_tree):
         protocol = DupProtocol(is_root=lambda n: n == figure2_tree.root)
         protocol.s_list(3).add(6)
         protocol.s_list(3).add(5)  # same branch as 6
-        with pytest.raises(ProtocolError):
-            check_dup_invariants(protocol, figure2_tree)
+        assert_rejected(protocol, figure2_tree, "branch-conflict")
 
     def test_detects_broken_virtual_path(self, figure2_tree):
         protocol = DupProtocol(is_root=lambda n: n == figure2_tree.root)
         protocol.s_list(6).add(6)  # subscribed, but nobody upstream knows
-        with pytest.raises(ProtocolError):
-            check_dup_invariants(protocol, figure2_tree)
+        assert_rejected(protocol, figure2_tree, "broken-path")
 
-    def test_push_reachable_respects_forwarding_rule(self, figure2_tree):
+    def test_push_edges_respect_forwarding_rule(self, figure2_tree):
         protocol = DupProtocol(is_root=lambda n: n == figure2_tree.root)
         # Root lists 5; 5 is a relay (single entry) so it must not forward.
         protocol.s_list(1).add(5)
         protocol.s_list(5).add(6)
-        reached = push_reachable(protocol, figure2_tree.root)
-        assert reached == {5}
+        assert push_edges(protocol, figure2_tree.root) == [(1, 5)]
 
     def test_accepts_quiescent_state(self, driver):
         driver.subscribe(6)

@@ -1,22 +1,23 @@
-"""Direct property tests of the DUP tree invariants (ISSUE: satellite).
+"""Direct property tests of the DUP tree invariants.
 
-``test_dup_properties.py`` checks histories through the aggregate
-:func:`check_dup_invariants` oracle; this suite asserts each structural
-invariant *directly* from the primitive protocol state, so a regression
-pinpoints which property broke:
+Both this suite and ``test_dup_properties.py`` ask the one invariant
+oracle, :func:`repro.core.tree_state.violations`; this suite asserts the
+kinds behind each structural property separately (``tests/conftest.py``
+names the kind sets), so a regression pinpoints which property broke:
 
-1. **branch uniqueness** — at most one subscriber per downstream branch
-   of every node's subscriber list;
+1. **branch uniqueness** — every list entry is a descendant, at most one
+   per downstream branch, and the one that branch advertises;
 2. **acyclicity** — the push-forwarding graph contains no cycles;
-3. **interior shape** — every forwarding (DUP-tree interior) node holds
-   >= 2 entries spanning >= 2 interest sources, and every push-graph
-   leaf is itself a subscriber (nobody relays to nowhere);
+3. **interior shape** — every push-graph leaf is itself a subscriber
+   (nobody relays to nowhere; forwarders hold >= 2 entries by the walk);
 4. **exact coverage** — pushes reach exactly the interested nodes plus
    the interior nodes that forward to them.
 
 Histories interleave subscribe / unsubscribe / substitute (driven both
 implicitly by list transitions and explicitly payload-by-payload) and
 failure-repair (crashes healed by the Section III-C maintenance flows).
+The ``dup-balanced`` driver's delegation lists non-descendants by
+design, so its tests assert only the acyclicity and coverage kinds.
 """
 
 from __future__ import annotations
@@ -32,117 +33,14 @@ from repro.net.message import Subscribe, Substitute
 from repro.topology import random_search_tree
 from repro.topology.tree import SearchTree
 
-from tests.conftest import SyncDupDriver
-
-
-# -- direct invariant assertions ---------------------------------------------
-
-
-def assert_branch_uniqueness(driver: SyncDupDriver) -> None:
-    """At most one subscriber-list member per downstream branch."""
-    tree = driver.tree
-    for node in driver.protocol.nodes_with_state():
-        branches = set()
-        for member in driver.s_list(node):
-            if member == node:
-                continue
-            branch = tree.child_branch(node, member)
-            assert branch not in branches, (
-                f"node {node} lists two subscribers on branch {branch}: "
-                f"{sorted(driver.s_list(node))}"
-            )
-            branches.add(branch)
-
-
-def push_edges(driver: SyncDupDriver) -> list[tuple[int, int]]:
-    """Directed edges of the push-forwarding graph, from the root down."""
-    root = driver.tree.root
-    edges = []
-    frontier = [root]
-    visited = {root}
-    while frontier:
-        sender = frontier.pop()
-        if sender != root and not driver.protocol.in_dup_tree(sender):
-            continue
-        for target in driver.protocol.push_targets(sender):
-            edges.append((sender, target))
-            if target not in visited:
-                visited.add(target)
-                frontier.append(target)
-    return edges
-
-
-def assert_push_graph_acyclic(driver: SyncDupDriver) -> None:
-    """Depth-first search over push edges must find no back edge."""
-    outgoing: dict[int, list[int]] = {}
-    for sender, target in push_edges(driver):
-        outgoing.setdefault(sender, []).append(target)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    for start in outgoing:
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack = [(start, iter(outgoing.get(start, ())))]
-        color[start] = GREY
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                state = color.get(child, WHITE)
-                assert state != GREY, (
-                    f"push cycle through {child} (path: "
-                    f"{[n for n, _ in stack]})"
-                )
-                if state == WHITE:
-                    color[child] = GREY
-                    stack.append((child, iter(outgoing.get(child, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-
-
-def assert_interior_shape(driver: SyncDupDriver) -> None:
-    """Forwarders fork (>= 2 entries); push-graph leaves are subscribers."""
-    edges = push_edges(driver)
-    senders = {sender for sender, _ in edges}
-    receivers = {target for _, target in edges}
-    root = driver.tree.root
-    for sender in senders:
-        if sender == root:
-            continue
-        entries = driver.s_list(sender)
-        assert len(entries) >= 2, (
-            f"interior node {sender} forwards with a single-entry list "
-            f"{sorted(entries)}"
-        )
-    for node in receivers - senders:
-        # A push-graph leaf consumes the update itself: it must be an
-        # interested subscriber, not a dead-end relay.
-        assert driver.protocol.is_subscribed(node), (
-            f"push dead-ends at {node}, which is not subscribed"
-        )
-
-
-def assert_exact_coverage(driver: SyncDupDriver) -> None:
-    """Pushes reach exactly the interested set plus forwarding interiors."""
-    recipients = driver.push_recipients()
-    interested = driver.interested - {driver.tree.root}
-    assert interested <= recipients, (
-        f"interested but unreached: {sorted(interested - recipients)}"
-    )
-    for extra in recipients - interested:
-        assert driver.protocol.in_dup_tree(extra), (
-            f"push reaches {extra}, which neither wants nor forwards it"
-        )
-
-
-def assert_all(driver: SyncDupDriver) -> None:
-    assert_branch_uniqueness(driver)
-    assert_push_graph_acyclic(driver)
-    assert_interior_shape(driver)
-    assert_exact_coverage(driver)
+from tests.conftest import (
+    ACYCLIC,
+    BRANCH_UNIQUENESS,
+    EXACT_COVERAGE,
+    INTERIOR_SHAPE,
+    SyncDupDriver,
+    assert_clean,
+)
 
 
 # -- history generation ------------------------------------------------------
@@ -210,8 +108,7 @@ class TestInvariantProperties:
         next_id = size
         for i in range(len(steps)):
             next_id = _drive(driver, steps[i : i + 1], next_id)
-            assert_branch_uniqueness(driver)
-            assert_push_graph_acyclic(driver)
+            assert_clean(driver, *BRANCH_UNIQUENESS, *ACYCLIC)
 
     @given(history())
     @settings(max_examples=120, deadline=None)
@@ -220,7 +117,7 @@ class TestInvariantProperties:
         tree = random_search_tree(size, 4, np.random.default_rng(seed))
         driver = SyncDupDriver(tree)
         _drive(driver, steps, size)
-        assert_interior_shape(driver)
+        assert_clean(driver, *INTERIOR_SHAPE)
 
     @given(history())
     @settings(max_examples=120, deadline=None)
@@ -229,7 +126,7 @@ class TestInvariantProperties:
         tree = random_search_tree(size, 4, np.random.default_rng(seed))
         driver = SyncDupDriver(tree)
         _drive(driver, steps, size)
-        assert_exact_coverage(driver)
+        assert_clean(driver, *EXACT_COVERAGE)
 
     @given(history())
     @settings(max_examples=60, deadline=None)
@@ -240,7 +137,7 @@ class TestInvariantProperties:
         next_id = size
         for i in range(len(steps)):
             next_id = _drive(driver, steps[i : i + 1], next_id)
-            assert_all(driver)
+            assert_clean(driver)
 
 
 class TestExplicitSubstitute:
@@ -262,7 +159,7 @@ class TestExplicitSubstitute:
         ), f"expected substitute(7, 6), got {step.upstream}"
         # Complete the walk and verify the invariants all hold again.
         driver._walk(6, step.upstream)
-        assert_all(driver)
+        assert_clean(driver)
         assert driver.push_recipients() >= {7, 8}
 
     def test_substitute_chain_through_relays(self, figure2_tree):
@@ -284,7 +181,7 @@ class TestExplicitSubstitute:
             if isinstance(p, Substitute)
         ] == [(8, 6)]
         driver._walk(5, relay.upstream)
-        assert_all(driver)
+        assert_clean(driver)
 
     def test_mid_flight_substitute_then_completion(self, figure2_tree):
         """Invariants are restored once a paused substitute completes."""
@@ -297,7 +194,7 @@ class TestExplicitSubstitute:
         # The substitute is in flight (held, not yet applied upstream);
         # finishing the walk must converge back to a consistent state.
         driver._walk(6, step.upstream)
-        assert_all(driver)
+        assert_clean(driver)
         assert driver.push_recipients() >= {4, 7, 8}
 
 
@@ -449,7 +346,7 @@ class TestBalancedCapInvariant:
         for i in range(len(steps)):
             next_id = _drive(driver, steps[i : i + 1], next_id)
             assert_capped(driver)
-            assert_push_graph_acyclic(driver)
+            assert_clean(driver, *ACYCLIC)
 
     @pytest.mark.xfail(
         strict=True,
@@ -519,8 +416,8 @@ class TestBalancedCapInvariant:
         for i in range(len(steps)):
             next_id = _drive(driver, steps[i : i + 1], next_id)
             assert_capped(driver)
-            assert_push_graph_acyclic(driver)
-            assert_exact_coverage(driver)
+            assert_clean(driver, *ACYCLIC)
+            assert_clean(driver, *EXACT_COVERAGE)
 
     @given(history(ops=("sub", "unsub")), st.integers(1, 3))
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -568,8 +465,8 @@ class TestBalancedSplitReabsorb:
         assert driver.balancer.delegate_for(2, 7) == 4
         assert driver.balancer.delegate_for(2, 8) == 5
         assert_capped(driver)
-        assert_push_graph_acyclic(driver)
-        assert_exact_coverage(driver)
+        assert_clean(driver, *ACYCLIC)
+        assert_clean(driver, *EXACT_COVERAGE)
 
     def test_reabsorbed_when_load_drains(self):
         driver = SyncBalancedDriver(self.star(), cap=2)
@@ -585,7 +482,7 @@ class TestBalancedSplitReabsorb:
         assert driver.balancer.delegated_count() == 0
         assert driver.push_recipients() >= {6}
         assert_capped(driver)
-        assert_exact_coverage(driver)
+        assert_clean(driver, *EXACT_COVERAGE)
         driver.unsubscribe(6)
         assert driver.push_recipients() == set()
 
@@ -614,7 +511,7 @@ class TestBalancedSplitReabsorb:
         missing = driver.interested - {1} - reached
         assert not missing, f"orphans lost after delegate death: {missing}"
         assert_capped(driver)
-        assert_push_graph_acyclic(driver)
+        assert_clean(driver, *ACYCLIC)
 
 
 class TestFailureRepair:
@@ -638,6 +535,6 @@ class TestFailureRepair:
             return
         victim = candidates[int(rng.integers(len(candidates)))]
         driver.fail(victim)
-        assert_all(driver)
+        assert_clean(driver)
         # Survivors keep receiving pushes without any extra repair step.
         assert driver.interested - {tree.root} <= driver.push_recipients()

@@ -1,13 +1,15 @@
 """Tests of ``scripts/ledger_ab.py``: the verdict rules and the pairing.
 
 The script itself is exercised against a stand-in contract command, so
-nothing here runs the real ledger or needs a git checkout.
+nothing here runs the real ledger; the export test builds a throwaway
+git repository of its own.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import pathlib
+import subprocess
 import sys
 import textwrap
 
@@ -153,6 +155,45 @@ class TestPairs:
         (tmp_path / "boom.py").write_text("import sys; sys.exit('no ledger here')")
         with pytest.raises(RuntimeError, match="no ledger here"):
             ledger_ab.contract([sys.executable, "boom.py"], tmp_path)
+
+
+class TestCheckouts:
+    def test_both_sides_are_exports_with_paths_of_equal_length(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-C", str(repo), "-c", "user.name=ab",
+                 "-c", "user.email=ab@example.invalid",
+                 "-c", "commit.gpgsign=false", *args],
+                check=True,
+                capture_output=True,
+            )
+
+        git("init", "-q")
+        (repo / ".gitignore").write_text("built/\n")
+        (repo / "kept.py").write_text("committed\n")
+        (repo / "gone.py").write_text("committed\n")
+        git("add", ".")
+        git("commit", "-q", "-m", "base")
+        (repo / "kept.py").write_text("edited\n")
+        (repo / "gone.py").unlink()
+        (repo / "new.py").write_text("untracked\n")
+        (repo / "built").mkdir()
+        (repo / "built" / "out.bin").write_text("ignored\n")
+
+        parent = tmp_path / "scratch"
+        parent.mkdir()
+        base, change = ledger_ab.checkouts(parent, "HEAD", repo)
+        assert base.parent == change.parent == parent
+        assert base != change and len(str(base)) == len(str(change))
+        assert (base / "kept.py").read_text() == "committed\n"
+        assert (base / "gone.py").exists() and not (base / "new.py").exists()
+        assert (change / "kept.py").read_text() == "edited\n"
+        assert (change / "new.py").read_text() == "untracked\n"
+        assert not (change / "gone.py").exists()
+        assert not (change / "built").exists()
 
 
 TRACE_SPEC = {
