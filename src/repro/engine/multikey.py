@@ -18,6 +18,13 @@ key ranking into rank shards, runs them on any number of workers, and
 merges the shard results exactly.  Metrics aggregate across keys;
 per-key query counts are in the extras.
 
+A shard is consumed by its run: once ``run()`` has assembled its result
+it closes the environment, unbinds every scheme and empties ``slices``
+and ``schemes``, so the shard's graph is freed inside ``run()`` by
+reference counting.  Nothing is left for the cyclic collector, and the
+next shard's constructor pays for no deallocation.  The result is the
+only thing to read afterwards.
+
 Churn is out of scope here (each key's tree would need its own repair
 sequencing), and so are faults, the reliable channel, standbys, the
 auditor, overload, storms, sessions and the flight recorder.  A config
@@ -74,34 +81,31 @@ _UNSUPPORTED = (
 )
 
 
-class _KeySlice(SchemeHost):
-    """One key's scheme host: its own tree, authority and copy table over
-    the clock, transport and latency recorder every key of the engine
-    shares.  All it adds to the layer-free host is the key's post-warm-up
-    query count."""
+def _counted(record, warmup: float, counts: dict, key: int):
+    """``record`` that also counts ``key``'s post-warm-up queries into
+    ``counts[key]``: one key's ``record_hops``."""
 
-    def __init__(
-        self, owner: "MultiKeyScaleSimulation", key: int, tree, alive, record
-    ):
-        super().__init__(
-            env=owner.env,
-            config=owner.config,
-            transport=owner.transport,
-            ledger=owner.ledger,
-            tree=tree,
-            key=key,
-            parent=tree.parent,
-            alive=alive,
-            record_hops=self._record_counted,
-        )
-        self._record = record
-        self._warmup = owner.config.warmup
-        self.queries = 0
+    def record_hops(hops: float, issued_at: float) -> None:
+        record(hops, issued_at)
+        if issued_at >= warmup:
+            counts[key] += 1
 
-    def _record_counted(self, hops: float, issued_at: float) -> None:
-        self._record(hops, issued_at)
-        if issued_at >= self._warmup:
-            self.queries += 1
+    return record_hops
+
+
+def _dispatcher(schemes: dict):
+    """The transport's delivery handler over ``schemes`` (key -> scheme).
+
+    Only scheme traffic travels here, each message under the key of the
+    scheme that sent it: index that scheme's typed handler table instead
+    of climbing through ``on_message``.  It closes over the table, not
+    the engine, so the transport holds no reference back to the shard.
+    """
+
+    def dispatch(destination: NodeId, message: Message) -> None:
+        schemes[message.key]._handlers[message.TYPE_ID](destination, message)
+
+    return dispatch
 
 
 def default_shard_count(num_keys: int) -> int:
@@ -149,6 +153,11 @@ class MultiKeyScaleSimulation:
     single draw.  An unsharded run draws the bare stream names instead,
     so at one key it is bit-identical to ``Simulation`` on the same
     config with ``root_queries=True`` (``tests/test_engine_parity.py``).
+
+    A shard is consumed by its run: :meth:`run` may be called once, and
+    afterwards ``slices`` and ``schemes`` are empty.  To inspect per-key
+    state, schedule a read on ``env`` before the run (at the horizon,
+    ``env.defer(config.duration, read)``).
     """
 
     def __init__(
@@ -188,7 +197,7 @@ class MultiKeyScaleSimulation:
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.streams = RandomStreams(config.seed)
-        self.env = Environment()
+        self.env = env = Environment()
         ring, keys = _ring_and_keys(config, num_keys)
         self.ring = ring
         self._keys = keys
@@ -200,33 +209,48 @@ class MultiKeyScaleSimulation:
             self.rank_lo, self.rank_hi
         )
 
-        self.ledger = CostLedger(
-            clock=lambda: self.env.now, warmup=config.warmup
+        # The clocks close over the environment, not the engine: no
+        # member of the shard refers back to it.
+        self.ledger = ledger = CostLedger(
+            clock=lambda: env.now, warmup=config.warmup
         )
         self.latency = LatencyRecorder(
-            clock=lambda: self.env.now,
+            clock=lambda: env.now,
             warmup=config.warmup,
             keep_samples=config.keep_latency_samples,
         )
-        self.transport = Transport(
-            env=self.env,
+        self.transport = transport = Transport(
+            env=env,
             latency=Exponential(config.hop_latency_mean),
             rng=self._stream("latency"),
-            ledger=self.ledger,
+            ledger=ledger,
         )
-        self.transport.bind(self._dispatch)
+        self.slices: dict[int, SchemeHost] = {}
+        self.schemes: dict[int, object] = {}
+        transport.bind(_dispatcher(self.schemes))
         self._swept_entries = 0
 
-        self.slices: dict[int, _KeySlice] = {}
-        self.schemes: dict[int, object] = {}
+        # Each key's post-warm-up query count, in rank order.
+        self._queries = queries = dict.fromkeys(
+            keys[self.rank_lo : self.rank_hi], 0
+        )
         # Bound once for every key: the overlay is static, so every ring
         # member is in every key's tree, and one recorder serves them all.
         alive = self.ring.members.__contains__
         record = self.latency.record
-        for rank in range(self.rank_lo, self.rank_hi):
-            key = keys[rank]
+        for key in queries:
             tree = LazyChordTree(self.ring, key)
-            slice_ = _KeySlice(self, key, tree, alive, record)
+            slice_ = SchemeHost(
+                env=env,
+                config=config,
+                transport=transport,
+                ledger=ledger,
+                tree=tree,
+                key=key,
+                parent=tree.parent,
+                alive=alive,
+                record_hops=_counted(record, config.warmup, queries, key),
+            )
             scheme = make_scheme(config.scheme)
             scheme.bind(slice_)
             self.slices[key] = slice_
@@ -251,14 +275,6 @@ class MultiKeyScaleSimulation:
             f"scale/{self.rank_lo}-{self.rank_hi}/{name}"
         )
 
-    def _dispatch(self, destination: NodeId, message: Message) -> None:
-        # Only scheme traffic travels here, each message under the key
-        # of the scheme that sent it: index that scheme's typed handler
-        # table instead of climbing through ``on_message``.
-        self.schemes[message.key]._handlers[message.TYPE_ID](
-            destination, message
-        )
-
     # -- processes -----------------------------------------------------------
     def _sweep_loop(self):
         """TTL reclamation: every key's copy table swept once per period.
@@ -276,16 +292,23 @@ class MultiKeyScaleSimulation:
 
     # -- running ---------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Run this shard and return its (mergeable) results."""
+        """Run this shard and return its (mergeable) results.
+
+        The run consumes the shard: once the result is assembled, the
+        environment is closed, every scheme unbound, and ``slices`` and
+        ``schemes`` emptied, so the shard's graph is freed here, by
+        reference counting, and not left to the cyclic collector.
+        """
         if self._ran:
             raise RuntimeError("a MultiKeyScaleSimulation runs only once")
         self._ran = True
         started = time.perf_counter()
         config = self.config
+        env = self.env
         slices, schemes, keys = self.slices, self.schemes, self._keys
         for key, slice_ in slices.items():
             slice_.authority = Authority(
-                env=self.env,
+                env=env,
                 key=key,
                 ttl=config.ttl,
                 push_lead=config.push_lead,
@@ -302,7 +325,7 @@ class MultiKeyScaleSimulation:
             key = keys[next_key_rank()]
             if node == slices[key].tree.root:
                 # The authority answers its own queries locally.
-                slices[key].record_hops(0, self.env.now)
+                slices[key].record_hops(0, env.now)
             else:
                 schemes[key].on_local_query(node)
 
@@ -311,7 +334,7 @@ class MultiKeyScaleSimulation:
         # shard's subset is its rank range, with probability mass
         # ``slice.mass`` under the key law.
         QuerySource(
-            self.env,
+            env,
             make_arrival_process(
                 config.arrival,
                 config.query_rate * self._key_slice.mass,
@@ -322,8 +345,8 @@ class MultiKeyScaleSimulation:
             self._stream("placement-draws"),
             issue,
         ).schedule_next()
-        self.env.process(self._sweep_loop(), name="scale-sweeper")
-        self.env.run(until=config.duration)
+        env.process(self._sweep_loop(), name="scale-sweeper")
+        env.run(until=config.duration)
         wall = time.perf_counter() - started
 
         # (node, key) pairs are distinct: each scheme lists a node once.
@@ -346,10 +369,7 @@ class MultiKeyScaleSimulation:
             "hits": self.latency.hits,
             "total_hops": self.latency.total_hops,
             "queries_per_key": dict(
-                sorted(
-                    ((key, slice_.queries) for key, slice_ in slices.items()),
-                    key=lambda item: -item[1],
-                )
+                sorted(self._queries.items(), key=lambda item: -item[1])
             ),
             "total_subscriptions": fanout.total(),
             "max_fanout": max(fanout.values(), default=0),
@@ -361,7 +381,7 @@ class MultiKeyScaleSimulation:
         }
         if config.keep_latency_samples:
             extras["latency_counts"] = self.latency.value_counts()
-        return SimulationResult(
+        result = SimulationResult(
             config=self.config,
             scheme=(
                 f"{self.config.scheme} (scale shard "
@@ -381,11 +401,19 @@ class MultiKeyScaleSimulation:
             wall_seconds=wall,
             extras=extras,
         )
+        env.close()
+        for scheme in schemes.values():
+            scheme.unbind()
+        schemes.clear()
+        slices.clear()
+        self._node_selector = None
+        return result
 
 
-#: Per-process memo of (ring, keys) — both are pure functions of the
-#: config's seed/size, and at 10^5 nodes a ring is worth reusing across
-#: the shards a worker executes.
+#: Per-process memo of the most recent (ring, keys) — both are pure
+#: functions of the config's seed/size, and at 10^5 nodes a ring is worth
+#: reusing across the shards a worker executes.  Only the last world is
+#: kept: a sweep's next point must not run beside the previous one's.
 _WORLD_CACHE: dict[tuple[int, int, int], tuple[ChordRing, list[int]]] = {}
 
 
@@ -402,6 +430,7 @@ def _ring_and_keys(
     cache_key = (config.seed, config.num_nodes, num_keys)
     world = _WORLD_CACHE.get(cache_key)
     if world is None:
+        _WORLD_CACHE.clear()
         rng = RandomStreams(config.seed).get("topology")
         ring = ChordRing.random(config.num_nodes, rng, bits=32)
         keys: list[int] = []

@@ -69,6 +69,19 @@ class Scheme(abc.ABC):
         self.sim = sim
         self.overload = sim.overload
 
+    def unbind(self) -> None:
+        """Undo :meth:`bind`: forget the host and every handle resolved
+        from it.
+
+        Called once, by an engine retiring the scheme after its run.  What
+        bind built around host callbacks goes too (DUP's protocol and
+        maintenance engine); what the run accumulated (interest trackers,
+        registrations) stays, and refers to neither the host nor the
+        scheme, so a retired scheme is freed by reference counting alone.
+        """
+        self.sim = None
+        self.overload = None
+
     def _trace_note(self, node: NodeId, event: str, detail: str = "") -> None:
         """Annotate the trace of the message currently being processed."""
         self.sim.trace_annotate(self._carrier_trace, node, event, detail)
@@ -244,6 +257,21 @@ class PathCachingScheme(Scheme):
             self._lookup = sim.lookup
         if cls._store_reply is PathCachingScheme._store_reply:
             self._store_reply = sim.store
+
+    def unbind(self) -> None:
+        super().unbind()
+        # The handler table holds the scheme's own bound methods.
+        self._handlers = ()
+        self._env = self._parent = self._alive = self._send = None
+        self._record_latency = self._record_hops = self._note_read = None
+        # What bind() routed past the class methods returns to them.
+        for name in (
+            "_on_query_arrival",
+            "_on_local_miss",
+            "_lookup",
+            "_store_reply",
+        ):
+            vars(self).pop(name, None)
 
     def tracker(self, node: NodeId) -> InterestPolicy:
         """The node's interest policy instance (lazily created)."""

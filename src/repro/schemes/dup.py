@@ -111,6 +111,14 @@ class DupScheme(PathCachingScheme):
                 name=f"dup-lease-expiry-{sim.key}",
             )
 
+    def unbind(self) -> None:
+        super().unbind()
+        # The maintenance engine calls back into the scheme; the
+        # protocol's root check and the lease clock read the host.
+        self.protocol = self.maintenance = self._leases = None
+        self._tree = self._recorder = self._flap_gate = None
+        vars(self).pop("_store_push", None)
+
     def _record(self, kind: str, node=None, subject=None, detail="") -> None:
         if self._recorder is not None:
             self._recorder.record(kind, node, subject, detail)

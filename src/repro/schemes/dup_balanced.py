@@ -50,6 +50,11 @@ class DupBalancedScheme(DupScheme):
             trace=self._trace_note,
         )
 
+    def unbind(self) -> None:
+        super().unbind()
+        # The balancer holds the scheme's bound methods.
+        self._balancer = None
+
     # -- the capped-control pipeline -----------------------------------------
     def _degrade_control(self, node: NodeId, payload: object, combined) -> bool:
         # The balancer owns the whole capped pipeline (delegation

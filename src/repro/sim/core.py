@@ -455,5 +455,31 @@ class Environment:
             self._now = stop_time
         return None
 
+    def close(self) -> None:
+        """Retire the environment: drop every pending event and close the
+        generator of each process suspended on one.
+
+        A suspended process and the event it waits on refer to each other
+        (the event's callbacks hold the process's resume method), and the
+        generator's frame holds whatever the process works on, so a run
+        stopped at its horizon leaves reference cycles behind.  After
+        ``close()`` none is left, and the objects the processes and the
+        deferred calls held are freed by reference counting alone.  A
+        process waiting on an event that was never scheduled is not
+        reached.  Call it when nothing more is to run.
+        """
+        pending, self._queue = self._queue, []
+        self._active_process = None
+        for entry in pending:
+            if len(entry) == 5:  # flat deferred record
+                continue
+            event = entry[3]
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks or ():
+                process = getattr(callback, "__self__", None)
+                if isinstance(process, Process):
+                    process._target = None
+                    process._generator.close()
+
     def __repr__(self) -> str:
         return f"<Environment now={self._now} queued={len(self._queue)}>"

@@ -2,11 +2,13 @@
 
 import gc
 import math
+import weakref
 
 import pytest
 
 from repro.engine import Simulation, SimulationConfig
 from repro.engine.multikey import (
+    _WORLD_CACHE,
     MultiKeyScaleSimulation,
     _ring_and_keys,
     merge_scale_results,
@@ -97,13 +99,19 @@ class TestRun:
 class TestCrossKeyIsolation:
     def test_caches_hold_multiple_keys(self):
         sim = MultiKeyScaleSimulation(multikey_config(), num_keys=4)
+        multi = []
+
+        def read_tables():
+            tables = [slice_.copies for slice_ in sim.slices.values()]
+            multi.extend(
+                node
+                for node in sim.ring.node_ids
+                if sum(node in table for table in tables) >= 2
+            )
+
+        # A spent shard has no slices: read the tables at the horizon.
+        sim.env.defer(sim.config.duration, read_tables)
         sim.run()
-        tables = [slice_.copies for slice_ in sim.slices.values()]
-        multi = [
-            node
-            for node in sim.ring.node_ids
-            if sum(node in table for table in tables) >= 2
-        ]
         assert multi  # some node cached more than one index
 
     def test_dup_beats_pcx_aggregate(self):
@@ -352,14 +360,15 @@ class TestKeepLatencySamples:
 class TestObjectCount:
     """The scale engine's memory fence: a count, not a clock.
 
-    The GC-tracked objects a finished run still holds, per parent the
-    run touched.  With one cache object per touched node (the object,
-    its entry dict and its stats, each key's copies inside) this read
-    4.48; with one copy table per key it reads 3.10.
+    A run consumes its shard: the GC-tracked objects a spent shard still
+    holds, per parent the run touched.  With one cache object per touched
+    node this read 4.48, with one copy table per key 3.10 (all of it the
+    finished run's state, left to the cyclic collector); a shard that
+    frees its graph inside ``run()`` holds its result and a shell, 0.004.
     """
 
-    #: Fails at one cache object per node; passes at one table per key.
-    OBJECTS_PER_TOUCHED_PARENT = 3.3
+    #: Fails while a finished run keeps its per-key state.
+    OBJECTS_PER_TOUCHED_PARENT = 0.01
 
     def test_objects_per_touched_parent(self):
         config = multikey_config(
@@ -374,3 +383,30 @@ class TestObjectCount:
         held = len(gc.get_objects()) - before
         per_parent = held / result.extras["parents_touched"]
         assert per_parent <= self.OBJECTS_PER_TOUCHED_PARENT, per_parent
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_spent_shard_is_freed_without_the_collector(self, scheme):
+        config = multikey_config(
+            scheme=scheme, num_nodes=64, duration=2400.0, warmup=1200.0
+        )
+        sim = MultiKeyScaleSimulation(config, num_keys=3)
+        refs = [
+            weakref.ref(obj)
+            for obj in (sim, *sim.slices.values(), *sim.schemes.values())
+        ]
+        gc.disable()
+        try:
+            sim.run()
+            assert not sim.slices and not sim.schemes
+            del sim
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_world_memo_keeps_the_last_world(self):
+        config = multikey_config()
+        first = _ring_and_keys(config, 4)
+        assert _ring_and_keys(config, 4) is first
+        _ring_and_keys(multikey_config(seed=9), 4)
+        assert len(_WORLD_CACHE) == 1
+        assert _ring_and_keys(config, 4) is not first

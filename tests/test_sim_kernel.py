@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -385,6 +388,39 @@ class TestKernelProperties:
         env.run()
         assert len(done) == 500
         assert sorted(done) == list(range(500))
+
+
+class TestClose:
+    def test_close_releases_suspended_processes_without_the_collector(self):
+        class Held:
+            pass
+
+        env = Environment()
+        closed = []
+
+        def loop(env, held):
+            try:
+                while True:
+                    yield env.timeout(1.0)
+            finally:
+                closed.append(held)
+
+        held = Held()
+        ref = weakref.ref(held)
+        process = env.process(loop(env, held))
+        env.defer(5.0, closed.append, held)
+        env.run(until=2.5)
+        del held
+        gc.disable()
+        try:
+            env.close()
+            assert env.queue_size == 0
+            assert len(closed) == 1  # the generator's finally ran
+            closed.clear()
+            del process
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # -- Environment.run held to a loop of single step() calls -----------------
