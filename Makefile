@@ -6,19 +6,27 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale ledger ledger-ab gc-phase paper-cell frames census perf-smoke profile clean
+.PHONY: test record bench-scale ledger ledger-ab gc-phase paper-cell frames census perf-smoke profile clean
 
 test:
 	$(PY) -m pytest -q
 
-bench:
-	$(PY) -m pytest -q benchmarks/
+# Regenerate every record in benchmarks/results/ at the quick scale
+# (<id>.txt and BENCH_<id>.json, one `repro-dup run <id> --record` per
+# committed <id>.txt; a failed shape check stops it), then render
+# EXPERIMENTS.md's tables from them.  ~1.5 min on two cores.
+record:
+	for txt in benchmarks/results/*.txt; do \
+	  $(PY) -m repro.cli run $$(basename $$txt .txt) --scale quick \
+	    --replications 1 --record benchmarks/results || exit 1; \
+	done
+	$(PY) scripts/render_experiments.py
 
 # Full (nodes x keys) capacity sweep up to the 10^5-node point; writes
 # benchmarks/results/BENCH_scale.json.
 # Trim with e.g. BENCH_SCALE_GRID=2048x256,8192x512.
 bench-scale:
-	$(PY) -m pytest -q benchmarks/bench_scale.py
+	$(PY) scripts/bench_scale.py
 
 # The layered performance ledger (BENCHMARK.json): five pinned workloads,
 # end-to-end and per-layer metrics, ~2.5 min.  The parent process sets

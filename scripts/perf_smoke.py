@@ -20,15 +20,12 @@ bit-identical to the committed ``golden/figure4_smoke`` pin
 An armed recorder that drifts a single float fails here before it can
 corrupt a science run.
 
-A third leg guards the overload layer's off-is-off contract the same
-way: the figure4 smoke experiment is rerun with a present-but-disabled
-:class:`~repro.net.overload.OverloadPlan` attached to every config, and
-the canonical output must still match the same golden bit for bit.
-
-A fourth leg does the same for the peer-fluctuation layer: the run is
-repeated with a present-but-inert
-:class:`~repro.workload.sessions.SessionPlan` attached, and must again
-match the golden bit for bit.
+A third and a fourth leg guard the off-is-off contract of the overload
+and the peer-fluctuation layers the same way: the figure4 smoke
+experiment is rerun with a present-but-off
+:class:`~repro.net.overload.OverloadPlan`, then
+:class:`~repro.workload.sessions.SessionPlan`, attached to every
+config, and must still match the same golden bit for bit.
 
 Environment overrides:
 
@@ -50,6 +47,8 @@ sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
 from repro import flightrec  # noqa: E402
 from repro.experiments import figure4_arrival_rate  # noqa: E402
+from repro.net.overload import OverloadPlan  # noqa: E402
+from repro.workload.sessions import SessionPlan  # noqa: E402
 # The pin store's own canonicalizer, so the gate and the golden test can
 # never disagree about formatting.
 from tests.pins import canonical, load  # noqa: E402
@@ -57,14 +56,11 @@ from tests.pins import canonical, load  # noqa: E402
 BENCH_RECORD = REPO / "benchmarks" / "results" / "BENCH_figure4.json"
 PROFILE_OUT = REPO / "perf_smoke_profile.txt"
 GOLDEN = "figure4_smoke"
-RATES = (0.1, 1.0, 3.0, 10.0, 30.0)
 
 
 def _run() -> float:
     start = time.perf_counter()
-    result = figure4_arrival_rate.run(
-        scale="quick", replications=1, rates=RATES, workers=1
-    )
+    result = figure4_arrival_rate.run(scale="quick", replications=1, workers=1)
     wall = time.perf_counter() - start
     if not result.all_shapes_hold:
         print("perf-smoke: paper shape checks FAILED", file=sys.stderr)
@@ -98,9 +94,7 @@ def _write_profile() -> None:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    figure4_arrival_rate.run(
-        scale="quick", replications=1, rates=RATES, workers=1
-    )
+    figure4_arrival_rate.run(scale="quick", replications=1, workers=1)
     profiler.disable()
     with PROFILE_OUT.open("w", encoding="utf-8") as stream:
         stats = pstats.Stats(profiler, stream=stream)
@@ -141,74 +135,36 @@ def _telemetry_overhead_leg() -> int:
     return 0
 
 
-def _overload_off_identity_leg() -> int:
-    """A present-but-disabled OverloadPlan must not move a single bit.
+def _inert_layer_leg(field: str, plan, label: str) -> int:
+    """A present-but-off plan of one layer must not move a single bit.
 
     ``figure4.run`` builds its configs through its module-bound
     ``base_config``, so the leg rebinds that name to a wrapper attaching
-    an all-default (disabled) plan — the closest a stock experiment can
-    get to "the layer is compiled in but off".
+    ``plan`` as ``field`` — the closest a stock experiment can get to
+    "the layer is compiled in but off".
     """
-    from repro.experiments import figure4_arrival_rate as fig4
-    from repro.net.overload import OverloadPlan
+    original = figure4_arrival_rate.base_config
 
-    original = fig4.base_config
+    def with_plan(scale, **kwargs):
+        return original(scale, **kwargs).replace(**{field: plan})
 
-    def with_disabled_overload(scale, **kwargs):
-        return original(scale, **kwargs).replace(overload=OverloadPlan())
-
-    fig4.base_config = with_disabled_overload
+    figure4_arrival_rate.base_config = with_plan
     start = time.perf_counter()
     try:
-        result = fig4.run(
+        result = figure4_arrival_rate.run(
             scale="smoke", replications=1, seed=1, rates=(1.0, 10.0)
         )
     finally:
-        fig4.base_config = original
+        figure4_arrival_rate.base_config = original
     wall = time.perf_counter() - start
     if not _matches_golden(result):
         print(
-            "perf-smoke: overload leg FAILED — a disabled overload plan "
+            f"perf-smoke: {label} leg FAILED — an off {label} plan "
             f"drifted the run from golden/{GOLDEN}",
             file=sys.stderr,
         )
         return 1
-    print(
-        f"perf-smoke: overload-off run bit-identical to golden ({wall:.2f}s)"
-    )
-    return 0
-
-
-def _fluctuation_off_identity_leg() -> int:
-    """A present-but-inert SessionPlan must not move a single bit."""
-    from repro.experiments import figure4_arrival_rate as fig4
-    from repro.workload.sessions import SessionPlan
-
-    original = fig4.base_config
-
-    def with_inert_sessions(scale, **kwargs):
-        return original(scale, **kwargs).replace(sessions=SessionPlan())
-
-    fig4.base_config = with_inert_sessions
-    start = time.perf_counter()
-    try:
-        result = fig4.run(
-            scale="smoke", replications=1, seed=1, rates=(1.0, 10.0)
-        )
-    finally:
-        fig4.base_config = original
-    wall = time.perf_counter() - start
-    if not _matches_golden(result):
-        print(
-            "perf-smoke: fluctuation leg FAILED — an inert session plan "
-            f"drifted the run from golden/{GOLDEN}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "perf-smoke: fluctuation-off run bit-identical to golden "
-        f"({wall:.2f}s)"
-    )
+    print(f"perf-smoke: {label}-off run bit-identical to golden ({wall:.2f}s)")
     return 0
 
 
@@ -227,8 +183,8 @@ def main() -> int:
         return 1
     return (
         _telemetry_overhead_leg()
-        or _overload_off_identity_leg()
-        or _fluctuation_off_identity_leg()
+        or _inert_layer_leg("overload", OverloadPlan(), "overload")
+        or _inert_layer_leg("sessions", SessionPlan(), "fluctuation")
     )
 
 

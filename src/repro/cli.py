@@ -4,7 +4,8 @@ Subcommands:
 
 - ``repro-dup list`` — show available experiments and schemes.
 - ``repro-dup run EXPERIMENT`` — regenerate a paper table/figure (or an
-  ablation) and print the rows plus the shape checks.
+  ablation) and print the rows plus the shape checks; ``--record DIR``
+  also writes them to ``DIR/<id>.txt`` and ``DIR/BENCH_<id>.json``.
 - ``repro-dup simulate`` — one ad-hoc simulation with explicit
   parameters, printing the metrics report (``--trace-out`` /
   ``--metrics-out`` export JSONL traces and registry snapshots).
@@ -30,6 +31,7 @@ Examples
 
     repro-dup list
     repro-dup run figure4 --scale bench --replications 2
+    repro-dup run churn --scale quick --replications 1 --record results/
     repro-dup profile figure4 --top 20
     repro-dup profile table2 --scale quick --sort tottime --out prof.bin
     repro-dup run table3 --scale paper          # hours, full fidelity
@@ -48,6 +50,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro.engine import SimulationConfig, run_simulation
@@ -452,6 +455,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
+        "--record",
+        metavar="DIR",
+        help="also write each result to DIR/<id>.txt (the render) and "
+        "DIR/BENCH_<id>.json (rows, wall, peak RSS; history kept)",
+    )
+    run_parser.add_argument(
         "--keep-going",
         action="store_true",
         help=(
@@ -693,6 +702,7 @@ def _command_run(args: argparse.Namespace) -> int:
     from repro.engine.parallel import resolve_workers, set_default_event_sink
     from repro.engine.telemetry import TelemetryWriter
     from repro.errors import ExperimentError
+    from repro.experiments.record import write_records
     from repro.experiments.registry import format_failure_table, run_all
 
     runner = get_experiment(args.experiment)
@@ -720,6 +730,7 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.keep_going and runner is run_all:
         kwargs.update(keep_going=True, failures=failures)
     previous_sink = set_default_event_sink(sink)
+    start = time.perf_counter()
     try:
         outcome = runner(**kwargs)
     except ExperimentError as error:
@@ -738,12 +749,15 @@ def _command_run(args: argparse.Namespace) -> int:
                 f"{args.telemetry_out}",
                 file=sys.stderr,
             )
+    wall = time.perf_counter() - start
     results = outcome if isinstance(outcome, list) else [outcome]
     failed = bool(failures)
     for result in results:
         print(result.render())
         print()
         failed = failed or not result.all_shapes_hold
+    if args.record:
+        write_records(results, args.record, wall, workers)
     if failures:
         print(format_failure_table(failures))
     return 1 if failed else 0

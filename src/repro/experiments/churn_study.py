@@ -29,6 +29,7 @@ TITLE = "DUP repair under churn (Section III-C, quantified)"
 #: and the other half departures (split between graceful leaves and
 #: crashes), keeping the expected population stable over the run.
 BENCH_LEVELS = (0.0, 0.005, 0.02, 0.08)
+QUICK_LEVELS = (0.0, 0.02, 0.08)
 
 
 def _p95_tail(aggregated) -> float:
@@ -63,12 +64,14 @@ def run(
     scale: str = "bench",
     replications: int = 2,
     seed: int = 1,
-    levels=BENCH_LEVELS,
+    levels=None,
     rate: float = RATE,
     schemes=("pcx", "dup"),
     workers=None,
 ) -> ExperimentResult:
     """Sweep churn intensity for the given schemes."""
+    if levels is None:
+        levels = QUICK_LEVELS if scale == "quick" else BENCH_LEVELS
     base = base_config(scale, seed=seed, query_rate=rate)
     return sweep(
         EXPERIMENT_ID,

@@ -37,12 +37,13 @@ def base_config(scale: str = "bench", seed: int = 1, **overrides) -> SimulationC
 
     ``"bench"`` trims the population and horizon so a full experiment
     finishes in minutes of wall-clock on a laptop; ``"quick"`` trims
-    further for the pytest-benchmark harness (tens of seconds per
-    table/figure); ``"smoke"`` trims further still for CI regression and
-    golden-file tests (seconds per figure); ``"paper"`` uses the full
-    Table I parameters (4096 nodes, >= 180,000 simulated seconds), which
-    takes hours in pure Python — exactly like the original runs.  All
-    sweeps apply identically to any base.
+    further for the committed records of ``benchmarks/results/``
+    (``repro-dup run --record``; seconds per table/figure, and some
+    experiments trim their sweep there too); ``"smoke"`` trims further
+    still for CI regression and golden-file tests (seconds per figure);
+    ``"paper"`` uses the full Table I parameters (4096 nodes, >= 180,000
+    simulated seconds), which takes hours in pure Python — exactly like
+    the original runs.
     """
     try:
         num_nodes, duration, warmup = SCALES[scale]

@@ -23,6 +23,7 @@ from repro.experiments.spec import ExperimentResult, ShapeCheck
 EXPERIMENT_ID = "figure4"
 TITLE = "Effects of the query arrival rate lambda"
 
+QUICK_RATES = (0.1, 1.0, 3.0, 10.0, 30.0)
 BENCH_RATES = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 PAPER_RATES = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
 
@@ -38,7 +39,7 @@ def run(
     if rates is None:
         # Smoke-scale populations are too small for the paper's extreme
         # rates to order cleanly; they get the trimmed bench grid.
-        rates = PAPER_RATES if scale in ("quick", "paper") else BENCH_RATES
+        rates = {"quick": QUICK_RATES, "paper": PAPER_RATES}.get(scale, BENCH_RATES)
     comparisons = compare_many(
         {
             rate: base_config(scale, seed=seed, query_rate=rate)

@@ -17,6 +17,7 @@ EXPERIMENT_ID = "figure6"
 TITLE = "Effects of the maximum node degree D"
 
 DEGREES = (2, 4, 6, 8, 10)
+QUICK_DEGREES = (2, 4, 6, 10)
 RATE = 10.0
 
 
@@ -24,11 +25,13 @@ def run(
     scale: str = "bench",
     replications: int = 2,
     seed: int = 1,
-    degrees=DEGREES,
+    degrees=None,
     rate: float = RATE,
     workers=None,
 ) -> ExperimentResult:
     """Regenerate Figure 6 (a) and (b)."""
+    if degrees is None:
+        degrees = QUICK_DEGREES if scale == "quick" else DEGREES
     comparisons = compare_many(
         {
             degree: base_config(

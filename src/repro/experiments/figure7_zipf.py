@@ -20,6 +20,7 @@ EXPERIMENT_ID = "figure7"
 TITLE = "Effects of the Zipf parameter theta"
 
 THETAS = (0.5, 1.0, 2.0, 3.0, 4.0)
+QUICK_THETAS = (0.5, 1.0, 2.0, 4.0)
 RATE = 10.0
 
 
@@ -27,11 +28,13 @@ def run(
     scale: str = "bench",
     replications: int = 2,
     seed: int = 1,
-    thetas=THETAS,
+    thetas=None,
     rate: float = RATE,
     workers=None,
 ) -> ExperimentResult:
     """Regenerate Figure 7 (a) and (b)."""
+    if thetas is None:
+        thetas = QUICK_THETAS if scale == "quick" else THETAS
     comparisons = compare_many(
         {
             theta: base_config(

@@ -19,6 +19,7 @@ EXPERIMENT_ID = "figure8"
 TITLE = "Effects of Pareto (bursty) arrivals"
 
 ALPHAS = (1.05, 1.20)
+QUICK_RATES = (1.0, 10.0, 30.0)
 BENCH_RATES = (0.3, 1.0, 3.0, 10.0, 30.0)
 PAPER_RATES = (0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
 
@@ -33,7 +34,7 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 8 (a) and (b)."""
     if rates is None:
-        rates = PAPER_RATES if scale in ("quick", "paper") else BENCH_RATES
+        rates = {"quick": QUICK_RATES, "paper": PAPER_RATES}.get(scale, BENCH_RATES)
     comparisons = compare_many(
         {
             (alpha, rate): base_config(

@@ -15,7 +15,7 @@ checking the structural claims that make the tier trustworthy:
   closes).
 
 Rows contain **no wall-clock or RSS numbers** — those are measurement
-artifacts of the machine, recorded by ``benchmarks/bench_scale.py``
+artifacts of the machine, recorded by ``scripts/bench_scale.py``
 into ``BENCH_scale.json``; the golden covering this experiment must
 stay bit-stable across hosts.
 """

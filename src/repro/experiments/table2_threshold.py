@@ -20,6 +20,7 @@ EXPERIMENT_ID = "table2"
 TITLE = "Effects of the threshold value c (DUP)"
 
 C_VALUES = (2, 4, 6, 8, 10)
+QUICK_C_VALUES = (2, 6, 10)
 RATES = (0.1, 1.0, 10.0)
 
 
@@ -27,11 +28,13 @@ def run(
     scale: str = "bench",
     replications: int = 2,
     seed: int = 1,
-    c_values=C_VALUES,
+    c_values=None,
     rates=RATES,
     workers=None,
 ) -> ExperimentResult:
     """Regenerate Table II."""
+    if c_values is None:
+        c_values = QUICK_C_VALUES if scale == "quick" else C_VALUES
     aggregates = replicate_many(
         {
             (rate, c): base_config(

@@ -17,6 +17,7 @@ from repro.experiments.spec import ExperimentResult, ShapeCheck
 EXPERIMENT_ID = "table3"
 TITLE = "Latency comparison as the number of nodes changes"
 
+QUICK_SIZES = (128, 512, 2048)
 BENCH_SIZES = (256, 1024, 4096)
 PAPER_SIZES = (256, 1024, 4096, 16384)
 RATES = (0.1, 1.0, 10.0)
@@ -32,7 +33,7 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Table III."""
     if sizes is None:
-        sizes = PAPER_SIZES if scale in ("quick", "paper") else BENCH_SIZES
+        sizes = {"quick": QUICK_SIZES, "paper": PAPER_SIZES}.get(scale, BENCH_SIZES)
     comparisons = compare_many(
         {
             (rate, size): base_config(

@@ -1,8 +1,11 @@
 """Tests of the repro-dup command-line interface."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
+import json
+import math
 import os
 import re
 import sys
@@ -10,6 +13,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.experiments import registry
 from repro.metrics.export import read_jsonl
 
 
@@ -122,6 +126,39 @@ class TestRun:
             records = read_jsonl(str(path))
             assert [r["type"] for r in records] == ["progress"] * total
             assert [r["trial"] for r in records] == [m[3] for m in progress]
+
+    def test_record_writes_the_printed_block_and_keeps_history(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["run", "ablation-interest", "--scale", "smoke",
+                "--replications", "1", "--workers", "1",
+                "--record", str(tmp_path)]
+        assert main(argv) == 0
+        text = (tmp_path / "ablation-interest.txt").read_text()
+        assert capsys.readouterr().out == text + "\n"
+        path = tmp_path / "BENCH_ablation-interest.json"
+        record = json.loads(path.read_text())
+        assert set(record) == {
+            "experiment_id", "wall_seconds", "peak_rss_mb", "workers",
+            "python_version", "git_sha", "all_shapes_hold", "rows",
+        }
+        assert record["experiment_id"] == "ablation-interest"
+        assert [row["policy"] for row in record["rows"]] == ["window", "ewma"]
+        # A second run keeps the history and writes a NaN cell as null.
+        record["history"] = [{"label": "baseline", "wall_seconds": 1.0}]
+        path.write_text(json.dumps(record))
+        real = registry._REGISTRY["ablation-interest"]
+
+        def with_nan(**kwargs):
+            result = real(**kwargs)
+            rows = [*result.rows, {"policy": "none", "latency": math.nan}]
+            return dataclasses.replace(result, rows=rows)
+
+        monkeypatch.setitem(registry._REGISTRY, "ablation-interest", with_nan)
+        assert main(argv) == 0
+        again = json.loads(path.read_text())
+        assert again["history"] == record["history"]
+        assert again["rows"][-1] == {"policy": "none", "latency": None}
 
     def test_run_unknown_experiment(self):
         from repro.errors import ExperimentError

@@ -1,24 +1,21 @@
 """Regression tests for hot-path helpers outside the kernel.
 
 Covers trace inheritance edge cases, the search tree's route memoisation
-under churn, and the benchmark-harness metadata.  The kernel's own cases
-live in ``tests/test_sim_kernel.py``.
+under churn, and the metadata of the experiment records.  The kernel's
+own cases live in ``tests/test_sim_kernel.py``.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import sys
 
-import pytest
-
+from repro.experiments import record
 from repro.index.entry import IndexVersion
 from repro.net.message import PushMessage, QueryMessage, ReplyMessage
 from repro.topology.tree import SearchTree
 
-REPO = pathlib.Path(__file__).parent.parent
-BENCHMARKS = REPO / "benchmarks"
+RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
 
 class TestInheritTrace:
@@ -115,42 +112,30 @@ class TestRouteMemoInvalidation:
 
 
 class TestHarnessMetadata:
-    @pytest.fixture()
-    def harness(self):
-        sys.path.insert(0, str(BENCHMARKS))
-        try:
-            import _harness
+    """The metadata ``repro-dup run --record`` writes beside the rows."""
 
-            yield _harness
-        finally:
-            sys.path.remove(str(BENCHMARKS))
-
-    def test_git_sha_is_short_hash_or_none(self, harness):
-        sha = harness._git_sha()
+    def test_git_sha_is_short_hash_or_none(self):
+        sha = record.git_sha()
         assert sha is None or (
             isinstance(sha, str) and 6 <= len(sha) <= 16
         )
 
-    def test_load_history_tolerates_missing_and_bad_files(
-        self, harness, tmp_path
-    ):
-        assert harness._load_history(tmp_path / "absent.json") == []
+    def test_load_history_tolerates_missing_and_bad_files(self, tmp_path):
+        assert record.load_history(tmp_path / "absent.json") == []
         bad = tmp_path / "bad.json"
         bad.write_text("not json", encoding="utf-8")
-        assert harness._load_history(bad) == []
+        assert record.load_history(bad) == []
         no_hist = tmp_path / "nh.json"
         no_hist.write_text('{"wall_seconds": 1}', encoding="utf-8")
-        assert harness._load_history(no_hist) == []
+        assert record.load_history(no_hist) == []
 
     def test_committed_figure4_record_has_metadata_and_baseline(self):
-        record = json.loads(
-            (BENCHMARKS / "results" / "BENCH_figure4.json").read_text(
-                encoding="utf-8"
-            )
+        committed = json.loads(
+            (RESULTS / "BENCH_figure4.json").read_text(encoding="utf-8")
         )
-        assert record["python_version"].count(".") == 2
-        assert record["git_sha"]
-        walls = [entry["wall_seconds"] for entry in record["history"]]
+        assert committed["python_version"].count(".") == 2
+        assert committed["git_sha"]
+        walls = [entry["wall_seconds"] for entry in committed["history"]]
         assert len(walls) >= 2
         # The committed history demonstrates the tentpole speedup.
         assert walls[0] / walls[-1] >= 1.5
