@@ -80,10 +80,8 @@ def main() -> None:
 
     print("\n== simulation check ==")
     sim = Simulation(config)
-    series = sim.add_probe(
-        "subscribed",
-        lambda: float(len(sim.scheme.subscribed_nodes())),
-        interval=1800.0,
+    series = sim.monitor(interval=1800.0).probe(
+        "subscribed", lambda: float(len(sim.scheme.subscribed_nodes()))
     )
     result = sim.run()
     steady = series.window(config.warmup, config.duration).mean()

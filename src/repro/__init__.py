@@ -17,7 +17,9 @@ The library provides:
 Quickstart
 ----------
 >>> from repro import SimulationConfig, compare_schemes
->>> config = SimulationConfig.benchmark_scale(num_nodes=128, query_rate=2.0)
+>>> config = SimulationConfig(
+...     num_nodes=128, query_rate=2.0, duration=18_000.0, warmup=7_200.0
+... )
 >>> comparison = compare_schemes(config, replications=1)   # doctest: +SKIP
 >>> print(comparison)                                      # doctest: +SKIP
 """

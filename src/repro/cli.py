@@ -8,7 +8,7 @@ Subcommands:
   also writes them to ``DIR/<id>.txt`` and ``DIR/BENCH_<id>.json``.
 - ``repro-dup simulate`` — one ad-hoc simulation with explicit
   parameters, printing the metrics report (``--trace-out`` /
-  ``--metrics-out`` export JSONL traces and registry snapshots).
+  ``--metrics-out`` export JSONL traces and result snapshots).
 - ``repro-dup observe`` — an instrumented run: per-query tracing plus
   periodic metric snapshots, exported as JSONL, with a tail-latency and
   hop-attribution summary printed at the end.
@@ -488,13 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--metrics-out",
         metavar="PATH",
-        help="export periodic metric-registry snapshots as JSONL to PATH",
-    )
-    sim_parser.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=600.0,
-        help="simulated seconds between registry snapshots (default: 600)",
+        help="export periodic result snapshots as JSONL to PATH",
     )
     _add_flags(sim_parser, ("--churn-rate",))
     _add_groups(
@@ -662,7 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flight-recorder / timeline flags shared by simulate and chaos."""
+    """Flight-recorder / timeline / sampling flags of simulate and chaos."""
     group = parser.add_argument_group("telemetry")
     group.add_argument(
         "--flight-out",
@@ -681,10 +675,10 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     group.add_argument(
-        "--timeline-window",
+        "--snapshot-interval",
         type=float,
         default=600.0,
-        help="simulated seconds per timeline window (default: 600)",
+        help="simulated seconds between exported samples (default: 600)",
     )
 
 
@@ -770,19 +764,23 @@ def _instrumented_run(
     snapshot_interval,
     flight_out=None,
     telemetry_out=None,
-    timeline_window=600.0,
 ):
     """Run one simulation with the requested observability attached.
 
     Returns ``(result, tracer)``; ``tracer`` is ``None`` when tracing
     was not requested.  ``flight_out`` dumps the protocol flight
-    recorder as JSONL after the run; ``telemetry_out`` samples the
-    tree-evolution timeline every ``timeline_window`` simulated seconds
-    and exports every retained sample.
+    recorder as JSONL after the run.  ``metrics_out`` (result
+    snapshots) and ``telemetry_out`` (the tree-evolution timeline) are
+    both sampled every ``snapshot_interval`` simulated seconds by the
+    run's one monitor, and every retained sample is exported.
     """
     from repro.engine.simulation import Simulation
-    from repro.metrics.export import export_registry, export_traces, write_jsonl
-    from repro.metrics.windows import timeline_records
+    from repro.metrics.export import (
+        export_traces,
+        snapshot_records,
+        write_jsonl,
+    )
+    from repro.metrics.windows import timeline_probes, timeline_records
 
     # Fail on an unwritable output path now, not after an hours-long run.
     for path in (trace_out, metrics_out, flight_out, telemetry_out):
@@ -792,22 +790,25 @@ def _instrumented_run(
         config = dataclasses.replace(config, flight_recorder=True)
     sim = Simulation(config)
     tracer = sim.enable_tracing() if trace_out else None
+    if metrics_out or telemetry_out:
+        monitor = sim.monitor(interval=snapshot_interval)
     if metrics_out:
-        sim.enable_snapshots(interval=snapshot_interval)
+        monitor.record(sim.snapshot)
     if telemetry_out:
-        sim.enable_timeline(window=timeline_window)
+        for name, probe in timeline_probes(sim.tree, sim.scheme).items():
+            monitor.probe(name, probe)
     result = sim.run()
     if trace_out:
         count = export_traces(tracer, trace_out)
         print(f"wrote {count} trace records to {trace_out}")
     if metrics_out:
-        count = export_registry(sim.registry, metrics_out)
+        count = write_jsonl(metrics_out, snapshot_records(monitor))
         print(f"wrote {count} snapshot records to {metrics_out}")
     if flight_out:
         count = sim.dump_flight(flight_out)
         print(f"wrote {count} flight records to {flight_out}")
     if telemetry_out:
-        count = write_jsonl(telemetry_out, timeline_records(sim.timeline))
+        count = write_jsonl(telemetry_out, timeline_records(monitor))
         print(f"wrote {count} timeline records to {telemetry_out}")
     return result, tracer
 
@@ -828,7 +829,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
             args.snapshot_interval,
             flight_out=args.flight_out,
             telemetry_out=args.telemetry_out,
-            timeline_window=args.timeline_window,
         )
     else:
         result = run_simulation(config)
@@ -926,10 +926,9 @@ def _command_chaos(args: argparse.Namespace) -> int:
             config,
             None,
             None,
-            0.0,
+            args.snapshot_interval,
             flight_out=args.flight_out,
             telemetry_out=args.telemetry_out,
-            timeline_window=args.timeline_window,
         )
     else:
         result = run_simulation(config)

@@ -4,8 +4,8 @@
 parameters: 4096 nodes, maximum degree 4, one query per second network-
 wide, Zipf theta 0.95, threshold c = 6, TTL 60 minutes, push lead 1
 minute, exponential hop latency with mean 0.1 s, and a >= 180,000 s
-horizon.  :meth:`SimulationConfig.benchmark_scale` returns a laptop-scale
-variant used by the benchmark harness (same shapes, smaller wall-clock).
+horizon.  The experiments' smaller per-scale variants come from
+:func:`repro.experiments.common.base_config`.
 """
 
 from __future__ import annotations
@@ -319,21 +319,6 @@ class SimulationConfig:
     def paper_defaults(cls, **overrides) -> "SimulationConfig":
         """The paper's Table I defaults (full fidelity; slow in Python)."""
         return cls(**overrides)
-
-    @classmethod
-    def benchmark_scale(cls, **overrides) -> "SimulationConfig":
-        """Laptop-scale defaults for the benchmark harness.
-
-        Shrinks the population and horizon while preserving every shape
-        the paper reports (the experiments sweep the same parameters).
-        """
-        defaults = {
-            "num_nodes": 512,
-            "duration": 3600.0 * 5,
-            "warmup": 3600.0,
-        }
-        defaults.update(overrides)
-        return cls(**defaults)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

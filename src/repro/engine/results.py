@@ -58,6 +58,28 @@ class SimulationResult:
             stale_read_fraction=self.stale_read_fraction,
         )
 
+    def values(self) -> dict[str, object]:
+        """The run's numbers as one flat ``{name: value}`` mapping.
+
+        Each scalar field under its own name, then the keys of
+        ``hop_breakdown``, ``latency_percentiles`` and ``extras``: the
+        vocabulary of ``--metrics-out`` snapshots.
+        """
+        values: dict[str, object] = {
+            "queries": self.queries,
+            "mean_latency": self.mean_latency,
+            "cost_per_query": self.cost_per_query,
+            "hit_rate": self.hit_rate,
+            "dropped_messages": self.dropped_messages,
+            "incomplete_queries": self.incomplete_queries,
+            "final_population": self.final_population,
+            "stale_read_fraction": self.stale_read_fraction,
+        }
+        values.update(self.hop_breakdown)
+        values.update(self.latency_percentiles)
+        values.update(self.extras)
+        return values
+
     def __str__(self) -> str:
         return str(self.report)
 

@@ -11,11 +11,10 @@ to, overriding only what its layers add: an injector-aware
 path into Section III-C repair (``suspect_peer``), and tracing
 (``enable_tracing``).
 
-Observability is wired here: every run owns a
-:class:`~repro.metrics.registry.MetricsRegistry` fronting the cost
-ledger, latency recorder, transport, and population as live gauges
-(``enable_snapshots`` samples it periodically), and
-:meth:`Simulation.enable_tracing` attaches a
+Observability is wired here: :meth:`Simulation.monitor` gives a run
+its one :class:`~repro.sim.monitor.Monitor`, which samples probes and
+the :meth:`Simulation.snapshot` of every quantity the result reports,
+and :meth:`Simulation.enable_tracing` attaches a
 :class:`~repro.engine.tracing.TraceCollector` that reconstructs every
 query's causal chain from the transport observer tap.
 """
@@ -35,7 +34,7 @@ from repro.index.authority import Authority, StandbyPool
 from repro.index.entry import IndexVersion
 from repro.metrics.counters import CostLedger
 from repro.metrics.latency import LatencyRecorder
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import Histogram
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.message import (
     AckMessage,
@@ -51,6 +50,7 @@ from repro.net.transport import Transport, TransportEvent
 from repro.schemes.host import SchemeHost
 from repro.schemes.registry import make_scheme
 from repro.sim.core import Environment
+from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
 from repro.stats.distributions import Exponential
 from repro.topology.chord import ChordRing
@@ -179,7 +179,9 @@ class Simulation(SchemeHost):
         self._reads = 0
         self._stale_reads = 0
         self._suspicions = 0
-        self._detection_latency = None
+        self._detection_latency: Optional[Histogram] = None
+        if self.injector is not None and fault_plan.silent_failures:
+            self._detection_latency = Histogram("detection_latency")
         self._pending_suspicions: set[tuple[NodeId, NodeId]] = set()
         if self.injector is not None:
             self.transport.add_observer(self._observe_fault_drops)
@@ -205,126 +207,9 @@ class Simulation(SchemeHost):
             )
         self._failover_at: Optional[float] = None
         self.auditor = None
-        self._monitor = None
-        self._snapshot_interval: Optional[float] = None
-        self._timeline = None
+        self._monitor: Optional[Monitor] = None
         self._trace = None
         self._ran = False
-        self.registry = MetricsRegistry(clock=lambda: self.env.now)
-        self._register_standard_metrics()
-
-    def _register_standard_metrics(self) -> None:
-        registry = self.registry
-        for category in Category:
-            registry.gauge(
-                f"hops.{category.value}",
-                lambda category=category: self.ledger.hops(category),
-            )
-        registry.gauge("hops.total", lambda: self.ledger.total_hops)
-        registry.gauge("latency.count", lambda: self.latency.count)
-        registry.gauge("latency.mean", lambda: self.latency.mean)
-        registry.gauge("latency.hit_rate", lambda: self.latency.hit_rate)
-        if self.config.keep_latency_samples:
-            for q in (50, 95, 99):
-                registry.gauge(
-                    f"latency.p{q}", lambda q=q: self.latency.percentile(q)
-                )
-        registry.gauge("transport.dropped", lambda: self.transport.dropped)
-        registry.gauge("queries.incomplete", lambda: self._incomplete)
-        registry.gauge("population", lambda: float(len(self.tree)))
-        registry.gauge("reads.total", lambda: float(self._reads))
-        registry.gauge("reads.stale", lambda: float(self._stale_reads))
-        registry.gauge("reads.stale_fraction", lambda: self.stale_read_fraction)
-        injector = self.injector
-        if injector is not None:
-            registry.gauge(
-                "faults.injected_losses", lambda: injector.injected_losses
-            )
-            registry.gauge(
-                "faults.injected_duplicates",
-                lambda: injector.injected_duplicates,
-            )
-            registry.gauge("faults.blackholed", lambda: injector.blackholed)
-            if injector.plan.silent_failures:
-                self._detection_latency = registry.histogram(
-                    "faults.detection_latency"
-                )
-                registry.gauge(
-                    "faults.undetected",
-                    lambda: float(len(injector.undetected())),
-                )
-                registry.gauge("faults.suspicions", lambda: self._suspicions)
-            if injector.plan.partitions:
-                registry.gauge(
-                    "partition.started",
-                    lambda: float(injector.partitions_started),
-                )
-                registry.gauge(
-                    "partition.drops", lambda: float(injector.partition_drops)
-                )
-                registry.gauge(
-                    "partition.active",
-                    lambda: float(injector.partition_active),
-                )
-        pool = self.standby_pool
-        if pool is not None:
-            registry.gauge(
-                "failover.replications", lambda: float(pool.replications)
-            )
-            registry.gauge(
-                "failover.heartbeats", lambda: float(pool.heartbeats)
-            )
-            registry.gauge(
-                "failover.promoted",
-                lambda: float(pool.promoted is not None),
-            )
-        channel = self.reliable
-        if channel is not None:
-            registry.gauge("reliable.retries", lambda: channel.retries)
-            registry.gauge("reliable.acked", lambda: channel.acked)
-            registry.gauge("reliable.give_ups", lambda: channel.give_ups)
-            registry.gauge("reliable.outstanding", lambda: channel.outstanding)
-        overload = self.overload
-        if overload is not None:
-            registry.gauge(
-                "overload.shed_fraction", lambda: overload.shed_fraction
-            )
-            registry.gauge(
-                "overload.shed_total", lambda: float(overload.shed_total)
-            )
-            registry.gauge(
-                "overload.max_queue_depth",
-                lambda: float(overload.max_queue_depth),
-            )
-            registry.gauge(
-                "overload.breaker_trips",
-                lambda: float(overload.breaker_trips),
-            )
-            registry.gauge(
-                "overload.pushes_coalesced",
-                lambda: float(overload.pushes_coalesced),
-            )
-        if self.config.lease_ttl > 0 and hasattr(
-            self.scheme, "lease_expiries"
-        ):
-            registry.gauge(
-                "leases.expired", lambda: float(self.scheme.lease_expiries)
-            )
-        sessions = self.sessions
-        if sessions is not None:
-            registry.gauge(
-                "sessions.crashes", lambda: float(sessions.crashes)
-            )
-            registry.gauge(
-                "sessions.rejoins", lambda: float(sessions.rejoins)
-            )
-            registry.gauge(
-                "sessions.down_now", lambda: float(sessions.down_now)
-            )
-            registry.gauge(
-                "sessions.flap_suppressed",
-                lambda: float(sessions.flap_suppressed_now),
-            )
 
     # -- construction helpers -----------------------------------------------
     def _build_topology(self) -> tuple[SearchTree, int]:
@@ -604,75 +489,11 @@ class Simulation(SchemeHost):
             return None
         return self.tree.depth(node)
 
-    @property
-    def timeline(self):
-        """The tree-evolution timeline, when enabled (else ``None``)."""
-        return self._timeline
-
-    def enable_timeline(
-        self, window: float = 600.0, max_buckets: int = 256
-    ):
-        """Sample the tree-evolution timeline every ``window`` seconds.
-
-        Returns a :class:`~repro.sim.monitor.Monitor` carrying the
-        probes of :func:`~repro.metrics.windows.timeline_probes` (must be
-        called before :meth:`run`).  Each metric keeps its newest
-        ``max_buckets`` samples regardless of the run length; the
-        timeline is a pure observer and never perturbs the run.  A
-        repeat call with the same arguments returns the same monitor;
-        one asking for another window or bucket count is refused.
-        """
-        from repro.metrics.windows import timeline_probes
-        from repro.sim.monitor import Monitor
-
-        self._before_run("enable_timeline")
-        timeline = self._timeline
-        if timeline is not None:
-            held = (timeline.interval, timeline.max_samples)
-            if (window, max_buckets) != held:
-                raise ConfigError(
-                    f"enable_timeline asks for window {window} with "
-                    f"{max_buckets} buckets, but the timeline already "
-                    f"samples every {timeline.interval} with "
-                    f"{timeline.max_samples} buckets"
-                )
-            return timeline
-        timeline = Monitor(self.env, window, max_samples=max_buckets)
-        for name, probe in timeline_probes(self).items():
-            timeline.probe(name, probe)
-        self._timeline = timeline
-        return timeline
-
     def dump_flight(self, path) -> int:
         """Dump the flight recorder's ring as JSONL; 0 when unarmed."""
         if self.recorder is None:
             return 0
         return self.recorder.dump(path)
-
-    def enable_snapshots(self, interval: float = 600.0) -> None:
-        """Sample the metrics registry every ``interval`` simulated
-        seconds (must be called before :meth:`run`).
-
-        A repeat call at the same interval is a no-op; one asking for
-        another interval is refused, as :meth:`add_probe` refuses it.
-        """
-        self._before_run("enable_snapshots")
-        if self._snapshot_interval is not None:
-            if interval != self._snapshot_interval:
-                raise ConfigError(
-                    f"enable_snapshots asks for interval {interval}, but "
-                    "the registry is already sampled every "
-                    f"{self._snapshot_interval}"
-                )
-            return
-        self._snapshot_interval = interval
-
-        def loop():
-            while True:
-                yield self.env.timeout(interval)
-                self.registry.record_snapshot()
-
-        self.env.process(loop(), name="metrics-snapshots")
 
     def allocate_node_id(self) -> NodeId:
         """A fresh node id for a joining node."""
@@ -695,55 +516,37 @@ class Simulation(SchemeHost):
         if self._ran:
             raise RuntimeError(f"{method} must precede run()")
 
-    def add_probe(self, name: str, function, interval: float = 600.0):
-        """Sample ``function()`` every ``interval`` simulated seconds.
+    def monitor(
+        self,
+        interval: float = 600.0,
+        max_samples: Optional[int] = Monitor.DEFAULT_MAX_SAMPLES,
+    ) -> Monitor:
+        """The run's one :class:`~repro.sim.monitor.Monitor`, sampling
+        every ``interval`` simulated seconds (must precede :meth:`run`).
 
-        Returns the live :class:`repro.sim.monitor.Series`.  Probes must
-        be registered before :meth:`run`; the first call fixes the
-        sampling cadence, and a later call asking for another one is
-        refused.
+        Probes, the tree timeline and the result :meth:`snapshot` all
+        register on it.  The first call fixes the cadence and retention;
+        a repeat call with the same arguments returns the same monitor,
+        and one asking for others is refused.
         """
-        from repro.sim.monitor import Monitor
-
-        self._before_run("add_probe")
-        if self._monitor is None:
-            self._monitor = Monitor(self.env, interval)
-        elif interval != self._monitor.interval:
+        self._before_run("monitor")
+        monitor = self._monitor
+        if monitor is None:
+            monitor = self._monitor = Monitor(self.env, interval, max_samples)
+        elif (interval, max_samples) != (
+            monitor.interval, monitor.max_samples
+        ):
             raise ConfigError(
-                f"probe {name!r} asks for interval {interval}, but the "
-                f"monitor already samples every {self._monitor.interval}"
+                f"monitor asks for interval {interval} with max_samples "
+                f"{max_samples}, but the run already samples every "
+                f"{monitor.interval} with max_samples {monitor.max_samples}"
             )
-        series = self._monitor.probe(name, function)
-        # Absorb the probe into the unified registry as a live gauge.
-        self.registry.gauge(f"probe.{name}", function)
-        return series
+        return monitor
 
-    def add_standard_probes(self, interval: float = 600.0) -> dict:
-        """Register the commonly useful probes; returns name -> series.
-
-        - ``hit_rate`` — cumulative post-warm-up local hit rate;
-        - ``mean_latency`` — cumulative post-warm-up latency;
-        - ``population`` — overlay size (churn);
-        - for DUP schemes, ``subscribed`` and ``dup_tree_size``.
-        """
-        self._before_run("add_standard_probes")
-        probes = {
-            "hit_rate": lambda: self.latency.hit_rate,
-            "mean_latency": lambda: self.latency.mean,
-            "population": lambda: float(len(self.tree)),
-        }
-        if hasattr(self.scheme, "subscribed_nodes"):
-            probes["subscribed"] = lambda: float(
-                len(self.scheme.subscribed_nodes())
-            )
-        if hasattr(self.scheme, "dup_tree_size"):
-            probes["dup_tree_size"] = lambda: float(
-                self.scheme.dup_tree_size()
-            )
-        return {
-            name: self.add_probe(name, function, interval)
-            for name, function in probes.items()
-        }
+    def snapshot(self) -> dict[str, object]:
+        """Every quantity the run's result reports, read now, by the
+        name the result gives it (:meth:`SimulationResult.values`)."""
+        return self._collect(math.nan).values()
 
     # -- internals -----------------------------------------------------------
     def _dispatch(self, destination: NodeId, message: Message) -> None:
@@ -1115,13 +918,6 @@ class Simulation(SchemeHost):
             self.env.process(
                 self._audit_loop(), name=f"auditor-{self.key}"
             )
-            registry = self.registry
-            auditor = self.auditor
-            registry.gauge(
-                "audit.violations", lambda: float(auditor.total_violations)
-            )
-            registry.gauge("audit.repairs", lambda: float(auditor.repairs))
-            registry.gauge("audit.sweeps", lambda: float(auditor.sweeps))
         replication = self.config.replication
         if replication is not None and replication.crash_at > 0:
             self.env.defer(replication.crash_at, self._crash_authority)

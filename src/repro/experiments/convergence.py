@@ -55,16 +55,12 @@ def run(
         warmup=0.0,
     )
     sim = Simulation(config)
-    sample_interval = config.ttl / 6
-    subscribed = sim.add_probe(
-        "subscribed",
-        lambda: float(len(sim.scheme.subscribed_nodes())),
-        interval=sample_interval,
+    monitor = sim.monitor(interval=config.ttl / 6)
+    subscribed = monitor.probe(
+        "subscribed", lambda: float(len(sim.scheme.subscribed_nodes()))
     )
-    coverage = sim.add_probe(
-        "dup_tree_size",
-        lambda: float(sim.scheme.dup_tree_size()),
-        interval=sample_interval,
+    coverage = monitor.probe(
+        "dup_tree_size", lambda: float(sim.scheme.dup_tree_size())
     )
 
     fail_at = config.duration * 0.6

@@ -1,4 +1,4 @@
-"""Performance metrics: cost ledger, latency recorder, unified registry.
+"""Performance metrics: cost ledger, latency recorder, JSONL export.
 
 The paper reports two metrics (Section IV):
 
@@ -8,41 +8,32 @@ The paper reports two metrics (Section IV):
   (requests, replies, updates, interest/tree maintenance) divided by the
   number of queries.
 
-Beyond those aggregates, the package provides a unified
-:class:`MetricsRegistry` (counters / gauges / histograms with periodic
-snapshotting) that fronts every metric source in a run, plus JSONL
-exporters for offline analysis (:mod:`repro.metrics.export`).
+Beyond those aggregates, the package exports a run's traces, result
+snapshots and tree timeline as JSONL for offline analysis
+(:mod:`repro.metrics.export`, :mod:`repro.metrics.windows`).
 """
 
 from repro.metrics.counters import CostLedger
 from repro.metrics.export import (
-    export_registry,
     export_traces,
     read_jsonl,
+    snapshot_records,
     write_jsonl,
 )
 from repro.metrics.latency import LatencyRecorder
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.metrics.registry import Histogram
 from repro.metrics.report import MetricsReport
 from repro.metrics.windows import reconstruct_series, timeline_records
 
 __all__ = [
     "CostLedger",
-    "Counter",
-    "Gauge",
     "Histogram",
     "LatencyRecorder",
-    "MetricsRegistry",
     "MetricsReport",
-    "export_registry",
     "export_traces",
     "read_jsonl",
     "reconstruct_series",
+    "snapshot_records",
     "timeline_records",
     "write_jsonl",
 ]

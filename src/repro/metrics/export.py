@@ -1,4 +1,4 @@
-"""Structured JSONL export of traces, registry snapshots, and events.
+"""Structured JSONL export of traces, result snapshots, and events.
 
 One JSON object per line, each tagged with a ``"type"`` discriminator so
 mixed streams stay self-describing:
@@ -6,8 +6,9 @@ mixed streams stay self-describing:
 - ``{"type": "trace", ...}`` — one reconstructed query trace (see
   :meth:`repro.engine.tracing.QueryTrace.to_dict` and
   ``docs/observability.md`` for the full schema);
-- ``{"type": "snapshot", "time": ..., "values": {...}}`` — one metrics
-  registry snapshot.
+- ``{"type": "snapshot", "time": ..., "values": {...}}`` — one sample
+  of a run's result quantities, taken by its
+  :class:`~repro.sim.monitor.Monitor`.
 
 Everything is plain ``json.dumps``-able (ints, floats, strings, None);
 ``nan``/``inf`` are serialized as ``null`` so any JSON reader can load
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.tracing import TraceCollector
-    from repro.metrics.registry import MetricsRegistry
+    from repro.sim.monitor import Monitor
 
 
 def _clean(value):
@@ -83,18 +84,7 @@ def export_traces(
     return write_jsonl(path, trace_records(collector, status))
 
 
-def registry_records(registry: "MetricsRegistry") -> Iterator[dict]:
-    """Yield the registry's snapshots (or one current snapshot if none
-    were recorded) as JSONL-ready dicts."""
-    snapshots = registry.snapshots or (registry.snapshot(),)
-    for snapshot in snapshots:
+def snapshot_records(monitor: "Monitor") -> Iterator[dict]:
+    """Yield the monitor's retained snapshots as JSONL-ready dicts."""
+    for snapshot in monitor.snapshots:
         yield {"type": "snapshot", **snapshot}
-
-
-def export_registry(registry: "MetricsRegistry", path: str) -> int:
-    """Dump the registry's snapshot series to ``path``.
-
-    Falls back to a single current snapshot when periodic snapshotting
-    was not enabled.  Returns the number of snapshots written.
-    """
-    return write_jsonl(path, registry_records(registry))

@@ -1,15 +1,15 @@
 """The DUP tree-evolution timeline: probes, JSONL records, reconstruction.
 
-``Simulation.enable_timeline(window, max_buckets)`` samples the probes
-below once per ``window`` simulated seconds on a
-:class:`~repro.sim.monitor.Monitor` that keeps the newest
-``max_buckets`` samples per metric, so memory is bounded by the window
-count, never the run length.  :func:`timeline_records` exports the
-retained samples as ``--telemetry-out`` JSONL and
-:func:`reconstruct_series` rebuilds one metric's series from them.
+The probes below register on a run's one
+:class:`~repro.sim.monitor.Monitor` (``Simulation.monitor``), which
+samples them once per interval and keeps the newest ``max_samples``
+samples per metric, so memory is bounded by the sample count, never the
+run length.  :func:`timeline_records` exports the retained samples as
+``--telemetry-out`` JSONL and :func:`reconstruct_series` rebuilds one
+metric's series from them.
 
 The probes are pure observers of simulation state and consume no
-randomness, so enabling a timeline never perturbs a run.
+randomness, so sampling a timeline never perturbs a run.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.simulation import Simulation
     from repro.sim.monitor import Monitor
 
 
-def timeline_probes(sim: "Simulation") -> dict[str, Callable[[], float]]:
-    """The tree-shape probes of ``sim``, by metric name.
+def timeline_probes(tree, scheme) -> dict[str, Callable[[], float]]:
+    """The shape probes of a run's search ``tree`` and its bound
+    ``scheme``, by metric name.
 
     - ``tree-depth`` — height of the search tree;
     - ``population`` — nodes currently in the tree;
@@ -32,8 +32,6 @@ def timeline_probes(sim: "Simulation") -> dict[str, Callable[[], float]]:
     - ``interior-load`` — largest subscriber list held by any single
       node (DUP only) — the per-node propagation burden.
     """
-    tree = sim.tree
-    scheme = sim.scheme
 
     def mean_fanout() -> float:
         interiors = [n for n in tree.nodes if not tree.is_leaf(n)]

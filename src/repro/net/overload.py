@@ -440,7 +440,7 @@ class OverloadManager:
         return peaks[index]
 
     def counters(self) -> dict:
-        """All accounting counters, for extras / gauges / tests."""
+        """All accounting counters, for extras / snapshots / tests."""
         return {
             "overload_offered": self.offered,
             "overload_shed_data": self.shed_data,

@@ -4,20 +4,22 @@ A :class:`Monitor` samples named quantities on a fixed cadence (one
 simulation process per monitor) and stores `(time, value)` series; probes
 are plain callables, so anything reachable from the engine — subscriber
 counts, hit rates, cache occupancy, DUP-tree size — can be observed
-without touching the measured code.
+without touching the measured code.  A monitor may also carry one
+snapshot: a callable returning a ``{name: value}`` mapping, sampled on
+the same ticks and kept as ``{"time", "values"}`` records.
 
-The engine exposes this through
-``Simulation.add_probe(name, fn, interval)``; the experiments use it for
-the convergence plots and the test-suite for temporal assertions (e.g.
-"the subscriber count stabilizes after the first TTL").
-``Simulation.enable_timeline`` runs a second monitor carrying the
-tree-shape probes of :mod:`repro.metrics.windows`.
+``Simulation.monitor(interval, max_samples)`` gives a run its one
+monitor: the experiments probe it for the convergence plots, the CLI
+puts the tree-shape probes of :mod:`repro.metrics.windows` and the
+run's result snapshot on it, and the test-suite uses it for temporal
+assertions (e.g. "the subscriber count stabilizes after the first TTL").
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from repro.errors import ConfigError
 from repro.sim.core import Environment
@@ -142,11 +144,12 @@ class Monitor:
         The simulation environment.
     interval:
         Seconds of simulated time between samples; the first sample is
-        taken one interval after the first probe is registered.
+        taken one interval after the first probe (or the snapshot) is
+        registered.
     max_samples:
-        Retention bound for every created series (sliding window of
-        the most recent samples).  Defaults to 4096; pass ``None`` for
-        the old unbounded behaviour.
+        Retention bound for every created series and for the snapshots
+        (sliding window of the most recent samples).  Defaults to 4096;
+        pass ``None`` for the old unbounded behaviour.
     """
 
     DEFAULT_MAX_SAMPLES = 4096
@@ -159,11 +162,17 @@ class Monitor:
     ):
         if interval <= 0:
             raise ConfigError(f"interval must be positive, got {interval}")
+        if max_samples is not None and max_samples < 1:
+            raise ConfigError(
+                f"max_samples must be positive, got {max_samples}"
+            )
         self._env = env
         self._interval = float(interval)
         self._max_samples = max_samples
         self._probes: dict[str, Probe] = {}
         self._series: dict[str, Series] = {}
+        self._snapshot: Optional[Callable[[], Mapping[str, object]]] = None
+        self._snapshots: deque = deque(maxlen=max_samples)
         self._started = False
 
     def probe(self, name: str, function: Probe) -> Series:
@@ -173,10 +182,21 @@ class Monitor:
         self._probes[name] = function
         series = Series(name, max_samples=self._max_samples)
         self._series[name] = series
+        self._start()
+        return series
+
+    def record(self, snapshot: Callable[[], Mapping[str, object]]) -> None:
+        """Sample ``snapshot()`` (a ``{name: value}`` mapping) at every
+        tick; the retained samples are :attr:`snapshots`."""
+        if self._snapshot is not None:
+            raise ConfigError("the monitor already records a snapshot")
+        self._snapshot = snapshot
+        self._start()
+
+    def _start(self) -> None:
         if not self._started:
             self._started = True
             self._env.process(self._sampling_loop(), name="monitor")
-        return series
 
     def series(self, name: str) -> Series:
         """The series recorded for ``name``."""
@@ -200,11 +220,20 @@ class Monitor:
         """All registered probe names."""
         return tuple(self._series)
 
+    @property
+    def snapshots(self) -> tuple[dict, ...]:
+        """The retained ``{"time", "values"}`` snapshots, oldest first."""
+        return tuple(self._snapshots)
+
     def sample_now(self) -> None:
-        """Take one sample of every probe immediately."""
+        """Take one sample of every probe (and the snapshot) now."""
         now = self._env.now
         for name, function in self._probes.items():
             self._series[name].append(now, float(function()))
+        if self._snapshot is not None:
+            self._snapshots.append(
+                {"time": now, "values": dict(self._snapshot())}
+            )
 
     def _sampling_loop(self):
         while True:

@@ -527,7 +527,7 @@ class SessionEngine:
         return 0 if self.damper is None else self.damper.suppressed_now
 
     def counters(self) -> dict:
-        """Fluctuation accounting for result extras and gauges.
+        """Fluctuation accounting for result extras and snapshots.
 
         The key set is identical whether or not damping is armed, so
         differential comparisons across variants line up verbatim.

@@ -231,7 +231,7 @@ class StormEngine:
             sim.scheme.on_local_query(node)
 
     def counters(self) -> dict:
-        """Storm accounting for result extras and gauges."""
+        """Storm accounting for result extras and snapshots."""
         return {
             "storm_phases_started": self.phases_started,
             "storm_phases_completed": self.phases_completed,

@@ -83,10 +83,6 @@ class TestConfig:
     def test_describe_mentions_scheme(self):
         assert "dup" in small(scheme="dup").describe()
 
-    def test_benchmark_scale_overridable(self):
-        config = SimulationConfig.benchmark_scale(num_nodes=128)
-        assert config.num_nodes == 128
-
 
 class TestSimulation:
     def test_result_fields_populated(self):

@@ -255,8 +255,8 @@ class TestSeedDeterminism:
                 and math.isnan(result_b.stale_read_fraction)
             )
         )
-        snap_a = json.dumps(first.registry.snapshot(), sort_keys=True)
-        snap_b = json.dumps(second.registry.snapshot(), sort_keys=True)
+        snap_a = json.dumps(first.snapshot(), sort_keys=True)
+        snap_b = json.dumps(second.snapshot(), sort_keys=True)
         assert snap_a == snap_b
 
     def test_different_seeds_diverge(self):

@@ -109,6 +109,21 @@ class TestMonitor:
         monitor.sample_now()
         assert series.values == (42.0,)
 
+    def test_snapshot_shares_the_ticks_and_the_bound(self):
+        env = Environment()
+        monitor = Monitor(env, interval=10.0, max_samples=3)
+        monitor.record(lambda: {"now": env.now})
+        series = monitor.probe("x", lambda: env.now)
+        env.run(until=55.0)
+        assert monitor.snapshots == tuple(
+            {"time": t, "values": {"now": t}} for t in (30.0, 40.0, 50.0)
+        )
+        assert series.times == (30.0, 40.0, 50.0)
+        with pytest.raises(ConfigError):
+            monitor.record(lambda: {})
+        with pytest.raises(ConfigError):
+            Monitor(env, interval=1.0, max_samples=0)
+
 
 class TestSeriesRetention:
     """The unbounded-growth fix: Series.max_samples sliding window."""
@@ -172,32 +187,13 @@ class TestEngineIntegration:
             seed=5,
         )
         sim = Simulation(config)
-        series = sim.add_probe(
-            "subscribed",
-            lambda: float(len(sim.scheme.subscribed_nodes())),
-            interval=1800.0,
+        series = sim.monitor(interval=1800.0).probe(
+            "subscribed", lambda: float(len(sim.scheme.subscribed_nodes()))
         )
         sim.run()
         assert len(series) >= 6
         # Subscribers appear once interest accumulates.
         assert series.maximum() > 0
-
-    def test_standard_probes(self):
-        config = SimulationConfig(
-            scheme="dup",
-            num_nodes=64,
-            query_rate=2.0,
-            duration=3600.0 * 3,
-            warmup=3600.0,
-            seed=6,
-        )
-        sim = Simulation(config)
-        probes = sim.add_standard_probes(interval=1800.0)
-        sim.run()
-        assert {"hit_rate", "mean_latency", "population", "subscribed",
-                "dup_tree_size"} <= set(probes)
-        assert probes["population"].last.value == 64.0
-        assert 0 <= probes["hit_rate"].last.value <= 1
 
     def test_subscriber_count_stabilizes(self):
         # After warm-up the interested set under a stationary workload
@@ -211,10 +207,8 @@ class TestEngineIntegration:
             seed=7,
         )
         sim = Simulation(config)
-        series = sim.add_probe(
-            "subscribed",
-            lambda: float(len(sim.scheme.subscribed_nodes())),
-            interval=900.0,
+        series = sim.monitor(interval=900.0).probe(
+            "subscribed", lambda: float(len(sim.scheme.subscribed_nodes()))
         )
         sim.run()
         tail = series.window(3600.0 * 4, 3600.0 * 8)
@@ -242,20 +236,8 @@ class TestAttachAfterRun:
 
     @pytest.mark.parametrize(
         "attach",
-        [
-            lambda sim: sim.add_probe("x", lambda: 1.0),
-            lambda sim: sim.add_standard_probes(),
-            lambda sim: sim.enable_timeline(),
-            lambda sim: sim.enable_snapshots(),
-            lambda sim: sim.enable_tracing(),
-        ],
-        ids=[
-            "add_probe",
-            "add_standard_probes",
-            "enable_timeline",
-            "enable_snapshots",
-            "enable_tracing",
-        ],
+        [lambda sim: sim.monitor(), lambda sim: sim.enable_tracing()],
+        ids=["monitor", "enable_tracing"],
     )
     def test_refused_after_run(self, attach, request):
         sim = small_sim()
@@ -264,34 +246,54 @@ class TestAttachAfterRun:
         with pytest.raises(RuntimeError, match=f"{method} must precede run"):
             attach(sim)
 
-    def test_probe_interval_mismatch_refused(self):
+    @pytest.mark.parametrize(
+        "call, refusal",
+        [
+            (lambda sim: sim.monitor(60.0), None),
+            (
+                lambda sim: sim.monitor(60.0, max_samples=8),
+                "max_samples 8.*with max_samples 4096",
+            ),
+        ],
+        ids=["same-arguments", "other-max-samples"],
+    )
+    def test_repeat_monitor_call(self, call, refusal):
+        """The first call fixes the run's one sampler: a repeat with the
+        same arguments returns it, one with others is refused."""
         sim = small_sim()
-        sim.add_probe("a", lambda: 1.0, interval=60.0)
-        sim.add_probe("b", lambda: 2.0, interval=60.0)
+        first = sim.monitor(60.0)
+        if refusal is None:
+            assert call(sim) is first
+        else:
+            with pytest.raises(ConfigError, match=refusal):
+                call(sim)
+
+    def test_probe_interval_mismatch_refused(self):
+        """Probes share the run's one sampler, so a probe asking for
+        another interval is refused."""
+        sim = small_sim()
+        sim.monitor(60.0).probe("a", lambda: 1.0)
+        sim.monitor(60.0).probe("b", lambda: 2.0)
         with pytest.raises(ConfigError, match="interval 120.0.*every 60.0"):
-            sim.add_probe("c", lambda: 3.0, interval=120.0)
+            sim.monitor(120.0).probe("c", lambda: 3.0)
 
     def test_repeat_snapshots_sample_once(self):
         sim = small_sim()
-        sim.enable_snapshots(interval=300.0)
-        sim.enable_snapshots(interval=300.0)
+        monitor = sim.monitor(interval=300.0)
+        monitor.record(sim.snapshot)
+        series = sim.monitor(interval=300.0).probe("x", lambda: 1.0)
         sim.run()
-        times = [snapshot["time"] for snapshot in sim.registry.snapshots]
+        times = [snapshot["time"] for snapshot in monitor.snapshots]
         assert times == [300.0, 600.0, 900.0, 1200.0]
+        assert series.times == tuple(times)
 
     def test_snapshot_interval_mismatch_refused(self):
+        """The snapshot records on the run's one sampler, so snapshots at
+        another interval are refused."""
         sim = small_sim()
-        sim.enable_snapshots(interval=60.0)
+        sim.monitor(60.0).record(sim.snapshot)
         with pytest.raises(ConfigError, match="interval 120.0.*every 60.0"):
-            sim.enable_snapshots(interval=120.0)
-
-    def test_timeline_window_mismatch_refused(self):
-        sim = small_sim()
-        sim.enable_timeline(window=600.0)
-        with pytest.raises(ConfigError, match="window 60.0.*every 600.0"):
-            sim.enable_timeline(window=60.0)
-        with pytest.raises(ConfigError, match="with 8 buckets.*with 256"):
-            sim.enable_timeline(window=600.0, max_buckets=8)
+            sim.monitor(120.0).record(sim.snapshot)
 
     def test_tracing_keep_mismatch_refused(self):
         sim = small_sim()

@@ -1,4 +1,4 @@
-"""Tests of the metrics registry, percentile reporting, and JSONL export."""
+"""Tests of percentile reporting, result snapshots, and JSONL export."""
 
 import math
 
@@ -6,16 +6,21 @@ import pytest
 
 from repro.cli import main
 from repro.engine import Simulation, SimulationConfig, run_simulation
+from repro.index.authority import ReplicationPlan
 from repro.metrics import (
+    Histogram,
     LatencyRecorder,
-    MetricsRegistry,
     MetricsReport,
     read_jsonl,
     write_jsonl,
 )
-from repro.metrics.export import export_registry
+from repro.net.faults import FaultPlan
+from repro.net.overload import OverloadPlan
+from repro.net.reliable import RetryPlan
 from repro.stats import percentile
 from repro.stats.confidence import ConfidenceInterval
+from repro.workload.sessions import SessionPlan
+from repro.workload.storms import StormPhase, StormPlan
 
 
 class TestPercentileFunction:
@@ -57,31 +62,10 @@ class TestLatencyPercentiles:
 
 
 class TestMetricsRegistry:
-    def test_counter_roundtrip(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("queries")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        assert registry.counter("queries") is counter
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_set_and_callback(self):
-        registry = MetricsRegistry()
-        manual = registry.gauge("depth")
-        manual.set(3.5)
-        assert manual.value == 3.5
-        live = registry.gauge("pop", fn=lambda: 42.0)
-        assert live.value == 42.0
-        with pytest.raises(ValueError):
-            live.set(1.0)
-        with pytest.raises(ValueError):
-            registry.gauge("pop", fn=lambda: 0.0)
+    """``repro.metrics.registry``: the detection-latency histogram."""
 
     def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
+        histogram = Histogram("latency")
         for value in (0, 1, 2, 3, 10):
             histogram.observe(value)
         summary = histogram.summary()
@@ -89,36 +73,6 @@ class TestMetricsRegistry:
         assert summary["min"] == 0.0
         assert summary["max"] == 10.0
         assert summary["p50"] == 2.0
-
-    def test_kind_mismatch_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-        with pytest.raises(ValueError):
-            registry.histogram("x")
-
-    def test_inspection(self):
-        registry = MetricsRegistry()
-        registry.counter("b")
-        registry.gauge("a")
-        assert registry.names == ("a", "b")
-        assert "a" in registry and "z" not in registry
-        assert len(registry) == 2
-        with pytest.raises(KeyError):
-            registry.get("z")
-
-    def test_snapshot_series(self):
-        times = iter([1.0, 2.0])
-        registry = MetricsRegistry(clock=lambda: next(times))
-        registry.counter("n").inc(7)
-        registry.histogram("h").observe(3.0)
-        first = registry.record_snapshot()
-        assert first["time"] == 1.0
-        assert first["values"]["n"] == 7
-        assert first["values"]["h"]["count"] == 1
-        registry.record_snapshot()
-        assert len(registry.snapshots) == 2
 
 
 class TestMetricsReport:
@@ -198,15 +152,41 @@ class TestJsonlExport:
         # Non-finite floats become null so any JSON reader can load it.
         assert loaded[1]["values"]["x"] is None
 
-    def test_registry_export_falls_back_to_current(self, tmp_path):
-        registry = MetricsRegistry(clock=lambda: 9.0)
-        registry.counter("n").inc(3)
-        path = tmp_path / "metrics.jsonl"
-        assert export_registry(registry, str(path)) == 1
-        [record] = read_jsonl(str(path))
-        assert record["type"] == "snapshot"
-        assert record["time"] == 9.0
-        assert record["values"]["n"] == 3
+
+class TestSnapshotVocabulary:
+    def test_every_extras_key_is_a_snapshot_name(self):
+        """With every extras-producing layer armed, the final snapshot
+        names each quantity as the result does."""
+        config = small_config(
+            "dup",
+            duration=3000.0,
+            faults=FaultPlan(loss_rate=0.05, silent_failures=True),
+            retry=RetryPlan(3),
+            ack_timeout=2.0,
+            replication=ReplicationPlan(standbys=1, crash_at=1500.0),
+            overload=OverloadPlan(service_rate=20.0, max_subscribers=4),
+            storms=StormPlan(
+                (StormPhase("update-storm", 600.0, 600.0, 0.05),)
+            ),
+            sessions=SessionPlan(mean_session=1200.0, mean_downtime=120.0),
+            audit_interval=300.0,
+            lease_ttl=300.0,
+        )
+        sim = Simulation(config)
+        monitor = sim.monitor(interval=500.0)
+        monitor.record(sim.snapshot)
+        result = sim.run()
+        final = monitor.snapshots[-1]
+        assert final["time"] == config.duration
+        # One key per armed layer, so none of them is missing from both.
+        assert {
+            "detection_p95", "undetected_failures", "retries",
+            "failover_at", "shed_fraction", "storm_queries",
+            "session_crashes", "audit_sweeps", "lease_expiries",
+        } <= set(result.extras)
+        assert set(result.extras) <= set(final["values"])
+        assert set(result.hop_breakdown) <= set(final["values"])
+        assert final["values"]["queries"] == result.queries
 
 
 class TestTraceExportAcceptance:
@@ -283,7 +263,39 @@ class TestTraceExportAcceptance:
         records = read_jsonl(str(metrics_path))
         assert len(records) == 4  # 2000s / 500s
         assert [r["time"] for r in records] == [500.0, 1000.0, 1500.0, 2000.0]
-        assert "hops.total" in records[-1]["values"]
+        values = records[-1]["values"]
+        hops = sum(values[c] for c in ("query", "reply", "push", "control"))
+        assert hops > 0
+        assert hops == pytest.approx(
+            values["cost_per_query"] * values["queries"]
+        )
+
+
+    def test_one_sampler_for_both_exports(self, tmp_path, monkeypatch):
+        from repro.sim import Environment
+
+        started = []
+        process = Environment.process
+
+        def counting(env, generator, name=""):
+            started.append(name)
+            return process(env, generator, name)
+
+        monkeypatch.setattr(Environment, "process", counting)
+        metrics_path = tmp_path / "metrics.jsonl"
+        telemetry_path = tmp_path / "telemetry.jsonl"
+        code = main(
+            ["simulate", "--scheme", "dup", "--nodes", "32", "--rate", "1",
+             "--duration", "2000", "--warmup", "0",
+             "--metrics-out", str(metrics_path),
+             "--telemetry-out", str(telemetry_path),
+             "--snapshot-interval", "500"]
+        )
+        assert code == 0
+        assert started.count("monitor") == 1
+        snapshots = [r["time"] for r in read_jsonl(str(metrics_path))]
+        timeline = {r["time"] for r in read_jsonl(str(telemetry_path))}
+        assert snapshots == sorted(timeline) == [500.0, 1000.0, 1500.0, 2000.0]
 
 
 class TestObserveCommand:

@@ -1,10 +1,10 @@
 """Tests for the tree-evolution timeline (metrics.windows).
 
-The timeline is a :class:`~repro.sim.monitor.Monitor` carrying the
-tree-shape probes.  Covers the acceptance criterion: a churny run's
-tree-depth timeline is reconstructible from a JSONL export while memory
-stays bounded by the window count, not the run length, and enabling it
-leaves the run bit-identical.
+The timeline is the tree-shape probes on a run's one
+:class:`~repro.sim.monitor.Monitor`.  Covers the acceptance criterion: a
+churny run's tree-depth timeline is reconstructible from a JSONL export
+while memory stays bounded by the sample count, not the run length, and
+sampling it leaves the run bit-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ import pytest
 from repro.engine import Simulation, SimulationConfig
 from repro.errors import ConfigError
 from repro.metrics.export import read_jsonl, write_jsonl
-from repro.metrics.windows import reconstruct_series, timeline_records
+from repro.metrics.windows import (
+    reconstruct_series,
+    timeline_probes,
+    timeline_records,
+)
 from repro.sim import Environment
 from repro.sim.monitor import Monitor
 from repro.workload.churn import ChurnConfig
@@ -36,6 +40,14 @@ def churny_sim() -> Simulation:
     return Simulation(config)
 
 
+def attach_timeline(sim: Simulation, interval: float, **kwargs) -> Monitor:
+    """The tree-shape probes on ``sim``'s one monitor."""
+    monitor = sim.monitor(interval, **kwargs)
+    for name, probe in timeline_probes(sim.tree, sim.scheme).items():
+        monitor.probe(name, probe)
+    return monitor
+
+
 class TestTreeTimeline:
     def test_observe_and_series(self):
         # Churn-free, so the tree's shape at the end holds at every
@@ -50,7 +62,7 @@ class TestTreeTimeline:
                 seed=7,
             )
         )
-        timeline = sim.enable_timeline(window=100.0)
+        timeline = attach_timeline(sim, 100.0)
         sim.run()
         assert timeline.names == (
             "tree-depth",
@@ -69,7 +81,7 @@ class TestTreeTimeline:
         )
 
     def test_unknown_metric_rejected(self):
-        timeline = churny_sim().enable_timeline(window=60.0)
+        timeline = attach_timeline(churny_sim(), 60.0)
         with pytest.raises(ConfigError):
             timeline.series("no-such-metric")
 
@@ -112,8 +124,8 @@ class TestTimelineUnderChurn:
 
     def test_timeline_bounded_and_reconstructible(self, tmp_path, pins):
         sim = churny_sim()
-        # 7200 s / 60 s window = 120 samples >> 16 retained.
-        timeline = sim.enable_timeline(window=60.0, max_buckets=16)
+        # 7200 s / 60 s interval = 120 samples >> 16 retained.
+        timeline = attach_timeline(sim, 60.0, max_samples=16)
         sim.run()
         depth = timeline.series("tree-depth")
         assert depth.total_appended == 120
@@ -141,20 +153,15 @@ class TestTimelineUnderChurn:
                 hashlib.sha256(text.encode()).hexdigest()
         })
 
-    def test_enable_timeline_is_idempotent(self):
-        sim = churny_sim()
-        first = sim.enable_timeline(window=60.0)
-        assert sim.enable_timeline(window=60.0) is first
-        assert sim.timeline is first
-
     def test_timeline_is_a_pure_observer(self):
-        """Enabling a timeline must not perturb the simulation."""
+        """Sampling a timeline and the result snapshot must not perturb
+        the simulation."""
         import dataclasses
 
         def run(enable):
             sim = churny_sim()
             if enable:
-                sim.enable_timeline(window=60.0)
+                attach_timeline(sim, 60.0).record(sim.snapshot)
             result = sim.run()
             record = dataclasses.asdict(result)
             record.pop("wall_seconds")
