@@ -56,8 +56,9 @@ DURATION ?= 180000
 paper-cell:
 	$(PY) scripts/paper_cell.py --rate $(RATE) --duration $(DURATION)
 
-# Python frames per hit, per miss hop and per push, read off the three
-# tier-1 frame fences' fixtures (counts, not clocks).  make frames
+# Python frames per hit, per miss hop, per push and per scale hop, read
+# off the four tier-1 frame fences' fixtures (counts, not clocks).
+# make frames
 frames:
 	$(PY) scripts/frames.py
 

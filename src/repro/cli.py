@@ -504,7 +504,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     observe_parser = subparsers.add_parser(
-        "observe", help="run one fully instrumented simulation"
+        "observe",
+        help="run one fully instrumented simulation",
+        description=(
+            "Run one fully instrumented simulation and write both exports: "
+            "per-query traces (--trace-out) and periodic result snapshots "
+            "(--metrics-out), each as JSONL."
+        ),
     )
     _add_flags(
         observe_parser,
@@ -514,13 +520,25 @@ def _build_parser() -> argparse.ArgumentParser:
         described=False,
     )
     observe_parser.add_argument(
-        "--trace-out", default="traces.jsonl", metavar="PATH"
+        "--trace-out",
+        default="traces.jsonl",
+        metavar="PATH",
+        help="JSONL file the traces are written to (default: traces.jsonl)",
     )
     observe_parser.add_argument(
-        "--metrics-out", default="metrics.jsonl", metavar="PATH"
+        "--metrics-out",
+        default="metrics.jsonl",
+        metavar="PATH",
+        help=(
+            "JSONL file the result snapshots are written to "
+            "(default: metrics.jsonl)"
+        ),
     )
     observe_parser.add_argument(
-        "--snapshot-interval", type=float, default=600.0
+        "--snapshot-interval",
+        type=float,
+        default=600.0,
+        help="simulated seconds between snapshots (default: 600)",
     )
     observe_parser.add_argument(
         "--top",

@@ -7,8 +7,9 @@ own authority on the DHT, giving every key its own search tree over the
 *same* node population, with transport and cost accounting shared.
 
 :class:`MultiKeyScaleSimulation` is the one multi-key engine.  Every key
-gets a :class:`~repro.topology.chord_tree.LazyChordTree` (parents follow
-the ring's next hops, computed on first use), its own scheme instance
+gets a :class:`~repro.topology.chord_tree.LazyChordTree` (a parent is
+the ring's next hop, computed from the ids at each use and never
+stored), its own scheme instance
 bound to a per-key :class:`~repro.schemes.host.SchemeHost`, its own
 authority and its own copy table (every node's copy of that key);
 queries pick a key by a Zipf law over keys and an origin node by the
@@ -137,9 +138,9 @@ class MultiKeyScaleSimulation:
       (:meth:`~repro.stats.distributions.ZipfSelector.slice`), so the
       union over shards reproduces the global workload law exactly.
     - Per-key trees are :class:`~repro.topology.chord_tree.LazyChordTree`
-      views — O(1) setup, parents materialized only for nodes the
-      workload actually touches — instead of eagerly materialized
-      O(n log n)-per-key dicts.
+      views — O(1) setup, each parent evaluated from the ids when a
+      message needs it and never stored — instead of eagerly
+      materialized O(n log n)-per-key dicts.
     - Every key's copy table is swept whole once per period, and each
       shard ships its latencies as ``(hops, count)`` pairs, which add
       across shards into exact percentiles.
@@ -212,7 +213,7 @@ class MultiKeyScaleSimulation:
         # The clocks close over the environment, not the engine: no
         # member of the shard refers back to it.
         self.ledger = ledger = CostLedger(
-            clock=lambda: env.now, warmup=config.warmup
+            clock=env.now_getter(), warmup=config.warmup
         )
         self.latency = LatencyRecorder(
             clock=lambda: env.now,

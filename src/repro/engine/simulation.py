@@ -82,7 +82,7 @@ class Simulation(SchemeHost):
         self.env = Environment()
         tree, key = self._build_topology()
         ledger = CostLedger(
-            clock=lambda: self.env.now, warmup=config.warmup
+            clock=self.env.now_getter(), warmup=config.warmup
         )
         self.latency = LatencyRecorder(
             clock=lambda: self.env.now,

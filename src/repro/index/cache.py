@@ -24,10 +24,9 @@ different latency).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.errors import CacheError
 from repro.index.entry import IndexVersion
@@ -77,10 +76,13 @@ class IndexCache:
     every node's copy of one index.
     """
 
-    __slots__ = ("_entries", "stats")
+    __slots__ = ("_entries", "_earliest", "stats")
 
     def __init__(self) -> None:
         self._entries: dict[int, CachedCopy] = {}
+        #: A lower bound on every held copy's deadline: stores lower it,
+        #: a scanning sweep resets it, removals leave it (still a bound).
+        self._earliest = math.inf
         self.stats = CacheStats()
 
     def get(self, slot: int, now: float) -> Optional[IndexVersion]:
@@ -135,49 +137,48 @@ class IndexCache:
                     self.stats.refreshes += 1
                     return True
         self._entries[slot] = CachedCopy(version, now)
+        deadline = now + version.ttl
+        if deadline < self._earliest:
+            self._earliest = deadline
         self.stats.stores += 1
         return True
 
     def restore(self, slot: int, copy: CachedCopy) -> None:
         """Re-file ``copy`` as it was (its own ``stored_at``) unless
         ``slot`` already holds one."""
-        self._entries.setdefault(slot, copy)
+        if self._entries.setdefault(slot, copy) is copy:
+            deadline = copy.stored_at + copy.version.ttl
+            if deadline < self._earliest:
+                self._earliest = deadline
 
     def sweep(self, now: float) -> int:
         """Evict every expired copy in one pass; returns the count.
 
         The single-key engine evicts lazily inside :meth:`get` (the
         check is already on the hit path); the multi-key scale engine
-        sweeps every key's table once per period — one vectorized
-        deadline comparison instead of per-copy timer events.  Evictions
-        are charged to stats exactly as lazy ones are, so a swept table
-        and a lazily-evicted one agree on every counter the results
-        report.
+        sweeps every key's table once per period.  A table whose
+        earliest possible deadline is still ahead is not scanned at all;
+        otherwise one pass evicts every copy with ``stored_at + ttl <=
+        now`` and records the earliest deadline left.  Evictions are
+        charged to stats exactly as lazy ones are, so a swept table and
+        a lazily-evicted one agree on every counter the results report.
         """
-        entries = self._entries
-        if not entries:
+        if now < self._earliest:
             return 0
-        if len(entries) <= 32:
-            # Below numpy's call-overhead break-even a plain scan wins.
-            dead = [
-                slot for slot, copy in entries.items() if copy.expires_at <= now
-            ]
-            for slot in dead:
-                del entries[slot]
-            self.stats.evictions += len(dead)
-            return len(dead)
-        slots = list(entries)
-        deadlines = np.fromiter(
-            (entries[slot].expires_at for slot in slots),
-            dtype=np.float64,
-            count=len(slots),
-        )
-        expired = np.flatnonzero(deadlines <= now)
-        for index in expired:
-            del entries[slots[index]]
-        count = int(expired.size)
-        self.stats.evictions += count
-        return count
+        entries = self._entries
+        dead = []
+        earliest = math.inf
+        for slot, copy in entries.items():
+            deadline = copy.stored_at + copy.version.ttl
+            if deadline <= now:
+                dead.append(slot)
+            elif deadline < earliest:
+                earliest = deadline
+        for slot in dead:
+            del entries[slot]
+        self._earliest = earliest
+        self.stats.evictions += len(dead)
+        return len(dead)
 
     def invalidate(self, slot: int) -> bool:
         """Drop the copy filed under ``slot``; returns whether one existed."""
@@ -191,6 +192,7 @@ class IndexCache:
         """Drop every copy."""
         self.stats.evictions += len(self._entries)
         self._entries.clear()
+        self._earliest = math.inf
 
     def __len__(self) -> int:
         return len(self._entries)

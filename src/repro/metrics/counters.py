@@ -18,8 +18,10 @@ class CostLedger:
     Parameters
     ----------
     clock:
-        Zero-argument callable returning the current simulation time
-        (usually ``lambda: env.now``).
+        Zero-argument callable returning the current simulation time.
+        The engines pass :meth:`~repro.sim.core.Environment.now_getter`,
+        a C-level callable: until the warm-up ends every charge reads
+        it, and it must not cost a Python frame per hop.
     warmup:
         Hops charged before this time are tallied separately and excluded
         from the reported cost.

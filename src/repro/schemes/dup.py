@@ -135,7 +135,13 @@ class DupScheme(PathCachingScheme):
         now = self._env._now
         tracker = self._trackers.get(node)
         if tracker is None:
-            tracker = self.tracker(node)
+            # Inlined ``tracker(node)`` once the first call has resolved
+            # the constructor: most arrivals at scale are a node's first.
+            new = self._new_tracker
+            if new is None:
+                tracker = self.tracker(node)
+            else:
+                tracker = self._trackers[node] = new()
         if node == self._tree._root:
             tracker.record(now)
             return []

@@ -35,6 +35,7 @@ lookups on the :mod:`heapq` module.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappush, heappop
 from typing import Any, Callable, Generator, Optional
 
@@ -307,6 +308,15 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
+
+    def now_getter(self) -> Callable[[], float]:
+        """A zero-argument callable returning the current time.
+
+        ``partial(getattr, env, "_now")`` runs no Python frame, where
+        ``lambda: env.now`` runs two (the lambda and the property): the
+        cost ledger reads the clock on every warm-up hop.
+        """
+        return partial(getattr, self, "_now")
 
     @property
     def active_process(self) -> Optional[Process]:

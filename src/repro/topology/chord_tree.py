@@ -13,8 +13,10 @@ depend on the synthetic uniform-child-count generator.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
+from repro.errors import NodeNotFoundError
 from repro.topology.chord import ChordRing
 from repro.topology.tree import SearchTree
 
@@ -23,9 +25,10 @@ def chord_search_tree(ring: ChordRing, key: int) -> SearchTree:
     """Build the index search tree for ``key`` over a Chord ring.
 
     Every node's parent is its next hop toward ``key``
-    (``ring.next_hop``, the relation :class:`LazyChordTree` memoizes);
-    the owner ``ring.successor(key)`` is the root / authority node.  The
-    tree lists its nodes, and each node's children, in ring order.
+    (``ring.next_hop``, the relation :class:`LazyChordTree` evaluates on
+    demand); the owner ``ring.successor(key)`` is the root / authority
+    node.  The tree lists its nodes, and each node's children, in ring
+    order.
     """
     next_hop = ring.next_hop
     return SearchTree.from_parents(
@@ -33,45 +36,51 @@ def chord_search_tree(ring: ChordRing, key: int) -> SearchTree:
     )
 
 
-#: Marks "no memo entry" where ``None`` is a legitimate memoized value.
-_UNSET = object()
-
-
 class LazyChordTree:
-    """The search tree of a key, materialized one parent at a time.
+    """The search tree of a key, one parent at a time, with no state.
 
     :func:`chord_search_tree` asks every node for its next hop up
     front — an n-entry dict *per key*, which at 10^5 nodes x 10^3 keys
     is minutes of setup and hundreds of MB for edges that mostly never
-    carry a message.  This view computes the identical tree lazily:
+    carry a message.  This view derives the identical tree on the fly:
     ``parent(node)`` is ``ring.next_hop(node, key)`` (the defining edge
-    relation of the eager builder), memoized on first use, so setup is
-    O(1) and total work is proportional to the nodes the workload
-    actually touches.
+    relation of the eager builder), recomputed from the two ids at every
+    call, so setup is O(1) and no parent pointer is ever stored.
 
-    The tree is static (the scale tier runs without churn), so the memo
-    never invalidates.  Only the read interface the query/dissemination
-    path needs is provided — mutators live on :class:`SearchTree`.
+    A parent is a pure function of ``(node, key)`` on a static ring (the
+    scale tier runs without churn): two ids and one binary search, cheaper
+    than a memo that a Zipf workload over 10^4 nodes almost never hits.
+    Only the read interface the query/dissemination path needs is
+    provided — mutators live on :class:`SearchTree`.
     """
 
     __slots__ = (
         "_ring",
+        "_ids",
         "_members",
+        "_modulus",
         "_key",
         "_root",
-        "_parent",
+        "_last",
+        "_evaluations",
         "_depth",
         "_eager",
     )
 
     def __init__(self, ring: ChordRing, key: int):
         self._ring = ring
-        # The ring's own frozenset, shared by every key's tree: one C
-        # probe per ``node in tree`` instead of a second Python call.
+        # The ring's own id tuple and frozenset, shared by every key's
+        # tree: one C probe per ``node in tree`` or per rejected parent.
+        self._ids = ids = ring.node_ids
         self._members = ring.members
+        self._modulus = modulus = 1 << ring.bits
         self._key = key
-        self._root = ring.successor(key)
-        self._parent: dict[int, Optional[int]] = {self._root: None}
+        # The owner and the last id before the key: every next hop toward
+        # the key is routed against these two, so they are found once.
+        index = bisect_left(ids, key % modulus)
+        self._root = ids[index] if index < len(ids) else ids[0]
+        self._last = ids[index - 1]
+        self._evaluations = 0
         self._depth: dict[int, int] = {self._root: 0}
         self._eager: Optional[SearchTree] = None
 
@@ -92,13 +101,32 @@ class LazyChordTree:
         return len(self._ring)
 
     def parent(self, node: int) -> Optional[int]:
-        """Next hop toward the authority (``None`` at the root)."""
-        # The root's parent is a memoized ``None``, hence the sentinel;
-        # a miss is the common case at scale, so it must not raise.
-        hop = self._parent.get(node, _UNSET)
-        if hop is _UNSET:
-            hop = self._parent[node] = self._ring.next_hop(node, self._key)
-        return hop
+        """Next hop toward the authority (``None`` at the root).
+
+        ``ring.next_hop(node, key)`` in one frame: the key's owner and
+        last preceding id come from ``__init__``, and the finger search
+        (:meth:`ChordRing._finger_toward`) is inlined.
+        """
+        if node not in self._members:
+            raise NodeNotFoundError(f"node {node} not on the ring")
+        self._evaluations += 1
+        root = self._root
+        if node == root:
+            return None
+        last = self._last
+        if last == node:
+            # The key lies in (node, successor]: the successor owns it.
+            return root
+        # The highest finger not past ``last``: successor(node + 2**k)
+        # with 2**k the largest power of two within dist(node, last).
+        modulus = self._modulus
+        ids = self._ids
+        index = bisect_left(
+            ids,
+            (node + (1 << (((last - node) % modulus).bit_length() - 1)))
+            % modulus,
+        )
+        return ids[index] if index < len(ids) else ids[0]
 
     def depth(self, node: int) -> int:
         """Hops from ``node`` to the root along next-hop pointers."""
@@ -136,8 +164,8 @@ class LazyChordTree:
 
     @property
     def touched(self) -> int:
-        """Nodes whose parent pointer has been materialized so far."""
-        return len(self._parent)
+        """Parent evaluations so far (rejected non-members excluded)."""
+        return self._evaluations
 
     def materialize(self) -> SearchTree:
         """The full eager tree (tests compare it edge-for-edge)."""
@@ -146,5 +174,5 @@ class LazyChordTree:
     def __repr__(self) -> str:
         return (
             f"LazyChordTree(key={self._key}, root={self._root}, "
-            f"touched={len(self._parent)}/{len(self._ring)})"
+            f"touched={self._evaluations})"
         )

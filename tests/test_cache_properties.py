@@ -2,13 +2,15 @@
 
 Hypothesis drives random interleavings of stores, lookups, invalidations,
 and time advances against a brutally simple reference model; the cache
-must agree with the model on every lookup.
+must agree with the model on every lookup.  A second sequence family
+mixes in restores and sweeps: a sweep that skips a table whose earliest
+deadline is still ahead must evict exactly what a full scan would.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.cache import IndexCache
+from repro.index.cache import CachedCopy, IndexCache
 from repro.index.entry import IndexVersion
 
 
@@ -110,3 +112,89 @@ class TestCacheAgainstModel:
         assert stats.hits <= stats.lookups
         assert len(cache) <= stats.stores
         assert stats.evictions >= 0
+
+
+SLOTS = range(1, 7)
+
+
+@st.composite
+def sweep_sequences(draw):
+    """Stores, restores, lookups and sweeps over six slots, with TTLs
+    from 1 s to 1 h and copies restored from up to 100 s back."""
+    count = draw(st.integers(1, 80))
+    operations = []
+    for _ in range(count):
+        kind = draw(
+            st.sampled_from(["put", "restore", "get", "sweep", "advance"])
+        )
+        slot = draw(st.sampled_from(SLOTS))
+        if kind in ("put", "restore"):
+            number = draw(st.integers(0, 3))
+            ttl = draw(st.sampled_from([1.0, 5.0, 30.0, 600.0, 3600.0]))
+            back = draw(st.floats(0.0, 100.0)) if kind == "restore" else 0.0
+            operations.append((kind, slot, number, ttl, back))
+        elif kind == "advance":
+            operations.append(("advance", draw(st.floats(0.0, 50.0))))
+        else:
+            operations.append((kind, slot))
+    return operations
+
+
+class TestBoundedSweep:
+    @given(sweep_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_evicts_exactly_what_a_full_scan_evicts(self, operations):
+        cache = IndexCache()
+        now = 0.0
+        evicted = 0
+        for operation in operations:
+            kind = operation[0]
+            if kind in ("put", "restore"):
+                _, slot, number, ttl, back = operation
+                version = IndexVersion(
+                    key=slot, version=number, issued_at=now, ttl=ttl
+                )
+                if kind == "put":
+                    cache.put(version, now, slot=slot)
+                else:
+                    cache.restore(slot, CachedCopy(version, now - back))
+            elif kind == "advance":
+                now += operation[1]
+            elif kind == "get":
+                before = cache.stats.evictions
+                cache.get(operation[1], now)
+                evicted += cache.stats.evictions - before
+            else:
+                # The full scan: every held copy whose timer has run out.
+                expired = {
+                    slot
+                    for slot in SLOTS
+                    if (copy := cache.peek(slot)) is not None
+                    and copy.expires_at <= now
+                }
+                held = {slot for slot in SLOTS if slot in cache}
+                assert cache.sweep(now) == len(expired)
+                evicted += len(expired)
+                assert {slot for slot in SLOTS if slot in cache} == (
+                    held - expired
+                )
+        assert cache.stats.evictions == evicted
+        # A sweep past every deadline empties the table.
+        held = len(cache)
+        assert cache.sweep(now + 3601.0) == held
+        assert len(cache) == 0
+
+    def test_sweep_before_the_earliest_deadline_reads_no_copy(self):
+        cache = IndexCache()
+        for slot in SLOTS:
+            version = IndexVersion(key=slot, version=0, issued_at=0.0, ttl=60.0)
+            cache.put(version, 10.0 * slot, slot=slot)
+        # The earliest deadline is slot 1's, at 70 s: before it a sweep
+        # returns without reading a copy, so a timer edited behind the
+        # table's back is not seen.
+        cache.peek(6).stored_at = -100.0
+        assert cache.sweep(69.0) == 0 and len(cache) == len(SLOTS)
+        # At it, one scan evicts both and learns the next deadline (80 s).
+        assert cache.sweep(70.0) == 2
+        assert cache.sweep(79.0) == 0
+        assert cache.sweep(80.0) == 1 and len(cache) == 3

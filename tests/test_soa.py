@@ -2,8 +2,8 @@
 
 Covers the expiry wheel's lazy-invalidation contract
 (``repro.core.soa``), the vectorized lease/cache sweeps against their
-per-item counterparts, the lazy Chord tree against the eager
-construction, and the conditional Zipf slices against the global law.
+per-item counterparts, and the conditional Zipf slices against the
+global law.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ import pytest
 
 from repro.core.leases import LeaseTable
 from repro.core.soa import ExpiryWheel
-from repro.errors import NodeNotFoundError, WorkloadError
+from repro.errors import WorkloadError
 from repro.index.cache import IndexCache
 from repro.index.entry import IndexVersion
 from repro.stats.distributions import ZipfSlice, shared_zipf
-from repro.topology.chord import ChordRing
-from repro.topology.chord_tree import LazyChordTree, chord_search_tree
 
 
 class TestExpiryWheel:
@@ -80,7 +78,6 @@ class TestVectorizedSweeps:
 
     @pytest.mark.parametrize("population", [6, 64])
     def test_cache_sweep_evicts_exactly_the_expired(self, population):
-        # Both the small-cache scan and the vectorized path (>32).
         cache = IndexCache()
         for key in range(population):
             ttl = 5.0 if key % 2 else 50.0
@@ -96,58 +93,6 @@ class TestVectorizedSweeps:
 
     def test_cache_sweep_on_empty_cache(self):
         assert IndexCache().sweep(now=1.0) == 0
-
-
-class TestLazyChordTree:
-    def test_matches_eager_construction(self):
-        ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
-        for key in (3, 777, 54321):
-            eager = chord_search_tree(ring, key)
-            lazy = LazyChordTree(ring, key)
-            assert lazy.root == eager.root
-            for node in ring.node_ids:
-                assert lazy.parent(node) == eager.parent(node)
-                assert lazy.depth(node) == eager.depth(node)
-                assert lazy.path_to_root(node) == eager.path_to_root(node)
-
-    def test_children_match_eager_construction(self):
-        ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
-        eager = chord_search_tree(ring, 777)
-        lazy = LazyChordTree(ring, 777)
-        for node in ring.node_ids:
-            assert lazy.children(node) == eager.children(node)
-
-    def test_touched_grows_lazily(self):
-        ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
-        lazy = LazyChordTree(ring, 777)
-        assert lazy.touched <= 1
-        lazy.path_to_root(ring.node_ids[0])
-        touched_once = lazy.touched
-        assert 0 < touched_once < len(ring.node_ids)
-        for node in ring.node_ids:
-            lazy.parent(node)
-        # Every non-root parent pointer is now memoized.
-        assert lazy.touched >= len(ring.node_ids) - 1
-        # materialize() hands back the eager tree for full comparison.
-        assert lazy.materialize().root == lazy.root
-
-    def test_non_member_is_absent_and_rejected(self):
-        ring = ChordRing([2, 8, 14], bits=4)
-        lazy = LazyChordTree(ring, 5)
-        assert all(node in lazy for node in ring.node_ids)
-        for outsider in (-1, 3, 16):
-            assert outsider not in lazy
-            with pytest.raises(NodeNotFoundError):
-                lazy.parent(outsider)
-        # A rejected lookup leaves nothing behind in the memo.
-        assert lazy.touched == 1
-
-    def test_membership_probes_the_rings_own_set(self):
-        ring = ChordRing([2, 8, 14], bits=4)
-        assert ring.members == frozenset(ring.node_ids)
-        # Shared by reference: a thousand per-key trees, one set.
-        first, second = LazyChordTree(ring, 5), LazyChordTree(ring, 11)
-        assert first._members is second._members is ring.members
 
 
 class TestZipfSlices:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import NodeNotFoundError, TopologyError
 from repro.topology import ChordRing, chord_search_tree
+from repro.topology.chord_tree import LazyChordTree
 
 
 # -- reference routing: Chord by its definition ------------------------------
@@ -353,3 +354,91 @@ class TestChordSearchTree:
         tree = chord_search_tree(ring, key)
         tree.validate()
         assert len(tree) == len(ring)
+
+
+@st.composite
+def small_rings(draw):
+    """``(bits, ids)``: 6-10 bits, 1-24 distinct ids."""
+    bits = draw(st.integers(6, 10))
+    ids = draw(
+        st.sets(st.integers(0, (1 << bits) - 1), min_size=1, max_size=24)
+    )
+    return bits, sorted(ids)
+
+
+class TestLazyChordTree:
+    def test_matches_eager_construction(self):
+        ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
+        for key in (3, 777, 54321):
+            eager = chord_search_tree(ring, key)
+            lazy = LazyChordTree(ring, key)
+            assert lazy.root == eager.root
+            for node in ring.node_ids:
+                assert lazy.parent(node) == eager.parent(node)
+                assert lazy.depth(node) == eager.depth(node)
+                assert lazy.path_to_root(node) == eager.path_to_root(node)
+
+    def test_children_match_eager_construction(self):
+        ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
+        eager = chord_search_tree(ring, 777)
+        lazy = LazyChordTree(ring, 777)
+        for node in ring.node_ids:
+            assert lazy.children(node) == eager.children(node)
+
+    def test_touched_grows_lazily(self):
+        ring = ChordRing.random(200, np.random.default_rng(9), bits=16)
+        lazy = LazyChordTree(ring, 777)
+        assert lazy.touched == 0
+        path = lazy.path_to_root(ring.node_ids[0])
+        # One evaluation per node on the path, the root's ``None`` too.
+        assert lazy.touched == len(path)
+        for node in ring.node_ids:
+            lazy.parent(node)
+        # No memo: every call is an evaluation, repeats included.
+        assert lazy.touched == len(path) + len(ring.node_ids)
+        # materialize() hands back the eager tree for full comparison.
+        assert lazy.materialize().root == lazy.root
+
+    def test_non_member_is_absent_and_rejected(self):
+        ring = ChordRing([2, 8, 14], bits=4)
+        lazy = LazyChordTree(ring, 5)
+        assert all(node in lazy for node in ring.node_ids)
+        for outsider in (-1, 3, 16):
+            assert outsider not in lazy
+            with pytest.raises(NodeNotFoundError):
+                lazy.parent(outsider)
+        # A rejected lookup is not an evaluation.
+        assert lazy.touched == 0
+
+    def test_membership_probes_the_rings_own_set(self):
+        ring = ChordRing([2, 8, 14], bits=4)
+        assert ring.members == frozenset(ring.node_ids)
+        # Shared by reference: a thousand per-key trees, one set.
+        first, second = LazyChordTree(ring, 5), LazyChordTree(ring, 11)
+        assert first._members is second._members is ring.members
+
+    @given(small_rings())
+    @settings(max_examples=40, deadline=None)
+    def test_parent_is_next_hop_for_every_key(self, ring_spec):
+        bits, ids = ring_spec
+        modulus = 1 << bits
+        ring = ChordRing(ids, bits=bits)
+        # Every key, the wrapped ends of the circle, the key the lowest
+        # id owns by wrapping past the top, and the key one past the
+        # highest id (which the lowest id owns too).
+        keys = set(range(-1, modulus + 1))
+        keys.add(ids[-1] + 1)
+        assert ring.successor(ids[-1] + 1) == ids[0]
+        for key in keys:
+            lazy = LazyChordTree(ring, key)
+            assert lazy.root == ring.successor(key)
+            for node in ids:
+                assert lazy.parent(node) == ring.next_hop(node, key), (
+                    node,
+                    key,
+                )
+        outsiders = [node for node in range(modulus) if node not in ids][:3]
+        lazy = LazyChordTree(ring, 0)
+        for node in outsiders + [-1, modulus]:
+            with pytest.raises(NodeNotFoundError):
+                lazy.parent(node)
