@@ -44,10 +44,14 @@ ledger-ab:
 	python3 scripts/ledger_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) $(if $(TRACE),--trace)
 
 # Where the cyclic garbage collector runs between a ledger child's
-# warm-up and the end of its timed constructor (read it before trusting
-# a setup_s row).  make gc-phase WORKLOAD=cold-miss
+# warm-up and the end of its timed stages (read it before trusting a
+# setup_s row); scale-multikey replays all eight shard constructors and
+# runs.  CI runs it with --check, which exits 1 when a generation-2
+# pass lands in a timed constructor.  make gc-phase WORKLOAD=cold-miss
+# [SEED=2] [CHECK=1]
+SEED ?= 1
 gc-phase:
-	python3 scripts/gc_phase.py $(WORKLOAD)
+	python3 scripts/gc_phase.py $(WORKLOAD) --seed $(SEED) $(if $(CHECK),--check)
 
 # One Table-I cell in one process: queries, wall, peak RSS, p50/p95/p99
 # and the latency CI.  make paper-cell RATE=100 DURATION=36000

@@ -2,7 +2,7 @@
 """Where the cyclic garbage collector runs around a ledger child's timed
 phases.
 
-``python3 scripts/gc_phase.py WORKLOAD [--seed 1] [--scale 0.25]``
+``python3 scripts/gc_phase.py WORKLOAD [--seed 1] [--scale 0.25] [--check]``
 (``make gc-phase WORKLOAD=NAME``)
 
 A ledger child (``benchmarks/ledger/child.py run``) imports ``repro``,
@@ -30,6 +30,11 @@ counted), then one line per timed stage with its generation-1 and
 generation-2 passes.  The replay's own bookkeeping adds a handful of
 allocations, so read the output as the phase of the collector, not as
 an exact count.  Nothing under ``benchmarks/ledger`` is modified.
+
+With ``--check`` the script exits 1, naming the stage, when a
+generation-2 pass lands in a timed constructor stage (``constructor``
+or ``ctor<i>``): a full pass there costs milliseconds that ``setup_s``
+charges to the constructor.
 """
 
 from __future__ import annotations
@@ -146,11 +151,26 @@ def phase_lines(workload: str, collections: list) -> list[str]:
     return lines
 
 
+def constructor_full_passes(collections: list) -> list[str]:
+    """The timed constructor stages a generation-2 pass landed in."""
+    return [
+        stage
+        for stage, generation, _, _ in collections
+        if generation == 2
+        and (stage == "constructor" or stage.startswith("ctor"))
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scale", type=float, default=0.25)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="exit 1 when a generation-2 pass lands in a timed constructor",
+    )
     args = parser.parse_args(argv)
     after_warm_up, collections = replay(args.workload, args.seed, args.scale)
     last = stages_of(args.workload)[-1]
@@ -172,6 +192,12 @@ def main(argv=None) -> int:
     print("timed stages:")
     for line in phase_lines(args.workload, collections):
         print(line)
+    if args.check:
+        stages = constructor_full_passes(collections)
+        if stages:
+            print(f"FAIL: generation-2 pass in {', '.join(stages)}")
+            return 1
+        print("no generation-2 pass in a timed constructor")
     return 0
 
 

@@ -12,20 +12,27 @@ arrival-rate estimate) used by the ablation benchmark to quantify how much
 the policy choice matters.  :class:`AdaptiveInterestPolicy` keeps the
 paper's decision rule but lets each node tune its own threshold from the
 query rate it observes (ROADMAP item 5; the ``dup-adaptive`` scheme).
-:func:`interest_policy_factory` resolves, once per scheme, the policy
-constructor a run configuration (or a scheme's override) selects.
 
 Both window policies keep a fixed ring of the most recent arrival times,
 never the whole window: a decision needs only the ``(c + 1)``-th most
 recent arrival.
+
+A scheme keeps every node's interest state in one *table*, whose methods
+take the node.  :class:`WindowInterestTable` stores the paper's window
+rings flat, ``c + 1`` doubles per node in one ``array('d')``, so a
+scheme holds no Python object per node; :class:`PolicyTable` keeps one
+policy object per node behind the same methods, for the EWMA and
+adaptive policies.  :func:`interest_table` picks the table a run
+configuration (or a scheme's override) selects.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Protocol
+from typing import Iterator, Optional, Protocol
 
 from repro.errors import ConfigError
 
@@ -372,30 +379,224 @@ class AdaptivePlan:
             raise ConfigError(f"gain must be >= 0, got {self.gain}")
 
 
-def interest_policy_factory(
+class WindowInterestTable:
+    """Every node's :class:`WindowInterestPolicy` ring, stored flat.
+
+    The ring of the node filed under slot ``s`` is the ``threshold + 1``
+    doubles of ``_times`` from ``s * (threshold + 1)`` on, pre-filled
+    with ``-inf``, and ``_heads[s]`` is the offset of its oldest arrival
+    (the one the next arrival overwrites).  ``_slots`` maps a node to
+    its slot in the order nodes first arrived; a forgotten node's slot
+    is reused by the next new node.  Decisions are exactly those of one
+    :class:`WindowInterestPolicy` per node, but the table is five
+    objects however many nodes it holds, and its dict of ints is not
+    tracked by the cyclic collector.
+    """
+
+    __slots__ = (
+        "_window",
+        "_threshold",
+        "_width",
+        "_slots",
+        "_times",
+        "_heads",
+        "_free",
+    )
+
+    def __init__(self, window: float, threshold: int):
+        if window <= 0:
+            raise ConfigError(f"window must be positive, got {window}")
+        if threshold < 0:
+            raise ConfigError(f"threshold must be >= 0, got {threshold}")
+        self._window = float(window)
+        self._threshold = int(threshold)
+        self._width = self._threshold + 1
+        self._slots: dict[int, int] = {}
+        self._times = array("d")
+        self._heads: list[int] = []
+        self._free: list[int] = []
+
+    def _open(self, node: int) -> int:
+        """File ``node`` under a blank ring; returns its slot."""
+        width = self._width
+        blank = array("d", (-math.inf,)) * width
+        if self._free:
+            slot = self._free.pop()
+            base = slot * width
+            self._times[base : base + width] = blank
+            self._heads[slot] = 0
+        else:
+            slot = len(self._heads)
+            self._times.extend(blank)
+            self._heads.append(0)
+        self._slots[node] = slot
+        return slot
+
+    def record(self, node: int, now: float) -> None:
+        """Register one query arrival at ``node``."""
+        slot = self._slots.get(node)
+        if slot is None:
+            slot = self._open(node)
+        head = self._heads[slot]
+        self._times[slot * self._width + head] = now
+        self._heads[slot] = head + 1 if head < self._threshold else 0
+
+    def is_interested(self, node: int, now: float) -> bool:
+        """More than ``threshold`` arrivals at ``node`` in ``(now -
+        window, now]`` (never, for a node with no arrival)."""
+        slot = self._slots.get(node)
+        if slot is None:
+            return False
+        oldest = self._times[slot * self._width + self._heads[slot]]
+        return oldest > now - self._window
+
+    def arrive(self, node: int, now: float) -> bool:
+        """:meth:`record` then :meth:`is_interested`, in one call."""
+        slot = self._slots.get(node)
+        if slot is None:
+            slot = self._open(node)
+        heads = self._heads
+        head = heads[slot]
+        oldest = slot * self._width + head
+        times = self._times
+        times[oldest] = now
+        # The next oldest follows, or the ring wraps to its first double.
+        if head < self._threshold:
+            heads[slot] = head + 1
+            return times[oldest + 1] > now - self._window
+        heads[slot] = 0
+        return times[oldest - head] > now - self._window
+
+    def forget(self, node: int) -> None:
+        """Drop ``node``'s ring (a departure); its slot is reused."""
+        slot = self._slots.pop(node, None)
+        if slot is not None:
+            self._free.append(slot)
+
+    def snapshot(self, node: int) -> "Optional[tuple[array, int]]":
+        """A copy of ``node``'s ring and head (``None`` without one)."""
+        slot = self._slots.get(node)
+        if slot is None:
+            return None
+        base = slot * self._width
+        return self._times[base : base + self._width], self._heads[slot]
+
+    def restore(self, node: int, snapshot) -> None:
+        """Put back what :meth:`snapshot` returned, over any ring
+        ``node`` holds now."""
+        if snapshot is None:
+            return
+        slot = self._slots.get(node)
+        if slot is None:
+            slot = self._open(node)
+        recent, head = snapshot
+        base = slot * self._width
+        self._times[base : base + self._width] = recent
+        self._heads[slot] = head
+
+    def threshold_bounds(self) -> Optional[tuple[int, int]]:
+        """``(c, c)``, or ``None`` while no node has a ring."""
+        if not self._slots:
+            return None
+        return (self._threshold, self._threshold)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __iter__(self) -> Iterator[int]:
+        """The nodes with a ring, in the order they first arrived."""
+        return iter(self._slots)
+
+
+class PolicyTable:
+    """One per-node policy object per node, behind the table methods.
+
+    The EWMA and adaptive policies keep more than a ring per node; this
+    table creates each node's policy with ``new()`` at its first
+    arrival.  A snapshot is the policy object itself.
+    """
+
+    __slots__ = ("_new", "_policies")
+
+    def __init__(self, new) -> None:
+        self._new = new
+        self._policies: dict[int, InterestPolicy] = {}
+
+    def record(self, node: int, now: float) -> None:
+        """Register one query arrival at ``node``."""
+        policy = self._policies.get(node)
+        if policy is None:
+            policy = self._policies[node] = self._new()
+        policy.record(now)
+
+    def is_interested(self, node: int, now: float) -> bool:
+        """Whether ``node`` qualifies (never, with no arrival yet)."""
+        policy = self._policies.get(node)
+        return policy is not None and policy.is_interested(now)
+
+    def arrive(self, node: int, now: float) -> bool:
+        """:meth:`record` then :meth:`is_interested`, in one call."""
+        policy = self._policies.get(node)
+        if policy is None:
+            policy = self._policies[node] = self._new()
+        return policy.arrive(now)
+
+    def forget(self, node: int) -> None:
+        """Drop ``node``'s policy (a departure)."""
+        self._policies.pop(node, None)
+
+    def snapshot(self, node: int) -> "InterestPolicy | None":
+        """``node``'s policy object (``None`` without one)."""
+        return self._policies.get(node)
+
+    def restore(self, node: int, snapshot) -> None:
+        """File the policy :meth:`snapshot` returned under ``node``."""
+        if snapshot is not None:
+            self._policies[node] = snapshot
+
+    def threshold_bounds(self) -> Optional[tuple[int, int]]:
+        """(min, max) effective threshold over every node's policy."""
+        thresholds = [policy.threshold for policy in self._policies.values()]
+        if not thresholds:
+            return None
+        return (min(thresholds), max(thresholds))
+
+    def __len__(self) -> int:
+        return len(self._policies)
+
+    def __iter__(self) -> Iterator[int]:
+        """The nodes with a policy, in the order they first arrived."""
+        return iter(self._policies)
+
+
+def interest_table(
     config, override: "AdaptivePlan | None" = None
-) -> "Callable[[], InterestPolicy]":
-    """A zero-argument constructor of per-node interest policies.
+) -> "WindowInterestTable | PolicyTable":
+    """A scheme's interest table: the flat window table, or a table of
+    per-node EWMA or adaptive policies.
 
     ``config`` is a :class:`~repro.engine.config.SimulationConfig` (any
     object with its interest fields will do).  ``override`` is a
     scheme's ``interest_policy_override`` (``dup-adaptive``'s is
     ``AdaptivePlan()``): it replaces ``config.interest_policy`` unless
-    that is an :class:`AdaptivePlan` already.  The dispatch runs once
-    here, so a scheme creating a tracker per node resolves this once and
-    then pays one constructor call per node.
+    that is an :class:`AdaptivePlan` already.  A scheme calls this once,
+    at its first interest decision.
     """
     policy = config.interest_policy
     if override is not None and not isinstance(policy, AdaptivePlan):
         policy = override
     if policy == "window":
-        return partial(WindowInterestPolicy, config.ttl, config.threshold_c)
+        return WindowInterestTable(config.ttl, config.threshold_c)
     if isinstance(policy, AdaptivePlan):
-        return partial(
-            AdaptiveInterestPolicy,
-            config.ttl,
-            policy.floor,
-            policy.ceiling,
-            policy.gain,
+        return PolicyTable(
+            partial(
+                AdaptiveInterestPolicy,
+                config.ttl,
+                policy.floor,
+                policy.ceiling,
+                policy.gain,
+            )
         )
-    return partial(EwmaInterestPolicy, config.ttl, config.threshold_c)
+    return PolicyTable(
+        partial(EwmaInterestPolicy, config.ttl, config.threshold_c)
+    )

@@ -22,15 +22,15 @@ changes".  This module performs both in one atomic step per event:
   (cases 3 and 4).  Case 1 (node on no virtual path) needs no action, and
   case 5 (the root) is :meth:`~DupMaintenance.root_failed`.
 
-Control flows are emitted through an injected ``emit(from_node, payload)``
-callback so the same logic runs under the discrete-event engine (real
+Control flows are emitted through the scheme's ``_emit_maintenance(from_node,
+payload)`` so the same logic runs under the discrete-event engine (real
 messages, hop charges, latencies) and under the synchronous walker used by
 the protocol tests.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.protocol import DupProtocol
 from repro.core.subscriber_list import SubscriberList
@@ -39,8 +39,6 @@ from repro.net.message import RefreshSubscribe, Subscribe, Substitute, Unsubscri
 from repro.topology.tree import SearchTree
 
 NodeId = int
-EmitUpstream = Callable[[NodeId, object], None]
-ChargeHops = Callable[[int], None]
 
 
 def _advertisement(s_list: SubscriberList, node: NodeId) -> Optional[NodeId]:
@@ -59,33 +57,24 @@ class DupMaintenance:
     ----------
     protocol:
         The global DUP state machine.
-    tree:
-        The index search tree (mutated in place by churn events).
-    emit:
-        ``emit(from_node, payload)`` delivers a control payload from
-        ``from_node`` to its parent (one charged hop, then normal
-        Figure-3 processing and forwarding).
-    charge:
-        Charges bookkeeping hops that are not Figure-3 flows (the join
-        notification); defaults to a no-op.
-    recorder:
-        Optional :class:`repro.flightrec.FlightRecorder`; tree grafts,
+    host:
+        Supplies ``tree``, the index search tree (mutated in place by
+        churn events), and ``recorder``, an optional
+        :class:`repro.flightrec.FlightRecorder` to which tree grafts,
         prunes, substitutes, and re-rootings emit structured events.
+    scheme:
+        Its ``_emit_maintenance(from_node, payload)`` delivers a control
+        payload from ``from_node`` to its parent (one charged hop, then
+        normal Figure-3 processing and forwarding), and its
+        ``_charge_maintenance(hops)`` charges bookkeeping hops that are
+        not Figure-3 flows (the join notification).
     """
 
-    def __init__(
-        self,
-        protocol: DupProtocol,
-        tree: SearchTree,
-        emit: EmitUpstream,
-        charge: Optional[ChargeHops] = None,
-        recorder=None,
-    ):
+    def __init__(self, protocol: DupProtocol, host, scheme):
         self._protocol = protocol
-        self._tree = tree
-        self._emit = emit
-        self._charge = charge or (lambda hops: None)
-        self._recorder = recorder
+        self._tree: SearchTree = host.tree
+        self._recorder = host.recorder
+        self._scheme = scheme
 
     def _record(self, kind: str, node=None, subject=None, detail="") -> None:
         if self._recorder is not None:
@@ -117,7 +106,8 @@ class DupMaintenance:
         )
         if inherited:
             self._protocol.adopt_entries(new, inherited)
-            self._charge(1)  # upper -> new handover notification
+            # upper -> new handover notification
+            self._scheme._charge_maintenance(1)
 
     def node_joined_leaf(self, parent: NodeId, new: NodeId) -> None:
         """A node joins outside every virtual path: no DUP action needed."""
@@ -133,7 +123,7 @@ class DupMaintenance:
         if len(s_node) == 1 and node in s_node:
             # Paper's exception: the end node of a virtual path clears its
             # path before leaving.
-            self._emit(node, Unsubscribe(node))
+            self._scheme._emit_maintenance(node, Unsubscribe(node))
             self._protocol.drop_node(node)
             self._tree.splice_out(node)
             self._record("tree-prune", node=node, detail="left end-node")
@@ -155,7 +145,8 @@ class DupMaintenance:
         pre_adv = _advertisement(parent_list, parent)
         parent_list.discard(node)
         self._protocol.adopt_entries(parent, entries)
-        self._charge(1)  # node -> parent handover notification
+        # node -> parent handover notification
+        self._scheme._charge_maintenance(1)
         post_adv = _advertisement(parent_list, parent)
         if (
             parent != self._tree.root
@@ -171,7 +162,9 @@ class DupMaintenance:
                 subject=pre_adv,
                 detail=f"{pre_adv}->{post_adv}",
             )
-            self._emit(parent, Substitute(pre_adv, post_adv))
+            self._scheme._emit_maintenance(
+                parent, Substitute(pre_adv, post_adv)
+            )
 
     # -- failure ----------------------------------------------------------------
     def node_failed(self, node: NodeId) -> list[NodeId]:
@@ -200,7 +193,7 @@ class DupMaintenance:
         # Failure cases 3 and 4: every node the failed one pushed to
         # re-establishes its virtual path.
         for orphan in orphans:
-            self._emit(orphan, RefreshSubscribe(orphan))
+            self._scheme._emit_maintenance(orphan, RefreshSubscribe(orphan))
         return orphans
 
     def root_failed(self, new_root: NodeId) -> None:
@@ -224,7 +217,7 @@ class DupMaintenance:
             s_child = self._protocol.s_list(child)
             advertisement = _advertisement(s_child, child)
             if advertisement is not None:
-                self._emit(child, Subscribe(advertisement))
+                self._scheme._emit_maintenance(child, Subscribe(advertisement))
 
     def promote_root(self, standby: NodeId) -> None:
         """The authority fails; an *existing tree node* takes over.
@@ -268,7 +261,8 @@ class DupMaintenance:
             pre_adv = _advertisement(absorber_list, absorber)
             absorber_list.discard(standby)
             self._protocol.adopt_entries(absorber, entries)
-            self._charge(1)  # standby -> absorber handover notification
+            # standby -> absorber handover notification
+            self._scheme._charge_maintenance(1)
             post_adv = _advertisement(absorber_list, absorber)
             if (
                 absorber != self._tree.root
@@ -282,12 +276,14 @@ class DupMaintenance:
                     subject=pre_adv,
                     detail=f"{pre_adv}->{post_adv}",
                 )
-                self._emit(absorber, Substitute(pre_adv, post_adv))
+                self._scheme._emit_maintenance(
+                    absorber, Substitute(pre_adv, post_adv)
+                )
         for child in self._tree.children(standby):
             s_child = self._protocol.s_list(child)
             advertisement = _advertisement(s_child, child)
             if advertisement is not None:
-                self._emit(child, Subscribe(advertisement))
+                self._scheme._emit_maintenance(child, Subscribe(advertisement))
 
     # -- crash-restart ----------------------------------------------------------
     def node_rejoined(
@@ -355,7 +351,9 @@ class DupMaintenance:
         )
         advertisement = _advertisement(self._protocol.s_list(node), node)
         if advertisement is not None:
-            self._emit(node, RefreshSubscribe(advertisement))
+            self._scheme._emit_maintenance(
+                node, RefreshSubscribe(advertisement)
+            )
         return kept, excised
 
     # -- helpers ------------------------------------------------------------
@@ -378,4 +376,4 @@ class DupMaintenance:
         """Process an unsubscribe at ``at_node`` itself, then continue up."""
         result = self._protocol.step(at_node, Unsubscribe(subject))
         for payload in result.upstream:
-            self._emit(at_node, payload)
+            self._scheme._emit_maintenance(at_node, payload)

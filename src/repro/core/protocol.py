@@ -35,7 +35,8 @@ DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from types import SimpleNamespace
+from typing import Callable, Iterable, Optional
 
 from repro.core.subscriber_list import SubscriberList
 from repro.errors import SubscriptionError
@@ -81,10 +82,19 @@ class DupProtocol:
     is_root:
         Callable deciding whether a node is the authority (tree root);
         injected so root replacement under churn is reflected live.
+    host:
+        Instead of ``is_root``: an object whose ``is_root(node)`` method
+        decides (a scheme's host), so the protocol holds no callable of
+        its own.
     """
 
-    def __init__(self, is_root: Callable[[NodeId], bool]):
-        self._is_root = is_root
+    def __init__(
+        self,
+        is_root: Optional[Callable[[NodeId], bool]] = None,
+        *,
+        host=None,
+    ):
+        self._host = SimpleNamespace(is_root=is_root) if host is None else host
         self._lists: dict[NodeId, SubscriberList] = {}
 
     # -- state access ------------------------------------------------------
@@ -109,7 +119,7 @@ class DupProtocol:
 
     def in_dup_tree(self, node: NodeId) -> bool:
         """Whether ``node`` forwards pushes (root, or >= 2 subscribers)."""
-        return self._is_root(node) or len(self.s_list(node)) >= 2
+        return self._host.is_root(node) or len(self.s_list(node)) >= 2
 
     def push_targets(self, node: NodeId) -> tuple[NodeId, ...]:
         """Who ``node`` pushes a received/issued update to (never itself)."""
@@ -189,7 +199,7 @@ class DupProtocol:
     def _process_subscribe(self, subject: NodeId, node: NodeId) -> StepResult:
         result = StepResult()
         s_list = self.s_list(node)
-        if self._is_root(node):
+        if self._host.is_root(node):
             if s_list.add(subject) and subject != node:
                 result.new_subscribers.append(subject)
             return result
@@ -233,7 +243,7 @@ class DupProtocol:
         if not s_list.discard(subject):
             # Unknown subject (race / already cleaned): stop here.
             return result
-        if self._is_root(node):
+        if self._host.is_root(node):
             return result
         if len(s_list) == 0:
             # The virtual path through this node dissolves; upstream nodes
@@ -255,7 +265,7 @@ class DupProtocol:
         result = StepResult()
         s_list = self.s_list(node)
         s_list.replace(old, new)
-        if self._is_root(node):
+        if self._host.is_root(node):
             return result
         if len(s_list) == 1:
             # Not in the DUP tree: pass the substitution along.

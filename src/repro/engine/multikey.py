@@ -82,16 +82,28 @@ _UNSUPPORTED = (
 )
 
 
-def _counted(record, warmup: float, counts: dict, key: int):
-    """``record`` that also counts ``key``'s post-warm-up queries into
-    ``counts[key]``: one key's ``record_hops``."""
+class KeySlice(SchemeHost):
+    """One key's host in a scale shard.
 
-    def record_hops(hops: float, issued_at: float) -> None:
-        record(hops, issued_at)
-        if issued_at >= warmup:
-            counts[key] += 1
+    Everything but the key's tree, authority and copy table is the
+    shard's and shared: the clock, the transport and its one bound
+    ``send``, the ledger, the latency recorder's one bound ``record``.
+    ``record_hops`` is a method, so a slice allocates no closure of its
+    own; it also counts the key's post-warm-up queries in ``queries``.
+    """
 
-    return record_hops
+    def __init__(self, *, record, warmup: float, **host) -> None:
+        super().__init__(**host)
+        self._record = record
+        self._warmup = warmup
+        #: This key's queries issued at or after the warm-up.
+        self.queries = 0
+
+    def record_hops(self, hops: float, issued_at: float) -> None:
+        """Record one untraced completed query of this key."""
+        self._record(hops, issued_at)
+        if issued_at >= self._warmup:
+            self.queries += 1
 
 
 def _dispatcher(schemes: dict):
@@ -104,7 +116,8 @@ def _dispatcher(schemes: dict):
     """
 
     def dispatch(destination: NodeId, message: Message) -> None:
-        schemes[message.key]._handlers[message.TYPE_ID](destination, message)
+        scheme = schemes[message.key]
+        scheme._handlers[message.TYPE_ID](scheme, destination, message)
 
     return dispatch
 
@@ -226,31 +239,31 @@ class MultiKeyScaleSimulation:
             rng=self._stream("latency"),
             ledger=ledger,
         )
-        self.slices: dict[int, SchemeHost] = {}
+        self.slices: dict[int, KeySlice] = {}
         self.schemes: dict[int, object] = {}
         transport.bind(_dispatcher(self.schemes))
         self._swept_entries = 0
 
-        # Each key's post-warm-up query count, in rank order.
-        self._queries = queries = dict.fromkeys(
-            keys[self.rank_lo : self.rank_hi], 0
-        )
         # Bound once for every key: the overlay is static, so every ring
-        # member is in every key's tree, and one recorder serves them all.
+        # member is in every key's tree, one recorder serves them all,
+        # and one ``send`` carries every key's messages.
         alive = self.ring.members.__contains__
         record = self.latency.record
-        for key in queries:
+        send = transport.send
+        for key in keys[self.rank_lo : self.rank_hi]:
             tree = LazyChordTree(self.ring, key)
-            slice_ = SchemeHost(
+            slice_ = KeySlice(
                 env=env,
                 config=config,
                 transport=transport,
+                send=send,
                 ledger=ledger,
                 tree=tree,
                 key=key,
                 parent=tree.parent,
                 alive=alive,
-                record_hops=_counted(record, config.warmup, queries, key),
+                record=record,
+                warmup=config.warmup,
             )
             scheme = make_scheme(config.scheme)
             scheme.bind(slice_)
@@ -324,9 +337,10 @@ class MultiKeyScaleSimulation:
 
         def issue(node: NodeId) -> None:
             key = keys[next_key_rank()]
-            if node == slices[key].tree.root:
+            slice_ = slices[key]
+            if node == slice_.tree._root:
                 # The authority answers its own queries locally.
-                slices[key].record_hops(0, env.now)
+                slice_.record_hops(0, env._now)
             else:
                 schemes[key].on_local_query(node)
 
@@ -370,7 +384,10 @@ class MultiKeyScaleSimulation:
             "hits": self.latency.hits,
             "total_hops": self.latency.total_hops,
             "queries_per_key": dict(
-                sorted(self._queries.items(), key=lambda item: -item[1])
+                sorted(
+                    ((key, slice_.queries) for key, slice_ in slices.items()),
+                    key=lambda item: -item[1],
+                )
             ),
             "total_subscriptions": fanout.total(),
             "max_fanout": max(fanout.values(), default=0),
@@ -378,6 +395,10 @@ class MultiKeyScaleSimulation:
             "swept_entries": self._swept_entries,
             "resident_entries": sum(
                 len(slice_.copies) for slice_ in slices.values()
+            ),
+            "state_slots": sum(
+                _state_slots(slice_.copies, schemes[key]._interest)
+                for key, slice_ in slices.items()
             ),
         }
         if config.keep_latency_samples:
@@ -409,6 +430,14 @@ class MultiKeyScaleSimulation:
         slices.clear()
         self._node_selector = None
         return result
+
+
+def _state_slots(copies, interest) -> int:
+    """Distinct nodes holding one key's copy or interest state."""
+    held = set(copies)
+    if interest is not None:
+        held.update(interest)
+    return len(held)
 
 
 #: Per-process memo of the most recent (ring, keys) — both are pure
@@ -563,6 +592,9 @@ def merge_scale_results(results: list[SimulationResult]) -> SimulationResult:
         ),
         "resident_entries": sum(
             int(result.extras["resident_entries"]) for result in results
+        ),
+        "state_slots": sum(
+            int(result.extras["state_slots"]) for result in results
         ),
         "latency_p50": percentile_of_counts(ordered, 50),
         "latency_p95": percentile_of_counts(ordered, 95),

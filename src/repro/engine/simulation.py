@@ -563,7 +563,8 @@ class Simulation(SchemeHost):
             # Scheme traffic (query/reply/control/push) with no ack
             # layer: nothing in ``_dispatch_now`` applies to it, so the
             # scheme's typed handler table is indexed here.
-            self.scheme._handlers[type_id](destination, message)
+            scheme = self.scheme
+            scheme._handlers[type_id](scheme, destination, message)
         else:
             self._dispatch_now(destination, message)
 

@@ -9,10 +9,10 @@ checking the structural claims that make the tier trustworthy:
 - shards conserve the workload (per-key query counts sum to the total);
 - DUP's push warmth survives scale (hit rate stays high as the grid
   grows);
-- lazy trees pay only for the parents a run evaluates (a parent is
-  computed from the ids on each use and never stored, and the
-  evaluations stay below the ``nodes x keys`` next hops an eager build
-  computes);
+- lazy trees pay only for touched state (a parent is computed from the
+  ids on each use and never stored, and the (node, key) pairs holding
+  interest or copy state stay below the ``nodes x keys`` bill an eager
+  build pays);
 - the sweep loop actually reclaims entries (resident + swept accounting
   closes).
 
@@ -94,6 +94,7 @@ def run(
                 "parents_touched": extras["parents_touched"],
                 "swept_entries": extras["swept_entries"],
                 "resident_entries": extras["resident_entries"],
+                "state_slots": extras["state_slots"],
             }
         )
         conserved = sum(extras["queries_per_key"].values())
@@ -122,9 +123,11 @@ def run(
                 ),
             )
         )
-        # ``parents_touched`` counts parent evaluations, repeats included:
-        # the claim's "touched state" is work done, not state kept.
-        touched = int(extras["parents_touched"])
+        # ``state_slots`` counts the distinct (node, key) pairs holding
+        # interest or copy state at the horizon: state kept, which an
+        # eager build pays for every pair, not parent evaluations (work
+        # done, repeats included, which grow with the horizon).
+        touched = int(extras["state_slots"])
         eager = num_nodes * num_keys
         checks.append(
             ShapeCheck(
@@ -134,7 +137,7 @@ def run(
                 ),
                 passed=0 < touched < eager,
                 detail=(
-                    f"parent evaluations={touched} eager next hops={eager}"
+                    f"state slots={touched} eager (node, key) pairs={eager}"
                 ),
             )
         )

@@ -13,7 +13,12 @@ before the timer expired.
 The unit of cache state is therefore one copy: one ``(node, key)`` pair.
 An :class:`IndexCache` is a table of such copies, one per *slot*.  The
 engines keep one table per index and slot each copy under the node that
-holds it; used on its own, a table files a copy under its data key.
+holds it; used on its own, a table files a copy under its data key.  The
+table is two flat dicts, ``slot -> version`` and ``slot -> stored_at``:
+no Python object per copy beyond the float of its timer, which the
+cyclic collector never tracks.  :class:`CachedCopy` is the value form of
+one copy, made by :meth:`IndexCache.peek` for the crash-restart snapshot
+and filed back by :meth:`IndexCache.restore`.
 
 Pushes refresh the timer (the push schemes deliver a new version one
 minute before the previous one's timer would run out, so subscribers never
@@ -53,7 +58,7 @@ class CacheStats:
 
 @dataclass(slots=True)
 class CachedCopy:
-    """One cached copy: a version plus this cache's own TTL timer."""
+    """One copy, read out of a table: a version plus its TTL timer."""
 
     version: IndexVersion
     stored_at: float
@@ -62,10 +67,6 @@ class CachedCopy:
     def expires_at(self) -> float:
         """When this copy's timer runs out (store time + version TTL)."""
         return self.stored_at + self.version.ttl
-
-    def is_valid(self, now: float) -> bool:
-        """Whether the copy is still usable at ``now``."""
-        return now < self.expires_at
 
 
 class IndexCache:
@@ -76,10 +77,13 @@ class IndexCache:
     every node's copy of one index.
     """
 
-    __slots__ = ("_entries", "_earliest", "stats")
+    __slots__ = ("_versions", "_stored_at", "_earliest", "stats")
 
     def __init__(self) -> None:
-        self._entries: dict[int, CachedCopy] = {}
+        #: slot -> the version it holds, and slot -> when it was stored
+        #: (the start of its timer); the two always share their keys.
+        self._versions: dict[int, IndexVersion] = {}
+        self._stored_at: dict[int, float] = {}
         #: A lower bound on every held copy's deadline: stores lower it,
         #: a scanning sweep resets it, removals leave it (still a bound).
         self._earliest = math.inf
@@ -92,22 +96,25 @@ class IndexCache:
         """
         stats = self.stats
         stats.lookups += 1
-        copy = self._entries.get(slot)
-        if copy is None:
+        version = self._versions.get(slot)
+        if version is None:
             return None
-        # Inlined copy.is_valid(now): this is the hit-path check of every
-        # query in the system.
-        version = copy.version
-        if now >= copy.stored_at + version.ttl:
-            del self._entries[slot]
+        # A copy is valid before ``stored_at + ttl``: this is the hit-path
+        # check of every query in the system.
+        if now >= self._stored_at[slot] + version.ttl:
+            del self._versions[slot], self._stored_at[slot]
             stats.evictions += 1
             return None
         stats.hits += 1
         return version
 
     def peek(self, slot: int) -> Optional[CachedCopy]:
-        """Return the stored copy without validity check or stats."""
-        return self._entries.get(slot)
+        """The copy filed under ``slot``, as a value, without validity
+        check or stats."""
+        version = self._versions.get(slot)
+        if version is None:
+            return None
+        return CachedCopy(version, self._stored_at[slot])
 
     def put(
         self, version: IndexVersion, now: float, slot: Optional[int] = None
@@ -123,20 +130,18 @@ class IndexCache:
             raise CacheError(f"not an IndexVersion: {version!r}")
         if slot is None:
             slot = version.key
-        current = self._entries.get(slot)
-        if current is not None:
-            # Inlined current.is_valid(now), as in ``get``: every push
-            # hop stores here.
-            held = current.version
-            if now < current.stored_at + held.ttl:
-                if version.version < held.version:
-                    self.stats.rejected_stale += 1
-                    return False
-                if version.version == held.version:
-                    current.stored_at = now
-                    self.stats.refreshes += 1
-                    return True
-        self._entries[slot] = CachedCopy(version, now)
+        held = self._versions.get(slot)
+        # The validity check of ``get``: every push hop stores here.
+        if held is not None and now < self._stored_at[slot] + held.ttl:
+            if version.version < held.version:
+                self.stats.rejected_stale += 1
+                return False
+            if version.version == held.version:
+                self._stored_at[slot] = now
+                self.stats.refreshes += 1
+                return True
+        self._versions[slot] = version
+        self._stored_at[slot] = now
         deadline = now + version.ttl
         if deadline < self._earliest:
             self._earliest = deadline
@@ -146,10 +151,13 @@ class IndexCache:
     def restore(self, slot: int, copy: CachedCopy) -> None:
         """Re-file ``copy`` as it was (its own ``stored_at``) unless
         ``slot`` already holds one."""
-        if self._entries.setdefault(slot, copy) is copy:
-            deadline = copy.stored_at + copy.version.ttl
-            if deadline < self._earliest:
-                self._earliest = deadline
+        if slot in self._versions:
+            return
+        self._versions[slot] = copy.version
+        self._stored_at[slot] = copy.stored_at
+        deadline = copy.stored_at + copy.version.ttl
+        if deadline < self._earliest:
+            self._earliest = deadline
 
     def sweep(self, now: float) -> int:
         """Evict every expired copy in one pass; returns the count.
@@ -165,40 +173,45 @@ class IndexCache:
         """
         if now < self._earliest:
             return 0
-        entries = self._entries
+        versions = self._versions
+        stored = self._stored_at
         dead = []
         earliest = math.inf
-        for slot, copy in entries.items():
-            deadline = copy.stored_at + copy.version.ttl
+        for slot, stored_at in stored.items():
+            deadline = stored_at + versions[slot].ttl
             if deadline <= now:
                 dead.append(slot)
             elif deadline < earliest:
                 earliest = deadline
         for slot in dead:
-            del entries[slot]
+            del versions[slot], stored[slot]
         self._earliest = earliest
         self.stats.evictions += len(dead)
         return len(dead)
 
     def invalidate(self, slot: int) -> bool:
         """Drop the copy filed under ``slot``; returns whether one existed."""
-        if slot in self._entries:
-            del self._entries[slot]
+        if slot in self._versions:
+            del self._versions[slot], self._stored_at[slot]
             self.stats.evictions += 1
             return True
         return False
 
     def clear(self) -> None:
         """Drop every copy."""
-        self.stats.evictions += len(self._entries)
-        self._entries.clear()
+        self.stats.evictions += len(self._versions)
+        self._versions.clear()
+        self._stored_at.clear()
         self._earliest = math.inf
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._versions)
 
     def __contains__(self, slot: int) -> bool:
-        return slot in self._entries
+        return slot in self._versions
+
+    def __iter__(self):
+        return iter(self._versions)
 
     def __repr__(self) -> str:
-        return f"IndexCache(entries={len(self._entries)}, {self.stats})"
+        return f"IndexCache(entries={len(self._versions)}, {self.stats})"

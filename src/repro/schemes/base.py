@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from repro.core.interest import InterestPolicy, interest_policy_factory
+from repro.core.interest import interest_table
 from repro.index.entry import IndexVersion
 from repro.net.message import (
     ControlMessage,
@@ -60,9 +60,6 @@ class Scheme(abc.ABC):
         #: can attribute annotations and triggered messages to the query
         #: that caused them.
         self._carrier_trace: "int | None" = None
-        #: Typed handler table (TYPE_ID -> bound handler), resolved by
-        #: :meth:`PathCachingScheme.bind`; empty until bound.
-        self._handlers: tuple = ()
 
     def bind(self, sim: SchemeHost) -> None:
         """Attach the scheme to its host (called once by the engine)."""
@@ -75,9 +72,10 @@ class Scheme(abc.ABC):
 
         Called once, by an engine retiring the scheme after its run.  What
         bind built around host callbacks goes too (DUP's protocol and
-        maintenance engine); what the run accumulated (interest trackers,
-        registrations) stays, and refers to neither the host nor the
-        scheme, so a retired scheme is freed by reference counting alone.
+        maintenance engine); what the run accumulated (the interest
+        table, registrations) stays, and refers to neither the host nor
+        the scheme, so a retired scheme is freed by reference counting
+        alone.
         """
         self.sim = None
         self.overload = None
@@ -192,8 +190,13 @@ class PathCachingScheme(Scheme):
       looked for and what a passing reply leaves behind.
 
     :meth:`bind` skips the two payload hooks when a class does not
-    override them and routes an unoverridden lookup or store straight
-    to the facade.
+    override them, and an unoverridden lookup or store goes straight to
+    the host.
+
+    Message dispatch indexes :attr:`_handlers`, one tuple of plain
+    functions per class (``handler(scheme, node, message)``), built when
+    the class is created, so binding a scheme allocates no bound method
+    for it.
     """
 
     name = "pcx-base"
@@ -210,82 +213,77 @@ class PathCachingScheme(Scheme):
 
     def __init__(self) -> None:
         super().__init__()
-        #: node -> its interest policy, created on first use by
-        #: :meth:`tracker` (only the push schemes measure interest).
-        self._trackers: dict[NodeId, InterestPolicy] = {}
-        #: The interest-policy constructor, resolved by the first
-        #: :meth:`tracker` call; schemes that never ask stay at ``None``.
-        self._new_tracker = None
+        #: Every node's interest state, created by the first
+        #: :meth:`interest` call (only the push schemes measure
+        #: interest); schemes that never ask stay at ``None``.
+        self._interest = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._resolve_handlers()
+
+    @classmethod
+    def _resolve_handlers(cls) -> None:
+        """The class's handler table, once per class."""
+        # Indexed by :attr:`~repro.net.message.Message.TYPE_ID`, so the
+        # per-message dispatch is a tuple index and a call: no isinstance
+        # chain, no dict lookup, and a subclass's override (DUP's
+        # ``_handle_push``) is the class's own entry.
+        cls._handlers = (
+            cls._handle_query,  # QueryMessage.TYPE_ID == 0
+            cls._handle_reply,  # ReplyMessage.TYPE_ID == 1
+            cls._handle_control,  # ControlMessage.TYPE_ID == 2
+            cls._handle_push,  # PushMessage.TYPE_ID == 3
+        )
 
     def bind(self, sim: SchemeHost) -> None:
-        """Attach to a host and resolve the typed handler table.
+        """Attach to a host and resolve the handles every query touches.
 
-        The table is indexed by :attr:`~repro.net.message.Message.TYPE_ID`
-        and holds the handler *bound methods*, resolved once here so the
-        per-message dispatch is a list index + call — no isinstance
-        chain, no dict lookup — while subclass overrides (e.g. DUP's
-        ``_handle_push``) are still honoured through normal method
-        resolution.
+        Each is a reference to an object the host already holds (the
+        clock, the parent and membership tests, the transport's shared
+        ``send``), so binding allocates nothing per key.  ``sim.tracer``
+        is not among them: ``enable_tracing()`` may follow ``bind()``.
         """
         super().bind(sim)
-        self._handlers = (
-            self._handle_query,  # QueryMessage.TYPE_ID == 0
-            self._handle_reply,  # ReplyMessage.TYPE_ID == 1
-            self._handle_control,  # ControlMessage.TYPE_ID == 2
-            self._handle_push,  # PushMessage.TYPE_ID == 3
-        )
-        # The facade handles every query touches, resolved once instead
-        # of by attribute chain per hop.  ``sim.tracer`` is not among
-        # them: ``enable_tracing()`` may follow ``bind()``.
         self._env = sim.env
         self._piggyback = sim.config.piggyback
         self._parent = sim.parent
         self._alive = sim.alive
-        self._send = sim.transport.send
-        self._record_latency = sim.record_latency
-        self._record_hops = sim.record_hops
-        self._note_read = sim.note_read
+        self._send = sim.send
         # A hook the class does not override is skipped outright (the
-        # query paths test for ``None``); an unoverridden lookup or store
-        # goes straight to the facade (``NoCacheScheme`` overrides both).
+        # query paths test for ``None``), and an unoverridden lookup or
+        # store goes straight to the host (``NoCacheScheme`` overrides
+        # both).
         cls = type(self)
         if cls._on_query_arrival is PathCachingScheme._on_query_arrival:
             self._on_query_arrival = None
         if cls._on_local_miss is PathCachingScheme._on_local_miss:
             self._on_local_miss = None
-        if cls._lookup is PathCachingScheme._lookup:
-            self._lookup = sim.lookup
-        if cls._store_reply is PathCachingScheme._store_reply:
-            self._store_reply = sim.store
+        self._host_lookup = cls._lookup is PathCachingScheme._lookup
+        self._host_store = cls._store_reply is PathCachingScheme._store_reply
 
     def unbind(self) -> None:
         super().unbind()
-        # The handler table holds the scheme's own bound methods.
-        self._handlers = ()
         self._env = self._parent = self._alive = self._send = None
-        self._record_latency = self._record_hops = self._note_read = None
-        # What bind() routed past the class methods returns to them.
-        for name in (
-            "_on_query_arrival",
-            "_on_local_miss",
-            "_lookup",
-            "_store_reply",
-        ):
-            vars(self).pop(name, None)
+        # What bind() skipped returns to the class methods.
+        vars(self).pop("_on_query_arrival", None)
+        vars(self).pop("_on_local_miss", None)
 
-    def tracker(self, node: NodeId) -> InterestPolicy:
-        """The node's interest policy instance (lazily created)."""
-        tracker = self._trackers.get(node)
-        if tracker is None:
-            new = self._new_tracker
-            if new is None:
-                # The config dispatch runs once per scheme; every later
-                # node costs one constructor call.
-                new = self._new_tracker = interest_policy_factory(
-                    self.sim.config, self.interest_policy_override
-                )
-            tracker = self._trackers[node] = new()
-        return tracker
+    def interest(self):
+        """The scheme's interest table (created on first use): every
+        node's interest state, read and fed through methods that take
+        the node."""
+        table = self._interest
+        if table is None:
+            table = self._interest = interest_table(
+                self.sim.config, self.interest_policy_override
+            )
+        return table
+
+    def _forget_interest(self, node: NodeId) -> None:
+        """Drop ``node``'s interest state (a departure or failure)."""
+        if self._interest is not None:
+            self._interest.forget(node)
 
     # ------------------------------------------------------------------ hooks
     def _on_query_arrival(
@@ -301,7 +299,8 @@ class PathCachingScheme(Scheme):
         return []
 
     def _lookup(self, node: NodeId):
-        """Where this scheme looks for a valid index copy at ``node``."""
+        """Where this scheme looks for a valid index copy at ``node``
+        (unless overridden, the query paths ask the host directly)."""
         return self.sim.lookup(node)
 
     def _on_local_miss(self, node: NodeId) -> list[object]:
@@ -317,15 +316,15 @@ class PathCachingScheme(Scheme):
         self._carrier_trace = trace_id
         arrival = self._on_query_arrival
         payloads = None if arrival is None else arrival(node, None)
-        version = self._lookup(node)
+        version = sim.lookup(node) if self._host_lookup else self._lookup(node)
         if version is not None:
             # An untraced hit goes straight to the recorder; a traced one
             # takes the facade, which also closes the trace.
             if trace_id is None:
-                self._record_hops(0, issued_at)
+                sim.record_hops(0, issued_at)
             else:
-                self._record_latency(0, issued_at, trace_id)
-            self._note_read(version)
+                sim.record_latency(0, issued_at, trace_id)
+            sim.note_read(version)
             # A cache hit leaves no packet to piggyback on: hard-state
             # control payloads travel explicitly, soft-state ones lapse.
             if payloads and self.control_survives_serving:
@@ -350,7 +349,7 @@ class PathCachingScheme(Scheme):
         self._carrier_trace = None
         parent = self._parent(node)
         if parent is None:  # pragma: no cover - root always has the index
-            self._record_latency(0, issued_at, trace_id)
+            sim.record_latency(0, issued_at, trace_id)
             return
         self._send(parent, message, sender=node)
 
@@ -375,7 +374,10 @@ class PathCachingScheme(Scheme):
                         node, own_payloads, trace_id=message.trace_id
                     )
             message.path.append(node)
-            version = self._lookup(node)
+            if self._host_lookup:
+                version = self.sim.lookup(node)
+            else:
+                version = self._lookup(node)
             if version is not None:
                 # Served here: hard-state leftovers continue explicitly,
                 # soft-state ones die with the packet.
@@ -425,16 +427,20 @@ class PathCachingScheme(Scheme):
         self._forward_reply(reply)
 
     def _handle_reply(self, node: NodeId, reply: ReplyMessage) -> None:
-        self._store_reply(node, reply.version)
+        if self._host_store:
+            self.sim.store(node, reply.version)
+        else:
+            self._store_reply(node, reply.version)
         position = reply.position
         if position == 0:
+            sim = self.sim
             if reply.trace_id is None:
-                self._record_hops(reply.request_hops, reply.issued_at)
+                sim.record_hops(reply.request_hops, reply.issued_at)
             else:
-                self._record_latency(
+                sim.record_latency(
                     reply.request_hops, reply.issued_at, reply.trace_id
                 )
-            self._note_read(reply.version)
+            sim.note_read(reply.version)
             return
         # :meth:`_forward_reply`'s common case, inline: the next hop down
         # the path is still a member.
@@ -449,8 +455,8 @@ class PathCachingScheme(Scheme):
     def _store_reply(self, node: NodeId, version: IndexVersion) -> None:
         """Path caching: cache the reply at every hop (PCX behaviour).
 
-        Unless a subclass overrides it, :meth:`bind` replaces this with
-        the facade's own ``store``.
+        Unless a subclass overrides it, the reply path calls the host's
+        own ``store`` in its place.
         """
         self.sim.store(node, version)
 
@@ -527,14 +533,14 @@ class PathCachingScheme(Scheme):
 
     # -------------------------------------------------------------- dispatch
     def on_message(self, node: NodeId, message: Message) -> None:
-        # Typed dispatch: TYPE_ID indexes the bound-handler table built
-        # at bind() (query/reply/control/push).  Engine-consumed classes
-        # carry ids past the table and fall through to the TypeError.
+        # Typed dispatch: TYPE_ID indexes the class's handler table
+        # (query/reply/control/push).  Engine-consumed classes carry ids
+        # past the table and fall through to the TypeError.
         try:
             handler = self._handlers[message.TYPE_ID]
         except IndexError:
             raise TypeError(f"unhandled message {message!r}") from None
-        handler(node, message)
+        handler(self, node, message)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
         """Push handling; passive schemes receive none."""
@@ -581,3 +587,6 @@ class PathCachingScheme(Scheme):
             else:
                 send(target, push)
         return gone
+
+
+PathCachingScheme._resolve_handlers()

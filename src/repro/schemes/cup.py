@@ -61,7 +61,7 @@ class CupScheme(PathCachingScheme):
     # -- interest and registration state ------------------------------------
     def is_interested(self, node: NodeId) -> bool:
         """Whether ``node`` itself currently satisfies the interest policy."""
-        return self.tracker(node).is_interested(self.sim.env.now)
+        return self.interest().is_interested(node, self._env._now)
 
     def live_registrations(self, node: NodeId) -> list[NodeId]:
         """Children whose registration with ``node`` has not decayed."""
@@ -86,10 +86,10 @@ class CupScheme(PathCachingScheme):
         self, node: NodeId, packet: Optional[QueryMessage]
     ) -> list[object]:
         sim = self.sim
-        tracker = self._trackers.get(node)
-        if tracker is None:
-            tracker = self.tracker(node)
-        tracker.record(sim.env._now)
+        interest = self._interest
+        if interest is None:
+            interest = self.interest()
+        interest.record(node, self._env._now)
         if sim.is_root(node):
             return []
         # ``wants_updates`` must run unconditionally: ``live_registrations``
@@ -180,12 +180,12 @@ class CupScheme(PathCachingScheme):
         """
         old_root = self.sim.tree.root
         self._registered.pop(old_root, None)
-        self._trackers.pop(old_root, None)
+        self._forget_interest(old_root)
         super().on_root_failed(new_root)
 
     def _forget(self, node: NodeId) -> None:
         self._registered.pop(node, None)
-        self._trackers.pop(node, None)
+        self._forget_interest(node)
         parent = self.sim.parent(node)
         if parent is not None:
             self._registered.get(parent, {}).pop(node, None)

@@ -45,7 +45,7 @@ class CupIdealScheme(PathCachingScheme):
         """Interested itself, or forwarding for registered children."""
         if self.registered_children(node):
             return True
-        return self.tracker(node).is_interested(self.sim.env.now)
+        return self.interest().is_interested(node, self._env._now)
 
     def is_registered_up(self, node: NodeId) -> bool:
         """Whether ``node`` is registered with its parent."""
@@ -55,8 +55,7 @@ class CupIdealScheme(PathCachingScheme):
     def _on_query_arrival(
         self, node: NodeId, packet: Optional[QueryMessage]
     ) -> list[object]:
-        now = self.sim.env.now
-        self.tracker(node).record(now)
+        self.interest().record(node, self._env._now)
         if self.sim.is_root(node):
             return []
         if self.wants_updates(node) and node not in self._registered_up:
@@ -142,4 +141,4 @@ class CupIdealScheme(PathCachingScheme):
     def _detach(self, node: NodeId) -> None:
         self._registered.pop(node, None)
         self._registered_up.discard(node)
-        self._trackers.pop(node, None)
+        self._forget_interest(node)

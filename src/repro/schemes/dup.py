@@ -50,10 +50,10 @@ class DupScheme(PathCachingScheme):
     reliable_delivery = True
 
     #: Crash-restart reconciliation counters.  Class defaults until the
-    #: first reconcile, so that a bound instance keeps 27 attributes:
-    #: at 30, CPython 3.11 gives it a real ``__dict__`` in place of its
-    #: inline values (one more tracked object per scheme, and a dict
-    #: lookup behind every attribute read).
+    #: first reconcile, so that a bound instance stays below 30
+    #: attributes: at 30, CPython 3.11 gives it a real ``__dict__`` in
+    #: place of its inline values (one more tracked object per scheme,
+    #: and a dict lookup behind every attribute read).
     _rejoin_reconciles = 0
     _rejoin_kept = 0
     _rejoin_excised = 0
@@ -80,24 +80,19 @@ class DupScheme(PathCachingScheme):
         # (failover moves it in place; the tree object is never replaced).
         self._tree = sim.tree
         self._recorder = sim.recorder
-        # An unoverridden push store goes straight to the facade, as an
+        # An unoverridden push store goes straight to the host, as an
         # unoverridden reply store does (``dup-invalidate`` overrides).
-        if type(self)._store_push is DupScheme._store_push:
-            self._store_push = sim.store
+        self._host_store_push = type(self)._store_push is DupScheme._store_push
         if self.overload is not None:
             self._max_subscribers = self.overload.plan.max_subscribers
             self._breakers = self.overload.plan.breakers_enabled
         sessions = sim.sessions
         if sessions is not None and sessions.plan.damping_enabled:
             self._flap_gate = sessions.suppressed
-        self.protocol = DupProtocol(is_root=sim.is_root)
-        self.maintenance = DupMaintenance(
-            self.protocol,
-            sim.tree,
-            emit=self._emit_maintenance,
-            charge=self._charge_maintenance,
-            recorder=self._recorder,
-        )
+        # Both hold the host and the scheme themselves, not bound
+        # methods of them: binding allocates nothing per key but them.
+        self.protocol = DupProtocol(host=sim)
+        self.maintenance = DupMaintenance(self.protocol, sim, self)
         if sim.config.lease_ttl > 0:
             self._leases = LeaseTable(
                 sim.config.lease_ttl, clock=lambda: sim.env.now
@@ -117,7 +112,6 @@ class DupScheme(PathCachingScheme):
         # protocol's root check and the lease clock read the host.
         self.protocol = self.maintenance = self._leases = None
         self._tree = self._recorder = self._flap_gate = None
-        vars(self).pop("_store_push", None)
 
     def _record(self, kind: str, node=None, subject=None, detail="") -> None:
         if self._recorder is not None:
@@ -126,24 +120,21 @@ class DupScheme(PathCachingScheme):
     # -- interest ------------------------------------------------------------
     def is_interested(self, node: NodeId) -> bool:
         """Whether ``node`` currently satisfies the interest policy."""
-        return self.tracker(node).is_interested(self.sim.env.now)
+        interest = self._interest
+        if interest is None:
+            interest = self.interest()
+        return interest.is_interested(node, self._env._now)
 
     # -- hooks into the shared query engine ------------------------------------
     def _on_query_arrival(
         self, node: NodeId, packet: Optional[QueryMessage]
     ) -> list[object]:
         now = self._env._now
-        tracker = self._trackers.get(node)
-        if tracker is None:
-            # Inlined ``tracker(node)`` once the first call has resolved
-            # the constructor: most arrivals at scale are a node's first.
-            new = self._new_tracker
-            if new is None:
-                tracker = self.tracker(node)
-            else:
-                tracker = self._trackers[node] = new()
+        interest = self._interest
+        if interest is None:
+            interest = self.interest()
         if node == self._tree._root:
-            tracker.record(now)
+            interest.record(node, now)
             return []
         # The interest/subscription checks must run before the local-query
         # early return below: ``is_subscribed`` lazily creates the node's
@@ -151,7 +142,7 @@ class DupScheme(PathCachingScheme):
         # lease loops walking ``nodes_with_state``) keys off when that
         # entry first appeared.
         protocol = self.protocol
-        if not tracker.arrive(now) or protocol.is_subscribed(node):
+        if not interest.arrive(node, now) or protocol.is_subscribed(node):
             return []
         if self._flap_gate is not None and self._flap_gate(node):
             # Flap damping: a suppressed peer's subscription attempts
@@ -341,19 +332,22 @@ class DupScheme(PathCachingScheme):
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
         version = message.version
-        self._store_push(node, version)
+        if self._host_store_push:
+            self.sim.store(node, version)
+        else:
+            self._store_push(node, version)
         # One list fetch serves the subscription test and the fan-out;
         # it is also where the node's entry is lazily created, which
         # fixes its place in ``nodes_with_state`` (the lease loops walk
-        # that order) — keep it after the store and before the tracker.
+        # that order) — keep it after the store.
         s_list = self.protocol.s_list(node)
         if node in s_list:
-            tracker = self._trackers.get(node)
-            if tracker is None:
-                tracker = self.tracker(node)
+            interest = self._interest
+            if interest is None:
+                interest = self.interest()
             # Figure 3 (D): the push is the natural moment to notice
             # that the node's interest lapsed during the last cycle.
-            if not tracker.is_interested(self._env._now):
+            if not interest.is_interested(node, self._env._now):
                 self._record("unsubscribe", node=node, detail="interest-lapse")
                 result = self.protocol.drop_subscription(node)
                 self._send_control(
@@ -366,7 +360,8 @@ class DupScheme(PathCachingScheme):
         self._fan_out(node, s_list, version, message.trace_id)
 
     def _store_push(self, node: NodeId, version) -> None:
-        """What a received push leaves in the node's cache."""
+        """What a received push leaves in the node's cache (unless
+        overridden, the push path calls the host's ``store`` instead)."""
         self.sim.store(node, version)
 
     def _push_current(self, node: NodeId, targets: list[NodeId]) -> None:
@@ -395,7 +390,7 @@ class DupScheme(PathCachingScheme):
 
     def on_node_left(self, node: NodeId) -> None:
         self.maintenance.node_left(node)
-        self._trackers.pop(node, None)
+        self._forget_interest(node)
         self._redirected.pop(node, None)
         if self._leases is not None:
             self._leases.drop_holder(node)
@@ -403,7 +398,7 @@ class DupScheme(PathCachingScheme):
 
     def on_node_failed(self, node: NodeId) -> None:
         self.maintenance.node_failed(node)
-        self._trackers.pop(node, None)
+        self._forget_interest(node)
         self._redirected.pop(node, None)
         if self._leases is not None:
             self._leases.drop_holder(node)
@@ -411,11 +406,12 @@ class DupScheme(PathCachingScheme):
 
     def snapshot_for_rejoin(self, node: NodeId) -> dict:
         """The amnesia snapshot: what ``node`` still holds after a
-        crash-restart — its subscriber list and its interest tracker
+        crash-restart — its subscriber list and its interest state
         (the engine captures the TTL cache itself)."""
+        interest = self._interest
         return {
             "entries": self.protocol.peek_entries(node),
-            "tracker": self._trackers.get(node),
+            "interest": None if interest is None else interest.snapshot(node),
         }
 
     def on_node_rejoined(
@@ -428,7 +424,7 @@ class DupScheme(PathCachingScheme):
         """Crash-restart return: reconcile the retained hard state.
 
         The rejoiner comes back holding its pre-crash subscriber list,
-        interest tracker, and cache.  The reconciliation handshake
+        interest state, and cache.  The reconciliation handshake
         re-validates every retained entry against the current tree and
         the live lease table (:meth:`DupMaintenance.node_rejoined`),
         excises what the auditor would flag, renews the leases of the
@@ -442,18 +438,17 @@ class DupScheme(PathCachingScheme):
         """
         sim = self.sim
         entries = tuple(snapshot["entries"]) if snapshot else ()
-        tracker = snapshot.get("tracker") if snapshot else None
         if suppressed:
             self.protocol.drop_node(node)
-            self._trackers.pop(node, None)
+            self._forget_interest(node)
             self._redirected.pop(node, None)
             if self._leases is not None:
                 self._leases.drop_holder(node)
             if node not in sim.tree:
                 self.maintenance.node_joined_leaf(parent, node)
             return
-        if tracker is not None:
-            self._trackers[node] = tracker
+        if snapshot:
+            self.interest().restore(node, snapshot.get("interest"))
         if node in entries and not self.is_interested(node):
             # Interest lapsed across the downtime: the self-subscription
             # does not survive reconciliation.
@@ -511,7 +506,7 @@ class DupScheme(PathCachingScheme):
             self.maintenance.promote_root(new_root)
         else:
             self.maintenance.root_failed(new_root)
-        self._trackers.pop(old_root, None)
+        self._forget_interest(old_root)
         self._redirected.pop(old_root, None)
         if self._leases is not None:
             self._leases.drop_holder(old_root)
@@ -656,20 +651,15 @@ class DupScheme(PathCachingScheme):
         return len({root, *(t for _, t in push_edges(self.protocol, root))})
 
     def threshold_bounds(self) -> Optional[tuple[int, int]]:
-        """(min, max) effective interest threshold across live trackers.
+        """(min, max) effective interest threshold across the nodes with
+        interest state.
 
         For the static window policy both bounds equal ``threshold_c``;
         under the adaptive policy they expose the spread the per-node
-        tuning produced.  ``None`` when no node has a tracker yet.
+        tuning produced.  ``None`` when no node has interest state yet.
         """
-        thresholds = [
-            tracker.threshold
-            for tracker in self._trackers.values()
-            if hasattr(tracker, "threshold")
-        ]
-        if not thresholds:
-            return None
-        return (min(thresholds), max(thresholds))
+        interest = self._interest
+        return None if interest is None else interest.threshold_bounds()
 
     def max_fanout(self) -> int:
         """Largest subscriber fanout over all nodes holding DUP state

@@ -11,8 +11,8 @@ literature applied to DUP's subscription decision.
 Everything else — subscriber lists, pushes, repair — is inherited
 unchanged; the scheme merely supplies ``AdaptivePlan()`` through the
 ``interest_policy_override`` attribute that
-:meth:`~repro.schemes.base.PathCachingScheme.tracker` hands to
-:func:`~repro.core.interest.interest_policy_factory`; a config whose
+:meth:`~repro.schemes.base.PathCachingScheme.interest` hands to
+:func:`~repro.core.interest.interest_table`; a config whose
 ``interest_policy`` is an ``AdaptivePlan`` of its own keeps it.  With
 ``floor == ceiling == threshold_c`` the run is bit-identical to plain
 ``dup`` (proven by ``tests/test_differential.py``).

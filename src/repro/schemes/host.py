@@ -26,7 +26,10 @@ class SchemeHost:
     ``parent(node)`` is the parent on the index search tree (``None`` at
     the root and, on a churned tree, for nodes outside it); ``alive(node)``
     is whether ``node`` is part of the overlay.  ``record_hops(hops,
-    issued_at)`` records an untraced completed query.
+    issued_at)`` records an untraced completed query; a subclass may
+    define it as a method instead of passing it.  ``send`` is the
+    transport's ``send``, passed in so that every key of a scale shard
+    shares one bound method (default: bound here).
     """
 
     #: Optional layers, absent here and read once, at bind time;
@@ -46,17 +49,20 @@ class SchemeHost:
         key: int,
         parent: Callable[[NodeId], Optional[NodeId]],
         alive: Callable[[NodeId], bool],
-        record_hops: Callable[[float, float], None],
+        record_hops: Optional[Callable[[float, float], None]] = None,
+        send: Optional[Callable[..., None]] = None,
     ):
         self.env = env
         self.config = config
         self.transport = transport
+        self.send = transport.send if send is None else send
         self.ledger = ledger
         self.tree = tree
         self.key = key
         self.parent = parent
         self.alive = alive
-        self.record_hops = record_hops
+        if record_hops is not None:
+            self.record_hops = record_hops
         #: Read per message or per query, so held by the instance: the
         #: reliable channel (``Simulation`` arms it), the tracer
         #: (``Simulation.enable_tracing``) and the key's authority

@@ -19,18 +19,17 @@ class SyncDupDriver:
     Control payloads are walked hop-by-hop toward the root immediately
     (no simulated latency), mirroring the engine's bundled-in-order
     semantics.  ``control_hops`` counts the charged hops so tests can
-    reason about maintenance cost.
+    reason about maintenance cost.  The driver is both the host and the
+    scheme its maintenance engine talks to.
     """
+
+    #: No flight recorder.
+    recorder = None
 
     def __init__(self, tree: SearchTree):
         self.tree = tree
         self.protocol = DupProtocol(is_root=lambda n: n == tree.root)
-        self.maintenance = DupMaintenance(
-            self.protocol,
-            tree,
-            emit=self._emit,
-            charge=self._charge,
-        )
+        self.maintenance = DupMaintenance(self.protocol, self, self)
         self.control_hops = 0
         self.interested: set[int] = set()
 
@@ -82,10 +81,10 @@ class SyncDupDriver:
         return len(push_edges(self.protocol, self.tree.root))
 
     # -- internals ----------------------------------------------------------
-    def _emit(self, from_node: int, payload: object) -> None:
+    def _emit_maintenance(self, from_node: int, payload: object) -> None:
         self._walk(from_node, [payload])
 
-    def _charge(self, hops: int) -> None:
+    def _charge_maintenance(self, hops: int) -> None:
         self.control_hops += hops
 
     def _walk(self, from_node: int, payloads: list) -> None:

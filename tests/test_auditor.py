@@ -32,7 +32,7 @@ def make_auditor(driver, confirm=1, clock=None):
         driver.protocol,
         driver.tree,
         clock=clock or (lambda: 0.0),
-        emit=driver._emit,
+        emit=driver._emit_maintenance,
         confirm_sweeps=confirm,
     )
 
@@ -192,7 +192,7 @@ class TestConfirmation:
         assert auditor.sweep() == []
         # The "in-flight" refresh lands between sweeps: the suspicion
         # must evaporate instead of triggering a repair.
-        driver._emit(3, RefreshSubscribe(3))
+        driver._emit_maintenance(3, RefreshSubscribe(3))
         assert auditor.sweep() == []
         assert auditor.total_violations == 0
         assert auditor.repairs == 0

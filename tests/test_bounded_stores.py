@@ -22,7 +22,9 @@ import repro.schemes.base as scheme_base
 from repro.core.interest import (
     AdaptiveInterestPolicy,
     AdaptivePlan,
+    PolicyTable,
     WindowInterestPolicy,
+    WindowInterestTable,
 )
 from repro.engine.config import SimulationConfig
 from repro.engine.simulation import Simulation
@@ -249,17 +251,17 @@ class TestAdaptiveRing:
 
 
 class TestTrackerConstruction:
-    """The interest-policy dispatch runs once per scheme, not per node."""
+    """The interest-table dispatch runs once per scheme, not per node."""
 
     def _run(self, monkeypatch, scheme, **config):
         calls = []
-        factory = scheme_base.interest_policy_factory
+        factory = scheme_base.interest_table
 
         def counted(*args):
             calls.append(args)
             return factory(*args)
 
-        monkeypatch.setattr(scheme_base, "interest_policy_factory", counted)
+        monkeypatch.setattr(scheme_base, "interest_table", counted)
         sim = Simulation(
             SimulationConfig(
                 scheme=scheme,
@@ -275,26 +277,25 @@ class TestTrackerConstruction:
 
     def test_one_dispatch_for_many_trackers(self, monkeypatch):
         scheme, calls = self._run(monkeypatch, "dup")
-        assert len(scheme._trackers) > 10
+        assert len(scheme.interest()) > 10
         assert len(calls) == 1
-        assert all(
-            type(tracker) is WindowInterestPolicy
-            for tracker in scheme._trackers.values()
-        )
+        assert type(scheme.interest()) is WindowInterestTable
 
     def test_the_scheme_override_still_wins(self, monkeypatch):
         scheme, calls = self._run(
             monkeypatch, "dup-adaptive", interest_policy="window"
         )
         assert [override for _, override in calls] == [AdaptivePlan()]
+        table = scheme.interest()
+        assert type(table) is PolicyTable and len(table) > 0
         assert all(
-            type(tracker) is AdaptiveInterestPolicy
-            for tracker in scheme._trackers.values()
+            type(table.snapshot(node)) is AdaptiveInterestPolicy
+            for node in table
         )
 
     def test_a_scheme_without_trackers_never_dispatches(self, monkeypatch):
         scheme, calls = self._run(monkeypatch, "pcx")
-        assert calls == [] and scheme._trackers == {}
+        assert calls == [] and scheme._interest is None
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ class TestBoundedSweep:
         # The earliest deadline is slot 1's, at 70 s: before it a sweep
         # returns without reading a copy, so a timer edited behind the
         # table's back is not seen.
-        cache.peek(6).stored_at = -100.0
+        cache._stored_at[6] = -100.0
         assert cache.sweep(69.0) == 0 and len(cache) == len(SLOTS)
         # At it, one scan evicts both and learns the next deadline (80 s).
         assert cache.sweep(70.0) == 2

@@ -1,5 +1,8 @@
 """Unit and metamorphic tests for the interest measurement policies."""
 
+import copy
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,9 @@ from repro.analysis.interest_model import predicted_dup_relative_push_cost
 from repro.core.interest import (
     AdaptiveInterestPolicy,
     EwmaInterestPolicy,
+    PolicyTable,
     WindowInterestPolicy,
+    WindowInterestTable,
 )
 from repro.errors import ConfigError
 
@@ -329,6 +334,99 @@ class TestArrive:
         assert [getattr(fused, n) for n in slots] == [
             getattr(split, n) for n in slots
         ]
+
+
+_table_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("arrive", "record", "probe", "forget", "snapshot", "restore")
+        ),
+        st.integers(0, 3),
+        st.integers(0, 40),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestInterestTables:
+    """A table decides exactly as one policy object per node would, on
+    every node, through forgets (a freed slot is reused) and crash-
+    restart snapshots."""
+
+    @pytest.mark.parametrize("threshold", [0, 1, 3])
+    @given(steps=_table_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_window_table_matches_one_policy_per_node(self, threshold, steps):
+        self._replay(
+            WindowInterestTable(16.0, threshold),
+            partial(WindowInterestPolicy, 16.0, threshold),
+            steps,
+        )
+
+    @given(steps=_table_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_policy_table_matches_one_policy_per_node(self, steps):
+        new = partial(AdaptiveInterestPolicy, 16.0, 0, 4, 1.0)
+        self._replay(PolicyTable(new), new, steps)
+
+    def test_a_reused_slot_starts_blank(self):
+        table = WindowInterestTable(16.0, 1)
+        assert not table.arrive(1, 0.0) and table.arrive(1, 1.0)
+        table.forget(1)
+        # Node 2 takes node 1's slot and none of its arrivals.
+        assert not table.arrive(2, 2.0)
+        assert not table.is_interested(1, 2.0)
+        assert list(table) == [2]
+
+    def test_snapshot_survives_a_forget(self):
+        table = WindowInterestTable(16.0, 2)
+        for t in (0.0, 1.0, 2.0, 3.0):  # the head has wrapped once
+            table.record(7, t)
+        saved = table.snapshot(7)
+        table.forget(7)
+        table.record(8, 4.0)  # node 8 now holds node 7's old slot
+        table.restore(7, saved)
+        twin = WindowInterestPolicy(16.0, 2)
+        for t in (0.0, 1.0, 2.0, 3.0):
+            twin.record(t)
+        # The oldest kept arrival (1.0) leaves the window between 17.0
+        # and 18.0: a ring restored with the wrong head reads 2.0 or 3.0.
+        for t in (17.5, 18.5, 30.0, 31.0):
+            assert table.arrive(7, t) == twin.arrive(t)
+        assert table.snapshot(9) is None
+
+    @staticmethod
+    def _replay(table, new, steps):
+        policies, saved, reference_saved = {}, {}, {}
+        t = 0.0
+        for op, node, gap in steps:
+            t += gap * 0.25
+            if op in ("arrive", "record"):
+                policy = policies.get(node)
+                if policy is None:
+                    policy = policies[node] = new()
+                if op == "arrive":
+                    assert table.arrive(node, t) == policy.arrive(t)
+                else:
+                    table.record(node, t)
+                    policy.record(t)
+            elif op == "forget":
+                table.forget(node)
+                policies.pop(node, None)
+            elif op == "snapshot":
+                saved[node] = copy.deepcopy(table.snapshot(node))
+                reference_saved[node] = copy.deepcopy(policies.get(node))
+            elif op == "restore" and node in saved:
+                table.restore(node, copy.deepcopy(saved[node]))
+                if reference_saved[node] is not None:
+                    policies[node] = copy.deepcopy(reference_saved[node])
+            for other in range(4):
+                policy = policies.get(other)
+                expected = policy is not None and policy.is_interested(t)
+                assert table.is_interested(other, t) == expected
+            assert list(table) == list(policies)
+            assert len(table) == len(policies)
 
 
 class TestEnvelopeHelper:

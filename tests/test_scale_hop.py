@@ -16,12 +16,15 @@ request hop ``LazyChordTree.parent`` called ``ChordRing.next_hop`` ->
 ``Environment.now`` property; per first arrival at a node
 ``_on_query_arrival`` created its tracker through ``tracker()``; and the
 sweep at the horizon read every resident copy's ``expires_at`` through
-a generator, evicting none.  The cut reads 17.55.
+a generator, evicting none.  The cut reads 17.55.  Flat interest and
+copy tables read 16.28: a store builds no ``CachedCopy``, and ``issue``
+reads the key's root and the clock without a property frame.
 """
 
 import gc
 import sys
 from collections import Counter
+from pathlib import Path
 
 from repro.engine import SimulationConfig
 from repro.engine.multikey import MultiKeyScaleSimulation
@@ -45,13 +48,20 @@ def _shard():
 
 
 def _profile_run(sim):
-    """Run ``sim``; return its result and ``(callee, caller)`` names of
-    every call."""
+    """Run ``sim``; return its result and ``(callee, caller, caller's
+    package)`` of every call."""
     calls = []
 
     def profiler(frame, event, arg):
         if event == "call":
-            calls.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+            caller = frame.f_back.f_code
+            calls.append(
+                (
+                    frame.f_code.co_name,
+                    caller.co_name,
+                    Path(caller.co_filename).parent.name,
+                )
+            )
 
     # A collection inside the window would count the callbacks other
     # libraries hang on the collector (hypothesis registers one), and a
@@ -95,18 +105,28 @@ def test_frames_per_scale_hop():
 def test_no_frame_left_on_the_cut_paths():
     sim = _shard()
     result, calls = _profile_run(sim)
-    callers = Counter(caller for _, caller in calls)
-    callees = Counter(callee for callee, _ in calls)
+    callers = Counter(caller for _, caller, _ in calls)
+    callees = Counter(callee for callee, _, _ in calls)
     # A parent is one frame that calls nothing, and every call counts.
     assert result.extras["parents_touched"] == callees["parent"] > 0
     assert callers["parent"] == 0
     # The warm-up gate reads the clock without a Python frame.
     assert callers["charge"] == 0
-    # Only each scheme's first tracker goes through ``tracker()``.
+    # Only each scheme's first arrival resolves its interest table
+    # through ``interest()``; the table files every node in place.
     first = Counter(
-        callee for callee, caller in calls if caller == "_on_query_arrival"
+        callee for callee, caller, _ in calls if caller == "_on_query_arrival"
     )
-    assert first["tracker"] <= sim.num_keys
+    assert first["interest"] <= sim.num_keys
+    # Issuing a query reads the key's root and the clock without a
+    # property frame, and no scheme reads the clock through one.
+    issued = Counter(
+        callee for callee, caller, _ in calls if caller == "issue"
+    )
+    assert issued["root"] == issued["now"] == 0
+    assert not [
+        call for call in calls if call[0] == "now" and call[2] == "schemes"
+    ]
     # The horizon's sweep evicts nothing and reads no copy's deadline.
     assert result.extras["swept_entries"] == 0
     assert callees["expires_at"] == callers["sweep"] == 0

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.interest import interest_policy_factory
 from repro.engine import Simulation, SimulationConfig
 from repro.index.entry import IndexVersion
 from repro.net.faults import FaultPlan
@@ -488,10 +487,9 @@ def _apply(sim, handle_push, step):
             ]
     elif kind == "query":
         for _ in range(2):  # threshold_c=1: two arrivals are interest
-            scheme.tracker(node).record(sim.env.now)
+            scheme.interest().record(node, sim.env.now)
     elif kind == "lapse":
-        if node in scheme._trackers:
-            scheme._trackers[node] = interest_policy_factory(sim.config)()
+        scheme.interest().forget(node)
     elif kind == "depart" and node != sim.tree.root:
         sim.tree.splice_out(node)  # lists still name it: a dead target
     elif kind == "push":
@@ -529,8 +527,10 @@ class TestFusedPushHandler:
             assert list(fused.scheme.protocol._lists) == list(
                 oracle.scheme.protocol._lists
             )
-            assert list(fused.scheme._trackers) == list(
-                oracle.scheme._trackers
+            # The interest table's slot order stands in for the order
+            # per-node trackers were once created in.
+            assert list(fused.scheme.interest()) == list(
+                oracle.scheme.interest()
             )
             for node in fused.scheme.protocol._lists:
                 assert (
