@@ -75,8 +75,12 @@ census:
 perf-smoke:
 	$(PY) scripts/perf_smoke.py
 
+# figure4 at quick scale under cProfile, serially (the profiler sees
+# only its own process); prof.bin keeps the raw profile for pstats or
+# snakeviz, and the 20 functions of largest cumulative time are printed.
 profile:
-	$(PY) -m repro.cli profile figure4 --top 20
+	$(PY) -m cProfile -o prof.bin -m repro.cli run figure4 --scale quick --replications 1 --workers 1
+	$(PY) -c "import pstats; pstats.Stats('prof.bin').strip_dirs().sort_stats('cumulative').print_stats(20)"
 
 clean:
 	sh scripts/clean.sh

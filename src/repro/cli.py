@@ -7,11 +7,10 @@ Subcommands:
   ablation) and print the rows plus the shape checks; ``--record DIR``
   also writes them to ``DIR/<id>.txt`` and ``DIR/BENCH_<id>.json``.
 - ``repro-dup simulate`` — one ad-hoc simulation with explicit
-  parameters, printing the metrics report (``--trace-out`` /
-  ``--metrics-out`` export JSONL traces and result snapshots).
-- ``repro-dup observe`` — an instrumented run: per-query tracing plus
-  periodic metric snapshots, exported as JSONL, with a tail-latency and
-  hop-attribution summary printed at the end.
+  parameters, printing the metrics report.  ``--trace-out`` exports
+  JSONL per-query traces and prints a tail-latency and hop-attribution
+  summary with the five slowest traces; ``--metrics-out`` exports
+  periodic result snapshots.
 - ``repro-dup trace`` — synthesize a reusable query trace, or replay a
   saved one against a scheme.
 - ``repro-dup chaos`` — replay a named chaos scenario (partitions,
@@ -21,9 +20,12 @@ Subcommands:
   ``run --telemetry-out``) as a one-screen progress dashboard.
   ``simulate`` and ``chaos`` take ``--flight-out`` (protocol flight
   recorder dump) and ``--telemetry-out`` (tree-evolution timeline).
-- ``repro-dup profile`` — run an experiment under :mod:`cProfile`
-  (serial, ``workers=1``) and print the hottest functions; the raw
-  profile can be dumped for ``snakeviz``/``pstats`` with ``--out``.
+
+To profile an experiment, run the module under :mod:`cProfile` with
+``--workers 1`` (the profiler sees only its own process), then read the
+dump with :mod:`pstats` (``make profile`` prints the top 20)::
+
+    python -m cProfile -o prof.bin -m repro.cli run figure4 --workers 1
 
 Examples
 --------
@@ -32,13 +34,10 @@ Examples
     repro-dup list
     repro-dup run figure4 --scale bench --replications 2
     repro-dup run churn --scale quick --replications 1 --record results/
-    repro-dup profile figure4 --top 20
-    repro-dup profile table2 --scale quick --sort tottime --out prof.bin
     repro-dup run table3 --scale paper          # hours, full fidelity
     repro-dup run partition --scale smoke --replications 1
     repro-dup simulate --scheme dup --nodes 2048 --rate 10 --duration 36000
-    repro-dup simulate --scheme dup --trace-out traces.jsonl
-    repro-dup observe --scheme dup --nodes 512 --duration 14400
+    repro-dup simulate --scheme dup --nodes 512 --trace-out traces.jsonl
     repro-dup trace make workload.trace --nodes 512 --rate 5
     repro-dup trace replay workload.trace --scheme dup --nodes 512
     repro-dup chaos --list
@@ -53,7 +52,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.engine import SimulationConfig, run_simulation
+from repro.engine import SimulationConfig
 from repro.core.interest import AdaptivePlan
 from repro.engine.config import INTEREST_POLICIES, TOPOLOGIES
 from repro.errors import ConfigError
@@ -483,7 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--trace-out",
         metavar="PATH",
-        help="enable per-query tracing and export JSONL traces to PATH",
+        help=(
+            "enable per-query tracing, export JSONL traces to PATH and "
+            "print a tail-latency summary with the slowest traces"
+        ),
     )
     sim_parser.add_argument(
         "--metrics-out",
@@ -501,54 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nodes=1024,
         duration=3600.0 * 6,
         warmup=3600.0 * 2,
-    )
-
-    observe_parser = subparsers.add_parser(
-        "observe",
-        help="run one fully instrumented simulation",
-        description=(
-            "Run one fully instrumented simulation and write both exports: "
-            "per-query traces (--trace-out) and periodic result snapshots "
-            "(--metrics-out), each as JSONL."
-        ),
-    )
-    _add_flags(
-        observe_parser,
-        ("--scheme", "--nodes", "--degree", "--rate", "--theta",
-         "--threshold", "--ttl", "--duration", "--warmup", "--topology",
-         "--seed"),
-        described=False,
-    )
-    observe_parser.add_argument(
-        "--trace-out",
-        default="traces.jsonl",
-        metavar="PATH",
-        help="JSONL file the traces are written to (default: traces.jsonl)",
-    )
-    observe_parser.add_argument(
-        "--metrics-out",
-        default="metrics.jsonl",
-        metavar="PATH",
-        help=(
-            "JSONL file the result snapshots are written to "
-            "(default: metrics.jsonl)"
-        ),
-    )
-    observe_parser.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=600.0,
-        help="simulated seconds between snapshots (default: 600)",
-    )
-    observe_parser.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="slowest traces to print (default: 5)",
-    )
-    _add_groups(observe_parser, "resilience")
-    observe_parser.set_defaults(
-        handler=_command_observe, nodes=512, duration=3600.0 * 4
     )
 
     trace_parser = subparsers.add_parser(
@@ -614,59 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top_parser.set_defaults(handler=_command_top)
 
-    profile_parser = subparsers.add_parser(
-        "profile", help="profile an experiment run under cProfile"
-    )
-    profile_parser.add_argument(
-        "experiment",
-        help=f"one of: {', '.join(list_experiments())}",
-    )
-    profile_parser.add_argument(
-        "--scale",
-        default="quick",
-        choices=("smoke", "quick", "bench", "paper"),
-        help="parameter scale (default: quick)",
-    )
-    profile_parser.add_argument(
-        "--replications",
-        type=_positive_int,
-        default=1,
-        help="seeds per data point",
-    )
-    profile_parser.add_argument(
-        "--seed", help="root seed", **_field_kwargs("seed")
-    )
-    profile_parser.add_argument(
-        "--top",
-        type=int,
-        default=20,
-        help="number of functions to print (default: 20)",
-    )
-    profile_parser.add_argument(
-        "--sort",
-        default="cumulative",
-        choices=("cumulative", "tottime", "calls"),
-        help="pstats sort key (default: cumulative)",
-    )
-    profile_parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="also dump the raw profile (pstats format) to PATH",
-    )
-    profile_parser.add_argument(
-        "--nodes",
-        type=int,
-        help=(
-            "override the population size (scale experiment only; "
-            "e.g. --nodes 100000 for the 10^5-node tier)"
-        ),
-    )
-    profile_parser.add_argument(
-        "--keys",
-        type=int,
-        help="override the key count (scale experiment only)",
-    )
-    profile_parser.set_defaults(handler=_command_profile)
     # A ConfigError in a subcommand is reported as its usage error.
     for subparser in subparsers.choices.values():
         subparser.set_defaults(parser=subparser)
@@ -777,9 +678,9 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _instrumented_run(
     config,
-    trace_out,
-    metrics_out,
     snapshot_interval,
+    trace_out=None,
+    metrics_out=None,
     flight_out=None,
     telemetry_out=None,
 ):
@@ -790,7 +691,8 @@ def _instrumented_run(
     recorder as JSONL after the run.  ``metrics_out`` (result
     snapshots) and ``telemetry_out`` (the tree-evolution timeline) are
     both sampled every ``snapshot_interval`` simulated seconds by the
-    run's one monitor, and every retained sample is exported.
+    run's one monitor, and every retained sample is exported.  With no
+    output requested this is exactly ``Simulation(config).run()``.
     """
     from repro.engine.simulation import Simulation
     from repro.metrics.export import (
@@ -831,58 +733,45 @@ def _instrumented_run(
     return result, tracer
 
 
+#: How many of the slowest traces ``simulate --trace-out`` prints; the
+#: JSONL file holds every trace.
+_SLOWEST_TRACES = 5
+
+
 def _command_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     print(f"config: {config.describe()}")
-    if (
-        args.trace_out
-        or args.metrics_out
-        or args.flight_out
-        or args.telemetry_out
-    ):
-        result, _ = _instrumented_run(
-            config,
-            args.trace_out,
-            args.metrics_out,
-            args.snapshot_interval,
-            flight_out=args.flight_out,
-            telemetry_out=args.telemetry_out,
-        )
-    else:
-        result = run_simulation(config)
+    result, tracer = _instrumented_run(
+        config,
+        args.snapshot_interval,
+        trace_out=args.trace_out,
+        metrics_out=args.metrics_out,
+        flight_out=args.flight_out,
+        telemetry_out=args.telemetry_out,
+    )
     print(result)
     if result.extras:
         print(f"extras: {dict(result.extras)}")
-    print(f"wall: {result.wall_seconds:.1f}s")
-    return 0
-
-
-def _command_observe(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    print(f"config: {config.describe()}")
-    result, tracer = _instrumented_run(
-        config, args.trace_out, args.metrics_out, args.snapshot_interval
-    )
-    print(result)
-    summary = tracer.summary()
-    print(
-        f"traces: {summary['completed']} complete, "
-        f"{summary['incomplete']} incomplete, {summary['open']} open "
-        f"({tracer.untraced} in warm-up)"
-    )
-    tails = " ".join(
-        f"{name}={value:g}" for name, value in tracer.percentiles().items()
-    )
-    print(f"latency percentiles (hops): {tails}")
-    levels = tracer.hops_by_level()
-    if levels:
-        rendered = " ".join(
-            f"L{level}:{hops}" for level, hops in levels.items()
+    if tracer is not None:
+        summary = tracer.summary()
+        print(
+            f"traces: {summary['completed']} complete, "
+            f"{summary['incomplete']} incomplete, {summary['open']} open "
+            f"({tracer.untraced} in warm-up)"
         )
-        print(f"request hops by tree level: {rendered}")
-    if args.top > 0:
-        for trace in tracer.slowest(args.top):
+        tails = " ".join(
+            f"{name}={value:g}" for name, value in tracer.percentiles().items()
+        )
+        print(f"latency percentiles (hops): {tails}")
+        levels = tracer.hops_by_level()
+        if levels:
+            rendered = " ".join(
+                f"L{level}:{hops}" for level, hops in levels.items()
+            )
+            print(f"request hops by tree level: {rendered}")
+        for trace in tracer.slowest(_SLOWEST_TRACES):
             print(f"  {trace}")
+    print(f"wall: {result.wall_seconds:.1f}s")
     return 0
 
 
@@ -939,17 +828,12 @@ def _command_chaos(args: argparse.Namespace) -> int:
     config = scenario.apply(_config_from_args(args))
     print(f"scenario: {scenario.name} -- {scenario.description}")
     print(f"config: {config.describe()}")
-    if args.flight_out or args.telemetry_out:
-        result, _ = _instrumented_run(
-            config,
-            None,
-            None,
-            args.snapshot_interval,
-            flight_out=args.flight_out,
-            telemetry_out=args.telemetry_out,
-        )
-    else:
-        result = run_simulation(config)
+    result, _ = _instrumented_run(
+        config,
+        args.snapshot_interval,
+        flight_out=args.flight_out,
+        telemetry_out=args.telemetry_out,
+    )
     print(result)
     if result.extras:
         layers = ("audit", "failover", "partition", "partitions",
@@ -973,61 +857,6 @@ def _command_top(args: argparse.Namespace) -> int:
     from repro.metrics.export import read_jsonl
 
     print(render_top(read_jsonl(args.path), tail=args.tail))
-    return 0
-
-
-def _command_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    runner = get_experiment(args.experiment)
-    kwargs: dict = {}
-    nodes = getattr(args, "nodes", None)
-    keys = getattr(args, "keys", None)
-    if nodes is not None or keys is not None:
-        if args.experiment != "scale":
-            print(
-                "--nodes/--keys only apply to the 'scale' experiment",
-                file=sys.stderr,
-            )
-            return 2
-        # A single explicit grid point; unset knobs fall back to the
-        # scale preset's largest grid entry.
-        from repro.experiments.scale_study import GRIDS
-
-        default_nodes, default_keys = GRIDS.get(
-            args.scale, GRIDS["bench"]
-        )[-1]
-        kwargs["grid"] = (
-            (nodes or default_nodes, keys or default_keys),
-        )
-    # Profiling fans out to nothing: the serial path is the one whose
-    # per-event costs the profile is meant to expose, and cProfile only
-    # sees the current process anyway.
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        outcome = runner(
-            scale=args.scale,
-            replications=args.replications,
-            seed=args.seed,
-            workers=1,
-            **kwargs,
-        )
-    finally:
-        profiler.disable()
-    results = outcome if isinstance(outcome, list) else [outcome]
-    for result in results:
-        print(
-            f"{result.experiment_id}: {len(result.rows)} rows, "
-            f"shapes hold: {result.all_shapes_hold}"
-        )
-    print()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    if args.out:
-        stats.dump_stats(args.out)
-        print(f"wrote raw profile data to {args.out}")
     return 0
 
 

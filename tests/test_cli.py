@@ -199,8 +199,7 @@ class TestTrace:
 # dataclasses; every flag, group, metavar and help text must survive any
 # change to how the parser is built.
 
-COMMANDS = ("", "list", "run", "simulate", "observe", "trace", "chaos",
-            "top", "profile")
+COMMANDS = ("", "list", "run", "simulate", "trace", "chaos", "top")
 
 
 def help_digests() -> dict:
@@ -315,12 +314,12 @@ NEEDS = {
 CORE = ["--scheme", "--nodes", "--degree", "--rate", "--theta",
         "--threshold", "--ttl", "--duration", "--warmup", "--topology",
         "--seed"]
-RESILIENCE = ["--loss-rate", "--duplicate-rate", "--silent-failures",
-              "--retry-budget", "--ack-timeout", "--retry-timeout-cap",
-              "--lease-ttl", "--partition-at", "--partition-duration",
-              "--partition-components", "--standbys", "--failover-timeout",
-              "--authority-crash-at", "--audit-interval"]
-LAYERS = RESILIENCE + [
+LAYERS = [
+    "--loss-rate", "--duplicate-rate", "--silent-failures",
+    "--retry-budget", "--ack-timeout", "--retry-timeout-cap",
+    "--lease-ttl", "--partition-at", "--partition-duration",
+    "--partition-components", "--standbys", "--failover-timeout",
+    "--authority-crash-at", "--audit-interval",
     "--service-rate", "--inbox-capacity", "--max-subscribers",
     "--breaker-threshold", "--breaker-cooldown", "--coalesce-gap",
     "--storm", "--storm-start", "--storm-duration", "--storm-rate",
@@ -335,16 +334,13 @@ LAYERS = RESILIENCE + [
 
 #: Flags that belong together, each set at once: the resilience gates
 #: with their flags, then the other layers.
-RESILIENCE_COMBOS = {
+COMBOS = {
     "faults": "--loss-rate 0.05 --duplicate-rate 0.02 --silent-failures",
     "retry": "--retry-budget 3 --ack-timeout 5 --retry-timeout-cap 20",
     "failover": "--standbys 2 --failover-timeout 60 "
     "--authority-crash-at 2500",
     "partition": "--partition-at 2000 --partition-duration 500 "
     "--partition-components 3",
-}
-COMBOS = {
-    **RESILIENCE_COMBOS,
     "overload": "--service-rate 2 --inbox-capacity 8 --max-subscribers 3 "
     "--breaker-threshold 3 --breaker-cooldown 30 --coalesce-gap 30",
     "storm placed": "--storm update-storm --storm-start 2000 "
@@ -394,7 +390,6 @@ SUBCOMMANDS = {
         {**COMBOS, "pareto": "--arrival pareto --pareto-alpha 1.2"},
         DORMANT,
     ),
-    "observe": (["observe"], CORE + RESILIENCE, RESILIENCE_COMBOS, DORMANT),
     "chaos": (
         ["chaos", "calm"], CORE + ["--push-lead"] + LAYERS, COMBOS, DORMANT
     ),
@@ -468,7 +463,7 @@ def config_digests(tmp_path_factory) -> dict:
 #: maps to the field and the value it must carry.
 REPINNED = {
     f"{name} --ack-timeout": ("ack_timeout", 5.0)
-    for name in ("simulate", "observe", "chaos")
+    for name in ("simulate", "chaos")
 }
 
 
@@ -562,7 +557,8 @@ class TestUsageErrors:
              "--warmup", "100", "--seed", "-1"],
             ["run", "churn", "--scale", "smoke", "--replications", "1",
              "--seed", "-1"],
-            ["profile", "churn", "--scale", "smoke", "--seed", "-1"],
+            ["chaos", "calm", "--nodes", "64", "--duration", "1000",
+             "--warmup", "100", "--seed", "-1"],
             ["trace", "make", "unused.trace", "--seed", "-1"],
         ],
     )
@@ -578,7 +574,7 @@ class TestUsageErrors:
             f"repro-dup {argv[0]}: error: seed must be >= 0, got -1\n"
         )
 
-    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_replications_below_one_is_a_usage_error(
         self, command, count, capsys

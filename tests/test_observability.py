@@ -298,13 +298,13 @@ class TestTraceExportAcceptance:
         assert snapshots == sorted(timeline) == [500.0, 1000.0, 1500.0, 2000.0]
 
 
-class TestObserveCommand:
-    def test_observe_runs_and_exports(self, tmp_path, capsys):
+class TestSimulateTraceSummary:
+    def test_trace_out_prints_the_summary_and_exports(self, tmp_path, capsys):
         trace_path = tmp_path / "traces.jsonl"
         metrics_path = tmp_path / "metrics.jsonl"
         code = main(
             [
-                "observe",
+                "simulate",
                 "--scheme",
                 "dup",
                 "--nodes",
@@ -319,8 +319,6 @@ class TestObserveCommand:
                 str(trace_path),
                 "--metrics-out",
                 str(metrics_path),
-                "--top",
-                "2",
             ]
         )
         assert code == 0
@@ -329,3 +327,22 @@ class TestObserveCommand:
         assert "traces:" in out
         assert "trace#" in out
         assert trace_path.exists() and metrics_path.exists()
+
+    def test_exports_leave_the_result_line_unchanged(self, tmp_path, capsys):
+        argv = ["simulate", "--scheme", "dup", "--nodes", "64", "--rate", "2",
+                "--duration", "4000", "--warmup", "500", "--churn-rate",
+                "0.01", "--seed", "3"]
+        exports = [
+            f"--{name}-out={tmp_path / name}.jsonl"
+            for name in ("trace", "metrics", "flight", "telemetry")
+        ]
+        reports = []
+        for extra in ([], exports):
+            assert main(argv + extra) == 0
+            reports.append([
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("[dup]", "extras:"))
+            ])
+        plain, observed = reports
+        assert len(plain) == 2
+        assert observed == plain
