@@ -62,9 +62,11 @@ paper-cell:
 
 # Python frames per hit, per miss hop, per push and per scale hop, read
 # off the four tier-1 frame fences' fixtures (counts, not clocks).
-# make frames
+# WORKLOAD=NAME prints instead the frames per issued query of one run of
+# that ledger workload (seed 1, the ledger's horizon), by function.
+# make frames [WORKLOAD=update-storm]
 frames:
-	$(PY) scripts/frames.py
+	$(PY) scripts/frames.py $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # One row per src/ module: lines, importers by area, and whether the
 # ledger warm-up loads it; rewrites the table in docs/architecture.md

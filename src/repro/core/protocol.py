@@ -106,6 +106,20 @@ class DupProtocol:
             self._lists[node] = s_list
         return s_list
 
+    def members(self, node: NodeId) -> list[NodeId]:
+        """The node's subscriber list's members: the list the
+        :class:`SubscriberList` itself holds, live and in order (the list
+        is created empty on first access, as :meth:`s_list` does).
+
+        For the push path, which tests membership and length and fans
+        out over it without a method call per read; edit the members
+        through :meth:`step` and the other transitions only.
+        """
+        s_list = self._lists.get(node)
+        if s_list is None:
+            s_list = self._lists[node] = SubscriberList()
+        return s_list._items
+
     def is_subscribed(self, node: NodeId) -> bool:
         """Whether ``node`` is in its own subscriber list (Figure 3 (A)).
 

@@ -37,20 +37,26 @@ class CostLedger:
         self._warmup = float(warmup)
         self._hops: dict[Category, int] = {cat: 0 for cat in Category}
         self._warmup_hops: dict[Category, int] = {cat: 0 for cat in Category}
-        # Latched once the clock passes the warm-up: simulation time only
-        # moves forward, so later charges skip the clock call entirely.
-        self._warm = self._warmup <= 0.0
+        #: The post-warm-up counters, published once the clock has passed
+        #: the warm-up (``None`` until then): simulation time only moves
+        #: forward, so later charges skip the clock call entirely, and a
+        #: sender on the hot path (the transport) may add a non-negative
+        #: hop count to it in place of calling :meth:`charge`.
+        self.measured: "dict[Category, int] | None" = (
+            self._hops if self._warmup <= 0.0 else None
+        )
 
     def charge(self, category: Category, hops: int = 1) -> None:
         """Add ``hops`` to ``category`` (warm-up hops kept separate)."""
         if hops < 0:
             raise ValueError(f"hops must be non-negative, got {hops}")
-        if self._warm:
-            self._hops[category] += hops
+        measured = self.measured
+        if measured is not None:
+            measured[category] += hops
         elif self._clock() < self._warmup:
             self._warmup_hops[category] += hops
         else:
-            self._warm = True
+            self.measured = self._hops
             self._hops[category] += hops
 
     def hops(self, category: Category) -> int:

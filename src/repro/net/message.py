@@ -207,7 +207,7 @@ class Message:
         return self
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class QueryMessage(Message):
     """An index request travelling up the search tree.
 
@@ -216,10 +216,15 @@ class QueryMessage(Message):
     origin:
         The node that issued the query.
     path:
-        Nodes visited so far, origin first; the reply retraces it.
+        Nodes visited so far, origin first; the reply retraces it (an
+        empty or omitted path starts as ``[origin]``).
     control:
         Piggybacked control payloads (the paper's interest bit) processed
         at every hop free of charge.
+
+    The constructor is written out, as :class:`PushMessage`'s is: every
+    miss builds one, and the generated ``__init__`` + ``__post_init__``
+    pair costs a second frame.
     """
 
     TYPE_ID = 0
@@ -229,10 +234,23 @@ class QueryMessage(Message):
     path: list[NodeId] = field(default_factory=list)
     control: list[ControlPayload] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        key: int,
+        origin: NodeId,
+        issued_at: float = 0.0,
+        path: Optional[list[NodeId]] = None,
+        control: Optional[list[ControlPayload]] = None,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        self.key = key
         self.category = Category.QUERY
-        if not self.path:
-            self.path = [self.origin]
+        self.trace_id = trace_id
+        self.reliable_id = None
+        self.origin = origin
+        self.issued_at = issued_at
+        self.path = path if path else [origin]
+        self.control = [] if control is None else control
 
     @property
     def hops(self) -> int:
@@ -240,12 +258,14 @@ class QueryMessage(Message):
         return len(self.path) - 1
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class ReplyMessage(Message):
     """An index reply retracing the query path back to the origin.
 
     ``path`` is the query's recorded path (origin first); ``position``
-    indexes the node the reply currently sits at.
+    indexes the node the reply currently sits at.  The constructor is
+    written out, as :class:`QueryMessage`'s is: every served query builds
+    one.
     """
 
     TYPE_ID = 1
@@ -256,8 +276,25 @@ class ReplyMessage(Message):
     request_hops: int
     issued_at: float = 0.0
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        key: int,
+        version: "object",
+        path: list[NodeId],
+        position: int,
+        request_hops: int,
+        issued_at: float = 0.0,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        self.key = key
         self.category = Category.REPLY
+        self.trace_id = trace_id
+        self.reliable_id = None
+        self.version = version
+        self.path = path
+        self.position = position
+        self.request_hops = request_hops
+        self.issued_at = issued_at
 
     @property
     def destination(self) -> NodeId:

@@ -18,9 +18,9 @@ Each hop:
 
 Observability taps into the transport through **observers**: any number
 of callables registered with :meth:`Transport.add_observer` receive a
-:class:`TransportEvent` for every send, delivery, and drop.  The
-message log and the trace collector are both built on this tap, so they
-stack freely and never touch the delivery handler.
+:class:`TransportEvent` for every send, delivery, and drop.  The trace
+collector is built on this tap; observers stack freely and never touch
+the delivery handler.
 
 An optional :class:`~repro.net.faults.FaultInjector` sits between send
 and delivery: it may lose a transmission outright (the hop stays
@@ -225,18 +225,25 @@ class Transport:
         """
         if self._handler is None:
             raise RuntimeError("transport used before bind()")
-        if not free:
-            self._ledger.charge(message.category, hops)
         injector = self._injector
         if injector is None and not self._observers:
             # Fast branch: no injector and no observers attached — the
             # hop is charge + latency + delayed delivery, nothing else.
-            # The latency is taken at the same point of the sequence as
-            # in the instrumented path, so runs stay bit-identical.
-            # defer() pushes one flat heap record per delivery: no
-            # Timeout, no callbacks list, and the record holds the bound
-            # handler itself (no ``_deliver`` frame: it would find no
-            # injector and no observer to consult).
+            # Once the ledger has published its post-warm-up counters the
+            # hop is added to them here; before that (and for a negative
+            # count, which ``charge`` refuses) the ledger decides.  The
+            # latency is taken at the same point of the sequence as in
+            # the instrumented path, so runs stay bit-identical.  defer()
+            # pushes one flat heap record per delivery: no Timeout, no
+            # callbacks list, and the record holds the bound handler
+            # itself (no ``_deliver`` frame: it would find no injector
+            # and no observer to consult).
+            if not free:
+                measured = self._ledger.measured
+                if measured is None or hops < 0:
+                    self._ledger.charge(message.category, hops)
+                else:
+                    measured[message.category] += hops
             delays = self._delays
             self._env.defer(
                 delays.pop() if delays else self._next_delay(),
@@ -245,9 +252,10 @@ class Transport:
                 message,
             )
             return
-        if self._observers or injector is not None:
-            if sender is None:
-                sender = _derive_sender(message)
+        if not free:
+            self._ledger.charge(message.category, hops)
+        if sender is None:
+            sender = _derive_sender(message)
         if self._observers:
             self._notify(
                 TransportEvent(

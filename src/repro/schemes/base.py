@@ -191,7 +191,8 @@ class PathCachingScheme(Scheme):
 
     :meth:`bind` skips the two payload hooks when a class does not
     override them, and an unoverridden lookup or store goes straight to
-    the host.
+    the host's copy table (a lookup at the root asks the host, whose
+    authority answers there).
 
     Message dispatch indexes :attr:`_handlers`, one tuple of plain
     functions per class (``handler(scheme, node, message)``), built when
@@ -252,8 +253,8 @@ class PathCachingScheme(Scheme):
         self._send = sim.send
         # A hook the class does not override is skipped outright (the
         # query paths test for ``None``), and an unoverridden lookup or
-        # store goes straight to the host (``NoCacheScheme`` overrides
-        # both).
+        # store goes straight to the host's copy table (``NoCacheScheme``
+        # overrides both).
         cls = type(self)
         if cls._on_query_arrival is PathCachingScheme._on_query_arrival:
             self._on_query_arrival = None
@@ -300,7 +301,8 @@ class PathCachingScheme(Scheme):
 
     def _lookup(self, node: NodeId):
         """Where this scheme looks for a valid index copy at ``node``
-        (unless overridden, the query paths ask the host directly)."""
+        (unless overridden, the query paths read the host's copy table
+        directly below the root, and ask the host at the root)."""
         return self.sim.lookup(node)
 
     def _on_local_miss(self, node: NodeId) -> list[object]:
@@ -316,7 +318,12 @@ class PathCachingScheme(Scheme):
         self._carrier_trace = trace_id
         arrival = self._on_query_arrival
         payloads = None if arrival is None else arrival(node, None)
-        version = sim.lookup(node) if self._host_lookup else self._lookup(node)
+        if not self._host_lookup:
+            version = self._lookup(node)
+        elif node == sim.tree._root:
+            version = sim.lookup(node)
+        else:
+            version = sim.copies.get(node, issued_at)
         if version is not None:
             # An untraced hit goes straight to the recorder; a traced one
             # takes the facade, which also closes the trace.
@@ -332,9 +339,8 @@ class PathCachingScheme(Scheme):
             self._carrier_trace = None
             return
         message = QueryMessage(
-            key=sim.key, origin=node, issued_at=issued_at
+            key=sim.key, origin=node, issued_at=issued_at, trace_id=trace_id
         )
-        message.trace_id = trace_id
         local_miss = self._on_local_miss
         if local_miss is not None:
             if payloads is None:
@@ -374,10 +380,13 @@ class PathCachingScheme(Scheme):
                         node, own_payloads, trace_id=message.trace_id
                     )
             message.path.append(node)
-            if self._host_lookup:
-                version = self.sim.lookup(node)
-            else:
+            sim = self.sim
+            if not self._host_lookup:
                 version = self._lookup(node)
+            elif node == sim.tree._root:
+                version = sim.lookup(node)
+            else:
+                version = sim.copies.get(node, self._env._now)
             if version is not None:
                 # Served here: hard-state leftovers continue explicitly,
                 # soft-state ones die with the packet.
@@ -400,7 +409,7 @@ class PathCachingScheme(Scheme):
                     self._send_control(
                         node, leftovers, trace_id=message.trace_id
                     )
-                self._serve(node, message, self.sim.authority.current)
+                self._serve(node, message, sim.authority.current)
                 return
             self._send(parent, message, sender=node)
         finally:
@@ -410,25 +419,32 @@ class PathCachingScheme(Scheme):
         self, node: NodeId, message: QueryMessage, version: IndexVersion
     ) -> None:
         sim = self.sim
-        position = len(message.path) - 1
+        path = message.path
+        position = len(path) - 1
         reply = ReplyMessage(
             key=sim.key,
             version=version,
-            path=message.path,
+            path=path,
             position=position,
             request_hops=position,
             issued_at=message.issued_at,
+            trace_id=message.trace_id,
         )
-        reply.trace_id = message.trace_id
         if sim.tracer is not None:
             sim.trace_annotate(
                 message.trace_id, node, "serve", f"version={version.version}"
             )
-        self._forward_reply(reply)
+        # The first hop down the path, inline as in :meth:`_handle_reply`.
+        next_node = path[position - 1]
+        if self._alive(next_node):
+            reply.position = position - 1
+            self._send(next_node, reply, sender=path[position])
+        else:
+            self._forward_reply(reply)
 
     def _handle_reply(self, node: NodeId, reply: ReplyMessage) -> None:
         if self._host_store:
-            self.sim.store(node, reply.version)
+            self.sim.copies.put(reply.version, self._env._now, node)
         else:
             self._store_reply(node, reply.version)
         position = reply.position
@@ -455,10 +471,10 @@ class PathCachingScheme(Scheme):
     def _store_reply(self, node: NodeId, version: IndexVersion) -> None:
         """Path caching: cache the reply at every hop (PCX behaviour).
 
-        Unless a subclass overrides it, the reply path calls the host's
-        own ``store`` in its place.
+        Unless a subclass overrides it, the reply path stores into the
+        host's copy table in its place.
         """
-        self.sim.store(node, version)
+        self.sim.copies.put(version, self._env._now, node)
 
     def _forward_reply(self, reply: ReplyMessage) -> None:
         alive = self._alive

@@ -149,7 +149,7 @@ class CupScheme(PathCachingScheme):
         self._push_registered(self.sim.tree.root, version)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
-        self.sim.store(node, message.version)
+        self.sim.copies.put(message.version, self._env._now, node)
         self._push_registered(
             node, message.version, trace_id=message.trace_id
         )

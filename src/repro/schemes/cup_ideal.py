@@ -99,7 +99,7 @@ class CupIdealScheme(PathCachingScheme):
         self._push_to_children(self.sim.tree.root, version)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
-        self.sim.store(node, message.version)
+        self.sim.copies.put(message.version, self._env._now, node)
         if not self.wants_updates(node):
             # Lazy de-registration: this push was wasted on us.
             self._registered_up.discard(node)

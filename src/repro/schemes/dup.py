@@ -80,8 +80,9 @@ class DupScheme(PathCachingScheme):
         # (failover moves it in place; the tree object is never replaced).
         self._tree = sim.tree
         self._recorder = sim.recorder
-        # An unoverridden push store goes straight to the host, as an
-        # unoverridden reply store does (``dup-invalidate`` overrides).
+        # An unoverridden push store goes straight to the host's copy
+        # table, as an unoverridden reply store does (``dup-invalidate``
+        # overrides).
         self._host_store_push = type(self)._store_push is DupScheme._store_push
         if self.overload is not None:
             self._max_subscribers = self.overload.plan.max_subscribers
@@ -328,20 +329,21 @@ class DupScheme(PathCachingScheme):
     # -- pushes ---------------------------------------------------------------
     def on_new_version(self, version) -> None:
         root = self.sim.tree.root
-        self._fan_out(root, self.protocol.s_list(root), version)
+        self._fan_out(root, self.protocol.members(root), version)
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
         version = message.version
         if self._host_store_push:
-            self.sim.store(node, version)
+            self.sim.copies.put(version, self._env._now, node)
         else:
             self._store_push(node, version)
-        # One list fetch serves the subscription test and the fan-out;
-        # it is also where the node's entry is lazily created, which
-        # fixes its place in ``nodes_with_state`` (the lease loops walk
-        # that order) — keep it after the store.
-        s_list = self.protocol.s_list(node)
-        if node in s_list:
+        # One read of the members serves the subscription test, the
+        # leaf test and the fan-out; it is also where the node's entry
+        # is lazily created, which fixes its place in
+        # ``nodes_with_state`` (the lease loops walk that order) — keep
+        # it after the store.
+        members = self.protocol.members(node)
+        if node in members:
             interest = self._interest
             if interest is None:
                 interest = self.interest()
@@ -353,16 +355,17 @@ class DupScheme(PathCachingScheme):
                 self._send_control(
                     node, result.upstream, trace_id=message.trace_id
                 )
-            elif len(s_list) == 1:
+            elif len(members) == 1:
                 return  # a subscribed leaf: nobody downstream to serve
         # ``drop_subscription`` edited this very list, but only the
         # node's own entry, which the fan-out skips either way.
-        self._fan_out(node, s_list, version, message.trace_id)
+        self._fan_out(node, members, version, message.trace_id)
 
     def _store_push(self, node: NodeId, version) -> None:
         """What a received push leaves in the node's cache (unless
-        overridden, the push path calls the host's ``store`` instead)."""
-        self.sim.store(node, version)
+        overridden, the push path stores into the host's copy table in
+        its place)."""
+        self.sim.copies.put(version, self._env._now, node)
 
     def _push_current(self, node: NodeId, targets: list[NodeId]) -> None:
         """Push the node's current valid copy to newly added subscribers."""

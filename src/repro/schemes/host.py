@@ -87,16 +87,16 @@ class SchemeHost:
     # -- per-node state ------------------------------------------------------
     def lookup(self, node: NodeId) -> Optional[IndexVersion]:
         """A valid index copy at ``node``: the root's authoritative copy,
-        or the node's TTL copy."""
+        or the node's TTL copy.
+
+        The query paths call it at the root only, and read ``copies``
+        below it; every reply and push stores into ``copies`` directly
+        (``copies.put(version, now, node)``)."""
         if node == self.tree._root:
             if self.authority is None:
                 return None
             return self.authority.current
         return self.copies.get(node, self.env._now)
-
-    def store(self, node: NodeId, version: IndexVersion) -> None:
-        """Cache ``version`` at ``node`` now (a reply or push arriving)."""
-        self.copies.put(version, self.env._now, node)
 
     def forget_node(self, node: NodeId) -> None:
         """Drop per-node host state after a departure or failure."""

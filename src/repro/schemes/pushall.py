@@ -27,5 +27,5 @@ class PushAllScheme(PathCachingScheme):
 
     def _handle_push(self, node: NodeId, message: PushMessage) -> None:
         sim = self.sim
-        sim.store(node, message.version)
+        sim.copies.put(message.version, self._env._now, node)
         self._fan_out(node, sim.tree.children(node), message.version)

@@ -17,6 +17,10 @@ Before the hit-path cut this read 19 frames: ``_fire`` ->
 ``IndexCache.get``; ``record_latency`` -> ``LatencyRecorder.record`` ->
 ``RunningStat.add``; ``note_read`` -> ``Authority.current``.  The cut
 reads 10.
+
+Reading a non-root node's copy straight off the host's copy table
+(``IndexCache.get``, no ``SchemeHost.lookup`` frame; the root still asks
+the host, where its authority answers) reads 9.
 """
 
 import gc
@@ -29,8 +33,9 @@ from repro.stats.distributions import Exponential
 from repro.workload.arrivals import ArrivalProcess, QuerySource
 from repro.workload.selection import ZipfNodeSelector
 
-#: The cut's reading; nothing left on the path but the frames that work.
-FRAMES_PER_HIT = 10
+#: The reading without the host's lookup frame; nothing left on the path
+#: but the frames that work.
+FRAMES_PER_HIT = 9
 
 LEAF = 7
 

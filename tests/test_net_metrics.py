@@ -277,6 +277,82 @@ class TestTransport:
         assert transport.dropped == 1
 
 
+class TestTransportWarmupGate:
+    """The transport charges a measured hop itself once the ledger has
+    published its counters; the ledger still decides where the warm-up
+    ends.  Both branches of ``send`` (bare, and with an observer) agree."""
+
+    WARMUP = 100.0
+
+    @pytest.fixture(params=[False, True], ids=["bare", "observed"])
+    def setup(self, request):
+        env = Environment()
+        ledger = CostLedger(clock=env.now_getter(), warmup=self.WARMUP)
+        charges = []
+        charge = ledger.charge
+
+        def counting_charge(category, hops=1):
+            charges.append(hops)
+            charge(category, hops)
+
+        ledger.charge = counting_charge
+        transport = Transport(
+            env, Deterministic(0.5), np.random.default_rng(0), ledger
+        )
+        transport.bind(lambda dst, msg: None)
+        if request.param:
+            transport.add_observer(lambda event: None)
+        return env, transport, ledger, charges
+
+    def test_a_hop_before_the_warmup_ends_is_a_warmup_hop(self, setup):
+        env, transport, ledger, charges = setup
+        env.run(until=self.WARMUP - 0.5)
+        transport.send(7, QueryMessage(key=1, origin=2))
+        assert ledger.warmup_hops(Category.QUERY) == 1
+        assert ledger.hops(Category.QUERY) == 0
+        assert ledger.measured is None
+        assert charges == [1]  # the ledger decided
+
+    def test_a_hop_at_the_warmup_boundary_and_after_is_measured(self, setup):
+        env, transport, ledger, charges = setup
+        transport.send(7, QueryMessage(key=1, origin=2))
+        env.run(until=self.WARMUP)
+        assert env.now == self.WARMUP
+        transport.send(7, QueryMessage(key=1, origin=2))
+        transport.send(7, PushMessage(key=1, version=None, sender=1))
+        env.run(until=self.WARMUP + 10.0)
+        transport.send(7, PushMessage(key=1, version=None, sender=1), hops=2)
+        assert ledger.warmup_hops(Category.QUERY) == 1
+        assert ledger.hops(Category.QUERY) == 1
+        assert ledger.hops(Category.PUSH) == 3
+        assert ledger.total_hops == 4
+        assert ledger.measured is not None
+        # The bare branch charges through the ledger until the first
+        # measured hop has opened the gate, and by itself after it.
+        assert charges == ([1, 1, 1, 2] if transport.observers else [1, 1])
+
+    def test_a_free_hop_charges_nothing(self, setup):
+        env, transport, ledger, charges = setup
+        transport.send(7, QueryMessage(key=1, origin=2), free=True)
+        env.run(until=self.WARMUP)
+        transport.send(7, QueryMessage(key=1, origin=2))  # opens the gate
+        transport.send(7, QueryMessage(key=1, origin=2), free=True)
+        assert ledger.warmup_hops(Category.QUERY) == 0
+        assert ledger.hops(Category.QUERY) == 1
+
+    def test_a_negative_hop_count_is_refused_on_both_sides(self, setup):
+        env, transport, ledger, charges = setup
+        for until in (1.0, self.WARMUP, self.WARMUP + 1.0):
+            env.run(until=until)
+            queued = len(env._queue)
+            with pytest.raises(ValueError):
+                transport.send(7, QueryMessage(key=1, origin=2), hops=-1)
+            assert len(env._queue) == queued  # nothing was sent
+            transport.send(7, QueryMessage(key=1, origin=2))
+        assert ledger.warmup_hops(Category.QUERY) == 1
+        assert ledger.hops(Category.QUERY) == 2
+
+
 class TestLatencyLookAhead:
     """Hop latencies are read ahead in blocks; the sequence must be the
     one-draw-per-hop stream on every branch of ``send``."""

@@ -19,6 +19,12 @@ sweep at the horizon read every resident copy's ``expires_at`` through
 a generator, evicting none.  The cut reads 17.55.  Flat interest and
 copy tables read 16.28: a store builds no ``CachedCopy``, and ``issue``
 reads the key's root and the clock without a property frame.
+
+The delivered-hop cut reads 14.02: past the warm-up the transport adds
+each hop to the ledger's counters itself, the query paths read and store
+a non-root node's copy on the host's copy table (no
+``SchemeHost.lookup`` / ``store``), the serving node sends the reply's
+first hop itself, and both messages are built in one frame.
 """
 
 import gc
@@ -30,8 +36,9 @@ from repro.engine import SimulationConfig
 from repro.engine.multikey import MultiKeyScaleSimulation
 from repro.net.message import Category
 
-#: The cut's reading (17.55) plus a margin, as a whole frame.
-FRAMES_PER_HOP = 18.0
+#: The delivered-hop cut's reading (14.02) plus a margin, as a whole
+#: frame.
+FRAMES_PER_HOP = 15.0
 
 
 def _shard():

@@ -428,7 +428,7 @@ def _oracle_handle_push(scheme, node, message):
     before the fusion: ``is_subscribed`` -> ``is_interested`` ->
     ``push_targets``, each fetching the node's list on its own."""
     sim = scheme.sim
-    sim.store(node, message.version)
+    sim.copies.put(message.version, sim.env.now, node)
     if scheme.protocol.is_subscribed(node) and not scheme.is_interested(node):
         scheme._record("unsubscribe", node=node, detail="interest-lapse")
         result = scheme.protocol.drop_subscription(node)

@@ -495,9 +495,9 @@ class TestCrashRestartKeepsItsCopy:
         fresher = sim.authority.current
         assert fresher.version > held.version
         assert sim.lookup(4) is held  # stale, but its timer still runs
-        sim.store(4, fresher)
+        sim.copies.put(fresher, sim.env.now, 4)
         assert sim.lookup(4) is fresher
-        sim.store(4, held)  # an older reply never regresses it
+        sim.copies.put(held, sim.env.now, 4)  # an older reply never regresses it
         assert sim.lookup(4) is fresher
 
 
